@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
@@ -103,24 +104,36 @@ class WorldState:
 
     Internally stored as per-region stacks/buffer sets and per-robot held
     tuples; the ``placements`` view derives the object -> fact map. Empty
-    entries are normalised away so equal states hash equally.
+    entries are normalised away, so two states are equal exactly when their
+    three dicts are equal. The hash is taken once, from the frozensets of
+    the three dicts' item views: it needs no sort and does not depend on
+    insertion order. The dicts are shared between states (``apply`` copies
+    only the ones an action touches), so never mutate them.
     """
 
-    __slots__ = ("stacks", "buffers", "holdings", "_key", "_hash")
+    __slots__ = ("stacks", "buffers", "holdings", "_hash")
 
     def __init__(self,
                  stacks: Mapping[str, Sequence[str]] | None = None,
                  buffers: Mapping[str, Iterable[str]] | None = None,
                  holdings: Mapping[str, Sequence[str]] | None = None):
-        self.stacks = {r: tuple(v) for r, v in (stacks or {}).items() if v}
-        self.buffers = {r: frozenset(v) for r, v in (buffers or {}).items() if v}
-        self.holdings = {r: tuple(v) for r, v in (holdings or {}).items() if v}
-        self._key = (
-            tuple(sorted(self.stacks.items())),
-            tuple(sorted((r, tuple(sorted(v))) for r, v in self.buffers.items())),
-            tuple(sorted(self.holdings.items())),
-        )
-        self._hash = hash(self._key)
+        self._fill({r: tuple(v) for r, v in (stacks or {}).items() if v},
+                   {r: frozenset(v) for r, v in (buffers or {}).items() if v},
+                   {r: tuple(v) for r, v in (holdings or {}).items() if v})
+
+    def _fill(self, stacks: dict, buffers: dict, holdings: dict) -> None:
+        self.stacks = stacks
+        self.buffers = buffers
+        self.holdings = holdings
+        self._hash = hash((frozenset(stacks.items()), frozenset(buffers.items()),
+                           frozenset(holdings.items())))
+
+    @classmethod
+    def _normalised(cls, stacks: dict, buffers: dict, holdings: dict) -> "WorldState":
+        """State over dicts that already hold tuples, frozensets and no empty entry."""
+        state = cls.__new__(cls)
+        state._fill(stacks, buffers, holdings)
+        return state
 
     @classmethod
     def from_placements(cls, placements: Mapping[str, Fact],
@@ -179,7 +192,10 @@ class WorldState:
         return None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WorldState) and self._key == other._key
+        return (isinstance(other, WorldState)
+                and self.stacks == other.stacks
+                and self.buffers == other.buffers
+                and self.holdings == other.holdings)
 
     def __hash__(self) -> int:
         return self._hash
@@ -285,6 +301,16 @@ def action_robots(a: Action) -> frozenset:
 
 @dataclass(frozen=True)
 class Problem:
+    """Regions, robots, objects, an initial state and a partial goal.
+
+    The lookup tables derived from these fields (``region_map``,
+    ``robot_map``, ``goal_objects`` and the heuristic's ``goal_positions``,
+    ``reachable`` and ``reach_pairs``) are computed on first use and then
+    cached on the instance. So treat a ``Problem`` as immutable, its
+    ``goal`` dict and the tables included, and derive a changed problem
+    with ``dataclasses.replace``, which starts with empty caches.
+    """
+
     regions: tuple
     robots: tuple
     objects: tuple
@@ -298,17 +324,35 @@ class Problem:
         object.__setattr__(
             self, "goal", {r: tuple(v) for r, v in dict(self.goal).items()})
 
-    @property
+    @cached_property
     def region_map(self) -> dict:
         return {r.id: r for r in self.regions}
 
-    @property
+    @cached_property
     def robot_map(self) -> dict:
         return {r.id: r for r in self.robots}
 
-    @property
+    @cached_property
     def goal_objects(self) -> frozenset:
         return frozenset(o for stack in self.goal.values() for o in stack)
+
+    @cached_property
+    def goal_positions(self) -> tuple:
+        """``(object, region, height)`` of every goal placement, in goal order."""
+        return tuple((o, region, h)
+                     for region, want in self.goal.items()
+                     for h, o in enumerate(want))
+
+    @cached_property
+    def reachable(self) -> frozenset:
+        """Regions at least one robot reaches."""
+        return frozenset(r for spec in self.robots for r in spec.reach)
+
+    @cached_property
+    def reach_pairs(self) -> frozenset:
+        """``(a, b)`` region pairs (``a == b`` included) one robot reaches both of."""
+        return frozenset((a, b) for spec in self.robots
+                         for a in spec.reach for b in spec.reach)
 
     def validate(self) -> list:
         errors = []
@@ -458,30 +502,45 @@ def applicable_actions(s: WorldState, p: Problem,
     return tuple(sorted(out, key=action_sort_key))
 
 
+def _replaced(table: dict, key: str, value) -> dict:
+    """Copy of ``table`` with ``key`` set to ``value``, or dropped if it is empty."""
+    out = dict(table)
+    if value:
+        out[key] = value
+    else:
+        del out[key]
+    return out
+
+
 def apply(s: WorldState, a: Action, p: Problem) -> WorldState:
-    """Successor state after one action; only the involved entities change."""
+    """Successor state after one action; only the involved entities change.
+
+    Copy-on-write: the successor shares every dict of ``s`` the action does
+    not touch.
+    """
     reason = precondition_failure(s, a, p)
     if reason is not None:
         raise PreconditionViolated(a, reason)
-    stacks = dict(s.stacks)
-    buffers = dict(s.buffers)
-    holdings = dict(s.holdings)
+    stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
     if isinstance(a, Pick):
         if p.region_map[a.region].kind == STACK:
-            stacks[a.region] = stacks[a.region][:-1]
+            stacks = _replaced(stacks, a.region, stacks[a.region][:-1])
         else:
-            buffers[a.region] = buffers[a.region] - {a.obj}
-        holdings[a.robot] = holdings.get(a.robot, ()) + (a.obj,)
+            buffers = _replaced(buffers, a.region, buffers[a.region] - {a.obj})
+        holdings = _replaced(holdings, a.robot, holdings.get(a.robot, ()) + (a.obj,))
     elif isinstance(a, Place):
-        holdings[a.robot] = tuple(o for o in holdings[a.robot] if o != a.obj)
+        holdings = _replaced(holdings, a.robot,
+                             tuple(o for o in holdings[a.robot] if o != a.obj))
         if p.region_map[a.region].kind == STACK:
-            stacks[a.region] = stacks.get(a.region, ()) + (a.obj,)
+            stacks = _replaced(stacks, a.region, stacks.get(a.region, ()) + (a.obj,))
         else:
-            buffers[a.region] = buffers.get(a.region, frozenset()) | {a.obj}
+            buffers = _replaced(buffers, a.region,
+                                buffers.get(a.region, frozenset()) | {a.obj})
     else:
-        holdings[a.giver] = tuple(o for o in holdings[a.giver] if o != a.obj)
+        holdings = _replaced(holdings, a.giver,
+                             tuple(o for o in holdings[a.giver] if o != a.obj))
         holdings[a.receiver] = holdings.get(a.receiver, ()) + (a.obj,)
-    return WorldState(stacks, buffers, holdings)
+    return WorldState._normalised(stacks, buffers, holdings)
 
 
 def is_goal(s: WorldState, p: Problem, prefix: bool = False) -> bool:
@@ -500,7 +559,7 @@ def is_goal(s: WorldState, p: Problem, prefix: bool = False) -> bool:
             return False
     goal_objs = p.goal_objects
     for held in s.holdings.values():
-        if goal_objs & set(held):
+        if not goal_objs.isdisjoint(held):
             return False
     return True
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from .domain import (
     STACK,
     Action,
-    Held,
-    OnStack,
     Pick,
     Place,
     Problem,
@@ -42,13 +40,10 @@ from .hypergraph import (
 @dataclass(frozen=True)
 class SearchConfig:
     max_expansions: int = 200_000
-    cost_model: str = "action_count"
 
     def __post_init__(self) -> None:
         if self.max_expansions < 1:
             raise ValueError("max_expansions must be >= 1")
-        if self.cost_model != "action_count":
-            raise ValueError(f"unsupported cost model: {self.cost_model!r}")
 
 
 @dataclass
@@ -70,21 +65,6 @@ class BudgetExhausted(Exception):
         super().__init__(f"expansion budget of {max_expansions} exhausted")
 
 
-def _goal_positions(p: Problem) -> dict:
-    return {o: (region, h)
-            for region, want in p.goal.items()
-            for h, o in enumerate(want)}
-
-
-def _pair_reach(p: Problem) -> set:
-    pairs = set()
-    for spec in p.robots:
-        for a in spec.reach:
-            for b in spec.reach:
-                pairs.add((a, b))
-    return pairs
-
-
 def heuristic(s: WorldState, p: Problem) -> int | None:
     """Admissible lower bound on remaining actions; None flags a dead end.
 
@@ -95,25 +75,35 @@ def heuristic(s: WorldState, p: Problem) -> int | None:
     resting where no robot can reach, or a target no robot can reach, makes
     the state hopeless.
     """
-    targets = _goal_positions(p)
-    pairs = _pair_reach(p)
-    reachable = {r for spec in p.robots for r in spec.reach}
+    stacks = s.stacks
+    reachable = p.reachable
     total = 0
-    for o, (region, height) in targets.items():
-        fact = s.placement_of(o)
-        if isinstance(fact, OnStack) and fact.region == region and fact.height == height:
+    resting = None
+    for o, region, height in p.goal_positions:
+        stack = stacks.get(region, ())
+        if height < len(stack) and stack[height] == o:
             continue
         if region not in reachable:
             return None
-        if isinstance(fact, Held):
-            spec = p.robot_map[fact.robot]
-            total += 1 if region in spec.reach else 2
+        if resting is None:
+            resting, held_by = _locations(s)
+        holder = held_by.get(o)
+        if holder is not None:
+            total += 1 if region in p.robot_map[holder].reach else 2
             continue
-        here = fact.region
+        here = resting[o]
         if here not in reachable:
             return None
-        total += 2 if (here, region) in pairs else 3
+        total += 2 if (here, region) in p.reach_pairs else 3
     return total
+
+
+def _locations(s: WorldState) -> tuple:
+    """``(object -> region it rests in, object -> robot holding it)``."""
+    resting = {o: r for r, stack in s.stacks.items() for o in stack}
+    resting.update((o, r) for r, objs in s.buffers.items() for o in objs)
+    held_by = {o: r for r, held in s.holdings.items() for o in held}
+    return resting, held_by
 
 
 def plan(p: Problem, config: SearchConfig | None = None,
@@ -171,20 +161,21 @@ def plan(p: Problem, config: SearchConfig | None = None,
         stats.expansions += 1
         if stats.expansions > cfg.max_expansions:
             raise BudgetExhausted(cfg.max_expansions)
-        g = best_g[state]
+        g2 = best_g[state] + 1
         for action in applicable_actions(state, p, frozen):
             successor = apply(state, action, p)
             if successor in closed:
                 continue
-            g2 = g + 1
-            if g2 < best_g.get(successor, float("inf")):
-                h = heuristic(successor, p)
-                if h is None:
-                    continue
-                best_g[successor] = g2
-                parent[successor] = (state, action)
-                heapq.heappush(frontier, (g2 + h, next(counter), successor))
-                stats.generated += 1
+            known = best_g.get(successor)
+            if known is not None and known <= g2:
+                continue
+            h = heuristic(successor, p)
+            if h is None:
+                continue
+            best_g[successor] = g2
+            parent[successor] = (state, action)
+            heapq.heappush(frontier, (g2 + h, next(counter), successor))
+            stats.generated += 1
     raise NoSolution("state space exhausted without reaching the goal")
 
 

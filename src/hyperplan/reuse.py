@@ -192,9 +192,8 @@ def _pick_buffer(p: Problem) -> str:
     A full buffer can still ground a strategy whose buffer role marks where
     objects start rather than a parking need, so it is kept as a fallback.
     """
-    reachable = {r for spec in p.robots for r in spec.reach}
     candidates = [r for r in sorted(p.region_map)
-                  if p.region_map[r].kind == BUFFER and r in reachable]
+                  if p.region_map[r].kind == BUFFER and r in p.reachable]
     for region in candidates:
         spec = p.region_map[region]
         if len(p.initial.buffers.get(region, frozenset())) < spec.capacity:
@@ -326,6 +325,11 @@ def _refine_actions(recon: ReconstructedHypergraph, p: Problem,
         for node in targets:
             achieved[node.region] = tuple(node.stack_order)
         sub = replace(p, initial=state, goal=dict(achieved))
+        # Stale ``achieved`` entries can put one object in two goal stacks;
+        # that is a refinement failure, not an input error.
+        errors = sub.validate()
+        if errors:
+            raise SubproblemInfeasible(aid, f"invalid sub-problem: {errors[0]}")
         try:
             sub_graph, sub_stats = plan(sub, search, frozen=frozenset(frozen),
                                         prefix_goals=True)

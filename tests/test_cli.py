@@ -6,6 +6,7 @@ from hyperplan import Pick, execute_hypergraph, is_goal, plan
 from hyperplan.cli import (
     BenchResult,
     ParseError,
+    Scenario,
     ValidationError,
     emit_bench_csv,
     parse_scenario,
@@ -15,7 +16,7 @@ from hyperplan.cli import (
     scenario_to_json,
 )
 
-from conftest import SCENARIO_DIR, load_scenario, reversal_scenario
+from conftest import SCENARIO_DIR, load_scenario, random_instance, reversal_scenario
 
 
 def fig1_path() -> str:
@@ -190,6 +191,21 @@ def test_reuse_mismatched_strategy_fails_without_fallback(tmp_path):
     tall.write_text(_json.dumps(s2j(reversal_scenario(4))))
     assert run_command(["reuse", str(tall), "--strategy", str(strategy)]) == 1
     assert run_command(["reuse", str(tall), "--strategy", str(strategy),
+                        "--fallback-scratch"]) == 0
+
+
+def test_reuse_refinement_failure_is_a_planning_failure(tmp_path):
+    # corpus seed 205: refining its own strategy builds an invalid sub-problem
+    scenario = tmp_path / "seed205.json"
+    scenario.write_text(json.dumps(scenario_to_json(
+        Scenario("seed205", random_instance(205, 4, 2, 4)))))
+    plan_file = tmp_path / "p.json"
+    strategy = tmp_path / "s.json"
+    assert run_command(["solve", str(scenario), "--out", str(plan_file)]) == 0
+    assert run_command(["extract", str(scenario), str(plan_file),
+                        "--out", str(strategy)]) == 0
+    assert run_command(["reuse", str(scenario), "--strategy", str(strategy)]) == 1
+    assert run_command(["reuse", str(scenario), "--strategy", str(strategy),
                         "--fallback-scratch"]) == 0
 
 

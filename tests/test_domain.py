@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -81,6 +82,90 @@ def test_world_state_equality_and_placements():
     assert placements["c"].robot == "r"
     rebuilt = WorldState.from_placements(placements, s1.holdings)
     assert rebuilt == s1
+
+
+def _tray_problem() -> Problem:
+    regions = (Region("L", "stack"), Region("R", "stack"), Region("tray", "buffer", 2))
+    robots = (RobotSpec("arm", frozenset({"L", "R", "tray"}), capacity=2),)
+    return Problem(regions, robots, ("a", "b", "c"),
+                   WorldState(stacks={"L": ("a",)}, buffers={"tray": {"b", "c"}}), {})
+
+
+def _same_state(got: WorldState, want: WorldState) -> None:
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+
+
+def test_apply_normalises_emptied_entries():
+    p = _tray_problem()
+    s = apply(p.initial, Pick("arm", "a", "L"), p)
+    assert "L" not in s.stacks
+    _same_state(s, WorldState(buffers={"tray": ("c", "b")}, holdings={"arm": ("a",)}))
+
+    s = apply(p.initial, Pick("arm", "b", "tray"), p)
+    s = apply(s, Pick("arm", "c", "tray"), p)
+    assert "tray" not in s.buffers
+    _same_state(s, WorldState(stacks={"L": ("a",), "R": ()}, buffers={"tray": ()},
+                              holdings={"arm": ("b", "c")}))
+
+    s = apply(s, Place("arm", "b", "R"), p)
+    s = apply(s, Place("arm", "c", "R"), p)
+    assert "arm" not in s.holdings
+    _same_state(s, WorldState(stacks={"L": ("a",), "R": ("b", "c")}))
+    _same_state(s, WorldState.from_placements(s.placements))
+
+
+def test_buffer_order_does_not_matter():
+    p = _tray_problem()
+    holding = apply(apply(p.initial, Pick("arm", "b", "tray"), p),
+                    Pick("arm", "c", "tray"), p)
+    b_first = apply(apply(holding, Place("arm", "b", "tray"), p),
+                    Place("arm", "c", "tray"), p)
+    c_first = apply(apply(holding, Place("arm", "c", "tray"), p),
+                    Place("arm", "b", "tray"), p)
+    _same_state(b_first, c_first)
+    _same_state(b_first, p.initial)
+    _same_state(b_first, WorldState(stacks={"L": ("a",)}, buffers={"tray": ["c", "b"]}))
+    assert b_first != WorldState(stacks={"L": ("a",)}, buffers={"tray": ["c"]},
+                                 holdings={"arm": ("b",)})
+
+
+def test_apply_shares_untouched_tables():
+    p = _tray_problem()
+    before = p.initial
+    after = apply(before, Pick("arm", "a", "L"), p)
+    assert after.buffers is before.buffers
+    assert before.stacks == {"L": ("a",)} and before.holdings == {}
+
+
+def test_reached_states_equal_rebuilt_states():
+    """States reached by ``apply`` equal and hash like constructed ones, and
+    two states are equal exactly when placements and hand order agree."""
+    for seed in range(100):
+        p = random_instance(seed, 4, 2, 4)
+        walk = random_walk(p, random.Random(seed), 20)
+        for s in walk:
+            padded = WorldState(
+                stacks={**{r.id: () for r in p.regions}, **s.stacks},
+                buffers={**{r.id: [] for r in p.regions},
+                         **{r: sorted(v, reverse=True) for r, v in s.buffers.items()}},
+                holdings={**{r.id: () for r in p.robots}, **s.holdings})
+            _same_state(s, padded)
+            _same_state(s, WorldState.from_placements(s.placements, s.holdings))
+        for x in walk:
+            for y in walk:
+                same = (x.placements, x.holdings) == (y.placements, y.holdings)
+                assert (x == y) == same
+
+
+def test_problem_tables_are_cached_per_instance(fig1):
+    p = fig1.problem
+    assert p.region_map is p.region_map
+    assert p.goal_positions == (("C", "left", 0), ("A", "left", 1), ("B", "left", 2))
+    moved = replace(p, goal={"right": ("A",)})
+    assert moved.goal_objects == {"A"}
+    assert moved.goal_positions == (("A", "right", 0),)
+    assert p.goal_objects == {"A", "B", "C"}
 
 
 def test_problem_validation_catches_bad_goals(fig1):

@@ -213,6 +213,22 @@ def test_refine_subproblem_failure_fallback(fig1_strategy):
         reuse_pipeline(ah, reversal_problem(3), tiny)
 
 
+def test_invalid_subproblem_is_infeasible_not_input_error():
+    # Stale achieved sub-goals put one object in two goal stacks on this
+    # instance's own strategy; that must reach the fallback, not escape as
+    # the ValueError ``plan`` raises on invalid input.
+    p = random_instance(205, 4, 2, 4)
+    scratch, scratch_stats = plan(p)
+    ah = extract_strategy(scratch, p)
+    with pytest.raises(SubproblemInfeasible, match="invalid sub-problem"):
+        reuse_pipeline(ah, p, RefinementConfig(fallback=FAIL_HARD))
+    graph, stats = reuse_pipeline(ah, p, RefinementConfig(fallback=SCRATCH_FALLBACK))
+    assert stats.fallback_used
+    final, _, _ = execute_hypergraph(graph, p)
+    assert is_goal(final, p)
+    assert stats.actions == scratch_stats.solution_actions
+
+
 def test_reuse_pipeline_on_reversals_matches_scratch():
     for h in (4, 5, 6):
         p = reversal_problem(h)
