@@ -67,7 +67,6 @@ from .reuse import (
     SCRATCH_FALLBACK,
     GroundingAssignment,
     NoGrounding,
-    ReconstructedHypergraph,
     RefinementConfig,
     ReuseStats,
     SubproblemInfeasible,

@@ -17,7 +17,6 @@ grounded later into any subset of concrete robots (possibly none).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 from .domain import (
@@ -34,6 +33,7 @@ from .hypergraph import (
     ABSTRACT,
     Hyperarc,
     HypergraphBuilder,
+    HypergraphTable,
     SolutionHypergraph,
     Violation,
     arc_topological_order,
@@ -92,7 +92,6 @@ class AbstractNode:
     composition: frozenset
     region: RegionRole | None = None
     stack_order: tuple = ()
-    abstract_robot: bool = True
 
     def __post_init__(self) -> None:
         if not self.composition:
@@ -101,51 +100,23 @@ class AbstractNode:
             raise ValueError("stack order mentions non-members")
 
 
-@dataclass(frozen=True)
-class AbstractHypergraph:
+@dataclass(frozen=True, eq=False)
+class AbstractHypergraph(HypergraphTable):
     """Robot-free, label-stripped strategy with abstract hyperarcs.
 
     ``goal_stacks`` records the strategy's final target content per
     TargetRole; grounding constraints are derived from it.
     """
 
-    nodes: Mapping[int, AbstractNode]
-    arcs: Mapping[int, Hyperarc]
     goal_stacks: Mapping[TargetRole, tuple]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
-        object.__setattr__(self, "arcs", MappingProxyType(dict(self.arcs)))
-        object.__setattr__(
-            self, "goal_stacks", MappingProxyType(dict(self.goal_stacks)))
-
-    @property
-    def sources(self) -> tuple:
-        produced = {n for a in self.arcs.values() for n in a.heads}
-        return tuple(i for i in sorted(self.nodes) if i not in produced)
-
-    @property
-    def sinks(self) -> tuple:
-        consumed = {n for a in self.arcs.values() for n in a.tails}
-        return tuple(i for i in sorted(self.nodes) if i not in consumed)
 
     @property
     def abstract_objects(self) -> frozenset:
-        return frozenset(o for n in self.nodes.values() for o in n.composition)
+        return self.entities()
 
     @property
     def uses_buffer(self) -> bool:
         return any(isinstance(n.region, BufferRole) for n in self.nodes.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AbstractHypergraph):
-            return NotImplemented
-        return (dict(self.nodes) == dict(other.nodes)
-                and dict(self.arcs) == dict(other.arcs)
-                and dict(self.goal_stacks) == dict(other.goal_stacks))
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.nodes), frozenset(self.arcs)))
 
 
 @node_dot_label.register
@@ -392,7 +363,6 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
             composition=frozenset(AbstractObject(index_of[m]) for m in members),
             region=role_of(region),
             stack_order=tuple(AbstractObject(index_of[m]) for m in placed),
-            abstract_robot=True,
         )
     arcs = {i: Hyperarc(i, ABSTRACT, frozenset(t), frozenset(h))
             for i, (t, h) in enumerate(proto_arcs)}
@@ -480,8 +450,7 @@ def canonical_form(ah: AbstractHypergraph) -> tuple:
     nodes = tuple(
         (tuple(sorted(canon_obj(o) for o in ah.nodes[nid].composition)),
          canon_role(ah.nodes[nid].region),
-         tuple(canon_obj(o) for o in ah.nodes[nid].stack_order),
-         ah.nodes[nid].abstract_robot)
+         tuple(canon_obj(o) for o in ah.nodes[nid].stack_order))
         for nid in node_seq)
     arcs = tuple(
         (tuple(sorted(node_renum[t] for t in ah.arcs[aid].tails)),

@@ -394,53 +394,35 @@ def _cmd_reuse(args) -> int:
         record = library.read_record(args.strategy)
     else:
         record = library.retrieve(scenario.problem, library.load(args.library))
-        if record is None:
-            if not args.fallback_scratch:
-                raise NoGrounding("no stored strategy matches this scenario")
-            graph, stats = plan(scenario.problem, cfg.search)
-            _emit_reuse_outputs(args, scenario, graph)
-            print(f"reused <scratch fallback> on {scenario.name}: "
-                  f"{stats.solution_actions} actions")
-            return 0
-    graph, stats = reuse_pipeline(record.ah, scenario.problem, cfg)
-    _emit_reuse_outputs(args, scenario, graph)
-    origin = "<scratch fallback>" if stats.fallback_used else record.id
+    graph, stats = reuse_pipeline(record and record.ah, scenario.problem, cfg)
+    if args.out:
+        _write(args.out, json.dumps(plan_to_json(graph, scenario.name), indent=2) + "\n")
+    if args.dot:
+        _write(args.dot, to_dot(graph, RenderStyle(graph_name="plan")))
+    origin = (f"<scratch fallback> ({stats.fallback_reason})"
+              if stats.fallback_used else record.id)
     print(f"reused {origin} on {scenario.name}: {stats.actions} actions, "
           f"makespan {stats.makespan}, {stats.total_expansions} expansions")
     return 0
 
 
-def _emit_reuse_outputs(args, scenario: Scenario, graph: SolutionHypergraph) -> None:
-    if args.out:
-        _write(args.out, json.dumps(plan_to_json(graph, scenario.name), indent=2) + "\n")
-    if args.dot:
-        _write(args.dot, to_dot(graph, RenderStyle(graph_name="plan")))
-
-
 def _cmd_bench(args) -> int:
     records = library.load(args.library)
     cfg = SearchConfig(max_expansions=args.max_expansions)
+    reuse_cfg = RefinementConfig(search=cfg, fallback=SCRATCH_FALLBACK)
     results = []
     for path in args.scenarios:
         scenario = read_scenario(path)
-        graph, stats = plan(scenario.problem, cfg)
+        _, stats = plan(scenario.problem, cfg)
         results.append(BenchResult(
             scenario.name, "scratch", stats.expansions, stats.solution_actions,
             stats.makespan, stats.wall_time))
         record = library.retrieve(scenario.problem, records)
-        reuse_cfg = RefinementConfig(search=cfg, fallback=SCRATCH_FALLBACK)
-        if record is None:
-            rgraph, rstats = plan(scenario.problem, cfg)
-            results.append(BenchResult(
-                scenario.name, "reuse", rstats.expansions,
-                rstats.solution_actions, rstats.makespan, rstats.wall_time,
-                fallback_used=True))
-        else:
-            rgraph, rstats = reuse_pipeline(record.ah, scenario.problem, reuse_cfg)
-            results.append(BenchResult(
-                scenario.name, "reuse", rstats.total_expansions, rstats.actions,
-                rstats.makespan, rstats.wall_time,
-                fallback_used=rstats.fallback_used))
+        _, rstats = reuse_pipeline(record and record.ah, scenario.problem, reuse_cfg)
+        results.append(BenchResult(
+            scenario.name, "reuse", rstats.total_expansions, rstats.actions,
+            rstats.makespan, rstats.wall_time,
+            fallback_used=rstats.fallback_used))
     results.sort(key=lambda r: (r.scenario, r.mode))
     _write(args.out, emit_bench_csv(results))
     print(f"benchmarked {len(args.scenarios)} scenario(s) -> {args.out}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import singledispatch
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -137,16 +137,22 @@ class InvalidHypergraph(ValueError):
         super().__init__(f"invalid hyperpath: {lines}")
 
 
-@dataclass(frozen=True)
-class SolutionHypergraph:
-    """Immutable table of nodes and hyperarcs forming (ideally) a hyperpath."""
+@dataclass(frozen=True, eq=False)
+class HypergraphTable:
+    """Immutable table of nodes and hyperarcs, shared by every graph flavour.
 
-    nodes: Mapping[int, Node]
+    Every field is a mapping, frozen into a read-only view on construction.
+    Equality compares all fields and is type-strict, so graphs of different
+    flavours never compare equal.
+    """
+
+    nodes: Mapping[int, object]
     arcs: Mapping[int, Hyperarc]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
-        object.__setattr__(self, "arcs", MappingProxyType(dict(self.arcs)))
+        for f in fields(self):
+            object.__setattr__(
+                self, f.name, MappingProxyType(dict(getattr(self, f.name))))
 
     @property
     def sources(self) -> tuple:
@@ -164,16 +170,18 @@ class SolutionHypergraph:
         return frozenset(e for n in self.nodes.values() for e in n.composition)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SolutionHypergraph):
+        if type(other) is not type(self):
             return NotImplemented
-        return dict(self.nodes) == dict(other.nodes) and dict(self.arcs) == dict(other.arcs)
+        return all(dict(getattr(self, f.name)) == dict(getattr(other, f.name))
+                   for f in fields(self))
 
     def __hash__(self) -> int:
         return hash((frozenset(self.nodes), frozenset(self.arcs)))
 
 
-def empty_hypergraph() -> SolutionHypergraph:
-    return SolutionHypergraph({}, {})
+@dataclass(frozen=True, eq=False)
+class SolutionHypergraph(HypergraphTable):
+    """Concrete nodes and action-labelled hyperarcs forming (ideally) a hyperpath."""
 
 
 def arc_topological_order(arcs: Mapping[int, Hyperarc]) -> list:
@@ -323,7 +331,6 @@ class HypergraphBuilder:
 class RenderStyle:
     graph_name: str = "plan"
     rankdir: str = "LR"
-    show_state: bool = False
 
 
 @singledispatch
@@ -357,12 +364,8 @@ def to_dot(graph, style: RenderStyle = RenderStyle()) -> str:
     """
     lines = [f"digraph {style.graph_name} {{", f"  rankdir={style.rankdir};"]
     for nid in sorted(graph.nodes):
-        node = graph.nodes[nid]
-        label = node_dot_label(node)
-        if style.show_state and getattr(node, "state", None):
-            facts = ", ".join(sorted(str(f) for f in node.state))
-            label = f"{label}\\n{facts}"
-        lines.append(f'  n{nid} [shape=ellipse, label="{_quote(label)}"];')
+        label = _quote(node_dot_label(graph.nodes[nid]))
+        lines.append(f'  n{nid} [shape=ellipse, label="{label}"];')
     for aid in sorted(graph.arcs):
         arc = graph.arcs[aid]
         text = arc_dot_label(arc.label)

@@ -1,10 +1,12 @@
 """Persisting extracted strategies and retrieving candidates.
 
 One strategy per JSON file, human readable, written atomically
-(temp file then rename). Retrieval is exact: a stored strategy is a
-candidate for a problem when its goal stack-height multiset and abstract
-object count match the problem's goal exactly; the lexicographically
-smallest record id wins.
+(temp file then rename). A stored strategy is a retrieval candidate for a
+problem when its goal stack-height multiset matches the problem's goal,
+it has at least one placeholder per goal object and at most one per
+object, and it uses a buffer only if the problem has a reachable one.
+The candidate with the fewest extra placeholders (objects the strategy
+moved without a goal position) wins, then the smallest record id.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .abstraction import (
     TargetRole,
     ah_violations,
 )
-from .domain import Problem
+from .domain import BUFFER, Problem
 from .hypergraph import ABSTRACT, Hyperarc
 
 FORMAT_VERSION = 1
@@ -115,7 +117,7 @@ def record_to_json(record: StrategyRecord) -> dict:
                 "objects": sorted(o.index for o in ah.nodes[nid].composition),
                 "region_role": _role_text(ah.nodes[nid].region),
                 "stack_order": [o.index for o in ah.nodes[nid].stack_order],
-                "abstract_robot": ah.nodes[nid].abstract_robot,
+                "abstract_robot": True,
             }
             for nid in sorted(ah.nodes)
         ],
@@ -141,12 +143,15 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
             raise CorruptRecord(file, f"unsupported version {data.get('version')!r}")
         nodes = {}
         for entry in data["nodes"]:
+            # refinement always attaches robots, so no other value is usable
+            if entry["abstract_robot"] is not True:
+                raise CorruptRecord(
+                    file, f"node {entry['id']}: abstract_robot must be true")
             nodes[entry["id"]] = AbstractNode(
                 id=entry["id"],
                 composition=frozenset(AbstractObject(i) for i in entry["objects"]),
                 region=_role_parse(entry["region_role"], file),
                 stack_order=tuple(AbstractObject(i) for i in entry["stack_order"]),
-                abstract_robot=bool(entry["abstract_robot"]),
             )
         arcs = {i: Hyperarc(i, ABSTRACT,
                             frozenset(entry["tails"]), frozenset(entry["heads"]))
@@ -223,16 +228,13 @@ def load(directory) -> list:
 
 
 def retrieve(p: Problem, records) -> StrategyRecord | None:
-    """Best stored strategy for a problem, or None.
-
-    Candidates must match the goal's stack-height multiset and constrain
-    exactly as many objects as the goal does; ties go to the smallest id.
-    """
+    """Best stored strategy for a problem, or None (see the module docstring)."""
     heights = tuple(sorted(len(v) for v in p.goal.values()))
     wanted = len(p.goal_objects)
+    has_buffer = any(r.kind == BUFFER and r.id in p.reachable for r in p.regions)
     candidates = [r for r in records
                   if r.signature.goal_stack_heights == heights
-                  and r.signature.num_abstract_objects == wanted]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda r: r.id)
+                  and wanted <= r.signature.num_abstract_objects <= len(p.objects)
+                  and (has_buffer or not r.signature.uses_buffer)]
+    return min(candidates, default=None,
+               key=lambda r: (r.signature.num_abstract_objects - wanted, r.id))

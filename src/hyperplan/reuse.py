@@ -1,19 +1,22 @@
 """Grounding an abstract strategy on a new problem and refining it.
 
-Grounding binds abstract objects to concrete objects by backtracking
-constraint satisfaction: assignments are all-different, and an abstract
-object sitting at position i of a target stack must map to the object at
-position i of the matched goal stack. Target roles are matched to goal
-regions by equal stack height, then declaration order. Initial
-above-relations are a soft preference used only to break ties.
+Grounding binds abstract objects to concrete objects. Objects the strategy
+places in a goal stack are forced: an abstract object at position i of a
+target stack maps to the object at position i of the matched goal stack.
+The remaining placeholders (objects the strategy moved without a goal
+position, e.g. parked blockers) are assigned by enumerating every
+placement onto the unconstrained objects; initial above-relations break
+ties. Target roles are matched to goal regions by equal stack height, then
+declaration order.
 
-Refinement walks the abstract hyperarcs in topological order, treating
-each as a planning sub-problem: start from the state the previous arcs
-produced, reach the arc's grounded critical placement, and never move an
-object that already sits in an achieved critical placement. Each
-sub-solution replaces its abstract arc; concatenated, they compile into
-one final solution hypergraph whose critical compositions carry exactly
-the robot entities the sub-solutions introduced.
+Reconstruction turns the grounded strategy into sub-goals: one entry per
+abstract hyperarc that places objects in a goal region, in topological
+order. Refinement solves each sub-goal as a planning sub-problem: start
+from the state the previous sub-problems produced, reach the sub-goal's
+placements, and never move an object that already sits in an achieved
+placement. The concatenated sub-solutions compile into one solution
+hypergraph whose robot entities are exactly those the sub-solutions
+introduced.
 """
 
 from __future__ import annotations
@@ -84,8 +87,12 @@ class ReuseStats:
     total_expansions: int = 0
     actions: int = 0
     makespan: int = 0
-    fallback_used: bool = False
+    fallback_reason: str = ""   # "<ExceptionClass>: <message>"; empty if none
     wall_time: float = 0.0
+
+    @property
+    def fallback_used(self) -> bool:
+        return bool(self.fallback_reason)
 
 
 # --- grounding -------------------------------------------------------------
@@ -120,13 +127,13 @@ def _initial_above_pairs(ah: AbstractHypergraph) -> list:
 
 
 def ground_strategy(ah: AbstractHypergraph, p: Problem) -> GroundingAssignment:
-    """Deterministic smallest satisfying assignment, or NoGrounding.
+    """Deterministic assignment of every placeholder, or NoGrounding.
 
     Target-bound objects are forced by position; remaining abstract objects
     (objects the strategy moved without a goal position, e.g. parked
-    blockers) range over the problem's unconstrained objects. Among
-    satisfying assignments the one preserving the most initial
-    above-relations wins, ties broken lexicographically.
+    blockers) are tried on every ordered choice of the problem's
+    unconstrained objects. The choice preserving the most initial
+    above-relations wins; ties go to the lexicographically first.
     """
     errors = p.validate()
     if errors:
@@ -236,65 +243,48 @@ def verify_grounding(ah: AbstractHypergraph, p: Problem,
 
 # --- reconstruction ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroundedNode:
-    """An abstract node rewritten with the new problem's concrete labels."""
-
-    id: int
-    objects: frozenset
-    region: str | None
-    stack_order: tuple
-    abstract_robot: bool = True
-
-
-@dataclass(frozen=True)
-class ReconstructedHypergraph:
-    """Grounded critical nodes plus robot sources and sub-problem markers."""
-
-    nodes: Mapping[int, GroundedNode]
-    arcs: Mapping
-    robot_sources: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
-        object.__setattr__(self, "arcs", MappingProxyType(dict(self.arcs)))
-
-
 def reconstruct(ah: AbstractHypergraph, g: GroundingAssignment,
-                p: Problem) -> ReconstructedHypergraph:
-    """Rewrite node labels with concrete names and add robot source nodes."""
-    nodes = {}
-    for nid, node in ah.nodes.items():
-        nodes[nid] = GroundedNode(
-            id=nid,
-            objects=frozenset(g.object_map[o] for o in node.composition),
-            region=g.region_map.get(node.region) if node.region is not None else None,
-            stack_order=tuple(g.object_map[o] for o in node.stack_order),
-            abstract_robot=node.abstract_robot,
-        )
-    return ReconstructedHypergraph(
-        nodes, dict(ah.arcs), tuple(spec.id for spec in p.robots))
+                p: Problem) -> tuple:
+    """Grounded sub-goals in refinement order.
+
+    Walks the abstract hyperarcs in topological order and returns one
+    ``(arc_id, ((goal_region, stack_order), ...))`` entry per arc whose
+    heads place objects in a goal region; arcs without such a placement
+    are dropped.
+    """
+    subgoals = []
+    for aid in arc_topological_order(ah.arcs):
+        targets = []
+        for nid in sorted(ah.arcs[aid].heads):
+            node = ah.nodes[nid]
+            region = g.region_map.get(node.region)
+            if region in p.goal and node.stack_order:
+                targets.append(
+                    (region, tuple(g.object_map[o] for o in node.stack_order)))
+        if targets:
+            subgoals.append((aid, tuple(targets)))
+    return tuple(subgoals)
 
 
 # --- refinement ---------------------------------------------------------------
 
-def refine(recon: ReconstructedHypergraph, p: Problem,
+def refine(subgoals: tuple, p: Problem,
            config: RefinementConfig | None = None) -> tuple:
-    """Solve every abstract hyperarc as a sub-problem and stitch the results.
+    """Solve every sub-goal as a sub-problem and stitch the results.
 
-    Sub-problems run in topological order with state threading; the goal of
-    each is the grounded critical placement of the arc's head, and objects
-    already resting in an achieved critical placement are frozen. Returns
-    ``(SolutionHypergraph, ReuseStats)``; under the scratch fallback a
-    failed refinement is discarded in favour of planning from scratch.
+    State is threaded through the sub-problems in order; the goal of each
+    is every placement achieved so far, and objects already resting in an
+    achieved placement are frozen. Returns ``(SolutionHypergraph,
+    ReuseStats)``; under the scratch fallback a failed refinement is
+    discarded in favour of planning from scratch.
     """
     cfg = config or RefinementConfig()
     started = time.perf_counter()
     try:
-        actions, substats = _refine_actions(recon, p, cfg.search)
-    except SubproblemInfeasible:
+        actions, substats = _refine_actions(subgoals, p, cfg.search)
+    except SubproblemInfeasible as exc:
         if cfg.fallback == SCRATCH_FALLBACK:
-            return _scratch(p, cfg, started)
+            return _scratch(p, cfg, started, exc)
         raise
     graph = build_hypergraph(actions, p)
     _, makespan, count = execute_hypergraph(graph, p)
@@ -308,22 +298,14 @@ def refine(recon: ReconstructedHypergraph, p: Problem,
     return graph, stats
 
 
-def _refine_actions(recon: ReconstructedHypergraph, p: Problem,
-                    search: SearchConfig) -> tuple:
+def _refine_actions(subgoals: tuple, p: Problem, search: SearchConfig) -> tuple:
     state = p.initial
     actions: list = []
     substats: list = []
     achieved: dict = {}
     frozen: set = set()
-    for aid in arc_topological_order(recon.arcs):
-        arc = recon.arcs[aid]
-        targets = [recon.nodes[h] for h in sorted(arc.heads)
-                   if recon.nodes[h].region in p.goal
-                   and recon.nodes[h].stack_order]
-        if not targets:
-            continue
-        for node in targets:
-            achieved[node.region] = tuple(node.stack_order)
+    for aid, targets in subgoals:
+        achieved.update(targets)
         sub = replace(p, initial=state, goal=dict(achieved))
         # Stale ``achieved`` entries can put one object in two goal stacks;
         # that is a refinement failure, not an input error.
@@ -340,37 +322,44 @@ def _refine_actions(recon: ReconstructedHypergraph, p: Problem,
             state = apply(state, action, p)
             actions.append(action)
         substats.append(sub_stats)
-        for node in targets:
-            frozen |= set(node.stack_order)
+        for _, order in targets:
+            frozen.update(order)
     if not is_goal(state, p):
         raise SubproblemInfeasible(
             None, "all abstract arcs refined but the goal is not reached")
     return actions, substats
 
 
-def _scratch(p: Problem, cfg: RefinementConfig, started: float) -> tuple:
+def _scratch(p: Problem, cfg: RefinementConfig, started: float,
+             reason: Exception) -> tuple:
+    """Plan from scratch because ``reason`` stopped reuse."""
     graph, stats = plan(p, cfg.search)
     reuse_stats = ReuseStats(
         subproblems=(stats,),
         total_expansions=stats.expansions,
         actions=stats.solution_actions,
         makespan=stats.makespan,
-        fallback_used=True,
+        fallback_reason=f"{type(reason).__name__}: {reason}",
         wall_time=time.perf_counter() - started,
     )
     return graph, reuse_stats
 
 
-def reuse_pipeline(ah: AbstractHypergraph, p: Problem,
+def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
                    config: RefinementConfig | None = None) -> tuple:
-    """ground_strategy, reconstruct, then refine, honouring the fallback."""
+    """ground_strategy, reconstruct, then refine, honouring the fallback.
+
+    ``ah`` is None when no stored strategy matched; that is a grounding
+    failure like any other.
+    """
     cfg = config or RefinementConfig()
     started = time.perf_counter()
     try:
+        if ah is None:
+            raise NoGrounding("no stored strategy matches this problem")
         assignment = ground_strategy(ah, p)
-    except NoGrounding:
+    except NoGrounding as exc:
         if cfg.fallback == SCRATCH_FALLBACK:
-            return _scratch(p, cfg, started)
+            return _scratch(p, cfg, started, exc)
         raise
-    recon = reconstruct(ah, assignment, p)
-    return refine(recon, p, cfg)
+    return refine(reconstruct(ah, assignment, p), p, cfg)

@@ -159,7 +159,7 @@ def test_solve_extract_reuse_round_trip(tmp_path):
     assert count == 6
 
 
-def test_reuse_from_library_and_empty_library(tmp_path):
+def test_reuse_from_library_and_empty_library(tmp_path, capsys):
     plan_file = tmp_path / "p.json"
     lib = tmp_path / "lib"
     lib.mkdir()
@@ -167,13 +167,19 @@ def test_reuse_from_library_and_empty_library(tmp_path):
     assert run_command(["extract", fig1_path(), str(plan_file),
                         "--out", str(lib / "fig1.json")]) == 0
     fig2_path = str(SCENARIO_DIR / "fig2.json")
+    capsys.readouterr()
     assert run_command(["reuse", fig2_path, "--library", str(lib)]) == 0
+    assert capsys.readouterr().out.startswith("reused fig1 on fig2: ")
 
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_command(["reuse", fig2_path, "--library", str(empty)]) == 1
+    assert "no stored strategy matches" in capsys.readouterr().err
     assert run_command(["reuse", fig2_path, "--library", str(empty),
                         "--fallback-scratch"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "reused <scratch fallback> (NoGrounding: no stored strategy matches "
+        "this problem) on fig2: ")
 
 
 def test_reuse_mismatched_strategy_fails_without_fallback(tmp_path):
@@ -194,7 +200,7 @@ def test_reuse_mismatched_strategy_fails_without_fallback(tmp_path):
                         "--fallback-scratch"]) == 0
 
 
-def test_reuse_refinement_failure_is_a_planning_failure(tmp_path):
+def test_reuse_refinement_failure_is_a_planning_failure(tmp_path, capsys):
     # corpus seed 205: refining its own strategy builds an invalid sub-problem
     scenario = tmp_path / "seed205.json"
     scenario.write_text(json.dumps(scenario_to_json(
@@ -205,8 +211,11 @@ def test_reuse_refinement_failure_is_a_planning_failure(tmp_path):
     assert run_command(["extract", str(scenario), str(plan_file),
                         "--out", str(strategy)]) == 0
     assert run_command(["reuse", str(scenario), "--strategy", str(strategy)]) == 1
+    capsys.readouterr()
     assert run_command(["reuse", str(scenario), "--strategy", str(strategy),
                         "--fallback-scratch"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "reused <scratch fallback> (SubproblemInfeasible: abstract arc ")
 
 
 def test_extract_rejects_mismatched_or_partial_plans(tmp_path):
@@ -260,6 +269,29 @@ def test_bench_command(tmp_path):
     assert len(lines) == 5  # two modes per scenario
     assert [ln.split(",")[0] for ln in lines[1:]] == ["fig1", "fig1", "fig2", "fig2"]
     assert [ln.split(",")[1] for ln in lines[1:]] == ["reuse", "scratch"] * 2
+
+
+def test_bench_reuse_row_without_a_matching_record_is_the_scratch_run(tmp_path):
+    plan_file = tmp_path / "p.json"
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
+    assert run_command(["extract", fig1_path(), str(plan_file),
+                        "--out", str(lib / "fig1.json")]) == 0
+    tall = tmp_path / "tall.json"
+    tall.write_text(json.dumps(scenario_to_json(reversal_scenario(4))))
+    csv_path = tmp_path / "bench.csv"
+    assert run_command(["bench", str(tall), "--library", str(lib),
+                        "--out", str(csv_path)]) == 0
+    header, reuse_row, scratch_row = (
+        ln.split(",") for ln in csv_path.read_text().strip().split("\n"))
+    row = dict(zip(header, reuse_row))
+    scratch = dict(zip(header, scratch_row))
+    assert (row["mode"], scratch["mode"]) == ("reuse", "scratch")
+    assert row["fallback_used"] == "true"
+    assert scratch["fallback_used"] == "false"
+    for column in ("expansions", "actions", "makespan"):
+        assert row[column] == scratch[column]
 
 
 def test_unknown_arguments_exit_2():

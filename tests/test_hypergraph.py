@@ -147,6 +147,30 @@ def test_graph_is_immutable():
         graph.nodes[99] = None
 
 
+def test_graph_equality_is_by_content_and_type_strict():
+    from hyperplan.abstraction import AbstractHypergraph, AbstractNode, AbstractObject
+
+    graph = chain_graph()
+    again = chain_graph()
+    assert graph == again and hash(graph) == hash(again)
+    assert graph.sources == (0, 1) and graph.sinks == (3, 4)
+    assert graph.entities() == {robot("r"), obj("x")}
+
+    x = AbstractObject(0)
+    nodes = {0: AbstractNode(0, frozenset({x})), 1: AbstractNode(1, frozenset({x}))}
+    arcs = {0: Hyperarc(0, ABSTRACT, frozenset({0}), frozenset({1}))}
+    ah = AbstractHypergraph(nodes, arcs, {})
+    assert ah == AbstractHypergraph(dict(nodes), dict(arcs), {})
+    assert ah != AbstractHypergraph(nodes, arcs, {"t": (x,)})  # goal stacks count
+    assert ah.sources == (0,) and ah.sinks == (1,)
+    assert ah.abstract_objects == ah.entities() == {x}
+    with pytest.raises(TypeError):
+        ah.goal_stacks["t"] = ()
+    # same table, different flavour: never equal
+    assert SolutionHypergraph(nodes, arcs) != ah
+    assert ah != SolutionHypergraph(nodes, arcs)
+
+
 def test_dot_empty_graph():
     text = to_dot(SolutionHypergraph({}, {}))
     assert text.startswith("digraph plan {")

@@ -5,12 +5,19 @@ import pytest
 
 from hyperplan import (
     CorruptRecord,
+    Problem,
+    Region,
+    RobotSpec,
+    WorldState,
     canonical_form,
+    execute_hypergraph,
     extract_strategy,
+    is_goal,
     load,
     make_record,
     plan,
     retrieve,
+    reuse_pipeline,
     signature_of,
     store,
 )
@@ -124,6 +131,66 @@ def test_retrieve_smallest_id_wins(tmp_path, fig1_record):
 
 def test_retrieve_on_empty_library(fig1_record):
     assert retrieve(load_scenario("fig1").problem, []) is None
+
+
+def _two_box_problem(initial: dict) -> Problem:
+    regions = (Region("L", "stack"), Region("R", "stack"), Region("S", "stack"))
+    return Problem(regions, (RobotSpec("r0", frozenset({"L", "R", "S"})),),
+                   ("A", "B", "X"), WorldState(stacks=initial), {"L": ("A", "B")})
+
+
+def _record_for(record_id: str, p: Problem):
+    ah = extract_strategy(plan(p)[0], p)
+    return make_record(record_id, ah, record_id,
+                       created_at="2026-01-01T00:00:00+00:00")
+
+
+def test_retrieve_finds_blocker_strategy_for_its_own_problem():
+    # X blocks the goal boxes: the strategy has 3 placeholders, the goal 2
+    p = _two_box_problem({"R": ("B", "A", "X")})
+    record = _record_for("blocker", p)
+    assert record.signature.num_abstract_objects == 3
+    assert len(p.goal_objects) == 2
+    assert retrieve(p, [record]) is record
+    # more placeholders than the problem has objects: never a candidate
+    two_objects = replace(p, objects=("A", "B"),
+                          initial=WorldState(stacks={"R": ("B", "A")}))
+    assert retrieve(two_objects, [record]) is None
+
+
+def test_retrieve_prefers_fewest_extra_placeholders():
+    p = _two_box_problem({"R": ("B", "A", "X")})
+    blocker = _record_for("a-blocker", p)
+    plain = _record_for("z-plain", _two_box_problem({"R": ("B", "A"), "S": ("X",)}))
+    assert plain.signature.num_abstract_objects == 2
+    assert retrieve(p, [blocker, plain]) is plain
+
+
+def test_retrieve_skips_buffer_strategies_without_a_buffer(fig1_record):
+    fig1, fig3 = load_scenario("fig1"), load_scenario("fig3")
+    buffered = _record_for("a-fig3", fig3.problem)
+    assert buffered.signature.uses_buffer
+    assert retrieve(fig1.problem, [buffered]) is None
+    hit = retrieve(fig1.problem, [buffered, fig1_record])
+    assert hit is fig1_record
+    graph, stats = reuse_pipeline(hit.ah, fig1.problem)
+    assert not stats.fallback_used
+    final, _, _ = execute_hypergraph(graph, fig1.problem)
+    assert is_goal(final, fig1.problem)
+    # a reachable buffer makes the buffered strategy a candidate again
+    assert retrieve(fig3.problem, [buffered]) is buffered
+
+
+@pytest.mark.parametrize("value", [False, None, 1, "missing"])
+def test_abstract_robot_must_be_true(fig1_record, value):
+    data = record_to_json(fig1_record)
+    assert all(node["abstract_robot"] is True for node in data["nodes"])
+    if value == "missing":
+        del data["nodes"][0]["abstract_robot"]
+    else:
+        data["nodes"][0]["abstract_robot"] = value
+    with pytest.raises(CorruptRecord, match="abstract_robot"):
+        record_from_json(data)
 
 
 def test_write_record_is_atomic(tmp_path, fig1_record):

@@ -86,31 +86,39 @@ def test_grounding_is_deterministic(fig1_strategy, fig2):
 
 # --- reconstruction -----------------------------------------------------------------
 
-def test_reconstruct_adds_robot_sources(fig1_strategy, fig2, fig3):
+def test_reconstruct_last_subgoal_is_goal_stack(fig1_strategy, fig2, fig3):
     ah, _ = fig1_strategy
-    recon2 = reconstruct(ah, ground_strategy(ah, fig2.problem), fig2.problem)
-    assert recon2.robot_sources == ("r1", "r2")
-    recon3 = reconstruct(ah, ground_strategy(ah, fig3.problem), fig3.problem)
-    assert recon3.robot_sources == ("solo",)
+    for p in (fig2.problem, fig3.problem):
+        subgoals = reconstruct(ah, ground_strategy(ah, p), p)
+        assert subgoals
+        _, last = subgoals[-1]
+        assert dict(last) == dict(p.goal)
 
 
 def test_reconstruct_zero_robot_problem(fig1_strategy):
     ah, p = fig1_strategy
     bare = replace(p, robots=())
-    recon = reconstruct(ah, ground_strategy(ah, bare), bare)
-    assert recon.robot_sources == ()
+    subgoals = reconstruct(ah, ground_strategy(ah, bare), bare)
+    assert subgoals
     with pytest.raises(SubproblemInfeasible):
-        refine(recon, bare)
+        refine(subgoals, bare)
 
 
 def test_reconstruct_grounds_node_labels(fig1_strategy, fig2):
     ah, _ = fig1_strategy
-    recon = reconstruct(ah, ground_strategy(ah, fig2.problem), fig2.problem)
-    names = {o for node in recon.nodes.values() for o in node.objects}
-    assert names == {"x", "y", "z"}
-    target_nodes = [n for n in recon.nodes.values() if n.region == "goal"]
-    assert target_nodes
-    assert all(n.abstract_robot for n in recon.nodes.values())
+    p = fig2.problem
+    g = ground_strategy(ah, p)
+    subgoals = reconstruct(ah, g, p)
+    arc_ids = [aid for aid, _ in subgoals]
+    assert len(set(arc_ids)) == len(arc_ids) and set(arc_ids) <= set(ah.arcs)
+    grounded = set(g.object_map.values())
+    for _, targets in subgoals:
+        assert targets
+        for region, order in targets:
+            assert region in p.goal
+            assert order and set(order) <= grounded
+            # a sub-goal is a prefix of its region's goal stack
+            assert p.goal[region][:len(order)] == order
 
 
 # --- refinement ------------------------------------------------------------------------
@@ -127,6 +135,7 @@ def test_refine_fig2_embeds_handoff_subsolutions(fig1_strategy, fig2):
     assert count == stats.actions == bfs_oracle(p)
     assert stats.total_expansions == sum(s.expansions for s in stats.subproblems)
     assert not stats.fallback_used
+    assert stats.fallback_reason == ""
 
 
 def test_refine_fig3_parks_in_buffer(fig1_strategy, fig3):
@@ -161,31 +170,28 @@ def test_refined_plan_contains_every_critical_composition(fig1_strategy, fig2):
     ah, _ = fig1_strategy
     p = fig2.problem
     assignment = ground_strategy(ah, p)
-    recon = reconstruct(ah, assignment, p)
-    graph, _ = refine(recon, p)
+    subgoals = reconstruct(ah, assignment, p)
+    graph, _ = refine(subgoals, p)
     compositions = {
         frozenset(e.name for e in node.composition if not e.is_robot)
         for node in graph.nodes.values()
         if not any(e.is_robot for e in node.composition)
     }
-    for node in recon.nodes.values():
-        if node.region in p.goal and node.stack_order:
-            assert node.objects in compositions
-    # critical placements are achieved in topological order
+    for _, targets in subgoals:
+        for _, order in targets:
+            assert frozenset(order) in compositions
+    # critical placements are achieved in sub-goal order
     order = topological_order(graph)
-    seen = []
     state = p.initial
     from hyperplan.domain import apply
 
-    prefixes = [recon.nodes[h].stack_order
-                for aid in sorted(recon.arcs)
-                for h in sorted(recon.arcs[aid].heads)
-                if recon.nodes[h].region in p.goal and recon.nodes[h].stack_order]
+    prefixes = [stack for _, targets in subgoals for region, stack in targets
+                if region == "goal"]
     for aid in order:
         state = apply(state, graph.arcs[aid].label, p)
         stack = state.stacks.get("goal", ())
         if prefixes and stack == prefixes[0]:
-            seen.append(prefixes.pop(0))
+            prefixes.pop(0)
     assert not prefixes
 
 
@@ -227,6 +233,37 @@ def test_invalid_subproblem_is_infeasible_not_input_error():
     final, _, _ = execute_hypergraph(graph, p)
     assert is_goal(final, p)
     assert stats.actions == scratch_stats.solution_actions
+
+
+def _buffered_strategy():
+    fig3 = load_scenario("fig3")
+    return extract_strategy(plan(fig3.problem)[0], fig3.problem)
+
+
+def _own_strategy(p):
+    return extract_strategy(plan(p)[0], p)
+
+
+@pytest.mark.parametrize("route,reason", [
+    ("no-record", "NoGrounding: no stored strategy matches this problem"),
+    ("no-grounding", "NoGrounding: strategy needs a buffer but none is available"),
+    ("infeasible", "SubproblemInfeasible: abstract arc "),
+])
+def test_fallback_reason_names_the_failure(route, reason):
+    if route == "infeasible":
+        p = random_instance(205, 4, 2, 4)
+        ah = _own_strategy(p)
+    else:
+        p = load_scenario("fig1").problem
+        ah = None if route == "no-record" else _buffered_strategy()
+    graph, stats = reuse_pipeline(ah, p, RefinementConfig(fallback=SCRATCH_FALLBACK))
+    assert stats.fallback_used
+    assert stats.fallback_reason.startswith(reason)
+    scratch_graph, scratch_stats = plan(p)
+    assert graph == scratch_graph
+    assert stats.total_expansions == scratch_stats.expansions
+    with pytest.raises((NoGrounding, SubproblemInfeasible)):
+        reuse_pipeline(ah, p, RefinementConfig(fallback=FAIL_HARD))
 
 
 def test_reuse_pipeline_on_reversals_matches_scratch():
