@@ -84,14 +84,6 @@ class Held:
 Fact = OnStack | InBuffer | Held
 
 
-def fact_sort_key(f: Fact) -> tuple:
-    if isinstance(f, OnStack):
-        return (0, f.region, f.height, f.obj)
-    if isinstance(f, InBuffer):
-        return (1, f.region, f.obj)
-    return (2, f.robot, f.obj)
-
-
 def object_facts(state: Iterable) -> frozenset:
     """Drop holding facts, keeping only object placement assertions."""
     return frozenset(f for f in state if isinstance(f, (OnStack, InBuffer)))
@@ -183,12 +175,6 @@ class WorldState:
         for r, held in self.holdings.items():
             if o in held:
                 return Held(r, o)
-        return None
-
-    def holder_of(self, o: str) -> str | None:
-        for r, held in self.holdings.items():
-            if o in held:
-                return r
         return None
 
     def __eq__(self, other) -> bool:

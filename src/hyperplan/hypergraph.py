@@ -316,12 +316,11 @@ class HypergraphBuilder:
         self._produced |= heads
         return aid
 
-    def build(self, check: bool = True) -> SolutionHypergraph:
+    def build(self) -> SolutionHypergraph:
         graph = SolutionHypergraph(self._nodes, self._arcs)
-        if check:
-            report = validate_hyperpath(graph)
-            if not report.ok:
-                raise InvalidHypergraph(report)
+        report = validate_hyperpath(graph)
+        if not report.ok:
+            raise InvalidHypergraph(report)
         return graph
 
 
@@ -330,7 +329,6 @@ class HypergraphBuilder:
 @dataclass(frozen=True)
 class RenderStyle:
     graph_name: str = "plan"
-    rankdir: str = "LR"
 
 
 @singledispatch
@@ -362,7 +360,7 @@ def to_dot(graph, style: RenderStyle = RenderStyle()) -> str:
     Every hyperarc is drawn as a rectangle with tail -> junction -> head
     edges; abstract hyperarcs (and labels that ask for it) come out dashed.
     """
-    lines = [f"digraph {style.graph_name} {{", f"  rankdir={style.rankdir};"]
+    lines = [f"digraph {style.graph_name} {{", "  rankdir=LR;"]
     for nid in sorted(graph.nodes):
         label = _quote(node_dot_label(graph.nodes[nid]))
         lines.append(f'  n{nid} [shape=ellipse, label="{label}"];')

@@ -1,39 +1,32 @@
 """Grounding an abstract strategy on a new problem and refining it.
 
-Grounding binds abstract objects to concrete objects. Objects the strategy
-places in a goal stack are forced: an abstract object at position i of a
+Grounding binds the abstract objects of the strategy's goal stacks to
+concrete objects, and nothing else: an abstract object at position i of a
 target stack maps to the object at position i of the matched goal stack.
-The remaining placeholders (objects the strategy moved without a goal
-position, e.g. parked blockers) are assigned by enumerating every
-placement onto the unconstrained objects; initial above-relations break
-ties. Target roles are matched to goal regions by equal stack height, then
-declaration order.
+Target roles are matched to goal regions by equal stack height, then
+declaration order. A strategy with a buffer node grounds only on a
+problem with a reachable buffer.
 
 Reconstruction turns the grounded strategy into sub-goals: one entry per
-abstract hyperarc that places objects in a goal region, in topological
-order. Refinement solves each sub-goal as a planning sub-problem: start
-from the state the previous sub-problems produced, reach the sub-goal's
-placements, and never move an object that already sits in an achieved
-placement. The concatenated sub-solutions compile into one solution
-hypergraph whose robot entities are exactly those the sub-solutions
-introduced.
+abstract hyperarc whose heads place a prefix of a goal stack, in
+topological order. Temporary placements (objects the strategy moved
+without a goal position, e.g. parked blockers) are left to the search.
+Refinement solves each sub-goal as a planning sub-problem: start from the
+state the previous sub-problems produced, reach the sub-goal's placements,
+and never move an object that already sits in an achieved placement. The
+concatenated sub-solutions compile into one solution hypergraph whose
+robot entities are exactly those the sub-solutions introduced.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from .abstraction import (
-    AbstractHypergraph,
-    AbstractObject,
-    BufferRole,
-    SourceRole,
-)
-from .domain import BUFFER, OnStack, Problem, apply, is_goal
+from .abstraction import AbstractHypergraph, AbstractObject
+from .domain import BUFFER, Problem, apply, is_goal
 from .hypergraph import arc_topological_order, topological_order
 from .planner import (
     BudgetExhausted,
@@ -49,7 +42,7 @@ SCRATCH_FALLBACK = "scratch-fallback"
 
 
 class NoGrounding(Exception):
-    """The grounding constraint problem is unsatisfiable."""
+    """The strategy cannot be bound to this problem."""
 
 
 class SubproblemInfeasible(Exception):
@@ -61,7 +54,7 @@ class SubproblemInfeasible(Exception):
 
 @dataclass(frozen=True)
 class GroundingAssignment:
-    """Bijection from abstract placeholders and roles to concrete names."""
+    """Goal-stack placeholders to goal objects, target roles to goal regions."""
 
     object_map: Mapping[AbstractObject, str]
     region_map: Mapping
@@ -116,112 +109,42 @@ def _match_targets(ah: AbstractHypergraph, p: Problem) -> dict:
     return out
 
 
-def _initial_above_pairs(ah: AbstractHypergraph) -> list:
-    pairs = []
-    for nid in ah.sources:
-        order = ah.nodes[nid].stack_order
-        for i in range(len(order)):
-            for j in range(i + 1, len(order)):
-                pairs.append((order[i], order[j]))
-    return pairs
-
-
 def ground_strategy(ah: AbstractHypergraph, p: Problem) -> GroundingAssignment:
-    """Deterministic assignment of every placeholder, or NoGrounding.
+    """Bind every goal-stack placeholder by position, or raise NoGrounding.
 
-    Target-bound objects are forced by position; remaining abstract objects
-    (objects the strategy moved without a goal position, e.g. parked
-    blockers) are tried on every ordered choice of the problem's
-    unconstrained objects. The choice preserving the most initial
-    above-relations wins; ties go to the lexicographically first.
+    The abstract object at position i of a target stack maps to the object
+    at position i of the goal region matched to that role. Placeholders
+    outside the goal stacks stay unbound: no sub-goal mentions them.
     """
     errors = p.validate()
     if errors:
         raise ValueError(f"invalid problem: {errors[0]}")
-    target_regions = _match_targets(ah, p)
-
+    region_map = _match_targets(ah, p)
     object_map: dict = {}
-    used: set = set()
     for role in sorted(ah.goal_stacks, key=lambda r: r.index):
-        region = target_regions[role]
-        for pos, aobj in enumerate(ah.goal_stacks[role]):
-            concrete = p.goal[region][pos]
-            if object_map.get(aobj, concrete) != concrete:
+        for aobj, concrete in zip(ah.goal_stacks[role], p.goal[region_map[role]]):
+            if object_map.setdefault(aobj, concrete) != concrete:
                 raise NoGrounding(
                     f"{aobj} pinned to two different goal positions")
-            if aobj not in object_map:
-                if concrete in used:
-                    raise NoGrounding(f"{concrete!r} required twice")
-                object_map[aobj] = concrete
-                used.add(concrete)
-
-    free = sorted(ah.abstract_objects - set(object_map))
-    pool = sorted(o for o in p.objects if o not in used)
-    if len(free) > len(pool):
-        raise NoGrounding("not enough objects for the strategy's placeholders")
-    if free:
-        above = _initial_above_pairs(ah)
-
-        def initially_above(low: str, high: str) -> bool:
-            for stack in p.initial.stacks.values():
-                if low in stack and high in stack:
-                    return stack.index(low) < stack.index(high)
-            return False
-
-        best, best_score = None, -1
-        for values in itertools.permutations(pool, len(free)):
-            candidate = dict(object_map)
-            candidate.update(zip(free, values))
-            score = sum(1 for a, b in above
-                        if initially_above(candidate[a], candidate[b]))
-            if score > best_score:
-                best, best_score = candidate, score
-        object_map = best
-
-    region_map: dict = dict(target_regions)
-    for nid in sorted(ah.nodes):
-        node = ah.nodes[nid]
-        if isinstance(node.region, SourceRole) and node.region not in region_map:
-            anchor = object_map[min(node.composition)]
-            fact = p.initial.placement_of(anchor)
-            if fact is not None and not isinstance(fact, OnStack):
-                continue
-            if fact is not None:
-                region_map[node.region] = fact.region
-    if ah.uses_buffer:
-        region_map[BufferRole()] = _pick_buffer(p)
+    if ah.uses_buffer and not _has_reachable_buffer(p):
+        raise NoGrounding("strategy needs a buffer but none is available")
     return GroundingAssignment(object_map, region_map)
 
 
-def _pick_buffer(p: Problem) -> str:
-    """Lexicographically first reachable buffer, preferring spare capacity.
-
-    A full buffer can still ground a strategy whose buffer role marks where
-    objects start rather than a parking need, so it is kept as a fallback.
-    """
-    candidates = [r for r in sorted(p.region_map)
-                  if p.region_map[r].kind == BUFFER and r in p.reachable]
-    for region in candidates:
-        spec = p.region_map[region]
-        if len(p.initial.buffers.get(region, frozenset())) < spec.capacity:
-            return region
-    if candidates:
-        return candidates[0]
-    raise NoGrounding("strategy needs a buffer but none is available")
+def _has_reachable_buffer(p: Problem) -> bool:
+    return any(r.kind == BUFFER and r.id in p.reachable for r in p.regions)
 
 
 def verify_grounding(ah: AbstractHypergraph, p: Problem,
                      g: GroundingAssignment) -> list:
-    """Independent re-check of every hard grounding constraint."""
+    """Independent re-check of the binding ``ground_strategy`` promises."""
     errors = []
     values = list(g.object_map.values())
     if len(set(values)) != len(values):
         errors.append("object map is not injective")
-    for aobj in ah.abstract_objects:
-        if aobj not in g.object_map:
-            errors.append(f"{aobj} left unmapped")
-        elif g.object_map[aobj] not in p.objects:
-            errors.append(f"{aobj} mapped to unknown object")
+    goal_objects = {o for stack in ah.goal_stacks.values() for o in stack}
+    if set(g.object_map) != goal_objects:
+        errors.append("object map does not bind exactly the goal-stack objects")
     for role, stack in ah.goal_stacks.items():
         region = g.region_map.get(role)
         if region not in p.goal:
@@ -236,8 +159,8 @@ def verify_grounding(ah: AbstractHypergraph, p: Problem,
                 errors.append(
                     f"{role} position {pos} maps to "
                     f"{g.object_map.get(aobj)!r}, goal wants {want[pos]!r}")
-    if ah.uses_buffer and BufferRole() not in g.region_map:
-        errors.append("strategy uses a buffer but none was grounded")
+    if ah.uses_buffer and not _has_reachable_buffer(p):
+        errors.append("strategy uses a buffer but the problem has none reachable")
     return errors
 
 
@@ -249,18 +172,20 @@ def reconstruct(ah: AbstractHypergraph, g: GroundingAssignment,
 
     Walks the abstract hyperarcs in topological order and returns one
     ``(arc_id, ((goal_region, stack_order), ...))`` entry per arc whose
-    heads place objects in a goal region; arcs without such a placement
-    are dropped.
+    heads place a prefix of their target role's goal stack. These are the
+    placements that agree with the final goal; temporary placements and
+    arcs without a goal-prefix head are dropped.
     """
     subgoals = []
     for aid in arc_topological_order(ah.arcs):
         targets = []
         for nid in sorted(ah.arcs[aid].heads):
             node = ah.nodes[nid]
-            region = g.region_map.get(node.region)
-            if region in p.goal and node.stack_order:
-                targets.append(
-                    (region, tuple(g.object_map[o] for o in node.stack_order)))
+            stack = ah.goal_stacks.get(node.region, ())
+            order = node.stack_order
+            if order and stack[:len(order)] == order:
+                targets.append((g.region_map[node.region],
+                                tuple(g.object_map[o] for o in order)))
         if targets:
             subgoals.append((aid, tuple(targets)))
     return tuple(subgoals)
@@ -307,11 +232,6 @@ def _refine_actions(subgoals: tuple, p: Problem, search: SearchConfig) -> tuple:
     for aid, targets in subgoals:
         achieved.update(targets)
         sub = replace(p, initial=state, goal=dict(achieved))
-        # Stale ``achieved`` entries can put one object in two goal stacks;
-        # that is a refinement failure, not an input error.
-        errors = sub.validate()
-        if errors:
-            raise SubproblemInfeasible(aid, f"invalid sub-problem: {errors[0]}")
         try:
             sub_graph, sub_stats = plan(sub, search, frozen=frozenset(frozen),
                                         prefix_goals=True)

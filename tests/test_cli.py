@@ -201,10 +201,10 @@ def test_reuse_mismatched_strategy_fails_without_fallback(tmp_path):
 
 
 def test_reuse_refinement_failure_is_a_planning_failure(tmp_path, capsys):
-    # corpus seed 205: refining its own strategy builds an invalid sub-problem
-    scenario = tmp_path / "seed205.json"
+    # corpus seed 39: its own strategy refines but leaves the goal unreached
+    scenario = tmp_path / "seed039.json"
     scenario.write_text(json.dumps(scenario_to_json(
-        Scenario("seed205", random_instance(205, 4, 2, 4)))))
+        Scenario("seed039", random_instance(39, 4, 2, 4)))))
     plan_file = tmp_path / "p.json"
     strategy = tmp_path / "s.json"
     assert run_command(["solve", str(scenario), "--out", str(plan_file)]) == 0
