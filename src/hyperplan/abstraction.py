@@ -245,23 +245,23 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
                     p: Problem) -> AbstractHypergraph:
     """Strip object labels and region names, keeping only the strategy.
 
-    Objects become dense AbstractObjects numbered by first appearance in
-    topological order (sources first, bottom of a stack first). Goal
-    regions become TargetRoles in goal-declaration order, other stack
-    regions SourceRoles by first use, buffers the BufferRole. One abstract
-    hyperarc is emitted per non-source critical node; leftover objects from
-    its consumed frontier split into residual head nodes so abstract
-    objects are conserved arc by arc.
+    Placeholders stand for the objects some arc touches plus the goal
+    objects: a goal stack the plan never touches is kept, a non-goal
+    object no arc touches is dropped, so an arc-free plan for an empty
+    goal gives an empty strategy. Placeholders are dense AbstractObjects
+    numbered by first appearance in topological order (sources first,
+    bottom of a stack first). Goal regions become TargetRoles in
+    goal-declaration order, other stack regions SourceRoles by first use,
+    buffers the BufferRole. One abstract hyperarc is emitted per
+    non-source critical node; leftover objects from its consumed frontier
+    split into residual head nodes so abstract objects are conserved arc
+    by arc.
     """
     order = topological_order(h_obj)
-    if h_obj.arcs:
-        covered = {e.name
-                   for aid in h_obj.arcs
-                   for nid in (h_obj.arcs[aid].tails | h_obj.arcs[aid].heads)
-                   for e in h_obj.nodes[nid].composition}
-    else:
-        covered = {e.name for nid in h_obj.sources
-                   for e in h_obj.nodes[nid].composition}
+    covered = {e.name
+               for arc in h_obj.arcs.values()
+               for nid in arc.tails | arc.heads
+               for e in h_obj.nodes[nid].composition} | p.goal_objects
 
     def node_facts(nid):
         return {f.obj: f for f in h_obj.nodes[nid].state

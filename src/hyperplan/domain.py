@@ -445,13 +445,8 @@ def precondition_failure(s: WorldState, a: Action, p: Problem) -> str | None:
     return _handoff_reason(s, a, p)
 
 
-def applicable_actions(s: WorldState, p: Problem,
-                       frozen: frozenset = frozenset()) -> tuple:
-    """All actions applicable in ``s``, sorted for deterministic iteration.
-
-    ``frozen`` objects may not be picked (or handed off), which is how the
-    reuse stage pins already-achieved goal placements.
-    """
+def applicable_actions(s: WorldState, p: Problem) -> tuple:
+    """All actions applicable in ``s``, sorted for deterministic iteration."""
     out = []
     for spec in p.robots:
         held = s.holdings.get(spec.id, ())
@@ -460,12 +455,11 @@ def applicable_actions(s: WorldState, p: Problem,
                 region = p.region_map[region_id]
                 if region.kind == STACK:
                     stack = s.stacks.get(region_id, ())
-                    if stack and stack[-1] not in frozen:
+                    if stack:
                         out.append(Pick(spec.id, stack[-1], region_id))
                 else:
                     for o in s.buffers.get(region_id, frozenset()):
-                        if o not in frozen:
-                            out.append(Pick(spec.id, o, region_id))
+                        out.append(Pick(spec.id, o, region_id))
         for o in held:
             for region_id in spec.reach:
                 region = p.region_map[region_id]
@@ -483,8 +477,7 @@ def applicable_actions(s: WorldState, p: Problem,
             if not (spec.reach & other.reach):
                 continue
             for o in held:
-                if o not in frozen:
-                    out.append(Handoff(spec.id, other.id, o))
+                out.append(Handoff(spec.id, other.id, o))
     return tuple(sorted(out, key=action_sort_key))
 
 

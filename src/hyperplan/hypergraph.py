@@ -141,7 +141,7 @@ class InvalidHypergraph(ValueError):
 class HypergraphTable:
     """Immutable table of nodes and hyperarcs, shared by every graph flavour.
 
-    Every field is a mapping, frozen into a read-only view on construction.
+    Every field is a mapping, copied into a read-only view on construction.
     Equality compares all fields and is type-strict, so graphs of different
     flavours never compare equal.
     """

@@ -3,8 +3,8 @@
 One strategy per JSON file, human readable, written atomically
 (temp file then rename). A stored strategy is a retrieval candidate for a
 problem when its goal stack-height multiset matches the problem's goal,
-it has at least one placeholder per goal object and at most one per
-object, and it uses a buffer only if the problem has a reachable one.
+it has at least one placeholder per goal object, and it uses a buffer
+only if the problem has a reachable one.
 The candidate with the fewest extra placeholders (objects the strategy
 moved without a goal position) wins, then the smallest record id.
 """
@@ -234,7 +234,7 @@ def retrieve(p: Problem, records) -> StrategyRecord | None:
     has_buffer = any(r.kind == BUFFER and r.id in p.reachable for r in p.regions)
     candidates = [r for r in records
                   if r.signature.goal_stack_heights == heights
-                  and wanted <= r.signature.num_abstract_objects <= len(p.objects)
+                  and wanted <= r.signature.num_abstract_objects
                   and (has_buffer or not r.signature.uses_buffer)]
     return min(candidates, default=None,
                key=lambda r: (r.signature.num_abstract_objects - wanted, r.id))

@@ -107,7 +107,7 @@ def _locations(s: WorldState) -> tuple:
 
 
 def plan(p: Problem, config: SearchConfig | None = None,
-         frozen: frozenset = frozenset(), prefix_goals: bool = False) -> tuple:
+         prefix_goals: bool = False) -> tuple:
     """Solve a problem, returning ``(SolutionHypergraph, SearchStats)``.
 
     Deterministic: successors are generated in sorted action order and
@@ -162,7 +162,7 @@ def plan(p: Problem, config: SearchConfig | None = None,
         if stats.expansions > cfg.max_expansions:
             raise BudgetExhausted(cfg.max_expansions)
         g2 = best_g[state] + 1
-        for action in applicable_actions(state, p, frozen):
+        for action in applicable_actions(state, p):
             successor = apply(state, action, p)
             if successor in closed:
                 continue

@@ -12,10 +12,11 @@ abstract hyperarc whose heads place a prefix of a goal stack, in
 topological order. Temporary placements (objects the strategy moved
 without a goal position, e.g. parked blockers) are left to the search.
 Refinement solves each sub-goal as a planning sub-problem: start from the
-state the previous sub-problems produced, reach the sub-goal's placements,
-and never move an object that already sits in an achieved placement. The
-concatenated sub-solutions compile into one solution hypergraph whose
-robot entities are exactly those the sub-solutions introduced.
+state the previous sub-problems produced and reach every placement achieved
+so far, read positionally (each goal stack's wanted prefix, objects above
+it allowed). The concatenated sub-solutions compile into one solution
+hypergraph whose robot entities are exactly those the sub-solutions
+introduced.
 """
 
 from __future__ import annotations
@@ -198,10 +199,9 @@ def refine(subgoals: tuple, p: Problem,
     """Solve every sub-goal as a sub-problem and stitch the results.
 
     State is threaded through the sub-problems in order; the goal of each
-    is every placement achieved so far, and objects already resting in an
-    achieved placement are frozen. Returns ``(SolutionHypergraph,
-    ReuseStats)``; under the scratch fallback a failed refinement is
-    discarded in favour of planning from scratch.
+    is every placement achieved so far, read positionally. Returns
+    ``(SolutionHypergraph, ReuseStats)``; under the scratch fallback a
+    failed refinement is discarded in favour of planning from scratch.
     """
     cfg = config or RefinementConfig()
     started = time.perf_counter()
@@ -228,13 +228,11 @@ def _refine_actions(subgoals: tuple, p: Problem, search: SearchConfig) -> tuple:
     actions: list = []
     substats: list = []
     achieved: dict = {}
-    frozen: set = set()
     for aid, targets in subgoals:
         achieved.update(targets)
         sub = replace(p, initial=state, goal=dict(achieved))
         try:
-            sub_graph, sub_stats = plan(sub, search, frozen=frozenset(frozen),
-                                        prefix_goals=True)
+            sub_graph, sub_stats = plan(sub, search, prefix_goals=True)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc)) from exc
         for arc_id in topological_order(sub_graph):
@@ -242,8 +240,6 @@ def _refine_actions(subgoals: tuple, p: Problem, search: SearchConfig) -> tuple:
             state = apply(state, action, p)
             actions.append(action)
         substats.append(sub_stats)
-        for _, order in targets:
-            frozen.update(order)
     if not is_goal(state, p):
         raise SubproblemInfeasible(
             None, "all abstract arcs refined but the goal is not reached")

@@ -208,6 +208,48 @@ def test_buffer_start_strategy():
     assert ah_violations(ah) == []
 
 
+def untouched_goal_stack_problem():
+    """T already holds its goal stack and no optimal plan touches it."""
+    regions = (Region("L", "stack"), Region("R", "stack"), Region("T", "stack"))
+    robots = (RobotSpec("a", frozenset({"L", "R", "T"})),)
+    return Problem(regions, robots, ("A", "B", "C"),
+                   WorldState(stacks={"R": ("B", "A"), "T": ("C",)}),
+                   {"L": ("A", "B"), "T": ("C",)})
+
+
+def unreachable_buffer_empty_goal_problem():
+    """Nothing to do; Z starts in a buffer no robot reaches."""
+    regions = (Region("L", "stack"), Region("tray", "buffer", 1))
+    robots = (RobotSpec("a", frozenset({"L"})),)
+    return Problem(regions, robots, ("A", "Z"),
+                   WorldState(stacks={"L": ("A",)}, buffers={"tray": {"Z"}}),
+                   {})
+
+
+@pytest.mark.parametrize("make, placeholders", [
+    (untouched_goal_stack_problem, 3),
+    (unreachable_buffer_empty_goal_problem, 0),
+], ids=["untouched-goal-stack", "empty-goal-unreachable-buffer"])
+def test_placeholders_are_touched_objects_plus_goal_objects(make, placeholders):
+    from hyperplan import ground_strategy, reuse_pipeline, verify_grounding
+
+    p = make()
+    scratch, scratch_stats = plan(p)
+    ah = extract_strategy(scratch, p)
+    assert ah_violations(ah) == []
+    assert len(ah.abstract_objects) == placeholders
+    assert not ah.uses_buffer
+    if not p.goal:
+        assert not ah.nodes
+    assert sorted(len(s) for s in ah.goal_stacks.values()) == \
+        sorted(len(s) for s in p.goal.values())
+    assert verify_grounding(ah, p, ground_strategy(ah, p)) == []
+    graph, stats = reuse_pipeline(ah, p)
+    final, _, _ = execute_hypergraph(graph, p)
+    assert is_goal(final, p)
+    assert stats.actions == scratch_stats.solution_actions
+
+
 def test_extract_requires_goal_reaching_plan(fig1):
     from hyperplan import build_hypergraph
 

@@ -211,12 +211,6 @@ def test_saturated_state_offers_no_picks():
     assert set(actions) == brute_force_applicable(p.initial, p)
 
 
-def test_frozen_objects_cannot_move(fig1):
-    p = fig1.problem
-    actions = applicable_actions(p.initial, p, frozen=frozenset({"C"}))
-    assert not any(isinstance(a, Pick) and a.obj == "C" for a in actions)
-
-
 def test_pick_place_inverse(fig1):
     p = fig1.problem
     s1 = apply(p.initial, Pick("blue", "C", "right"), p)

@@ -152,10 +152,16 @@ def test_retrieve_finds_blocker_strategy_for_its_own_problem():
     assert record.signature.num_abstract_objects == 3
     assert len(p.goal_objects) == 2
     assert retrieve(p, [record]) is record
-    # more placeholders than the problem has objects: never a candidate
+    # more placeholders than the problem has objects: grounding binds only
+    # goal positions, so the record still applies and refines optimally
     two_objects = replace(p, objects=("A", "B"),
                           initial=WorldState(stacks={"R": ("B", "A")}))
-    assert retrieve(two_objects, [record]) is None
+    assert retrieve(two_objects, [record]) is record
+    graph, stats = reuse_pipeline(record.ah, two_objects)
+    final, _, _ = execute_hypergraph(graph, two_objects)
+    assert is_goal(final, two_objects)
+    assert not stats.fallback_used
+    assert stats.actions == plan(two_objects)[1].solution_actions == 4
 
 
 def test_retrieve_prefers_fewest_extra_placeholders():

@@ -15,6 +15,7 @@ from hyperplan import (
     SearchConfig,
     SubproblemInfeasible,
     WorldState,
+    apply,
     bfs_oracle,
     execute_hypergraph,
     extract_strategy,
@@ -380,12 +381,16 @@ def test_grounding_verifier_on_random_solved_instances():
     assert checked >= 15
 
 
-# Corpus seeds whose own strategy still falls back. NoGrounding: an object
-# starts in a buffer no robot reaches (015, 029, 149, 311), or an untouched
-# goal stack was dropped from the strategy (196, 383). Goal not reached: junk
-# left above a goal stack after every goal-prefix sub-goal holds.
-ROUNDTRIP_NO_GROUNDING = {15, 29, 149, 196, 311, 383}
+# Corpus seeds whose own strategy still falls back: junk left above a goal
+# stack after every goal-prefix sub-goal holds, so the goal is not reached.
+# Every own strategy grounds.
+ROUNDTRIP_NO_GROUNDING: set = set()
 ROUNDTRIP_GOAL_NOT_REACHED = {39, 72, 83, 100, 180, 239, 245, 288}
+
+
+def _placements_hold(state, placements: dict) -> bool:
+    return all(state.stacks.get(region, ())[:len(order)] == order
+               for region, order in placements.items())
 
 
 def test_roundtrip_property_on_random_instances():
@@ -415,8 +420,20 @@ def test_roundtrip_property_on_random_instances():
         if stats.fallback_used:
             assert stats.fallback_reason.endswith("the goal is not reached")
             not_reached.add(seed)
-        else:
-            refined += 1
+            continue
+        refined += 1
+        # replay: once a sub-goal's placements hold, they hold in every
+        # later state of the refined plan
+        actions = [graph.arcs[aid].label for aid in topological_order(graph)]
+        state, achieved, done = p.initial, {}, 0
+        for (_, targets), sub in zip(subgoals, stats.subproblems):
+            for action in actions[done:done + sub.solution_actions]:
+                state = apply(state, action, p)
+                assert _placements_hold(state, achieved), f"seed {seed}"
+            done += sub.solution_actions
+            achieved.update(targets)
+            assert _placements_hold(state, achieved), f"seed {seed}"
+        assert done == len(actions), f"seed {seed}"
     assert no_grounding == ROUNDTRIP_NO_GROUNDING
     assert not_reached == ROUNDTRIP_GOAL_NOT_REACHED
-    assert refined == 272
+    assert refined == 278
