@@ -290,11 +290,12 @@ class Problem:
     """Regions, robots, objects, an initial state and a partial goal.
 
     The lookup tables derived from these fields (``region_map``,
-    ``robot_map``, ``goal_objects`` and the heuristic's ``goal_positions``,
-    ``reachable`` and ``reach_pairs``) are computed on first use and then
-    cached on the instance. So treat a ``Problem`` as immutable, its
-    ``goal`` dict and the tables included, and derive a changed problem
-    with ``dataclasses.replace``, which starts with empty caches.
+    ``robot_map``, ``goal_objects`` and the heuristic's ``goal_region``,
+    ``unreachable_goals``, ``reachable`` and ``reach_pairs``) are computed
+    on first use and then cached on the instance. So treat a ``Problem`` as
+    immutable, its ``goal`` dict and the tables included, and derive a
+    changed problem with ``dataclasses.replace``, which starts with empty
+    caches.
     """
 
     regions: tuple
@@ -323,11 +324,14 @@ class Problem:
         return frozenset(o for stack in self.goal.values() for o in stack)
 
     @cached_property
-    def goal_positions(self) -> tuple:
-        """``(object, region, height)`` of every goal placement, in goal order."""
-        return tuple((o, region, h)
-                     for region, want in self.goal.items()
-                     for h, o in enumerate(want))
+    def goal_region(self) -> dict:
+        """Goal object -> the stack region its goal places it in."""
+        return {o: region for region, want in self.goal.items() for o in want}
+
+    @cached_property
+    def unreachable_goals(self) -> tuple:
+        """Goal regions no robot reaches, in goal order."""
+        return tuple(r for r in self.goal if r not in self.reachable)
 
     @cached_property
     def reachable(self) -> frozenset:

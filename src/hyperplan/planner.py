@@ -1,7 +1,9 @@
 """From-scratch solving: best-first search plus hypergraph compilation.
 
 ``plan`` runs A* over world states with unit action cost and an admissible
-reach-aware heuristic, so the returned action count is minimal. The action
+heuristic that counts the objects that must move, so the returned action
+count is minimal. Among frontier entries of equal f the one with lower h,
+the deeper state, pops first, then the one pushed first. The action
 sequence is then compiled into a solution hypergraph whose arcs recover the
 plan's parallel structure from entity dependencies alone. ``bfs_oracle`` is
 an independent exhaustive breadth-first search kept deliberately separate
@@ -65,56 +67,89 @@ class BudgetExhausted(Exception):
         super().__init__(f"expansion budget of {max_expansions} exhausted")
 
 
-def heuristic(s: WorldState, p: Problem) -> int | None:
+def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     """Admissible lower bound on remaining actions; None flags a dead end.
 
-    Per misplaced goal object: 1 if held by a robot that reaches the target
-    (a Place remains), 2 if held by one that does not (a transfer plus a
-    Place), 2 if some single robot reaches both its region and the target
-    (Pick plus Place), else 3 (at least one handoff is forced). An object
-    resting where no robot can reach, or a target no robot can reach, makes
-    the state hopeless.
+    ``prefix`` selects the goal reading, as in ``is_goal``. The bound sums a
+    cost over every object that must move.
+
+    Which objects must move: in each stack, let k be the length of its
+    common prefix with the region's goal stack. In a goal region everything
+    from k up must move, except in the prefix reading once the goal stack
+    is complete. There, and in a region without a goal, everything from the
+    lowest goal object at or above k up must move.
+
+    Cost per object that must move: 1 for an object outside the goal (its
+    Pick). A goal object costs 2 if one robot reaches both its region and
+    its goal region (Pick and Place), else 3 (a handoff, or a second Pick
+    and Place, is forced). A goal object in a buffer costs 2 or 3 the same
+    way; a held goal object costs 1 if its holder reaches the goal region
+    (a Place remains), else 2. Each action moves exactly one object, and
+    each term counts actions on a different object, so the sum stays
+    admissible with handoffs and robot capacity above 1.
+
+    Dead ends: an object that must move rests where no robot reaches, or a
+    goal region no robot reaches is unsatisfied in this reading.
     """
     stacks = s.stacks
-    reachable = p.reachable
-    total = 0
-    resting = None
-    for o, region, height in p.goal_positions:
+    goal = p.goal
+    for region in p.unreachable_goals:
+        want = goal[region]
         stack = stacks.get(region, ())
-        if height < len(stack) and stack[height] == o:
+        if (stack[:len(want)] if prefix else stack) != want:
+            return None
+    target = p.goal_region
+    reachable = p.reachable
+    pairs = p.reach_pairs
+    total = 0
+    for region, stack in stacks.items():
+        want = goal.get(region)
+        k = 0
+        if want is not None:
+            for have, wanted in zip(stack, want):
+                if have != wanted:
+                    break
+                k += 1
+        if want is None or (prefix and k == len(want)):
+            # nothing here is wanted above k: only a goal object that belongs
+            # elsewhere, and whatever rests on it, has to go
+            while k < len(stack) and stack[k] not in target:
+                k += 1
+        if k == len(stack):
             continue
         if region not in reachable:
             return None
-        if resting is None:
-            resting, held_by = _locations(s)
-        holder = held_by.get(o)
-        if holder is not None:
-            total += 1 if region in p.robot_map[holder].reach else 2
-            continue
-        here = resting[o]
-        if here not in reachable:
-            return None
-        total += 2 if (here, region) in p.reach_pairs else 3
+        for o in stack[k:]:
+            t = target.get(o)
+            total += 1 if t is None else 2 if (region, t) in pairs else 3
+    for region, objs in s.buffers.items():
+        for o in objs:
+            t = target.get(o)
+            if t is not None:
+                if region not in reachable:
+                    return None
+                total += 2 if (region, t) in pairs else 3
+    robots = p.robot_map
+    for holder, held in s.holdings.items():
+        for o in held:
+            t = target.get(o)
+            if t is not None:
+                total += 1 if t in robots[holder].reach else 2
     return total
-
-
-def _locations(s: WorldState) -> tuple:
-    """``(object -> region it rests in, object -> robot holding it)``."""
-    resting = {o: r for r, stack in s.stacks.items() for o in stack}
-    resting.update((o, r) for r, objs in s.buffers.items() for o in objs)
-    held_by = {o: r for r, held in s.holdings.items() for o in held}
-    return resting, held_by
 
 
 def plan(p: Problem, config: SearchConfig | None = None,
          prefix_goals: bool = False) -> tuple:
     """Solve a problem, returning ``(SolutionHypergraph, SearchStats)``.
 
-    Deterministic: successors are generated in sorted action order and
-    equal-cost frontier entries pop in insertion order. Raises NoSolution
-    when the (finite) state space is exhausted and BudgetExhausted when the
-    expansion cap is hit. ``prefix_goals`` switches the goal test to the
-    positional reading used for refinement sub-problems.
+    Deterministic: successors are generated in sorted action order, and
+    frontier entries are ordered by ``(f, h, insertion)``, so among equal f
+    the state with lower h pops first. Raises NoSolution when the (finite)
+    state space is exhausted and BudgetExhausted when the expansion cap is
+    hit. ``prefix_goals`` switches the goal test, and with it the
+    heuristic, from the exact reading (every goal stack exactly as wanted)
+    to the positional reading used for refinement sub-problems (each goal
+    stack starts with the wanted objects; more may rest above them).
     """
     cfg = config or SearchConfig()
     errors = p.validate()
@@ -129,18 +164,18 @@ def plan(p: Problem, config: SearchConfig | None = None,
         stats.wall_time = time.perf_counter() - started
         return graph, stats
 
-    h0 = heuristic(init, p)
+    h0 = heuristic(init, p, prefix_goals)
     if h0 is None:
-        raise NoSolution("a goal object or target region is unreachable")
+        raise NoSolution("an object that must move or a goal region is unreachable")
 
     counter = itertools.count()
-    frontier = [(h0, next(counter), init)]
+    frontier = [(h0, h0, next(counter), init)]
     best_g = {init: 0}
     parent: dict = {init: None}
     closed: set = set()
 
     while frontier:
-        _, _, state = heapq.heappop(frontier)
+        state = heapq.heappop(frontier)[3]
         if state in closed:
             continue
         if is_goal(state, p, prefix=prefix_goals):
@@ -169,12 +204,12 @@ def plan(p: Problem, config: SearchConfig | None = None,
             known = best_g.get(successor)
             if known is not None and known <= g2:
                 continue
-            h = heuristic(successor, p)
+            h = heuristic(successor, p, prefix_goals)
             if h is None:
                 continue
             best_g[successor] = g2
             parent[successor] = (state, action)
-            heapq.heappush(frontier, (g2 + h, next(counter), successor))
+            heapq.heappush(frontier, (g2 + h, h, next(counter), successor))
             stats.generated += 1
     raise NoSolution("state space exhausted without reaching the goal")
 

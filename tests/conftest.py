@@ -43,6 +43,26 @@ def reversal_scenario(height: int) -> Scenario:
     return Scenario(f"reversal{height}", reversal_problem(height))
 
 
+def blocker_tower_problem(blockers: int) -> Problem:
+    """One robot digs a 3-box goal tower out from under ``blockers`` boxes.
+
+    ``blue`` reaches the stacks ``src``, ``dst`` and ``side`` and a
+    capacity-2 buffer ``park``. ``src`` holds ``b3, b1, b2`` under
+    ``x1..xk``; the goal is ``dst = (b1, b3, b2)``.
+    """
+    regions = (Region("src", "stack"), Region("dst", "stack"),
+               Region("side", "stack"), Region("park", "buffer", 2))
+    specs = (RobotSpec("blue", frozenset({"src", "dst", "side", "park"})),)
+    junk = tuple(f"x{i}" for i in range(1, blockers + 1))
+    return Problem(regions, specs, ("b1", "b2", "b3") + junk,
+                   WorldState(stacks={"src": ("b3", "b1", "b2") + junk}),
+                   {"dst": ("b1", "b3", "b2")})
+
+
+def blocker_tower_scenario(blockers: int) -> Scenario:
+    return Scenario(f"blockers{blockers}", blocker_tower_problem(blockers))
+
+
 def two_target_problem() -> Problem:
     regions = (Region("src", "stack"), Region("t1", "stack"), Region("t2", "stack"))
     specs = (RobotSpec("blue", frozenset({"src", "t1", "t2"})),

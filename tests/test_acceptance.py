@@ -35,9 +35,9 @@ from hyperplan.cli import plan_from_json, run_command, scenario_to_json
 
 from conftest import (
     SCENARIO_DIR,
+    blocker_tower_scenario,
     load_scenario,
     random_instance,
-    reversal_scenario,
 )
 
 
@@ -195,55 +195,45 @@ def test_criterion_6_round_trip():
 
 
 def test_criterion_7_reuse_efficiency(tmp_path):
+    """Reuse beats scratch search on blocker towers, and more so as they grow.
+
+    Tower reversals do not show it: breaking f-ties toward lower h, scratch
+    and reuse both expand exactly 2h nodes there.
+    """
     lib = tmp_path / "lib"
     lib.mkdir()
+    sizes = [2, 3, 4, 5]
     scenario_files = []
-    for h in (4, 5, 6):
-        scenario = reversal_scenario(h)
-        path = tmp_path / f"reversal{h}.json"
+    for k in sizes:
+        scenario = blocker_tower_scenario(k)
+        path = tmp_path / f"blockers{k}.json"
         path.write_text(json.dumps(scenario_to_json(scenario)))
         scenario_files.append(str(path))
-        plan_file = tmp_path / f"reversal{h}.plan.json"
+        plan_file = tmp_path / f"blockers{k}.plan.json"
         assert run_command(["solve", str(path), "--out", str(plan_file)]) == 0
         assert run_command(["extract", str(path), str(plan_file),
-                            "--out", str(lib / f"reversal{h}.json")]) == 0
+                            "--out", str(lib / f"blockers{k}.json")]) == 0
     csv_path = tmp_path / "bench.csv"
     assert run_command(["bench", *scenario_files,
                         "--library", str(lib), "--out", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().split("\n")
-    assert len(lines) == 7  # header + 2 rows x 3 heights
+    assert len(lines) == 1 + 2 * len(sizes)  # header + 2 rows per size
 
     measured = {}
     for line in lines[1:]:
         name, mode, expansions, *_rest, fallback = line.split(",")
         assert fallback == "false"
-        h = int(name.removeprefix("reversal"))
-        measured.setdefault(h, {})[mode] = int(expansions)
+        k = int(name.removeprefix("blockers"))
+        measured.setdefault(k, {})[mode] = int(expansions)
 
-    # per-subproblem expansion bound, for the fallback clause
-    from hyperplan import reuse_pipeline as _pipeline
-    from conftest import reversal_problem
-
-    per_sub = {}
-    for h in (4, 5, 6):
-        p = reversal_problem(h)
-        ah = extract_strategy(plan(p)[0], p)
-        _, stats = _pipeline(ah, p)
-        per_sub[h] = max(s.expansions for s in stats.subproblems)
-
-    heights = [4, 5, 6]
-    if any(measured[h]["reuse"] >= measured[h]["scratch"] for h in heights):
-        heights = [h for h in heights
-                   if measured[h]["scratch"] > 10 * per_sub[h]]
-        assert heights, "scratch never dominates the per-subproblem bound"
     ratios = []
-    for h in heights:
-        assert measured[h]["reuse"] < measured[h]["scratch"], f"h={h}"
-        ratios.append(measured[h]["reuse"] / measured[h]["scratch"])
+    for k in sizes:
+        assert measured[k]["reuse"] < measured[k]["scratch"], f"k={k}"
+        ratios.append(measured[k]["reuse"] / measured[k]["scratch"])
     assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
     report("7 reuse-efficiency",
-           "; ".join(f"h={h}: {measured[h]['reuse']}<{measured[h]['scratch']}"
-                     for h in heights))
+           "; ".join(f"k={k}: {measured[k]['reuse']}<{measured[k]['scratch']}"
+                     for k in sizes))
 
 
 def test_criterion_8_invariant_fuzz():

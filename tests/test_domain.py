@@ -161,11 +161,16 @@ def test_reached_states_equal_rebuilt_states():
 def test_problem_tables_are_cached_per_instance(fig1):
     p = fig1.problem
     assert p.region_map is p.region_map
-    assert p.goal_positions == (("C", "left", 0), ("A", "left", 1), ("B", "left", 2))
+    assert p.goal_region is p.goal_region
+    assert p.goal_region == {"C": "left", "A": "left", "B": "left"}
+    assert p.unreachable_goals == ()
     moved = replace(p, goal={"right": ("A",)})
     assert moved.goal_objects == {"A"}
-    assert moved.goal_positions == (("A", "right", 0),)
+    assert moved.goal_region == {"A": "right"}
     assert p.goal_objects == {"A", "B", "C"}
+    assert p.goal_region == {"C": "left", "A": "left", "B": "left"}
+    only_right = replace(p, robots=(RobotSpec("blue", frozenset({"right"})),))
+    assert only_right.unreachable_goals == ("left",)
 
 
 def test_problem_validation_catches_bad_goals(fig1):

@@ -22,7 +22,7 @@ from hyperplan import (
     topological_order,
     validate_hyperpath,
 )
-from hyperplan.domain import Held, OnStack, apply
+from hyperplan.domain import Held, OnStack, applicable_actions, apply
 from hyperplan.planner import heuristic
 
 from conftest import load_scenario, random_instance, random_walk
@@ -193,38 +193,72 @@ def test_oracle_on_known_instances(fig1):
 
 
 def test_plan_matches_oracle_on_random_family():
+    """The benchmark's corpus generator, seeds 0-299: A* finds exactly the
+    oracle's optimum, or nothing when the oracle finds nothing."""
     solved = 0
-    for seed in range(60):
-        p = random_instance(seed)
-        expected = bfs_oracle(p, bound=40)
+    for seed in range(300):
+        p = random_instance(seed, 4, 2, 4)
+        expected = bfs_oracle(p, bound=20)
         try:
             graph, stats = plan(p)
         except NoSolution:
             assert expected is None, f"seed {seed}: planner gave up, oracle found {expected}"
             continue
+        if expected is None:
+            assert stats.solution_actions > 20, f"seed {seed}"
+            continue
         assert stats.solution_actions == expected, f"seed {seed}"
         final, _, _ = execute_hypergraph(graph, p)
         assert is_goal(final, p)
         solved += 1
-    assert solved >= 30
+    assert solved >= 200
+
+
+def goal_distance(p: Problem, prefix: bool) -> int | None:
+    """Fewest actions from ``p.initial`` to a state ``is_goal(..., prefix)``
+    accepts, by exhaustive breadth-first search; None if there is none."""
+    if is_goal(p.initial, p, prefix=prefix):
+        return 0
+    seen = {p.initial}
+    layer = [p.initial]
+    depth = 0
+    while layer:
+        depth += 1
+        following = []
+        for state in layer:
+            for action in applicable_actions(state, p):
+                successor = apply(state, action, p)
+                if successor in seen:
+                    continue
+                if is_goal(successor, p, prefix=prefix):
+                    return depth
+                seen.add(successor)
+                following.append(successor)
+        layer = following
+    return None
 
 
 def test_heuristic_admissible_on_sampled_states():
-    for seed in range(30):
-        p = random_instance(seed)
-        rng = random.Random(seed + 999)
-        for state in random_walk(p, rng, 4):
-            h = heuristic(state, p)
-            truth = bfs_oracle(replace(p, initial=state), bound=40)
-            if h is None:
-                assert truth is None
-            elif truth is not None:
-                assert h <= truth
+    """On the benchmark's corpus generator, in both goal readings, h never
+    exceeds the true distance and flags only real dead ends."""
+    checked = 0
+    for seed in range(120):
+        p = random_instance(seed, 4, 2, 4)
+        for state in random_walk(p, random.Random(seed), 5):
+            for prefix in (False, True):
+                h = heuristic(state, p, prefix)
+                truth = goal_distance(replace(p, initial=state), prefix)
+                if h is None:
+                    assert truth is None, (seed, state, prefix)
+                elif truth is not None:
+                    assert h <= truth, (seed, state, prefix, h, truth)
+                checked += 1
+    assert checked >= 1300
 
 
 def reference_heuristic(s, p):
-    """The heuristic as first written, one ``placement_of`` scan per goal
-    object; the table-driven ``heuristic`` must return exactly this."""
+    """The heuristic as first written: it counts only goal objects off their
+    goal cell, one ``placement_of`` scan each. ``heuristic`` must dominate it."""
     targets = {o: (region, h) for region, want in p.goal.items()
                for h, o in enumerate(want)}
     pairs = {(a, b) for spec in p.robots for a in spec.reach for b in spec.reach}
@@ -269,37 +303,49 @@ PERM6_TWO_ROBOTS = permute6(
     {"s0": ("b1", "b4", "b3"), "s1": ("b2", "b5"), "s2": ("b0",)})
 
 
-def test_heuristic_matches_reference_on_walks():
-    checked = 0
+def test_heuristic_dominates_reference_on_walks():
+    """Every goal object off its goal cell must move, so ``heuristic`` never
+    falls below the first version; objects it must move besides those (a
+    goal object on a wrong base, junk above a goal prefix) make it strictly
+    larger on some states. A dead end of the first version stays one."""
+    checked = stronger = 0
     problems = [random_instance(seed, 4, 2, 4) for seed in range(150)]
     problems += [PERM6_ONE_ROBOT, PERM6_TWO_ROBOTS]
     for i, p in enumerate(problems):
         for state in random_walk(p, random.Random(i), 40):
-            assert heuristic(state, p) == reference_heuristic(state, p), (i, state)
+            h, ref = heuristic(state, p), reference_heuristic(state, p)
+            if ref is None:
+                assert h is None, (i, state)
+            elif h is not None:
+                assert h >= ref, (i, state)
+                stronger += h > ref
             checked += 1
     assert checked >= 4000
+    assert stronger >= 100
 
 
-# Recorded from the search as first written. Any drift in heuristic values,
-# successor order or tie-breaking changes these sequences or counts.
+# Recorded from the search with f-ties broken toward lower h and the
+# must-move heuristic; the sequences are those the first search found, the
+# counts are lower. Any drift in heuristic values, successor order or
+# tie-breaking changes these sequences or counts.
 GOLDEN = {
-    "fig1": (12, 22, [
+    "fig1": (6, 16, [
         "pick blue C right", "pick red B right", "place blue C left",
         "pick blue A right", "place blue A left", "place red B left"]),
-    "fig2": (11, 18, [
+    "fig2": (9, 18, [
         "pick r1 z start", "handoff r1 r2 z", "pick r1 y start", "place r2 z goal",
         "handoff r1 r2 y", "pick r1 x start", "place r2 y goal", "handoff r1 r2 x",
         "place r2 x goal"]),
-    "fig3": (12, 19, [
+    "fig3": (10, 16, [
         "pick solo C right", "place solo C left", "pick solo B right",
         "place solo B side", "pick solo A right", "place solo A left",
         "pick solo B side", "place solo B left"]),
-    "perm6-one-robot": (192, 417, [
+    "perm6-one-robot": (54, 132, [
         "pick arm b4 s2", "place arm b4 tray", "pick arm b2 s1", "place arm b2 s2",
         "pick arm b5 s0", "place arm b5 tray", "pick arm b0 s0", "place arm b0 s1",
         "pick arm b1 s0", "place arm b1 s2", "pick arm b4 tray", "place arm b4 s0",
         "pick arm b5 tray", "place arm b5 s2"]),
-    "perm6-two-robots": (210, 521, [
+    "perm6-two-robots": (27, 111, [
         "pick blue b0 s1", "pick red b4 s0", "place blue b0 s2", "pick blue b3 s0",
         "place blue b3 s1", "pick blue b2 s0", "place red b4 s0", "pick red b3 s1",
         "place red b3 s0", "pick red b5 s1", "place blue b2 s1", "place red b5 s1"]),
