@@ -114,10 +114,6 @@ class AbstractHypergraph(HypergraphTable):
     def abstract_objects(self) -> frozenset:
         return self.entities()
 
-    @property
-    def uses_buffer(self) -> bool:
-        return any(isinstance(n.region, BufferRole) for n in self.nodes.values())
-
 
 @node_dot_label.register
 def _(node: AbstractNode) -> str:

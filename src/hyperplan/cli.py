@@ -270,7 +270,7 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
                 frozenset(entry["tails"]), frozenset(entry["heads"]))
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError("plan", f"malformed plan file: {exc}") from exc
     return SolutionHypergraph(nodes, arcs)
 

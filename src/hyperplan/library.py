@@ -2,9 +2,8 @@
 
 One strategy per JSON file, human readable, written atomically
 (temp file then rename). A stored strategy is a retrieval candidate for a
-problem when its goal stack-height multiset matches the problem's goal,
-it has at least one placeholder per goal object, and it uses a buffer
-only if the problem has a reachable one.
+problem when its goal stack-height multiset matches the problem's goal
+and it has at least one placeholder per goal object.
 The candidate with the fewest extra placeholders (objects the strategy
 moved without a goal position) wins, then the smallest record id.
 """
@@ -28,7 +27,7 @@ from .abstraction import (
     TargetRole,
     ah_violations,
 )
-from .domain import BUFFER, Problem
+from .domain import Problem
 from .hypergraph import ABSTRACT, Hyperarc
 
 FORMAT_VERSION = 1
@@ -47,7 +46,6 @@ class CorruptRecord(Exception):
 class StrategySignature:
     num_abstract_objects: int
     goal_stack_heights: tuple
-    uses_buffer: bool
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,6 @@ def signature_of(ah: AbstractHypergraph) -> StrategySignature:
     return StrategySignature(
         num_abstract_objects=len(ah.abstract_objects),
         goal_stack_heights=tuple(sorted(len(v) for v in ah.goal_stacks.values())),
-        uses_buffer=ah.uses_buffer,
     )
 
 
@@ -109,7 +106,6 @@ def record_to_json(record: StrategyRecord) -> dict:
         "signature": {
             "num_abstract_objects": record.signature.num_abstract_objects,
             "goal_stack_heights": list(record.signature.goal_stack_heights),
-            "uses_buffer": record.signature.uses_buffer,
         },
         "nodes": [
             {
@@ -164,7 +160,6 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
         signature = StrategySignature(
             num_abstract_objects=data["signature"]["num_abstract_objects"],
             goal_stack_heights=tuple(data["signature"]["goal_stack_heights"]),
-            uses_buffer=bool(data["signature"]["uses_buffer"]),
         )
         record = StrategyRecord(
             id=data["id"],
@@ -177,7 +172,7 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
         )
     except CorruptRecord:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptRecord(file, f"malformed record: {exc}") from exc
     violations = ah_violations(record.ah)
     if violations:
@@ -231,10 +226,8 @@ def retrieve(p: Problem, records) -> StrategyRecord | None:
     """Best stored strategy for a problem, or None (see the module docstring)."""
     heights = tuple(sorted(len(v) for v in p.goal.values()))
     wanted = len(p.goal_objects)
-    has_buffer = any(r.kind == BUFFER and r.id in p.reachable for r in p.regions)
     candidates = [r for r in records
                   if r.signature.goal_stack_heights == heights
-                  and wanted <= r.signature.num_abstract_objects
-                  and (has_buffer or not r.signature.uses_buffer)]
+                  and wanted <= r.signature.num_abstract_objects]
     return min(candidates, default=None,
                key=lambda r: (r.signature.num_abstract_objects - wanted, r.id))

@@ -4,8 +4,7 @@ Grounding binds the abstract objects of the strategy's goal stacks to
 concrete objects, and nothing else: an abstract object at position i of a
 target stack maps to the object at position i of the matched goal stack.
 Target roles are matched to goal regions by equal stack height, then
-declaration order. A strategy with a buffer node grounds only on a
-problem with a reachable buffer.
+declaration order.
 
 Reconstruction turns the grounded strategy into sub-goals: one entry per
 abstract hyperarc whose heads place a prefix of a goal stack, in
@@ -14,9 +13,10 @@ without a goal position, e.g. parked blockers) are left to the search.
 Refinement solves each sub-goal as a planning sub-problem: start from the
 state the previous sub-problems produced and reach every placement achieved
 so far, read positionally (each goal stack's wanted prefix, objects above
-it allowed). The concatenated sub-solutions compile into one solution
-hypergraph whose robot entities are exactly those the sub-solutions
-introduced.
+it allowed). The last sub-problem is exact: it reaches the full goal with
+nothing above a goal stack, so a refinement that succeeds reaches the goal.
+The concatenated sub-solutions compile into one solution hypergraph whose
+robot entities are exactly those the sub-solutions introduced.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph, AbstractObject
-from .domain import BUFFER, Problem, apply, is_goal
+# is_goal is unused here but stays a module attribute: bench/spans.py wraps
+# hyperplan.reuse.is_goal by name.
+from .domain import Problem, apply, is_goal  # noqa: F401
 from .hypergraph import arc_topological_order, topological_order
 from .planner import (
     BudgetExhausted,
@@ -127,13 +129,7 @@ def ground_strategy(ah: AbstractHypergraph, p: Problem) -> GroundingAssignment:
             if object_map.setdefault(aobj, concrete) != concrete:
                 raise NoGrounding(
                     f"{aobj} pinned to two different goal positions")
-    if ah.uses_buffer and not _has_reachable_buffer(p):
-        raise NoGrounding("strategy needs a buffer but none is available")
     return GroundingAssignment(object_map, region_map)
-
-
-def _has_reachable_buffer(p: Problem) -> bool:
-    return any(r.kind == BUFFER and r.id in p.reachable for r in p.regions)
 
 
 def verify_grounding(ah: AbstractHypergraph, p: Problem,
@@ -160,8 +156,6 @@ def verify_grounding(ah: AbstractHypergraph, p: Problem,
                 errors.append(
                     f"{role} position {pos} maps to "
                     f"{g.object_map.get(aobj)!r}, goal wants {want[pos]!r}")
-    if ah.uses_buffer and not _has_reachable_buffer(p):
-        errors.append("strategy uses a buffer but the problem has none reachable")
     return errors
 
 
@@ -199,9 +193,11 @@ def refine(subgoals: tuple, p: Problem,
     """Solve every sub-goal as a sub-problem and stitch the results.
 
     State is threaded through the sub-problems in order; the goal of each
-    is every placement achieved so far, read positionally. Returns
-    ``(SolutionHypergraph, ReuseStats)``; under the scratch fallback a
-    failed refinement is discarded in favour of planning from scratch.
+    is every placement achieved so far, read positionally, except the last,
+    which is the full goal read exactly (with no sub-goals, that is the only
+    sub-problem). Returns ``(SolutionHypergraph, ReuseStats)``; under the
+    scratch fallback a failed refinement is discarded in favour of planning
+    from scratch.
     """
     cfg = config or RefinementConfig()
     started = time.perf_counter()
@@ -228,11 +224,13 @@ def _refine_actions(subgoals: tuple, p: Problem, search: SearchConfig) -> tuple:
     actions: list = []
     substats: list = []
     achieved: dict = {}
-    for aid, targets in subgoals:
+    steps = subgoals or ((None, ()),)
+    for i, (aid, targets) in enumerate(steps, 1):
         achieved.update(targets)
-        sub = replace(p, initial=state, goal=dict(achieved))
+        exact = i == len(steps)
+        sub = replace(p, initial=state, goal=p.goal if exact else dict(achieved))
         try:
-            sub_graph, sub_stats = plan(sub, search, prefix_goals=True)
+            sub_graph, sub_stats = plan(sub, search, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc)) from exc
         for arc_id in topological_order(sub_graph):
@@ -240,9 +238,6 @@ def _refine_actions(subgoals: tuple, p: Problem, search: SearchConfig) -> tuple:
             state = apply(state, action, p)
             actions.append(action)
         substats.append(sub_stats)
-    if not is_goal(state, p):
-        raise SubproblemInfeasible(
-            None, "all abstract arcs refined but the goal is not reached")
     return actions, substats
 
 

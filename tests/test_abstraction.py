@@ -187,7 +187,6 @@ def test_empty_plan_abstraction_mirrors_sources(fig1):
 
 def test_buffer_usage_shows_in_strategy(fig3):
     ah = extract_strategy(plan(fig3.problem)[0], fig3.problem)
-    assert ah.uses_buffer
     assert any(isinstance(n.region, BufferRole) for n in ah.nodes.values())
 
 
@@ -238,7 +237,6 @@ def test_placeholders_are_touched_objects_plus_goal_objects(make, placeholders):
     ah = extract_strategy(scratch, p)
     assert ah_violations(ah) == []
     assert len(ah.abstract_objects) == placeholders
-    assert not ah.uses_buffer
     if not p.goal:
         assert not ah.nodes
     assert sorted(len(s) for s in ah.goal_stacks.values()) == \

@@ -201,21 +201,65 @@ def test_reuse_mismatched_strategy_fails_without_fallback(tmp_path):
 
 
 def test_reuse_refinement_failure_is_a_planning_failure(tmp_path, capsys):
-    # corpus seed 39: its own strategy refines but leaves the goal unreached
-    scenario = tmp_path / "seed039.json"
+    # corpus seed 288: one refinement sub-problem needs 39 expansions, more
+    # than the 34 that planning from scratch takes
+    scenario = tmp_path / "seed288.json"
     scenario.write_text(json.dumps(scenario_to_json(
-        Scenario("seed039", random_instance(39, 4, 2, 4)))))
+        Scenario("seed288", random_instance(288, 4, 2, 4)))))
     plan_file = tmp_path / "p.json"
     strategy = tmp_path / "s.json"
     assert run_command(["solve", str(scenario), "--out", str(plan_file)]) == 0
     assert run_command(["extract", str(scenario), str(plan_file),
                         "--out", str(strategy)]) == 0
-    assert run_command(["reuse", str(scenario), "--strategy", str(strategy)]) == 1
     capsys.readouterr()
+    budget = ["--max-expansions", "34"]
     assert run_command(["reuse", str(scenario), "--strategy", str(strategy),
-                        "--fallback-scratch"]) == 0
+                        *budget]) == 1
+    assert capsys.readouterr().err == \
+        "planning failed: abstract arc 1: expansion budget of 34 exhausted\n"
+    assert run_command(["reuse", str(scenario), "--strategy", str(strategy),
+                        *budget, "--fallback-scratch"]) == 0
     assert capsys.readouterr().out.startswith(
-        "reused <scratch fallback> (SubproblemInfeasible: abstract arc ")
+        "reused <scratch fallback> (SubproblemInfeasible: abstract arc 1: "
+        "expansion budget of 34 exhausted) on seed288: ")
+
+
+def _fig1_strategy_json(tmp_path) -> dict:
+    plan_file = tmp_path / "fig1.plan.json"
+    strategy = tmp_path / "fig1.strategy.json"
+    assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
+    assert run_command(["extract", fig1_path(), str(plan_file),
+                        "--out", str(strategy)]) == 0
+    return json.loads(strategy.read_text())
+
+
+# extract reads a plan file, which has no goal_stacks
+@pytest.mark.parametrize("command,shape", [
+    (command, shape)
+    for command in ("reuse-strategy", "reuse-library", "extract", "dot")
+    for shape in ("list", "string", "goal-stacks-list")
+    if (command, shape) != ("extract", "goal-stacks-list")
+])
+def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
+    if shape == "goal-stacks-list":
+        data = _fig1_strategy_json(tmp_path)
+        data["goal_stacks"] = list(data["goal_stacks"].values())
+    else:
+        data = [] if shape == "list" else "x"
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    bad = lib / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = {
+        "reuse-strategy": ["reuse", fig1_path(), "--strategy", str(bad)],
+        "reuse-library": ["reuse", fig1_path(), "--library", str(lib)],
+        "extract": ["extract", fig1_path(), str(bad),
+                    "--out", str(tmp_path / "s.json")],
+        "dot": ["dot", str(bad), "--out", str(tmp_path / "out.dot")],
+    }[command]
+    capsys.readouterr()
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_extract_rejects_mismatched_or_partial_plans(tmp_path):

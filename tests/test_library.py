@@ -4,8 +4,10 @@ from dataclasses import replace
 import pytest
 
 from hyperplan import (
+    FAIL_HARD,
     CorruptRecord,
     Problem,
+    RefinementConfig,
     Region,
     RobotSpec,
     WorldState,
@@ -38,20 +40,12 @@ def test_signature_of_fig1(fig1_record):
     sig = fig1_record.signature
     assert sig.num_abstract_objects == 3
     assert sig.goal_stack_heights == (3,)
-    assert sig.uses_buffer is False
 
 
 def test_signature_of_empty_strategy():
     empty = AbstractHypergraph({}, {}, {})
     sig = signature_of(empty)
-    assert (sig.num_abstract_objects, sig.goal_stack_heights, sig.uses_buffer) == \
-        (0, (), False)
-
-
-def test_signature_flags_buffer_usage():
-    fig3 = load_scenario("fig3")
-    ah = extract_strategy(plan(fig3.problem)[0], fig3.problem)
-    assert signature_of(ah).uses_buffer is True
+    assert (sig.num_abstract_objects, sig.goal_stack_heights) == (0, ())
 
 
 def test_store_load_round_trip(tmp_path, fig1_record):
@@ -64,8 +58,28 @@ def test_store_load_round_trip(tmp_path, fig1_record):
 def test_record_json_round_trip(fig1_record):
     data = record_to_json(fig1_record)
     assert data["version"] == 1
+    assert set(data["signature"]) == {"num_abstract_objects", "goal_stack_heights"}
     rebuilt = record_from_json(json.loads(json.dumps(data)))
     assert rebuilt == fig1_record
+
+
+def test_legacy_uses_buffer_key_is_ignored(tmp_path):
+    # version-1 records written before the buffer gate went carry the key
+    fig1, fig3 = load_scenario("fig1"), load_scenario("fig3")
+    record = _record_for("fig3", fig3.problem)
+    data = record_to_json(record)
+    data["signature"]["uses_buffer"] = True
+    (tmp_path / "fig3.json").write_text(json.dumps(data))
+    assert read_record(tmp_path / "fig3.json") == record
+    (loaded,) = load(tmp_path)
+    assert loaded == record
+    graph, stats = reuse_pipeline(loaded.ah, fig1.problem)
+    final, _, _ = execute_hypergraph(graph, fig1.problem)
+    assert is_goal(final, fig1.problem)
+    assert stats.actions == 6
+    store(loaded, tmp_path)
+    rewritten = json.loads((tmp_path / "fig3.json").read_text())
+    assert "uses_buffer" not in rewritten["signature"]
 
 
 def test_tampered_signature_is_rejected(tmp_path, fig1_record):
@@ -172,19 +186,19 @@ def test_retrieve_prefers_fewest_extra_placeholders():
     assert retrieve(p, [blocker, plain]) is plain
 
 
-def test_retrieve_skips_buffer_strategies_without_a_buffer(fig1_record):
-    fig1, fig3 = load_scenario("fig1"), load_scenario("fig3")
+def test_retrieve_returns_buffer_strategies_without_a_buffer(fig1_record):
+    # the search picks where to park, so a buffered strategy refines on
+    # problems with no buffer to their optima
+    fig1, fig2, fig3 = (load_scenario(name) for name in ("fig1", "fig2", "fig3"))
     buffered = _record_for("a-fig3", fig3.problem)
-    assert buffered.signature.uses_buffer
-    assert retrieve(fig1.problem, [buffered]) is None
     hit = retrieve(fig1.problem, [buffered, fig1_record])
-    assert hit is fig1_record
-    graph, stats = reuse_pipeline(hit.ah, fig1.problem)
-    assert not stats.fallback_used
-    final, _, _ = execute_hypergraph(graph, fig1.problem)
-    assert is_goal(final, fig1.problem)
-    # a reachable buffer makes the buffered strategy a candidate again
-    assert retrieve(fig3.problem, [buffered]) is buffered
+    assert hit.id == "a-fig3"
+    for scenario, optimal in ((fig1, 6), (fig2, 9)):
+        p = scenario.problem
+        graph, stats = reuse_pipeline(hit.ah, p, RefinementConfig(fallback=FAIL_HARD))
+        final, _, _ = execute_hypergraph(graph, p)
+        assert is_goal(final, p)
+        assert stats.actions == optimal == plan(p)[1].solution_actions
 
 
 @pytest.mark.parametrize("value", [False, None, 1, "missing"])
