@@ -47,6 +47,7 @@ from .planner import (
     bfs_oracle,
     build_hypergraph,
     plan,
+    search,
 )
 from .abstraction import (
     AbstractHypergraph,

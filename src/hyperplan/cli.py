@@ -334,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plan from scratch when reuse fails")
     reuse.add_argument("--out", help="write the refined plan (JSON)")
     reuse.add_argument("--dot", help="write a DOT rendering")
+    reuse.add_argument("--stats", help="write reuse statistics (JSON)")
     reuse.add_argument("--max-expansions", type=int, default=200_000)
 
     bench = sub.add_parser("bench", help="scratch vs reuse comparison")
@@ -352,22 +353,27 @@ def _write(path, text: str) -> None:
     Path(path).write_text(text)
 
 
+def _write_outputs(args, graph, name: str, stats: dict, wall_time: float) -> None:
+    """Write whichever of ``--out``, ``--dot`` and ``--stats`` was given."""
+    if args.out:
+        _write(args.out, json.dumps(plan_to_json(graph, name), indent=2) + "\n")
+    if args.dot:
+        _write(args.dot, to_dot(graph, RenderStyle(graph_name="plan")))
+    if args.stats:
+        stats = {**stats, "wall_time_ms": round(wall_time * 1000.0, 3)}
+        _write(args.stats, json.dumps(stats, indent=2) + "\n")
+
+
 def _cmd_solve(args) -> int:
     scenario = read_scenario(args.scenario)
     cfg = SearchConfig(max_expansions=args.max_expansions)
     graph, stats = plan(scenario.problem, cfg)
-    if args.out:
-        _write(args.out, json.dumps(plan_to_json(graph, scenario.name), indent=2) + "\n")
-    if args.dot:
-        _write(args.dot, to_dot(graph, RenderStyle(graph_name="plan")))
-    if args.stats:
-        _write(args.stats, json.dumps({
-            "expansions": stats.expansions,
-            "generated": stats.generated,
-            "actions": stats.solution_actions,
-            "makespan": stats.makespan,
-            "wall_time_ms": round(stats.wall_time * 1000.0, 3),
-        }, indent=2) + "\n")
+    _write_outputs(args, graph, scenario.name, {
+        "expansions": stats.expansions,
+        "generated": stats.generated,
+        "actions": stats.solution_actions,
+        "makespan": stats.makespan,
+    }, stats.wall_time)
     print(f"solved {scenario.name}: {stats.solution_actions} actions, "
           f"makespan {stats.makespan}, {stats.expansions} expansions")
     return 0
@@ -395,10 +401,14 @@ def _cmd_reuse(args) -> int:
     else:
         record = library.retrieve(scenario.problem, library.load(args.library))
     graph, stats = reuse_pipeline(record and record.ah, scenario.problem, cfg)
-    if args.out:
-        _write(args.out, json.dumps(plan_to_json(graph, scenario.name), indent=2) + "\n")
-    if args.dot:
-        _write(args.dot, to_dot(graph, RenderStyle(graph_name="plan")))
+    _write_outputs(args, graph, scenario.name, {
+        "subproblems": [{"expansions": sub.expansions, "generated": sub.generated}
+                        for sub in stats.subproblems],
+        "total_expansions": stats.total_expansions,
+        "actions": stats.actions,
+        "makespan": stats.makespan,
+        "fallback_reason": stats.fallback_reason,
+    }, stats.wall_time)
     origin = (f"<scratch fallback> ({stats.fallback_reason})"
               if stats.fallback_used else record.id)
     print(f"reused {origin} on {scenario.name}: {stats.actions} actions, "

@@ -283,6 +283,18 @@ def action_robots(a: Action) -> frozenset:
     return frozenset((a.robot,))
 
 
+class _ActionCache(dict):
+    """Actions of one class by constructor arguments, built on first lookup."""
+
+    def __init__(self, cls) -> None:
+        super().__init__()
+        self.cls = cls
+
+    def __missing__(self, key: tuple) -> Action:
+        action = self[key] = self.cls(*key)
+        return action
+
+
 # --- problem -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -290,8 +302,9 @@ class Problem:
     """Regions, robots, objects, an initial state and a partial goal.
 
     The lookup tables derived from these fields (``region_map``,
-    ``robot_map``, ``goal_objects`` and the heuristic's ``goal_region``,
-    ``unreachable_goals``, ``reachable`` and ``reach_pairs``) are computed
+    ``robot_map``, ``goal_objects``, the heuristic's ``goal_region``,
+    ``unreachable_goals``, ``reachable`` and ``reach_pairs``, and the
+    successor generator's ``robot_table`` and ``action_cache``) are computed
     on first use and then cached on the instance. So treat a ``Problem`` as
     immutable, its ``goal`` dict and the tables included, and derive a
     changed problem with ``dataclasses.replace``, which starts with empty
@@ -343,6 +356,33 @@ class Problem:
         """``(a, b)`` region pairs (``a == b`` included) one robot reaches both of."""
         return frozenset((a, b) for spec in self.robots
                          for a in spec.reach for b in spec.reach)
+
+    @cached_property
+    def robot_table(self) -> tuple:
+        """One row per robot, in id order, for ``applicable_actions``.
+
+        A row is ``(id, capacity, regions, partners)``: the reachable
+        ``(region id, buffer capacity)`` pairs in id order, with ``None`` for
+        a stack, and the ``(robot id, capacity)`` pairs of the other robots
+        it shares a region with, in id order.
+        """
+        robots = sorted(self.robots, key=lambda spec: spec.id)
+        region_map = self.region_map
+        return tuple(
+            (spec.id, spec.capacity,
+             tuple((r, region_map[r].capacity) for r in sorted(spec.reach)),
+             tuple((other.id, other.capacity) for other in robots
+                   if other.id != spec.id and spec.reach & other.reach))
+            for spec in robots)
+
+    @cached_property
+    def action_cache(self) -> tuple:
+        """``(picks, places, handoffs)``: one action instance per argument tuple.
+
+        Indexed by the constructor's arguments, e.g. ``picks[robot, obj,
+        region]``; a missing entry is built on first access.
+        """
+        return _ActionCache(Pick), _ActionCache(Place), _ActionCache(Handoff)
 
     def validate(self) -> list:
         errors = []
@@ -450,39 +490,39 @@ def precondition_failure(s: WorldState, a: Action, p: Problem) -> str | None:
 
 
 def applicable_actions(s: WorldState, p: Problem) -> tuple:
-    """All actions applicable in ``s``, sorted for deterministic iteration."""
-    out = []
-    for spec in p.robots:
-        held = s.holdings.get(spec.id, ())
-        if len(held) < spec.capacity:
-            for region_id in spec.reach:
-                region = p.region_map[region_id]
-                if region.kind == STACK:
-                    stack = s.stacks.get(region_id, ())
-                    if stack:
-                        out.append(Pick(spec.id, stack[-1], region_id))
+    """All actions applicable in ``s``, in ``action_sort_key`` order.
+
+    Generated in that order from ``p.robot_table``, robots in id order: every
+    robot's picks, then every robot's places, then the handoffs. The action
+    instances come from ``p.action_cache``, so no action is built twice.
+    """
+    stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
+    pick, place, handoff = p.action_cache
+    picks: list = []
+    places: list = []
+    handoffs: list = []
+    for rid, capacity, regions, partners in p.robot_table:
+        held = holdings.get(rid, ())
+        if len(held) < capacity:
+            tops = []
+            for r, cap in regions:
+                if cap is None:
+                    if r in stacks:
+                        tops.append((stacks[r][-1], r))
                 else:
-                    for o in s.buffers.get(region_id, frozenset()):
-                        out.append(Pick(spec.id, o, region_id))
+                    tops.extend((o, r) for o in buffers.get(r, ()))
+            tops.sort()
+            picks.extend(pick[rid, o, r] for o, r in tops)
+        if not held:
+            continue
+        held = sorted(held)
         for o in held:
-            for region_id in spec.reach:
-                region = p.region_map[region_id]
-                if region.kind == BUFFER and \
-                        len(s.buffers.get(region_id, frozenset())) >= region.capacity:
-                    continue
-                out.append(Place(spec.id, o, region_id))
-        for other in p.robots:
-            if other.id == spec.id:
-                continue
-            if not held:
-                continue
-            if len(s.holdings.get(other.id, ())) >= other.capacity:
-                continue
-            if not (spec.reach & other.reach):
-                continue
-            for o in held:
-                out.append(Handoff(spec.id, other.id, o))
-    return tuple(sorted(out, key=action_sort_key))
+            for r, cap in regions:
+                if cap is None or len(buffers.get(r, ())) < cap:
+                    places.append(place[rid, o, r])
+        receivers = [q for q, cap in partners if len(holdings.get(q, ())) < cap]
+        handoffs.extend(handoff[rid, q, o] for o in held for q in receivers)
+    return tuple(picks + places + handoffs)
 
 
 def _replaced(table: dict, key: str, value) -> dict:
@@ -498,12 +538,21 @@ def _replaced(table: dict, key: str, value) -> dict:
 def apply(s: WorldState, a: Action, p: Problem) -> WorldState:
     """Successor state after one action; only the involved entities change.
 
-    Copy-on-write: the successor shares every dict of ``s`` the action does
-    not touch.
+    Raises PreconditionViolated when ``a`` is not applicable in ``s``.
     """
     reason = precondition_failure(s, a, p)
     if reason is not None:
         raise PreconditionViolated(a, reason)
+    return apply_unchecked(s, a, p)
+
+
+def apply_unchecked(s: WorldState, a: Action, p: Problem) -> WorldState:
+    """``apply`` without the precondition check, for actions known applicable.
+
+    Only for an action ``applicable_actions(s, p)`` returned; anything else
+    yields a state that breaks the domain's invariants. Copy-on-write: the
+    successor shares every dict of ``s`` the action does not touch.
+    """
     stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
     if isinstance(a, Pick):
         if p.region_map[a.region].kind == STACK:

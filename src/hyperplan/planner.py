@@ -1,13 +1,15 @@
 """From-scratch solving: best-first search plus hypergraph compilation.
 
-``plan`` runs A* over world states with unit action cost and an admissible
-heuristic that counts the objects that must move, so the returned action
-count is minimal. Among frontier entries of equal f the one with lower h,
-the deeper state, pops first, then the one pushed first. The action
-sequence is then compiled into a solution hypergraph whose arcs recover the
-plan's parallel structure from entity dependencies alone. ``bfs_oracle`` is
-an independent exhaustive breadth-first search kept deliberately separate
-from the A* path so tests can cross-check optimality.
+``search`` runs A* over world states with unit action cost and an
+admissible heuristic that counts the objects that must move, so the
+returned action count is minimal. Among frontier entries of equal f the one
+with lower h, the deeper state, pops first, then the one pushed first. It
+returns the action sequence and compiles nothing. ``plan`` is ``search``
+plus one compilation: the actions become a solution hypergraph whose arcs
+recover the plan's parallel structure from entity dependencies alone, and
+that graph is executed once to check it and to measure its makespan.
+``bfs_oracle`` is an independent exhaustive breadth-first search kept
+deliberately separate from the A* path so tests can cross-check optimality.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .domain import (
     WorldState,
     applicable_actions,
     apply,
+    apply_unchecked,
     execute_hypergraph,
     initial_decomposition,
     is_goal,
@@ -138,18 +141,21 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     return total
 
 
-def plan(p: Problem, config: SearchConfig | None = None,
-         prefix_goals: bool = False) -> tuple:
-    """Solve a problem, returning ``(SolutionHypergraph, SearchStats)``.
+def search(p: Problem, config: SearchConfig | None = None,
+           prefix_goals: bool = False) -> tuple:
+    """Solve a problem, returning ``(actions, SearchStats)``.
 
-    Deterministic: successors are generated in sorted action order, and
-    frontier entries are ordered by ``(f, h, insertion)``, so among equal f
-    the state with lower h pops first. Raises NoSolution when the (finite)
+    ``actions`` is a minimal-length action list; it is empty when the
+    initial state already is a goal. Deterministic: successors are generated
+    in sorted action order, and frontier entries are ordered by ``(f, h,
+    insertion)``, so among equal f the state with lower h pops first.
+    Raises ValueError for an invalid problem, NoSolution when the (finite)
     state space is exhausted and BudgetExhausted when the expansion cap is
-    hit. ``prefix_goals`` switches the goal test, and with it the
-    heuristic, from the exact reading (every goal stack exactly as wanted)
-    to the positional reading used for refinement sub-problems (each goal
-    stack starts with the wanted objects; more may rest above them).
+    hit. ``prefix_goals`` switches the goal test, and with it the heuristic,
+    from the exact reading (every goal stack exactly as wanted) to the
+    positional reading used for refinement sub-problems (each goal stack
+    starts with the wanted objects; more may rest above them). The stats
+    carry no makespan: only a compiled plan has one.
     """
     cfg = config or SearchConfig()
     errors = p.validate()
@@ -160,9 +166,8 @@ def plan(p: Problem, config: SearchConfig | None = None,
 
     init = p.initial
     if is_goal(init, p, prefix=prefix_goals):
-        graph = build_hypergraph([], p)
         stats.wall_time = time.perf_counter() - started
-        return graph, stats
+        return [], stats
 
     h0 = heuristic(init, p, prefix_goals)
     if h0 is None:
@@ -186,19 +191,18 @@ def plan(p: Problem, config: SearchConfig | None = None,
                 actions.append(act)
                 cursor = prev
             actions.reverse()
-            graph = build_hypergraph(actions, p)
-            _, makespan, count = execute_hypergraph(graph, p)
-            stats.solution_actions = count
-            stats.makespan = makespan
+            stats.solution_actions = len(actions)
             stats.wall_time = time.perf_counter() - started
-            return graph, stats
+            return actions, stats
         closed.add(state)
         stats.expansions += 1
         if stats.expansions > cfg.max_expansions:
             raise BudgetExhausted(cfg.max_expansions)
         g2 = best_g[state] + 1
+        # applicable_actions checks every precondition, so apply's own
+        # check would only repeat it
         for action in applicable_actions(state, p):
-            successor = apply(state, action, p)
+            successor = apply_unchecked(state, action, p)
             if successor in closed:
                 continue
             known = best_g.get(successor)
@@ -212,6 +216,21 @@ def plan(p: Problem, config: SearchConfig | None = None,
             heapq.heappush(frontier, (g2 + h, h, next(counter), successor))
             stats.generated += 1
     raise NoSolution("state space exhausted without reaching the goal")
+
+
+def plan(p: Problem, config: SearchConfig | None = None) -> tuple:
+    """``search``, then compile: returns ``(SolutionHypergraph, SearchStats)``.
+
+    The goal is read exactly. The actions are compiled into one solution
+    hypergraph, which is executed once: that validates it and gives the
+    stats their makespan. Errors are those of ``search``.
+    """
+    started = time.perf_counter()
+    actions, stats = search(p, config)
+    graph = build_hypergraph(actions, p)
+    _, stats.makespan, stats.solution_actions = execute_hypergraph(graph, p)
+    stats.wall_time = time.perf_counter() - started
+    return graph, stats
 
 
 def build_hypergraph(actions: list, p: Problem) -> SolutionHypergraph:

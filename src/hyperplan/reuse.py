@@ -10,13 +10,14 @@ Reconstruction turns the grounded strategy into sub-goals: one entry per
 abstract hyperarc whose heads place a prefix of a goal stack, in
 topological order. Temporary placements (objects the strategy moved
 without a goal position, e.g. parked blockers) are left to the search.
-Refinement solves each sub-goal as a planning sub-problem: start from the
+Refinement solves each sub-goal as a search sub-problem: start from the
 state the previous sub-problems produced and reach every placement achieved
 so far, read positionally (each goal stack's wanted prefix, objects above
 it allowed). The last sub-problem is exact: it reaches the full goal with
 nothing above a goal stack, so a refinement that succeeds reaches the goal.
-The concatenated sub-solutions compile into one solution hypergraph whose
-robot entities are exactly those the sub-solutions introduced.
+Each sub-problem returns actions only; the concatenated actions compile
+into one solution hypergraph, executed once, whose robot entities are
+exactly those the sub-solutions introduced.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph, AbstractObject
-# is_goal is unused here but stays a module attribute: bench/spans.py wraps
-# hyperplan.reuse.is_goal by name.
+# is_goal and topological_order are unused here but stay module attributes:
+# bench/spans.py wraps hyperplan.reuse.is_goal and .topological_order by name.
 from .domain import Problem, apply, is_goal  # noqa: F401
-from .hypergraph import arc_topological_order, topological_order
+from .hypergraph import arc_topological_order, topological_order  # noqa: F401
 from .planner import (
     BudgetExhausted,
     NoSolution,
@@ -38,6 +39,7 @@ from .planner import (
     build_hypergraph,
     execute_hypergraph,
     plan,
+    search,
 )
 
 FAIL_HARD = "fail-hard"
@@ -195,31 +197,35 @@ def refine(subgoals: tuple, p: Problem,
     State is threaded through the sub-problems in order; the goal of each
     is every placement achieved so far, read positionally, except the last,
     which is the full goal read exactly (with no sub-goals, that is the only
-    sub-problem). Returns ``(SolutionHypergraph, ReuseStats)``; under the
-    scratch fallback a failed refinement is discarded in favour of planning
-    from scratch.
+    sub-problem). Each sub-problem is searched for actions only, and the
+    whole action list is compiled and executed once at the end. Returns
+    ``(SolutionHypergraph, ReuseStats)``; the per-sub-problem stats carry
+    expansions, generated states and action counts, not makespans. Under
+    the scratch fallback a failed refinement is discarded in favour of
+    planning from scratch.
     """
     cfg = config or RefinementConfig()
     started = time.perf_counter()
     try:
         actions, substats = _refine_actions(subgoals, p, cfg.search)
     except SubproblemInfeasible as exc:
-        if cfg.fallback == SCRATCH_FALLBACK:
-            return _scratch(p, cfg, started, exc)
-        raise
-    graph = build_hypergraph(actions, p)
-    _, makespan, count = execute_hypergraph(graph, p)
-    stats = ReuseStats(
-        subproblems=tuple(substats),
-        total_expansions=sum(s.expansions for s in substats),
-        actions=count,
-        makespan=makespan,
-        wall_time=time.perf_counter() - started,
-    )
+        if cfg.fallback != SCRATCH_FALLBACK:
+            raise
+        graph, stats = _scratch(p, cfg, exc)
+    else:
+        graph = build_hypergraph(actions, p)
+        _, makespan, count = execute_hypergraph(graph, p)
+        stats = ReuseStats(
+            subproblems=tuple(substats),
+            total_expansions=sum(s.expansions for s in substats),
+            actions=count,
+            makespan=makespan,
+        )
+    stats.wall_time = time.perf_counter() - started
     return graph, stats
 
 
-def _refine_actions(subgoals: tuple, p: Problem, search: SearchConfig) -> tuple:
+def _refine_actions(subgoals: tuple, p: Problem, search_cfg: SearchConfig) -> tuple:
     state = p.initial
     actions: list = []
     substats: list = []
@@ -230,20 +236,18 @@ def _refine_actions(subgoals: tuple, p: Problem, search: SearchConfig) -> tuple:
         exact = i == len(steps)
         sub = replace(p, initial=state, goal=p.goal if exact else dict(achieved))
         try:
-            sub_graph, sub_stats = plan(sub, search, prefix_goals=not exact)
+            sub_actions, sub_stats = search(sub, search_cfg, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc)) from exc
-        for arc_id in topological_order(sub_graph):
-            action = sub_graph.arcs[arc_id].label
+        for action in sub_actions:
             state = apply(state, action, p)
-            actions.append(action)
+        actions.extend(sub_actions)
         substats.append(sub_stats)
     return actions, substats
 
 
-def _scratch(p: Problem, cfg: RefinementConfig, started: float,
-             reason: Exception) -> tuple:
-    """Plan from scratch because ``reason`` stopped reuse."""
+def _scratch(p: Problem, cfg: RefinementConfig, reason: Exception) -> tuple:
+    """Plan from scratch because ``reason`` stopped reuse; the caller times it."""
     graph, stats = plan(p, cfg.search)
     reuse_stats = ReuseStats(
         subproblems=(stats,),
@@ -251,7 +255,6 @@ def _scratch(p: Problem, cfg: RefinementConfig, started: float,
         actions=stats.solution_actions,
         makespan=stats.makespan,
         fallback_reason=f"{type(reason).__name__}: {reason}",
-        wall_time=time.perf_counter() - started,
     )
     return graph, reuse_stats
 
@@ -261,7 +264,8 @@ def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
     """ground_strategy, reconstruct, then refine, honouring the fallback.
 
     ``ah`` is None when no stored strategy matched; that is a grounding
-    failure like any other.
+    failure like any other. ``wall_time`` covers the whole pipeline on every
+    path, grounding and reconstruction included.
     """
     cfg = config or RefinementConfig()
     started = time.perf_counter()
@@ -270,7 +274,10 @@ def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
             raise NoGrounding("no stored strategy matches this problem")
         assignment = ground_strategy(ah, p)
     except NoGrounding as exc:
-        if cfg.fallback == SCRATCH_FALLBACK:
-            return _scratch(p, cfg, started, exc)
-        raise
-    return refine(reconstruct(ah, assignment, p), p, cfg)
+        if cfg.fallback != SCRATCH_FALLBACK:
+            raise
+        graph, stats = _scratch(p, cfg, exc)
+    else:
+        graph, stats = refine(reconstruct(ah, assignment, p), p, cfg)
+    stats.wall_time = time.perf_counter() - started
+    return graph, stats

@@ -182,6 +182,46 @@ def test_reuse_from_library_and_empty_library(tmp_path, capsys):
         "this problem) on fig2: ")
 
 
+def test_reuse_stats_file(tmp_path):
+    plan_file = tmp_path / "p.json"
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
+    assert run_command(["extract", fig1_path(), str(plan_file),
+                        "--out", str(lib / "fig1.json")]) == 0
+    fig2_path = str(SCENARIO_DIR / "fig2.json")
+    stats = tmp_path / "stats.json"
+    assert run_command(["reuse", fig2_path, "--library", str(lib),
+                        "--stats", str(stats)]) == 0
+    recorded = json.loads(stats.read_text())
+    assert sorted(recorded) == ["actions", "fallback_reason", "makespan",
+                                "subproblems", "total_expansions", "wall_time_ms"]
+    assert recorded["subproblems"] == [{"expansions": 3, "generated": g}
+                                       for g in (5, 7, 6)]
+    assert recorded["total_expansions"] == 9
+    assert recorded["actions"] == 9 and recorded["makespan"] <= 9
+    assert recorded["fallback_reason"] == ""
+    assert recorded["wall_time_ms"] > 0
+
+
+def test_reuse_stats_file_on_scratch_fallback(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    stats = tmp_path / "stats.json"
+    fig2_path = str(SCENARIO_DIR / "fig2.json")
+    assert run_command(["reuse", fig2_path, "--library", str(empty),
+                        "--fallback-scratch", "--stats", str(stats)]) == 0
+    recorded = json.loads(stats.read_text())
+    scratch = plan(load_scenario("fig2").problem)[1]
+    assert recorded["fallback_reason"] == \
+        "NoGrounding: no stored strategy matches this problem"
+    assert recorded["subproblems"] == [{"expansions": scratch.expansions,
+                                        "generated": scratch.generated}]
+    assert recorded["total_expansions"] == scratch.expansions
+    assert (recorded["actions"], recorded["makespan"]) == \
+        (scratch.solution_actions, scratch.makespan)
+
+
 def test_reuse_mismatched_strategy_fails_without_fallback(tmp_path):
     plan_file = tmp_path / "p.json"
     strategy = tmp_path / "s.json"

@@ -21,6 +21,7 @@ from hyperplan import (
     is_goal,
     plan,
 )
+from hyperplan.domain import action_sort_key, apply_unchecked
 from hyperplan.hypergraph import SolutionHypergraph
 
 from conftest import random_instance, random_walk
@@ -341,9 +342,26 @@ def test_random_apply_preserves_state_invariants():
 
 
 def test_random_applicable_matches_brute_force():
+    """Successors come in ``action_sort_key`` order, and the unchecked
+    successor agrees with ``apply`` on each of them. The second generator
+    setting adds buffers, capacity-2 robots and two robots."""
+    checked = 0
     for seed in range(40):
-        p = random_instance(seed)
-        rng = random.Random(seed)
-        for state in random_walk(p, rng, 3):
-            assert set(applicable_actions(state, p)) == \
-                brute_force_applicable(state, p)
+        for p in (random_instance(seed), random_instance(seed, 4, 2, 4)):
+            rng = random.Random(seed)
+            for state in random_walk(p, rng, 3):
+                actions = applicable_actions(state, p)
+                assert list(actions) == sorted(brute_force_applicable(state, p),
+                                               key=action_sort_key)
+                for action in actions:
+                    assert apply_unchecked(state, action, p) == apply(state, action, p)
+                    checked += 1
+    assert checked >= 700
+
+
+def test_applicable_actions_reuse_action_instances(fig2):
+    p = fig2.problem
+    s = apply(p.initial, Pick("r1", "z", "start"), p)
+    first = applicable_actions(s, p)
+    assert all(a is b for a, b in zip(first, applicable_actions(s, p)))
+    assert Handoff("r1", "r2", "z") in first

@@ -19,6 +19,7 @@ from hyperplan import (
     execute_hypergraph,
     is_goal,
     plan,
+    search,
     topological_order,
     validate_hyperpath,
 )
@@ -352,6 +353,15 @@ GOLDEN = {
 }
 
 
+def assert_search_matches_plan(p: Problem) -> None:
+    """``search`` returns exactly the actions ``plan`` compiles, with equal counts."""
+    actions, stats = search(p)
+    graph, plan_stats = plan(p)
+    assert actions == plan_actions(graph)
+    assert (stats.expansions, stats.generated, stats.solution_actions) == \
+        (plan_stats.expansions, plan_stats.generated, plan_stats.solution_actions)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_search_order_is_pinned(name):
     problems = {"perm6-one-robot": PERM6_ONE_ROBOT, "perm6-two-robots": PERM6_TWO_ROBOTS}
@@ -360,3 +370,23 @@ def test_search_order_is_pinned(name):
     expansions, generated, actions = GOLDEN[name]
     assert [str(a) for a in plan_actions(graph)] == actions
     assert (stats.expansions, stats.generated) == (expansions, generated)
+    assert_search_matches_plan(p)
+
+
+def test_search_returns_the_actions_plan_compiles_on_corpus():
+    solved = 0
+    for seed in range(100):
+        p = random_instance(seed, 4, 2, 4)
+        try:
+            assert_search_matches_plan(p)
+        except NoSolution:
+            continue
+        solved += 1
+    assert solved >= 60
+
+
+def test_search_on_satisfied_goal_returns_no_actions(fig1):
+    satisfied = replace(fig1.problem, goal={"right": ("A", "B", "C")})
+    actions, stats = search(satisfied)
+    assert actions == []
+    assert (stats.expansions, stats.solution_actions, stats.makespan) == (0, 0, 0)

@@ -171,6 +171,57 @@ def test_refine_zero_actions_when_critical_placements_hold(fig1_strategy):
     assert len(graph.arcs) == 0
 
 
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Counts solution-hypergraph compilations, by refine and by plan."""
+    from hyperplan import planner, reuse
+
+    calls = []
+    for module in (planner, reuse):
+        def counted(actions, p, _original=module.build_hypergraph):
+            calls.append(len(actions))
+            return _original(actions, p)
+        monkeypatch.setattr(module, "build_hypergraph", counted)
+    return calls
+
+
+def test_refinement_compiles_once(fig1_strategy, fig2, compile_calls):
+    ah, _ = fig1_strategy
+    p = fig2.problem
+    subgoals = reconstruct(ah, ground_strategy(ah, p), p)
+    assert len(subgoals) == 3
+    graph, stats = refine(subgoals, p)
+    assert compile_calls == [len(graph.arcs)] == [9]
+    assert [(s.expansions, s.solution_actions) for s in stats.subproblems] == \
+        [(3, 3), (3, 3), (3, 3)]
+    assert stats.makespan == execute_hypergraph(graph, p)[1]
+
+
+def test_satisfied_start_without_subgoals_is_one_empty_subproblem(compile_calls):
+    p = replace(reversal_problem(3), initial=WorldState(stacks={"left": ("b3", "b2", "b1")}))
+    graph, stats = refine((), p)
+    assert [(s.expansions, s.generated, s.solution_actions)
+            for s in stats.subproblems] == [(0, 0, 0)]
+    assert compile_calls == [0]
+    assert (stats.actions, len(graph.arcs)) == (0, 0)
+
+
+def test_wall_time_covers_grounding(fig1_strategy, monkeypatch):
+    import time
+
+    from hyperplan import reuse
+
+    def slow_ground(ah, p, _original=reuse.ground_strategy):
+        time.sleep(0.02)
+        return _original(ah, p)
+
+    monkeypatch.setattr(reuse, "ground_strategy", slow_ground)
+    ah, p = fig1_strategy
+    _, stats = reuse_pipeline(ah, p)
+    assert not stats.fallback_used
+    assert stats.wall_time >= 0.02
+
+
 def test_refined_plan_contains_every_critical_composition(fig1_strategy, fig2):
     ah, _ = fig1_strategy
     p = fig2.problem
