@@ -4,13 +4,11 @@ __version__ = "0.1.0"
 
 from .hypergraph import (
     ABSTRACT,
-    CycleDetected,
     Entity,
     Hyperarc,
     HypergraphBuilder,
     InvalidHypergraph,
     Node,
-    RenderStyle,
     SolutionHypergraph,
     ValidationReport,
     obj,
@@ -38,6 +36,7 @@ from .domain import (
     execute_hypergraph,
     initial_decomposition,
     is_goal,
+    makespan,
 )
 from .planner import (
     BudgetExhausted,

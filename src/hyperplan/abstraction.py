@@ -36,7 +36,6 @@ from .hypergraph import (
     HypergraphTable,
     SolutionHypergraph,
     Violation,
-    arc_topological_order,
     hyperpath_violations,
     node_dot_label,
     topological_order,
@@ -407,11 +406,11 @@ def ah_violations(ah: AbstractHypergraph) -> list:
 def canonical_form(ah: AbstractHypergraph) -> tuple:
     """Structure-only fingerprint for equality across extractions.
 
-    Node ids are renumbered along a deterministic topological traversal,
-    abstract object indices by first use in that traversal, and target
-    roles by goal-stack order; arc tails and heads are emitted sorted.
+    Node ids are renumbered along the arcs in id order (their dependency
+    order), abstract object indices by first use in that traversal, and
+    target roles by goal-stack order; arc tails and heads are emitted sorted.
     """
-    order = arc_topological_order(ah.arcs)
+    order = sorted(ah.arcs)
     node_seq = list(ah.sources)
     for aid in order:
         node_seq.extend(sorted(ah.arcs[aid].heads))

@@ -35,7 +35,6 @@ from .domain import (
 from .hypergraph import (
     Hyperarc,
     Node,
-    RenderStyle,
     SolutionHypergraph,
     obj,
     robot,
@@ -262,9 +261,13 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
                 robot(name) if kind == "robot" else obj(name)
                 for kind, name in entry["entities"])
             state = frozenset(_decode_fact(f) for f in entry["facts"])
+            if entry["id"] in nodes:
+                raise ParseError("plan.nodes", f"repeated node id {entry['id']!r}")
             nodes[entry["id"]] = Node(entry["id"], composition, state)
         arcs = {}
         for entry in data["arcs"]:
+            if entry["id"] in arcs:
+                raise ParseError("plan.arcs", f"repeated arc id {entry['id']!r}")
             arcs[entry["id"]] = Hyperarc(
                 entry["id"], _decode_action(entry["action"]),
                 frozenset(entry["tails"]), frozenset(entry["heads"]))
@@ -358,7 +361,7 @@ def _write_outputs(args, graph, name: str, stats: dict, wall_time: float) -> Non
     if args.out:
         _write(args.out, json.dumps(plan_to_json(graph, name), indent=2) + "\n")
     if args.dot:
-        _write(args.dot, to_dot(graph, RenderStyle(graph_name="plan")))
+        _write(args.dot, to_dot(graph))
     if args.stats:
         stats = {**stats, "wall_time_ms": round(wall_time * 1000.0, 3)}
         _write(args.stats, json.dumps(stats, indent=2) + "\n")
@@ -446,10 +449,10 @@ def _cmd_dot(args) -> int:
         raise ParseError(args.input, f"not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "signature" in data:
         record = library.record_from_json(data, args.input)
-        _write(args.out, to_dot(record.ah, RenderStyle(graph_name="strategy")))
+        _write(args.out, to_dot(record.ah, graph_name="strategy"))
     else:
         graph = plan_from_json(data)
-        _write(args.out, to_dot(graph, RenderStyle(graph_name="plan")))
+        _write(args.out, to_dot(graph))
     print(f"wrote {args.out}")
     return 0
 

@@ -627,14 +627,35 @@ def initial_decomposition(p: Problem) -> list:
     return out
 
 
-def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
-    """Run a solution hypergraph against a problem.
+def makespan(graph: SolutionHypergraph) -> int:
+    """Greedy parallel layers of a valid hyperpath, in one pass over arc ids.
 
-    Applies the arc actions in topological order, checking every
-    precondition against the evolving state. Returns
-    ``(final_state, makespan, action_count)`` where makespan counts greedy
-    parallel layers (all tails available at layer start, no robot acting
-    twice per layer).
+    Sources sit in layer 0. Each arc, in id order, takes the first layer
+    after its tails' producers in which none of its robots acts in a
+    lower-id arc; the makespan is the last layer used.
+    """
+    layer_of: dict = {}
+    busy: set = set()
+    last = 0
+    for aid in topological_order(graph):
+        arc = graph.arcs[aid]
+        robots = action_robots(arc.label)
+        layer = 1 + max(layer_of.get(t, 0) for t in arc.tails)
+        while any((r, layer) in busy for r in robots):
+            layer += 1
+        busy.update((r, layer) for r in robots)
+        layer_of.update((h, layer) for h in arc.heads)
+        last = max(last, layer)
+    return last
+
+
+def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
+    """Check a solution hypergraph from outside the planner against a problem.
+
+    Validates the hyperpath, matches its sources to the initial
+    decomposition and applies the arc actions in id order, checking every
+    precondition against the evolving state. Returns ``(final_state,
+    makespan, action_count)``, the makespan from ``makespan``.
     """
     if not graph.nodes:
         return (p.initial, 0, 0)
@@ -647,9 +668,8 @@ def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
     if expected != actual:
         raise ExecutionFault(None, "sources do not match the initial decomposition")
 
-    order = topological_order(graph)
     state = p.initial
-    for aid in order:
+    for aid in topological_order(graph):
         action = graph.arcs[aid].label
         if not isinstance(action, (Pick, Place, Handoff)):
             raise ExecutionFault(aid, f"arc label {action!r} is not an action")
@@ -657,24 +677,4 @@ def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
             state = apply(state, action, p)
         except PreconditionViolated as exc:
             raise ExecutionFault(aid, exc.reason) from exc
-
-    available = set(graph.sources)
-    remaining = list(order)
-    makespan = 0
-    while remaining:
-        layer = []
-        busy: set = set()
-        produced: set = set()
-        for aid in remaining:
-            arc = graph.arcs[aid]
-            robots = action_robots(arc.label)
-            if arc.tails <= available and not (robots & busy):
-                layer.append(aid)
-                busy |= robots
-                produced |= arc.heads
-        if not layer:
-            raise ExecutionFault(remaining[0], "no runnable arc in layer")
-        available |= produced
-        remaining = [aid for aid in remaining if aid not in layer]
-        makespan += 1
-    return (state, makespan, len(graph.arcs))
+    return (state, makespan(graph), len(graph.arcs))

@@ -3,17 +3,20 @@
 A plan is encoded as a *hyperpath*: a directed acyclic hypergraph in which
 every node (an entity composition at one moment in time) is produced by at
 most one hyperarc and consumed by at most one hyperarc, and every hyperarc
-conserves the multiset of entities between its tail and head nodes.
+conserves the multiset of entities between its tail and head nodes. Arc
+ids are the plan's order: an arc consumes only source nodes and nodes
+that lower-id arcs produced, so the ids are a topological order and the
+graph cannot hold a cycle.
 
 Node and arc ids are dense integers assigned in creation order; all
-downstream determinism (topological ordering, DOT output, abstraction)
-relies on that. Graphs are immutable once built; transformations always
-construct new graphs.
+downstream determinism (arc order, DOT output, abstraction) relies on
+that. Graphs are immutable once built; transformations always construct
+new graphs. ``HypergraphBuilder.build`` validates what it seals, so a plan
+compiled through it is checked once, as it is compiled.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import singledispatch
@@ -120,13 +123,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class CycleDetected(Exception):
-    """The hypergraph contains a cyclic arc dependency."""
-
 
 class InvalidHypergraph(ValueError):
     """Raised when a builder would seal a graph violating hyperpath rules."""
@@ -184,45 +180,14 @@ class SolutionHypergraph(HypergraphTable):
     """Concrete nodes and action-labelled hyperarcs forming (ideally) a hyperpath."""
 
 
-def arc_topological_order(arcs: Mapping[int, Hyperarc]) -> list:
-    """Order arc ids so every arc follows the producers of its tail nodes.
-
-    Ties are broken by ascending arc id. Raises CycleDetected when the arc
-    dependency graph is cyclic. Tail nodes produced by no arc (sources or
-    dangling references) impose no constraint.
-    """
-    producer = {}
-    for aid, arc in arcs.items():
-        for nid in arc.heads:
-            producer.setdefault(nid, aid)
-    deps = {}
-    dependents = {aid: [] for aid in arcs}
-    for aid, arc in arcs.items():
-        ds = {producer[t] for t in arc.tails if t in producer and producer[t] != aid}
-        deps[aid] = len(ds)
-        for d in ds:
-            dependents[d].append(aid)
-    ready = [aid for aid in sorted(arcs) if deps[aid] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        aid = heapq.heappop(ready)
-        order.append(aid)
-        for nxt in dependents[aid]:
-            deps[nxt] -= 1
-            if deps[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(arcs):
-        raise CycleDetected(f"{len(arcs) - len(order)} arc(s) in a cycle")
-    return order
-
-
 def hyperpath_violations(compositions: Mapping[int, frozenset],
                          arcs: Mapping[int, Hyperarc]) -> list:
     """Structural hyperpath checks shared by concrete and abstract graphs.
 
     Reports dangling node references, double production, double consumption,
-    per-arc entity-conservation failures, and cycles.
+    per-arc entity-conservation failures, and arcs out of order: an arc may
+    consume only source nodes and nodes a lower-id arc produced. Ids in
+    dependency order also rule out every cycle.
     """
     out = []
     producers: dict = {}
@@ -257,10 +222,11 @@ def hyperpath_violations(compositions: Mapping[int, frozenset],
             out.append(Violation(
                 "entity-conservation",
                 f"arc {aid} loses {missing or '[]'} and gains {extra or '[]'}"))
-    try:
-        arc_topological_order(arcs)
-    except CycleDetected as exc:
-        out.append(Violation("cycle", str(exc)))
+    for nid, aid in sorted(consumers.items()):
+        if producers.get(nid, -1) >= aid:
+            out.append(Violation(
+                "arc-order",
+                f"arc {aid} consumes node {nid}, produced by arc {producers[nid]}"))
     return out
 
 
@@ -271,8 +237,8 @@ def validate_hyperpath(graph: SolutionHypergraph) -> ValidationReport:
 
 
 def topological_order(graph: SolutionHypergraph) -> list:
-    """Arc ids in dependency order, ties broken by ascending arc id."""
-    return arc_topological_order(graph.arcs)
+    """Arc ids in dependency order: a valid hyperpath lists its arcs in it."""
+    return sorted(graph.arcs)
 
 
 class HypergraphBuilder:
@@ -326,11 +292,6 @@ class HypergraphBuilder:
 
 # --- DOT rendering -----------------------------------------------------
 
-@dataclass(frozen=True)
-class RenderStyle:
-    graph_name: str = "plan"
-
-
 @singledispatch
 def node_dot_label(node) -> str:
     """Text for a node ellipse; other graph flavours register overrides."""
@@ -354,13 +315,13 @@ def _quote(label: str) -> str:
     return label.replace('"', '\\"')
 
 
-def to_dot(graph, style: RenderStyle = RenderStyle()) -> str:
+def to_dot(graph, graph_name: str = "plan") -> str:
     """Bipartite DOT text: composition ellipses, one junction box per arc.
 
     Every hyperarc is drawn as a rectangle with tail -> junction -> head
     edges; abstract hyperarcs (and labels that ask for it) come out dashed.
     """
-    lines = [f"digraph {style.graph_name} {{", "  rankdir=LR;"]
+    lines = [f"digraph {graph_name} {{", "  rankdir=LR;"]
     for nid in sorted(graph.nodes):
         label = _quote(node_dot_label(graph.nodes[nid]))
         lines.append(f'  n{nid} [shape=ellipse, label="{label}"];')

@@ -143,6 +143,8 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
             if entry["abstract_robot"] is not True:
                 raise CorruptRecord(
                     file, f"node {entry['id']}: abstract_robot must be true")
+            if entry["id"] in nodes:
+                raise CorruptRecord(file, f"repeated node id {entry['id']!r}")
             nodes[entry["id"]] = AbstractNode(
                 id=entry["id"],
                 composition=frozenset(AbstractObject(i) for i in entry["objects"]),

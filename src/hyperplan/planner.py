@@ -6,8 +6,10 @@ returned action count is minimal. Among frontier entries of equal f the one
 with lower h, the deeper state, pops first, then the one pushed first. It
 returns the action sequence and compiles nothing. ``plan`` is ``search``
 plus one compilation: the actions become a solution hypergraph whose arcs
-recover the plan's parallel structure from entity dependencies alone, and
-that graph is executed once to check it and to measure its makespan.
+recover the plan's parallel structure from entity dependencies alone. The
+plan is checked as it is compiled (every action applied with its
+precondition check, the graph validated once when sealed) and is not
+executed a second time; its makespan is read off the graph.
 ``bfs_oracle`` is an independent exhaustive breadth-first search kept
 deliberately separate from the A* path so tests can cross-check optimality.
 """
@@ -30,10 +32,13 @@ from .domain import (
     applicable_actions,
     apply,
     apply_unchecked,
-    execute_hypergraph,
     initial_decomposition,
     is_goal,
+    makespan,
 )
+# execute_hypergraph is unused here but stays a module attribute:
+# bench/spans.py wraps hyperplan.planner.execute_hypergraph by name.
+from .domain import execute_hypergraph  # noqa: F401
 from .hypergraph import (
     HypergraphBuilder,
     SolutionHypergraph,
@@ -222,13 +227,13 @@ def plan(p: Problem, config: SearchConfig | None = None) -> tuple:
     """``search``, then compile: returns ``(SolutionHypergraph, SearchStats)``.
 
     The goal is read exactly. The actions are compiled into one solution
-    hypergraph, which is executed once: that validates it and gives the
-    stats their makespan. Errors are those of ``search``.
+    hypergraph, checked as it is compiled, and the stats get its makespan.
+    Errors are those of ``search``.
     """
     started = time.perf_counter()
     actions, stats = search(p, config)
     graph = build_hypergraph(actions, p)
-    _, stats.makespan, stats.solution_actions = execute_hypergraph(graph, p)
+    stats.makespan = makespan(graph)
     stats.wall_time = time.perf_counter() - started
     return graph, stats
 

@@ -7,17 +7,19 @@ Target roles are matched to goal regions by equal stack height, then
 declaration order.
 
 Reconstruction turns the grounded strategy into sub-goals: one entry per
-abstract hyperarc whose heads place a prefix of a goal stack, in
-topological order. Temporary placements (objects the strategy moved
-without a goal position, e.g. parked blockers) are left to the search.
+abstract hyperarc whose heads place a prefix of a goal stack, in arc id
+order, which is the strategy's dependency order. Temporary placements
+(objects the strategy moved without a goal position, e.g. parked
+blockers) are left to the search.
 Refinement solves each sub-goal as a search sub-problem: start from the
 state the previous sub-problems produced and reach every placement achieved
 so far, read positionally (each goal stack's wanted prefix, objects above
 it allowed). The last sub-problem is exact: it reaches the full goal with
 nothing above a goal stack, so a refinement that succeeds reaches the goal.
 Each sub-problem returns actions only; the concatenated actions compile
-into one solution hypergraph, executed once, whose robot entities are
-exactly those the sub-solutions introduced.
+into one solution hypergraph, checked as it is compiled and not executed a
+second time, whose robot entities are exactly those the sub-solutions
+introduced.
 """
 
 from __future__ import annotations
@@ -28,16 +30,16 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph, AbstractObject
-# is_goal and topological_order are unused here but stay module attributes:
-# bench/spans.py wraps hyperplan.reuse.is_goal and .topological_order by name.
-from .domain import Problem, apply, is_goal  # noqa: F401
-from .hypergraph import arc_topological_order, topological_order  # noqa: F401
+from .domain import Problem, apply, makespan
+# execute_hypergraph, is_goal and topological_order are unused here but stay
+# module attributes: bench/spans.py wraps them in hyperplan.reuse by name.
+from .domain import execute_hypergraph, is_goal  # noqa: F401
+from .hypergraph import topological_order  # noqa: F401
 from .planner import (
     BudgetExhausted,
     NoSolution,
     SearchConfig,
     build_hypergraph,
-    execute_hypergraph,
     plan,
     search,
 )
@@ -167,14 +169,14 @@ def reconstruct(ah: AbstractHypergraph, g: GroundingAssignment,
                 p: Problem) -> tuple:
     """Grounded sub-goals in refinement order.
 
-    Walks the abstract hyperarcs in topological order and returns one
-    ``(arc_id, ((goal_region, stack_order), ...))`` entry per arc whose
-    heads place a prefix of their target role's goal stack. These are the
-    placements that agree with the final goal; temporary placements and
-    arcs without a goal-prefix head are dropped.
+    Walks the abstract hyperarcs in id order, their dependency order, and
+    returns one ``(arc_id, ((goal_region, stack_order), ...))`` entry per
+    arc whose heads place a prefix of their target role's goal stack. These
+    are the placements that agree with the final goal; temporary placements
+    and arcs without a goal-prefix head are dropped.
     """
     subgoals = []
-    for aid in arc_topological_order(ah.arcs):
+    for aid in sorted(ah.arcs):
         targets = []
         for nid in sorted(ah.arcs[aid].heads):
             node = ah.nodes[nid]
@@ -198,7 +200,7 @@ def refine(subgoals: tuple, p: Problem,
     is every placement achieved so far, read positionally, except the last,
     which is the full goal read exactly (with no sub-goals, that is the only
     sub-problem). Each sub-problem is searched for actions only, and the
-    whole action list is compiled and executed once at the end. Returns
+    whole action list is compiled once at the end. Returns
     ``(SolutionHypergraph, ReuseStats)``; the per-sub-problem stats carry
     expansions, generated states and action counts, not makespans. Under
     the scratch fallback a failed refinement is discarded in favour of
@@ -214,12 +216,11 @@ def refine(subgoals: tuple, p: Problem,
         graph, stats = _scratch(p, cfg, exc)
     else:
         graph = build_hypergraph(actions, p)
-        _, makespan, count = execute_hypergraph(graph, p)
         stats = ReuseStats(
             subproblems=tuple(substats),
             total_expansions=sum(s.expansions for s in substats),
-            actions=count,
-            makespan=makespan,
+            actions=len(graph.arcs),
+            makespan=makespan(graph),
         )
     stats.wall_time = time.perf_counter() - started
     return graph, stats

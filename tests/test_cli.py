@@ -273,19 +273,64 @@ def _fig1_strategy_json(tmp_path) -> dict:
     return json.loads(strategy.read_text())
 
 
-# extract reads a plan file, which has no goal_stacks
+def _fig1_plan_json(tmp_path) -> dict:
+    plan_file = tmp_path / "fig1.plan.json"
+    assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
+    return json.loads(plan_file.read_text())
+
+
+def _swap_dependent_arcs(arcs: list) -> None:
+    """Swap the first arc entry that consumes an earlier arc's head with that arc."""
+    for j, later in enumerate(arcs):
+        for i, earlier in enumerate(arcs[:j]):
+            if set(later["tails"]) & set(earlier["heads"]):
+                arcs[i], arcs[j] = later, earlier
+                return
+    raise AssertionError("no dependent arcs")
+
+
+def _malformed(tmp_path, shape: str):
+    """JSON data of one malformed plan or strategy file."""
+    if shape in ("list", "string"):
+        return [] if shape == "list" else "x"
+    if shape.startswith("plan-"):
+        data = _fig1_plan_json(tmp_path)
+        if shape == "plan-repeated-node":
+            data["nodes"].append(data["nodes"][-1])
+        elif shape == "plan-repeated-arc":
+            data["arcs"].append(data["arcs"][-1])
+        else:  # plan-arcs-out-of-order: ids renumbered last to first
+            last = len(data["arcs"]) - 1
+            for entry in data["arcs"]:
+                entry["id"] = last - entry["id"]
+        return data
+    data = _fig1_strategy_json(tmp_path)
+    if shape == "goal-stacks-list":
+        data["goal_stacks"] = list(data["goal_stacks"].values())
+    elif shape == "strategy-repeated-node":
+        data["nodes"].append(data["nodes"][-1])
+    else:  # strategy-arcs-swapped
+        _swap_dependent_arcs(data["arcs"])
+    return data
+
+
+# extract reads only plan files, reuse only strategy files, dot both; dot
+# renders a plan without checking its arc order.
 @pytest.mark.parametrize("command,shape", [
     (command, shape)
     for command in ("reuse-strategy", "reuse-library", "extract", "dot")
-    for shape in ("list", "string", "goal-stacks-list")
-    if (command, shape) != ("extract", "goal-stacks-list")
-])
+    for shape in ("list", "string")
+] + [
+    (command, shape)
+    for command in ("reuse-strategy", "reuse-library", "dot")
+    for shape in ("goal-stacks-list", "strategy-repeated-node", "strategy-arcs-swapped")
+] + [
+    (command, shape)
+    for command in ("extract", "dot")
+    for shape in ("plan-repeated-node", "plan-repeated-arc")
+] + [("extract", "plan-arcs-out-of-order")])
 def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
-    if shape == "goal-stacks-list":
-        data = _fig1_strategy_json(tmp_path)
-        data["goal_stacks"] = list(data["goal_stacks"].values())
-    else:
-        data = [] if shape == "list" else "x"
+    data = _malformed(tmp_path, shape)
     lib = tmp_path / "lib"
     lib.mkdir()
     bad = lib / "bad.json"

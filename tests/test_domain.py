@@ -4,12 +4,15 @@ from dataclasses import replace
 import pytest
 
 from hyperplan import (
+    FAIL_HARD,
     ExecutionFault,
     Handoff,
+    NoSolution,
     Pick,
     Place,
     PreconditionViolated,
     Problem,
+    RefinementConfig,
     Region,
     RobotSpec,
     WorldState,
@@ -17,11 +20,14 @@ from hyperplan import (
     apply,
     build_hypergraph,
     execute_hypergraph,
+    extract_strategy,
     initial_decomposition,
     is_goal,
+    makespan,
     plan,
+    reuse_pipeline,
 )
-from hyperplan.domain import action_sort_key, apply_unchecked
+from hyperplan.domain import action_robots, action_sort_key, apply_unchecked
 from hyperplan.hypergraph import SolutionHypergraph
 
 from conftest import random_instance, random_walk
@@ -319,6 +325,52 @@ def test_execute_rejects_infeasible_arc(fig1):
     arcs[1] = Hyperarc(1, Pick("red", "A", "right"), bad.tails, bad.heads)
     with pytest.raises(ExecutionFault):
         execute_hypergraph(SolutionHypergraph(dict(graph.nodes), arcs), p)
+
+
+def layered_makespan(graph) -> int:
+    """Reference greedy, built one layer at a time.
+
+    Each layer takes, in arc id order, every remaining arc whose tails are
+    available at the layer's start and none of whose robots already acts in
+    that layer; its heads become available in the next layer.
+    """
+    available = set(graph.sources)
+    remaining = sorted(graph.arcs)
+    layers = 0
+    while remaining:
+        layer: list = []
+        busy: set = set()
+        produced: set = set()
+        for aid in remaining:
+            arc = graph.arcs[aid]
+            robots = action_robots(arc.label)
+            if arc.tails <= available and not robots & busy:
+                layer.append(aid)
+                busy |= robots
+                produced |= arc.heads
+        assert layer, "no runnable arc in a layer"
+        available |= produced
+        remaining = [aid for aid in remaining if aid not in layer]
+        layers += 1
+    return layers
+
+
+def test_makespan_matches_the_layered_greedy_on_the_corpus():
+    compared = 0
+    for seed in range(400):
+        p = random_instance(seed, 4, 2, 4)
+        try:
+            scratch, _ = plan(p)
+        except NoSolution:
+            continue
+        refined, _ = reuse_pipeline(extract_strategy(scratch, p), p,
+                                    RefinementConfig(fallback=FAIL_HARD))
+        for graph in (scratch, refined):
+            want = layered_makespan(graph)
+            assert makespan(graph) == want, f"seed {seed}"
+            assert execute_hypergraph(graph, p)[1] == want, f"seed {seed}"
+            compared += 1
+    assert compared == 2 * 286
 
 
 def test_initial_decomposition_partitions_entities(fig1):

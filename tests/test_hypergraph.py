@@ -2,13 +2,11 @@ import pytest
 
 from hyperplan.hypergraph import (
     ABSTRACT,
-    CycleDetected,
     Entity,
     Hyperarc,
     HypergraphBuilder,
     InvalidHypergraph,
     Node,
-    RenderStyle,
     SolutionHypergraph,
     obj,
     robot,
@@ -97,16 +95,44 @@ def test_dangling_reference_reported():
     assert any(v.code == "dangling-node" for v in report.violations)
 
 
-def test_cycle_reported_and_raised():
+def test_cycle_reported_as_arc_order():
     nodes = {i: Node(i, frozenset({obj("x")})) for i in range(2)}
     arcs = {
         0: Hyperarc(0, None, frozenset({0}), frozenset({1})),
         1: Hyperarc(1, None, frozenset({1}), frozenset({0})),
     }
     graph = SolutionHypergraph(nodes, arcs)
-    assert any(v.code == "cycle" for v in validate_hyperpath(graph).violations)
-    with pytest.raises(CycleDetected):
-        topological_order(graph)
+    report = validate_hyperpath(graph)
+    assert [v.code for v in report.violations] == ["arc-order"]
+    assert report.violations[0].detail == "arc 0 consumes node 0, produced by arc 1"
+
+
+def test_acyclic_arcs_out_of_id_order_are_reported():
+    # arc 0 consumes the node arc 1 produces: no cycle, but the ids are
+    # not the dependency order
+    nodes = {i: Node(i, frozenset({obj("x")})) for i in range(3)}
+    arcs = {
+        0: Hyperarc(0, "second", frozenset({1}), frozenset({2})),
+        1: Hyperarc(1, "first", frozenset({0}), frozenset({1})),
+    }
+    report = validate_hyperpath(SolutionHypergraph(nodes, arcs))
+    assert not report.ok
+    assert [v.code for v in report.violations] == ["arc-order"]
+    # the same arcs numbered in dependency order are a valid hyperpath
+    arcs = {
+        0: Hyperarc(0, "first", frozenset({0}), frozenset({1})),
+        1: Hyperarc(1, "second", frozenset({1}), frozenset({2})),
+    }
+    assert validate_hyperpath(SolutionHypergraph(nodes, arcs)).ok
+
+
+def test_builder_build_rejects_arcs_out_of_order():
+    b = HypergraphBuilder()
+    n = [b.add_node({obj("x")}) for _ in range(3)]
+    b.add_arc("second", {n[1]}, {n[2]})
+    b.add_arc("first", {n[0]}, {n[1]})
+    with pytest.raises(InvalidHypergraph, match="produced by arc 1"):
+        b.build()
 
 
 def test_topological_order_respects_dependencies_and_ids():
@@ -194,6 +220,6 @@ def test_dot_abstract_arcs_are_dashed():
     n1 = b.add_node({obj("x")})
     n2 = b.add_node({obj("x")})
     b.add_arc(ABSTRACT, {n1}, {n2})
-    text = to_dot(b.build(), RenderStyle(graph_name="strategy"))
+    text = to_dot(b.build(), graph_name="strategy")
     assert "style=dashed" in text
     assert text.count("style=dashed") == 1

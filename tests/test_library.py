@@ -100,6 +100,24 @@ def test_tampered_structure_is_rejected(tmp_path, fig1_record):
         read_record(path)
 
 
+def test_repeated_node_id_is_rejected(fig1_record):
+    data = record_to_json(fig1_record)
+    data["nodes"].append(dict(data["nodes"][-1]))
+    with pytest.raises(CorruptRecord, match="repeated node id"):
+        record_from_json(data)
+
+
+def test_dependent_arcs_out_of_order_are_rejected(fig1_record):
+    # arc ids are the array order, so swapping two dependent arcs makes the
+    # first entry consume a node only the later one produces
+    data = record_to_json(fig1_record)
+    arcs = data["arcs"]
+    assert set(arcs[1]["tails"]) & set(arcs[0]["heads"])
+    arcs[0], arcs[1] = arcs[1], arcs[0]
+    with pytest.raises(CorruptRecord, match="consumes node"):
+        record_from_json(data)
+
+
 def test_unsupported_version_is_rejected(tmp_path, fig1_record):
     data = record_to_json(fig1_record)
     data["version"] = 2

@@ -206,6 +206,41 @@ def test_satisfied_start_without_subgoals_is_one_empty_subproblem(compile_calls)
     assert (stats.actions, len(graph.arcs)) == (0, 0)
 
 
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Counts hyperpath validations and executions, in every module that looks them up."""
+    from hyperplan import domain, hypergraph, planner, reuse
+
+    calls = {"validate_hyperpath": 0, "execute_hypergraph": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for module in (hypergraph, domain):
+        monkeypatch.setattr(module, "validate_hyperpath",
+                            counted("validate_hyperpath", module.validate_hyperpath))
+    for module in (domain, planner, reuse):
+        monkeypatch.setattr(module, "execute_hypergraph",
+                            counted("execute_hypergraph", module.execute_hypergraph))
+    return calls
+
+
+def test_plan_and_refine_check_each_answer_once(fig1_strategy, fig2, check_calls):
+    ah, _ = fig1_strategy
+    p = fig2.problem
+    plan(p)
+    assert check_calls == {"validate_hyperpath": 1, "execute_hypergraph": 0}
+    refine(reconstruct(ah, ground_strategy(ah, p), p), p)
+    assert check_calls == {"validate_hyperpath": 2, "execute_hypergraph": 0}
+    fallback = RefinementConfig(fallback=SCRATCH_FALLBACK)
+    _, stats = reuse_pipeline(None, p, fallback)
+    assert stats.fallback_used
+    assert check_calls == {"validate_hyperpath": 3, "execute_hypergraph": 0}
+
+
 def test_wall_time_covers_grounding(fig1_strategy, monkeypatch):
     import time
 
