@@ -2,8 +2,8 @@
 
 Subcommands: ``solve`` (plan from scratch), ``extract`` (abstract a solved
 plan into a strategy), ``reuse`` (ground + refine a strategy on a new
-scenario), ``bench`` (scratch vs reuse comparison CSV), ``dot`` (render a
-plan or strategy file). Exit codes: 0 success, 1 planning failure,
+scenario), ``bench`` (scratch vs reuse comparison CSV), ``dot`` (check and
+render a plan or strategy file). Exit codes: 0 success, 1 planning failure,
 2 input error.
 """
 
@@ -34,11 +34,13 @@ from .domain import (
 )
 from .hypergraph import (
     Hyperarc,
+    InvalidHypergraph,
     Node,
     SolutionHypergraph,
     obj,
     robot,
     to_dot,
+    validate_hyperpath,
 )
 from .planner import BudgetExhausted, NoSolution, SearchConfig, plan
 from .reuse import (
@@ -356,6 +358,10 @@ def _write(path, text: str) -> None:
     Path(path).write_text(text)
 
 
+def _ms(seconds: float) -> float:
+    return round(seconds * 1000.0, 3)
+
+
 def _write_outputs(args, graph, name: str, stats: dict, wall_time: float) -> None:
     """Write whichever of ``--out``, ``--dot`` and ``--stats`` was given."""
     if args.out:
@@ -363,7 +369,7 @@ def _write_outputs(args, graph, name: str, stats: dict, wall_time: float) -> Non
     if args.dot:
         _write(args.dot, to_dot(graph))
     if args.stats:
-        stats = {**stats, "wall_time_ms": round(wall_time * 1000.0, 3)}
+        stats = {**stats, "wall_time_ms": _ms(wall_time)}
         _write(args.stats, json.dumps(stats, indent=2) + "\n")
 
 
@@ -411,6 +417,9 @@ def _cmd_reuse(args) -> int:
         "actions": stats.actions,
         "makespan": stats.makespan,
         "fallback_reason": stats.fallback_reason,
+        "ground_time_ms": _ms(stats.ground_time),
+        "reconstruct_time_ms": _ms(stats.reconstruct_time),
+        "refine_time_ms": _ms(stats.refine_time),
     }, stats.wall_time)
     origin = (f"<scratch fallback> ({stats.fallback_reason})"
               if stats.fallback_used else record.id)
@@ -452,6 +461,9 @@ def _cmd_dot(args) -> int:
         _write(args.out, to_dot(record.ah, graph_name="strategy"))
     else:
         graph = plan_from_json(data)
+        report = validate_hyperpath(graph)
+        if not report.ok:
+            raise InvalidHypergraph(report)
         _write(args.out, to_dot(graph))
     print(f"wrote {args.out}")
     return 0
@@ -465,8 +477,9 @@ _HANDLERS = {
     "dot": _cmd_dot,
 }
 
-# ExecutionFault and ValueError only surface when a loaded plan file does
-# not fit its scenario; freshly planned graphs always execute.
+# ExecutionFault and ValueError only surface when a loaded plan file is
+# malformed or does not fit its scenario; freshly planned graphs always
+# execute.
 _INPUT_ERRORS = (ParseError, ValidationError, library.CorruptRecord, OSError,
                  ExecutionFault, ValueError)
 _PLANNING_ERRORS = (NoSolution, BudgetExhausted, NoGrounding,

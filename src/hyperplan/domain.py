@@ -297,6 +297,11 @@ class _ActionCache(dict):
 
 # --- problem -------------------------------------------------------------
 
+# Cached Problem tables that depend on neither the goal nor the start state.
+GOAL_INDEPENDENT = ("region_map", "robot_map", "reachable", "reach_pairs",
+                    "robot_table", "action_cache")
+
+
 @dataclass(frozen=True)
 class Problem:
     """Regions, robots, objects, an initial state and a partial goal.
@@ -304,11 +309,14 @@ class Problem:
     The lookup tables derived from these fields (``region_map``,
     ``robot_map``, ``goal_objects``, the heuristic's ``goal_region``,
     ``unreachable_goals``, ``reachable`` and ``reach_pairs``, and the
-    successor generator's ``robot_table`` and ``action_cache``) are computed
+    successor generator's ``robot_table`` and ``action_cache``) and the
+    goal-independent validation errors (``structure_errors``) are computed
     on first use and then cached on the instance. So treat a ``Problem`` as
-    immutable, its ``goal`` dict and the tables included, and derive a
-    changed problem with ``dataclasses.replace``, which starts with empty
-    caches.
+    immutable, its ``goal`` dict and the tables included.
+    ``dataclasses.replace`` derives a changed problem that starts with
+    empty caches. ``subproblem`` derives one with only a new start state
+    and goal, which shares the goal-independent tables and errors with
+    this problem and builds its own goal tables.
     """
 
     regions: tuple
@@ -384,7 +392,27 @@ class Problem:
         """
         return _ActionCache(Pick), _ActionCache(Place), _ActionCache(Handoff)
 
-    def validate(self) -> list:
+    def subproblem(self, initial: WorldState, goal: Mapping[str, tuple]) -> "Problem":
+        """This problem with a new start state and goal, e.g. for refinement.
+
+        The result shares this problem's ``structure_errors`` and, when
+        there are none, its ``GOAL_INDEPENDENT`` tables, computing any not
+        cached yet, so every problem derived from one parent shares a
+        single copy. Its goal tables are its own, and ``validate`` still
+        checks its goal and its start state.
+        """
+        sub = Problem(self.regions, self.robots, self.objects, initial, goal)
+        tables = sub.__dict__
+        tables["structure_errors"] = self.structure_errors
+        if not self.structure_errors:
+            # robot_table needs every reach region declared
+            for name in GOAL_INDEPENDENT:
+                tables[name] = getattr(self, name)
+        return sub
+
+    @cached_property
+    def structure_errors(self) -> tuple:
+        """Validation errors that do not depend on the goal or the start state."""
         errors = []
         ids = [r.id for r in self.regions]
         if len(set(ids)) != len(ids):
@@ -400,6 +428,11 @@ class Problem:
             for region in spec.reach:
                 if region not in self.region_map:
                     errors.append(f"robot {spec.id!r} reaches unknown region {region!r}")
+        return tuple(errors)
+
+    def validate(self) -> list:
+        """Every error: ``structure_errors``, then the goal's and the start state's."""
+        errors = list(self.structure_errors)
         for r, stack in self.goal.items():
             region = self.region_map.get(r)
             if region is None:
@@ -427,7 +460,7 @@ class ExecutionFault(Exception):
     def __init__(self, arc_id: int | None, reason: str):
         self.arc_id = arc_id
         self.reason = reason
-        super().__init__(f"arc {arc_id}: {reason}")
+        super().__init__(reason if arc_id is None else f"arc {arc_id}: {reason}")
 
 
 def _pick_reason(s: WorldState, a: Pick, p: Problem) -> str | None:

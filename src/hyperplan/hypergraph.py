@@ -180,6 +180,9 @@ class SolutionHypergraph(HypergraphTable):
     """Concrete nodes and action-labelled hyperarcs forming (ideally) a hyperpath."""
 
 
+_NONE = frozenset()
+
+
 def hyperpath_violations(compositions: Mapping[int, frozenset],
                          arcs: Mapping[int, Hyperarc]) -> list:
     """Structural hyperpath checks shared by concrete and abstract graphs.
@@ -187,7 +190,9 @@ def hyperpath_violations(compositions: Mapping[int, frozenset],
     Reports dangling node references, double production, double consumption,
     per-arc entity-conservation failures, and arcs out of order: an arc may
     consume only source nodes and nodes a lower-id arc produced. Ids in
-    dependency order also rule out every cycle.
+    dependency order also rule out every cycle. An arc conserves entities
+    when its tail and head compositions hold equal multisets of entities; a
+    missing node holds none.
     """
     out = []
     producers: dict = {}
@@ -212,10 +217,19 @@ def hyperpath_violations(compositions: Mapping[int, frozenset],
                     f"node {nid} consumed by arcs {consumers[nid]} and {aid}"))
             else:
                 consumers[nid] = aid
-        tail_ents = Counter(
-            e for nid in arc.tails for e in compositions.get(nid, ()))
-        head_ents = Counter(
-            e for nid in arc.heads for e in compositions.get(nid, ()))
+        tail_comps = [compositions.get(nid, _NONE) for nid in arc.tails]
+        head_comps = [compositions.get(nid, _NONE) for nid in arc.heads]
+        tail_set = _NONE.union(*tail_comps)
+        head_set = _NONE.union(*head_comps)
+        # When no entity repeats within a side, the multisets are the two
+        # unions. Unions reuse the hashes stored in the compositions; only
+        # an arc that fails this test hashes its entities, into Counters.
+        if (len(tail_set) == sum(map(len, tail_comps))
+                and len(head_set) == sum(map(len, head_comps))
+                and tail_set == head_set):
+            continue
+        tail_ents = Counter(e for comp in tail_comps for e in comp)
+        head_ents = Counter(e for comp in head_comps for e in comp)
         if tail_ents != head_ents:
             missing = sorted(str(e) for e in (tail_ents - head_ents))
             extra = sorted(str(e) for e in (head_ents - tail_ents))

@@ -16,16 +16,18 @@ state the previous sub-problems produced and reach every placement achieved
 so far, read positionally (each goal stack's wanted prefix, objects above
 it allowed). The last sub-problem is exact: it reaches the full goal with
 nothing above a goal stack, so a refinement that succeeds reaches the goal.
-Each sub-problem returns actions only; the concatenated actions compile
-into one solution hypergraph, checked as it is compiled and not executed a
-second time, whose robot entities are exactly those the sub-solutions
-introduced.
+Each sub-problem is derived with ``Problem.subproblem``: it shares the
+problem's goal-independent tables and structure checks, so it costs its own
+search plus the check of its goal and start state. It returns actions only;
+the concatenated actions compile into one solution hypergraph, checked as it
+is compiled and not executed a second time, whose robot entities are exactly
+those the sub-solutions introduced.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -56,7 +58,8 @@ class SubproblemInfeasible(Exception):
     def __init__(self, arc_id: int | None, reason: str):
         self.arc_id = arc_id
         self.reason = reason
-        super().__init__(f"abstract arc {arc_id}: {reason}")
+        super().__init__(
+            reason if arc_id is None else f"abstract arc {arc_id}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,10 @@ class ReuseStats:
     makespan: int = 0
     fallback_reason: str = ""   # "<ExceptionClass>: <message>"; empty if none
     wall_time: float = 0.0
+    # seconds per reuse_pipeline phase; a phase that did not run reads 0
+    ground_time: float = 0.0
+    reconstruct_time: float = 0.0
+    refine_time: float = 0.0
 
     @property
     def fallback_used(self) -> bool:
@@ -202,7 +209,8 @@ def refine(subgoals: tuple, p: Problem,
     sub-problem). Each sub-problem is searched for actions only, and the
     whole action list is compiled once at the end. Returns
     ``(SolutionHypergraph, ReuseStats)``; the per-sub-problem stats carry
-    expansions, generated states and action counts, not makespans. Under
+    expansions, generated states and action counts, not makespans; its
+    ``wall_time`` and ``refine_time`` are the time this call took. Under
     the scratch fallback a failed refinement is discarded in favour of
     planning from scratch.
     """
@@ -222,7 +230,7 @@ def refine(subgoals: tuple, p: Problem,
             actions=len(graph.arcs),
             makespan=makespan(graph),
         )
-    stats.wall_time = time.perf_counter() - started
+    stats.refine_time = stats.wall_time = time.perf_counter() - started
     return graph, stats
 
 
@@ -235,7 +243,7 @@ def _refine_actions(subgoals: tuple, p: Problem, search_cfg: SearchConfig) -> tu
     for i, (aid, targets) in enumerate(steps, 1):
         achieved.update(targets)
         exact = i == len(steps)
-        sub = replace(p, initial=state, goal=p.goal if exact else dict(achieved))
+        sub = p.subproblem(state, p.goal if exact else dict(achieved))
         try:
             sub_actions, sub_stats = search(sub, search_cfg, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
@@ -266,7 +274,9 @@ def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
 
     ``ah`` is None when no stored strategy matched; that is a grounding
     failure like any other. ``wall_time`` covers the whole pipeline on every
-    path, grounding and reconstruction included.
+    path, grounding and reconstruction included; the phase times split it.
+    After a grounding failure only ``ground_time`` is set, and the scratch
+    plan that follows is in ``wall_time`` alone.
     """
     cfg = config or RefinementConfig()
     started = time.perf_counter()
@@ -277,8 +287,14 @@ def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
     except NoGrounding as exc:
         if cfg.fallback != SCRATCH_FALLBACK:
             raise
+        grounded = time.perf_counter()
         graph, stats = _scratch(p, cfg, exc)
     else:
-        graph, stats = refine(reconstruct(ah, assignment, p), p, cfg)
+        grounded = time.perf_counter()
+        subgoals = reconstruct(ah, assignment, p)
+        reconstructed = time.perf_counter()
+        graph, stats = refine(subgoals, p, cfg)
+        stats.reconstruct_time = reconstructed - grounded
+    stats.ground_time = grounded - started
     stats.wall_time = time.perf_counter() - started
     return graph, stats

@@ -194,14 +194,21 @@ def test_reuse_stats_file(tmp_path):
     assert run_command(["reuse", fig2_path, "--library", str(lib),
                         "--stats", str(stats)]) == 0
     recorded = json.loads(stats.read_text())
-    assert sorted(recorded) == ["actions", "fallback_reason", "makespan",
-                                "subproblems", "total_expansions", "wall_time_ms"]
+    assert sorted(recorded) == ["actions", "fallback_reason", "ground_time_ms",
+                                "makespan", "reconstruct_time_ms",
+                                "refine_time_ms", "subproblems",
+                                "total_expansions", "wall_time_ms"]
     assert recorded["subproblems"] == [{"expansions": 3, "generated": g}
                                        for g in (5, 7, 6)]
     assert recorded["total_expansions"] == 9
     assert recorded["actions"] == 9 and recorded["makespan"] <= 9
     assert recorded["fallback_reason"] == ""
     assert recorded["wall_time_ms"] > 0
+    phases = [recorded[f"{phase}_time_ms"]
+              for phase in ("ground", "reconstruct", "refine")]
+    assert min(phases) >= 0 and recorded["refine_time_ms"] > 0
+    # each figure is rounded to the microsecond on its own
+    assert sum(phases) <= recorded["wall_time_ms"] + 0.002
 
 
 def test_reuse_stats_file_on_scratch_fallback(tmp_path):
@@ -220,6 +227,9 @@ def test_reuse_stats_file_on_scratch_fallback(tmp_path):
     assert recorded["total_expansions"] == scratch.expansions
     assert (recorded["actions"], recorded["makespan"]) == \
         (scratch.solution_actions, scratch.makespan)
+    # grounding failed at once; reconstruction and refinement never ran
+    assert recorded["reconstruct_time_ms"] == recorded["refine_time_ms"] == 0
+    assert 0 <= recorded["ground_time_ms"] <= recorded["wall_time_ms"]
 
 
 def test_reuse_mismatched_strategy_fails_without_fallback(tmp_path):
@@ -314,8 +324,7 @@ def _malformed(tmp_path, shape: str):
     return data
 
 
-# extract reads only plan files, reuse only strategy files, dot both; dot
-# renders a plan without checking its arc order.
+# extract reads only plan files, reuse only strategy files, dot both.
 @pytest.mark.parametrize("command,shape", [
     (command, shape)
     for command in ("reuse-strategy", "reuse-library", "extract", "dot")
@@ -328,7 +337,7 @@ def _malformed(tmp_path, shape: str):
     (command, shape)
     for command in ("extract", "dot")
     for shape in ("plan-repeated-node", "plan-repeated-arc")
-] + [("extract", "plan-arcs-out-of-order")])
+] + [("extract", "plan-arcs-out-of-order"), ("dot", "plan-arcs-out-of-order")])
 def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     data = _malformed(tmp_path, shape)
     lib = tmp_path / "lib"

@@ -309,8 +309,11 @@ def test_execute_action_count_equals_arc_count(fig1):
 
 def test_execute_rejects_source_mismatch(fig1, fig3):
     graph, _ = plan(fig1.problem)
-    with pytest.raises(ExecutionFault):
+    with pytest.raises(ExecutionFault) as failure:
         execute_hypergraph(graph, fig3.problem)
+    # no arc is at fault, so the message is the reason alone
+    assert failure.value.arc_id is None
+    assert str(failure.value) == "sources do not match the initial decomposition"
 
 
 def test_execute_rejects_infeasible_arc(fig1):
@@ -323,8 +326,9 @@ def test_execute_rejects_infeasible_arc(fig1):
     arcs = dict(graph.arcs)
     bad = arcs[1]
     arcs[1] = Hyperarc(1, Pick("red", "A", "right"), bad.tails, bad.heads)
-    with pytest.raises(ExecutionFault):
+    with pytest.raises(ExecutionFault) as failure:
         execute_hypergraph(SolutionHypergraph(dict(graph.nodes), arcs), p)
+    assert str(failure.value).startswith("arc 1: ")
 
 
 def layered_makespan(graph) -> int:

@@ -1,5 +1,13 @@
+from collections import Counter
+
 import pytest
 
+from hyperplan.abstraction import (
+    AbstractHypergraph,
+    AbstractNode,
+    AbstractObject,
+    ah_violations,
+)
 from hyperplan.hypergraph import (
     ABSTRACT,
     Entity,
@@ -8,6 +16,8 @@ from hyperplan.hypergraph import (
     InvalidHypergraph,
     Node,
     SolutionHypergraph,
+    Violation,
+    hyperpath_violations,
     obj,
     robot,
     to_dot,
@@ -74,6 +84,60 @@ def test_entity_conservation_violation_reported():
     arcs = {0: Hyperarc(0, None, frozenset({0}), frozenset({1}))}
     report = validate_hyperpath(SolutionHypergraph(nodes, arcs))
     assert any(v.code == "entity-conservation" for v in report.violations)
+
+
+def counter_conservation(compositions, arcs) -> list:
+    """Entity-conservation violations by definition: per-arc entity multisets."""
+    out = []
+    for aid in sorted(arcs):
+        arc = arcs[aid]
+        tail = Counter(e for nid in arc.tails for e in compositions.get(nid, ()))
+        head = Counter(e for nid in arc.heads for e in compositions.get(nid, ()))
+        if tail != head:
+            missing = sorted(str(e) for e in tail - head)
+            extra = sorted(str(e) for e in head - tail)
+            out.append(Violation(
+                "entity-conservation",
+                f"arc {aid} loses {missing or '[]'} and gains {extra or '[]'}"))
+    return out
+
+
+x0, x1 = AbstractObject(0), AbstractObject(1)
+CONSERVATION_CASES = {
+    # name: (node compositions, [(tails, heads)] in arc id order, violations)
+    "conserving": ({0: {robot("r")}, 1: {obj("x")}, 2: {robot("r"), obj("x")},
+                    3: {robot("r")}, 4: {obj("x")}},
+                   [({0, 1}, {2}), ({2}, {3, 4})], 0),
+    "loses-an-entity": ({0: {obj("x"), obj("y")}, 1: {obj("x")}}, [({0}, {1})], 1),
+    "gains-an-entity": ({0: {obj("x")}, 1: {obj("x"), obj("y")}}, [({0}, {1})], 1),
+    "repeated-in-tails-and-heads": (
+        {0: {robot("r"), obj("x")}, 1: {obj("x")}, 2: {obj("x")},
+         3: {robot("r"), obj("x")}},
+        [({0, 1}, {2, 3})], 0),
+    "repeated-in-tails-only": (
+        {0: {robot("r"), obj("x")}, 1: {obj("x")}, 2: {robot("r"), obj("x")}},
+        [({0, 1}, {2})], 1),
+    "dangling-tail": ({1: {obj("x")}}, [({0}, {1})], 1),
+    "abstract": ({0: {x0, x1}, 1: {x0}, 2: {x1}, 3: {x0, x1}},
+                 [({0}, {1, 2}), ({1}, {3})], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSERVATION_CASES))
+def test_conservation_check_matches_the_multiset_definition(case):
+    comps, arc_ends, expected = CONSERVATION_CASES[case]
+    comps = {nid: frozenset(c) for nid, c in comps.items()}
+    arcs = {aid: Hyperarc(aid, ABSTRACT, frozenset(t), frozenset(h))
+            for aid, (t, h) in enumerate(arc_ends)}
+    reported = [v for v in hyperpath_violations(comps, arcs)
+                if v.code == "entity-conservation"]
+    assert reported == counter_conservation(comps, arcs)
+    assert len(reported) == expected
+    if case == "abstract":
+        ah = AbstractHypergraph(
+            {nid: AbstractNode(nid, c) for nid, c in comps.items()}, arcs, {})
+        assert [v for v in ah_violations(ah)
+                if v.code == "entity-conservation"] == reported
 
 
 def test_double_production_and_consumption_reported():

@@ -26,6 +26,7 @@ from hyperplan import (
     reconstruct,
     refine,
     reuse_pipeline,
+    search,
     topological_order,
     validate_hyperpath,
     verify_grounding,
@@ -254,7 +255,68 @@ def test_wall_time_covers_grounding(fig1_strategy, monkeypatch):
     ah, p = fig1_strategy
     _, stats = reuse_pipeline(ah, p)
     assert not stats.fallback_used
-    assert stats.wall_time >= 0.02
+    assert stats.wall_time >= stats.ground_time >= 0.02
+    assert min(stats.reconstruct_time, stats.refine_time) > 0
+    assert stats.ground_time + stats.reconstruct_time + stats.refine_time \
+        <= stats.wall_time
+
+
+def test_refinement_subproblems_share_the_problems_tables(fig1_strategy, fig2,
+                                                         monkeypatch):
+    from hyperplan import reuse
+    from hyperplan.domain import GOAL_INDEPENDENT
+
+    searched = []
+
+    def recorded(sub, *args, _original=reuse.search, **kwargs):
+        searched.append(sub)
+        return _original(sub, *args, **kwargs)
+
+    monkeypatch.setattr(reuse, "search", recorded)
+    ah, _ = fig1_strategy
+    p = fig2.problem
+    refine(reconstruct(ah, ground_strategy(ah, p), p), p)
+    assert len(searched) == 3
+    assert searched[0].goal_objects != p.goal_objects
+    for sub in searched:
+        for name in GOAL_INDEPENDENT + ("structure_errors",):
+            assert getattr(sub, name) is getattr(p, name), name
+        fresh = replace(p, initial=sub.initial, goal=sub.goal)
+        assert sub.goal_objects == fresh.goal_objects == \
+            frozenset(o for stack in sub.goal.values() for o in stack)
+        assert sub.goal_region == fresh.goal_region
+        assert sub.unreachable_goals == fresh.unreachable_goals
+    assert searched[-1].goal == p.goal
+
+
+@pytest.mark.parametrize("initial,goal,error", [
+    ({"start": ("x", "y")}, None, "object 'z' placed 0 times"),
+    ({"start": ("x", "y", "z", "w")}, None, "undeclared object 'w'"),
+    (None, {"mid": ("x",)}, "goal region 'mid' is not a stack"),
+    (None, {"goal": ("x", "w")}, "goal object 'w' undeclared"),
+])
+def test_derived_subproblem_is_still_validated(fig2, initial, goal, error):
+    p = fig2.problem
+    sub = p.subproblem(WorldState(stacks=initial) if initial else p.initial,
+                       goal or p.goal)
+    assert sub.validate() == replace(p, initial=sub.initial, goal=sub.goal).validate()
+    assert error in sub.validate()
+    with pytest.raises(ValueError, match="invalid problem"):
+        search(sub)
+
+
+def test_subproblem_of_a_malformed_problem_reports_its_errors(fig2):
+    p = replace(fig2.problem, robots=(RobotSpec("r1", frozenset({"nowhere"})),))
+    sub = p.subproblem(p.initial, p.goal)
+    assert "robot 'r1' reaches unknown region 'nowhere'" in sub.validate()
+
+
+def test_failure_without_an_abstract_arc_names_only_the_reason(fig2):
+    tiny = RefinementConfig(search=SearchConfig(max_expansions=1))
+    with pytest.raises(SubproblemInfeasible) as failure:
+        refine((), fig2.problem, tiny)
+    assert failure.value.arc_id is None
+    assert str(failure.value) == "expansion budget of 1 exhausted"
 
 
 def test_refined_plan_contains_every_critical_composition(fig1_strategy, fig2):
