@@ -12,9 +12,11 @@ unconstrained.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
@@ -91,16 +93,27 @@ def object_facts(state: Iterable) -> frozenset:
 
 # --- world state ---------------------------------------------------------
 
+# Modulus of the state hash: Python's own numeric hash modulus, 2**61 - 1 on
+# 64-bit builds.
+HASH_MODULUS = sys.hash_info.modulus
+
+
+def entry_hash(key: str, value) -> int:
+    """A state entry's share of ``WorldState``'s hash; an empty entry has none."""
+    return hash((key, value)) if value else 0
+
+
 class WorldState:
     """Immutable placement of every object plus per-robot holdings.
 
     Internally stored as per-region stacks/buffer sets and per-robot held
     tuples; the ``placements`` view derives the object -> fact map. Empty
     entries are normalised away, so two states are equal exactly when their
-    three dicts are equal. The hash is taken once, from the frozensets of
-    the three dicts' item views: it needs no sort and does not depend on
-    insertion order. The dicts are shared between states (``apply`` copies
-    only the ones an action touches), so never mutate them.
+    three dicts are equal. The hash is the sum, modulo ``HASH_MODULUS``, of
+    one hash per entry (``entry_hash``): it does not depend on insertion
+    order, and ``apply_unchecked`` updates it entry by entry instead of
+    hashing the whole state again. The dicts are shared between states
+    (``apply`` copies only the ones an action touches), so never mutate them.
     """
 
     __slots__ = ("stacks", "buffers", "holdings", "_hash")
@@ -117,14 +130,20 @@ class WorldState:
         self.stacks = stacks
         self.buffers = buffers
         self.holdings = holdings
-        self._hash = hash((frozenset(stacks.items()), frozenset(buffers.items()),
-                           frozenset(holdings.items())))
+        # each item's hash is its entry_hash
+        self._hash = (sum(map(hash, stacks.items())) + sum(map(hash, buffers.items()))
+                      + sum(map(hash, holdings.items()))) % HASH_MODULUS
 
     @classmethod
-    def _normalised(cls, stacks: dict, buffers: dict, holdings: dict) -> "WorldState":
-        """State over dicts that already hold tuples, frozensets and no empty entry."""
+    def _normalised(cls, stacks: dict, buffers: dict, holdings: dict,
+                    h: int) -> "WorldState":
+        """State over dicts that already hold tuples, frozensets and no empty
+        entry, whose hash ``h`` the caller derived with ``entry_hash``."""
         state = cls.__new__(cls)
-        state._fill(stacks, buffers, holdings)
+        state.stacks = stacks
+        state.buffers = buffers
+        state.holdings = holdings
+        state._hash = h
         return state
 
     @classmethod
@@ -299,7 +318,7 @@ class _ActionCache(dict):
 
 # Cached Problem tables that depend on neither the goal nor the start state.
 GOAL_INDEPENDENT = ("region_map", "robot_map", "reachable", "reach_pairs",
-                    "robot_table", "action_cache")
+                    "robot_table", "action_cache", "robot_classes")
 
 
 @dataclass(frozen=True)
@@ -308,8 +327,9 @@ class Problem:
 
     The lookup tables derived from these fields (``region_map``,
     ``robot_map``, ``goal_objects``, the heuristic's ``goal_region``,
-    ``unreachable_goals``, ``reachable`` and ``reach_pairs``, and the
-    successor generator's ``robot_table`` and ``action_cache``) and the
+    ``unreachable_goals``, ``reachable`` and ``reach_pairs``, the
+    successor generator's ``robot_table`` and ``action_cache``, and the
+    search's ``robot_classes``) and the
     goal-independent validation errors (``structure_errors``) are computed
     on first use and then cached on the instance. So treat a ``Problem`` as
     immutable, its ``goal`` dict and the tables included.
@@ -391,6 +411,18 @@ class Problem:
         region]``; a missing entry is built on first access.
         """
         return _ActionCache(Pick), _ActionCache(Place), _ActionCache(Handoff)
+
+    @cached_property
+    def robot_classes(self) -> tuple:
+        """Classes of two or more interchangeable robots: equal reach and capacity.
+
+        Each class is a tuple of robot ids in id order, and the classes are
+        in the order of their first id. ``symmetry_key`` reads them.
+        """
+        classes: dict = {}
+        for spec in sorted(self.robots, key=lambda spec: spec.id):
+            classes.setdefault((spec.reach, spec.capacity), []).append(spec.id)
+        return tuple(tuple(ids) for ids in classes.values() if len(ids) > 1)
 
     def subproblem(self, initial: WorldState, goal: Mapping[str, tuple]) -> "Problem":
         """This problem with a new start state and goal, e.g. for refinement.
@@ -584,28 +616,124 @@ def apply_unchecked(s: WorldState, a: Action, p: Problem) -> WorldState:
 
     Only for an action ``applicable_actions(s, p)`` returned; anything else
     yields a state that breaks the domain's invariants. Copy-on-write: the
-    successor shares every dict of ``s`` the action does not touch.
+    successor shares every dict of ``s`` the action does not touch, and its
+    hash is ``s``'s with the replaced entries' shares swapped.
     """
     stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
+    o = a.obj
+    if isinstance(a, Handoff):
+        giver, receiver = a.giver, a.receiver
+        give = holdings[giver]
+        take = holdings.get(receiver, ())
+        gave = _without(give, o)
+        took = take + (o,)
+        holdings = _replaced(holdings, giver, gave)
+        holdings[receiver] = took
+        h = (s._hash + entry_hash(giver, gave) - hash((giver, give))
+             + hash((receiver, took)) - entry_hash(receiver, take))
+        return WorldState._normalised(stacks, buffers, holdings, h % HASH_MODULUS)
+    rid, region = a.robot, a.region
+    held = holdings.get(rid, ())
+    on_stack = p.region_map[region].kind == STACK
+    # the picked-from entry, the held load after a Pick and both entries a
+    # Place fills are never empty
     if isinstance(a, Pick):
-        if p.region_map[a.region].kind == STACK:
-            stacks = _replaced(stacks, a.region, stacks[a.region][:-1])
+        now_held = held + (o,)
+        if on_stack:
+            before = stacks[region]
+            after = before[:-1]
         else:
-            buffers = _replaced(buffers, a.region, buffers[a.region] - {a.obj})
-        holdings = _replaced(holdings, a.robot, holdings.get(a.robot, ()) + (a.obj,))
-    elif isinstance(a, Place):
-        holdings = _replaced(holdings, a.robot,
-                             tuple(o for o in holdings[a.robot] if o != a.obj))
-        if p.region_map[a.region].kind == STACK:
-            stacks = _replaced(stacks, a.region, stacks.get(a.region, ()) + (a.obj,))
-        else:
-            buffers = _replaced(buffers, a.region,
-                                buffers.get(a.region, frozenset()) | {a.obj})
+            before = buffers[region]
+            after = before - {o}
+        h = (s._hash + entry_hash(region, after) - hash((region, before))
+             + hash((rid, now_held)) - entry_hash(rid, held))
     else:
-        holdings = _replaced(holdings, a.giver,
-                             tuple(o for o in holdings[a.giver] if o != a.obj))
-        holdings[a.receiver] = holdings.get(a.receiver, ()) + (a.obj,)
-    return WorldState._normalised(stacks, buffers, holdings)
+        now_held = _without(held, o)
+        if on_stack:
+            before = stacks.get(region, ())
+            after = before + (o,)
+        else:
+            before = buffers.get(region, frozenset())
+            after = before | {o}
+        h = (s._hash + hash((region, after)) - entry_hash(region, before)
+             + entry_hash(rid, now_held) - hash((rid, held)))
+    if on_stack:
+        stacks = _replaced(stacks, region, after)
+    else:
+        buffers = _replaced(buffers, region, after)
+    holdings = _replaced(holdings, rid, now_held)
+    return WorldState._normalised(stacks, buffers, holdings, h % HASH_MODULUS)
+
+
+def _without(held: tuple, o: str) -> tuple:
+    """``held`` without ``o``, the rest in order."""
+    i = held.index(o)
+    return held[:i] + held[i + 1:]
+
+
+def symmetry_key(s: WorldState, p: Problem) -> WorldState:
+    """``s`` with the loads of each class of interchangeable robots sorted
+    and handed to the class's robots in id order.
+
+    Two states that differ only in which interchangeable robot holds what
+    share this key, and the heuristic, the goal test and the successors up
+    to the same exchange are equal on both. With no ``p.robot_classes`` it
+    is ``s`` itself; otherwise it is ``s`` whenever the loads already are in
+    that order. The key's hash is ``s``'s with the exchanged entries'
+    shares swapped.
+    """
+    holdings = s.holdings
+    swapped = None
+    h = s._hash
+    get = holdings.get
+    for robots in p.robot_classes:
+        if len(robots) == 2:
+            # most classes are pairs: exchange two loads without a sort
+            first, second = robots
+            load, other = get(first, ()), get(second, ())
+            if load <= other:
+                continue
+            # other < load, so load is not empty
+            if swapped is None:
+                swapped = dict(holdings)
+            swapped[second] = load
+            h += hash((second, load)) - hash((first, load))
+            if other:
+                swapped[first] = other
+                h += hash((first, other)) - hash((second, other))
+            else:
+                del swapped[first]
+            continue
+        loads = list(map(get, robots, repeat(())))
+        ordered = sorted(loads)
+        if loads == ordered:
+            continue
+        if swapped is None:
+            swapped = dict(holdings)
+        for r, old, new in zip(robots, loads, ordered):
+            if old != new:
+                h += entry_hash(r, new) - entry_hash(r, old)
+                if new:
+                    swapped[r] = new
+                else:
+                    del swapped[r]
+    if swapped is None:
+        return s
+    return WorldState._normalised(s.stacks, s.buffers, swapped, h % HASH_MODULUS)
+
+
+def idle_twins(s: WorldState, p: Problem) -> tuple:
+    """Empty-handed robots of a class with an empty-handed twin of lower id.
+
+    Such a robot's picks lead to the states of the twin's picks with the two
+    loads exchanged, which share their ``symmetry_key``.
+    """
+    holdings = s.holdings
+    idle: tuple = ()
+    for robots in p.robot_classes:
+        empty = tuple(r for r in robots if r not in holdings)
+        idle += empty[1:]
+    return idle
 
 
 def is_goal(s: WorldState, p: Problem, prefix: bool = False) -> bool:

@@ -3,15 +3,21 @@
 ``search`` runs A* over world states with unit action cost and an
 admissible heuristic that counts the objects that must move, so the
 returned action count is minimal. Among frontier entries of equal f the one
-with lower h, the deeper state, pops first, then the one pushed first. It
-returns the action sequence and compiles nothing. ``plan`` is ``search``
+with lower h, the deeper state, pops first, then the one pushed first.
+States that differ only in which of two interchangeable robots (equal reach
+and capacity) holds what are one search node, so its expansion and
+generated counts count those symmetry classes. Each successor's h is its
+parent's plus the change in the terms of the entries the action replaced,
+and its hash is derived the same way. It returns the action sequence and
+compiles nothing. ``plan`` is ``search``
 plus one compilation: the actions become a solution hypergraph whose arcs
 recover the plan's parallel structure from entity dependencies alone. The
 plan is checked as it is compiled (every action applied with its
 precondition check, the graph validated once when sealed) and is not
 executed a second time; its makespan is read off the graph.
-``bfs_oracle`` is an independent exhaustive breadth-first search kept
-deliberately separate from the A* path so tests can cross-check optimality.
+``bfs_oracle`` is an independent exhaustive breadth-first search over every
+world state, with no symmetry reduction and no heuristic, kept deliberately
+separate from the A* path so tests can cross-check optimality.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 from .domain import (
     STACK,
     Action,
+    Handoff,
     Pick,
     Place,
     Problem,
@@ -34,7 +41,9 @@ from .domain import (
     apply_unchecked,
     initial_decomposition,
     is_goal,
+    idle_twins,
     makespan,
+    symmetry_key,
 )
 # execute_hypergraph is unused here but stays a module attribute:
 # bench/spans.py wraps hyperplan.planner.execute_hypergraph by name.
@@ -66,38 +75,42 @@ class SearchStats:
 
 
 class NoSolution(Exception):
-    """The goal is unreachable from the initial state."""
+    """The goal is unreachable from the initial state.
+
+    ``expansions`` is the number of states the search expanded first.
+    """
+
+    def __init__(self, reason: str, expansions: int = 0):
+        self.expansions = expansions
+        super().__init__(reason)
 
 
 class BudgetExhausted(Exception):
+    """The search expanded ``max_expansions`` states, its budget, and no goal."""
+
     def __init__(self, max_expansions: int):
-        self.max_expansions = max_expansions
+        self.max_expansions = self.expansions = max_expansions
         super().__init__(f"expansion budget of {max_expansions} exhausted")
 
 
 def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     """Admissible lower bound on remaining actions; None flags a dead end.
 
-    ``prefix`` selects the goal reading, as in ``is_goal``. The bound sums a
-    cost over every object that must move.
+    ``prefix`` selects the goal reading, as in ``is_goal``. The bound is a
+    sum of one term per entry of ``s``: ``stack_term`` for each stack,
+    ``placed_term`` for each buffered object and ``held_term`` for each
+    held object. Together they sum a cost over every object that must move.
+    ``search`` takes h of a successor as h of its parent plus the change in
+    the terms of the entries the action replaced.
 
-    Which objects must move: in each stack, let k be the length of its
-    common prefix with the region's goal stack. In a goal region everything
-    from k up must move, except in the prefix reading once the goal stack
-    is complete. There, and in a region without a goal, everything from the
-    lowest goal object at or above k up must move.
-
-    Cost per object that must move: 1 for an object outside the goal (its
-    Pick). A goal object costs 2 if one robot reaches both its region and
-    its goal region (Pick and Place), else 3 (a handoff, or a second Pick
-    and Place, is forced). A goal object in a buffer costs 2 or 3 the same
-    way; a held goal object costs 1 if its holder reaches the goal region
-    (a Place remains), else 2. Each action moves exactly one object, and
-    each term counts actions on a different object, so the sum stays
-    admissible with handoffs and robot capacity above 1.
+    Each action moves exactly one object, and each term counts actions on a
+    different object, so the sum stays admissible with handoffs and robot
+    capacity above 1.
 
     Dead ends: an object that must move rests where no robot reaches, or a
-    goal region no robot reaches is unsatisfied in this reading.
+    goal region no robot reaches is unsatisfied in this reading. No action
+    changes a region no robot reaches, so a state the search reaches from a
+    start that is no dead end is none either.
     """
     stacks = s.stacks
     goal = p.goal
@@ -106,44 +119,122 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
         stack = stacks.get(region, ())
         if (stack[:len(want)] if prefix else stack) != want:
             return None
-    target = p.goal_region
     reachable = p.reachable
-    pairs = p.reach_pairs
     total = 0
     for region, stack in stacks.items():
-        want = goal.get(region)
-        k = 0
-        if want is not None:
-            for have, wanted in zip(stack, want):
-                if have != wanted:
-                    break
-                k += 1
-        if want is None or (prefix and k == len(want)):
-            # nothing here is wanted above k: only a goal object that belongs
-            # elsewhere, and whatever rests on it, has to go
-            while k < len(stack) and stack[k] not in target:
-                k += 1
-        if k == len(stack):
-            continue
-        if region not in reachable:
+        cost = stack_term(region, stack, p, prefix)
+        if cost and region not in reachable:
             return None
-        for o in stack[k:]:
-            t = target.get(o)
-            total += 1 if t is None else 2 if (region, t) in pairs else 3
+        total += cost
     for region, objs in s.buffers.items():
         for o in objs:
-            t = target.get(o)
-            if t is not None:
-                if region not in reachable:
-                    return None
-                total += 2 if (region, t) in pairs else 3
-    robots = p.robot_map
+            cost = placed_term(region, o, p)
+            if cost and region not in reachable:
+                return None
+            total += cost
     for holder, held in s.holdings.items():
         for o in held:
-            t = target.get(o)
-            if t is not None:
-                total += 1 if t in robots[holder].reach else 2
+            total += held_term(holder, o, p)
     return total
+
+
+def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
+    """Cost of the objects in one stack that must move; 0 if none must.
+
+    Which objects must move: let k be the length of the stack's common
+    prefix with the region's goal stack. In a goal region everything from k
+    up must move, except in the prefix reading once the goal stack is
+    complete. There, and in a region without a goal, everything from the
+    lowest goal object at or above k up must move.
+
+    Cost per object that must move: 1 for an object outside the goal (its
+    Pick). A goal object costs 2 if one robot reaches both this region and
+    its goal region (Pick and Place), else 3 (a handoff, or a second Pick
+    and Place, is forced).
+    """
+    want = p.goal.get(region)
+    target = p.goal_region
+    k = 0
+    if want is not None:
+        for have, wanted in zip(stack, want):
+            if have != wanted:
+                break
+            k += 1
+    if want is None or (prefix and k == len(want)):
+        # nothing here is wanted above k: only a goal object that belongs
+        # elsewhere, and whatever rests on it, has to go
+        while k < len(stack) and stack[k] not in target:
+            k += 1
+    pairs = p.reach_pairs
+    total = 0
+    for o in stack[k:]:
+        t = target.get(o)
+        total += 1 if t is None else 2 if (region, t) in pairs else 3
+    return total
+
+
+def placed_term(region: str, o: str, p: Problem) -> int:
+    """Cost of an object in a buffer: 0 outside the goal, else 2 or 3 as in
+    ``stack_term``."""
+    t = p.goal_region.get(o)
+    if t is None:
+        return 0
+    return 2 if (region, t) in p.reach_pairs else 3
+
+
+def held_term(holder: str, o: str, p: Problem) -> int:
+    """Cost of a held object: 0 outside the goal, else 1 if its holder
+    reaches its goal region (a Place remains), else 2."""
+    t = p.goal_region.get(o)
+    if t is None:
+        return 0
+    return 1 if t in p.robot_map[holder].reach else 2
+
+
+def successor_heuristic(h: int, s: WorldState, a: Action, successor: WorldState,
+                        p: Problem, prefix: bool, stack_costs: dict) -> int:
+    """``heuristic(successor, p, prefix)`` from ``h``, the value for ``s``.
+
+    ``successor`` is ``a`` applied to ``s``, and ``h`` is not None. Only the
+    terms of the entries ``a`` replaced change. ``stack_costs`` memoises
+    ``stack_term`` by ``(region, stack)`` for one problem and goal reading.
+    Such an action touches only regions a robot reaches, so the successor
+    is no dead end.
+    """
+    if isinstance(a, Handoff):
+        return h - held_term(a.giver, a.obj, p) + held_term(a.receiver, a.obj, p)
+    held = held_term(a.robot, a.obj, p)
+    region = a.region
+    if p.region_map[region].kind == STACK:
+        placed = 0
+        for stack in (s.stacks.get(region, ()), successor.stacks.get(region, ())):
+            cost = stack_costs.get((region, stack))
+            if cost is None:
+                cost = stack_costs[region, stack] = stack_term(region, stack, p, prefix)
+            placed = cost - placed   # ends as the successor's cost minus s's
+    else:
+        placed = placed_term(region, a.obj, p)
+        if isinstance(a, Pick):
+            placed = -placed
+    return h + placed + (held if isinstance(a, Pick) else -held)
+
+
+def undo(prev: WorldState, a: Action, p: Problem) -> Action | None:
+    """The action that takes ``a``'s successor of ``prev`` back to ``prev``.
+
+    None when there is none: a robot's load keeps pick order, so taking
+    back an object that was not last in its load reorders the load.
+    """
+    pick, place, handoff = p.action_cache
+    if isinstance(a, Pick):
+        return place[a.robot, a.obj, a.region]
+    if isinstance(a, Place):
+        if prev.holdings[a.robot][-1] != a.obj:
+            return None
+        return pick[a.robot, a.obj, a.region]
+    if prev.holdings[a.giver][-1] != a.obj:
+        return None
+    return handoff[a.receiver, a.giver, a.obj]
 
 
 def search(p: Problem, config: SearchConfig | None = None,
@@ -161,6 +252,11 @@ def search(p: Problem, config: SearchConfig | None = None,
     positional reading used for refinement sub-problems (each goal stack
     starts with the wanted objects; more may rest above them). The stats
     carry no makespan: only a compiled plan has one.
+
+    States that differ only in which interchangeable robot holds what
+    (``Problem.robot_classes``) are one search node, keyed by
+    ``symmetry_key``, so ``expansions`` and ``generated`` count those
+    classes. Without two interchangeable robots the key is the state.
     """
     cfg = config or SearchConfig()
     errors = p.validate()
@@ -178,49 +274,72 @@ def search(p: Problem, config: SearchConfig | None = None,
     if h0 is None:
         raise NoSolution("an object that must move or a goal region is unreachable")
 
+    keyed = bool(p.robot_classes)
+    init_key = symmetry_key(init, p) if keyed else init
     counter = itertools.count()
-    frontier = [(h0, h0, next(counter), init)]
-    best_g = {init: 0}
-    parent: dict = {init: None}
+    # (f, h, insertion, state, key): the heap keeps the actual state
+    frontier = [(h0, h0, next(counter), init, init_key)]
+    # keyed by symmetry_key; parent[key] is (actual predecessor, action).
+    # When a key is first popped, the popped state is the predecessor with
+    # the action applied: states of one key share h, so a later, strictly
+    # better path to the key, which alone replaces parent[key], has the
+    # lower f and pops first.
+    best_g = {init_key: 0}
+    parent: dict = {init_key: None}
     closed: set = set()
+    stack_costs: dict = {}
 
     while frontier:
-        state = heapq.heappop(frontier)[3]
-        if state in closed:
+        _, h, _, state, key = heapq.heappop(frontier)
+        if key in closed:
             continue
         if is_goal(state, p, prefix=prefix_goals):
             actions = []
-            cursor = state
-            while parent[cursor] is not None:
-                prev, act = parent[cursor]
+            step = parent[key]
+            while step is not None:
+                prev, act = step
                 actions.append(act)
-                cursor = prev
+                step = parent[symmetry_key(prev, p) if keyed else prev]
             actions.reverse()
             stats.solution_actions = len(actions)
             stats.wall_time = time.perf_counter() - started
             return actions, stats
-        closed.add(state)
+        closed.add(key)
         stats.expansions += 1
         if stats.expansions > cfg.max_expansions:
             raise BudgetExhausted(cfg.max_expansions)
-        g2 = best_g[state] + 1
+        g2 = best_g[key] + 1
+        arrival = parent[key]
+        # its result is the closed predecessor
+        back = None if arrival is None else undo(*arrival, p)
+        actions = applicable_actions(state, p)
+        if keyed:
+            idle = idle_twins(state, p)
+            if idle:
+                # their successors' keys repeat those of picks made earlier
+                # in this loop, so they would be skipped anyway
+                actions = [a for a in actions
+                           if not (isinstance(a, Pick) and a.robot in idle)]
         # applicable_actions checks every precondition, so apply's own
         # check would only repeat it
-        for action in applicable_actions(state, p):
-            successor = apply_unchecked(state, action, p)
-            if successor in closed:
+        for action in actions:
+            if action is back:
                 continue
-            known = best_g.get(successor)
+            successor = apply_unchecked(state, action, p)
+            succ_key = symmetry_key(successor, p) if keyed else successor
+            if succ_key in closed:
+                continue
+            known = best_g.get(succ_key)
             if known is not None and known <= g2:
                 continue
-            h = heuristic(successor, p, prefix_goals)
-            if h is None:
-                continue
-            best_g[successor] = g2
-            parent[successor] = (state, action)
-            heapq.heappush(frontier, (g2 + h, h, next(counter), successor))
+            h2 = successor_heuristic(h, state, action, successor, p,
+                                     prefix_goals, stack_costs)
+            best_g[succ_key] = g2
+            parent[succ_key] = (state, action)
+            heapq.heappush(frontier, (g2 + h2, h2, next(counter), successor, succ_key))
             stats.generated += 1
-    raise NoSolution("state space exhausted without reaching the goal")
+    raise NoSolution("state space exhausted without reaching the goal",
+                     stats.expansions)
 
 
 def plan(p: Problem, config: SearchConfig | None = None) -> tuple:
@@ -303,7 +422,10 @@ def build_hypergraph(actions: list, p: Problem) -> SolutionHypergraph:
 
 
 def bfs_oracle(p: Problem, bound: int = 64) -> int | None:
-    """Exhaustive breadth-first search over canonical world states.
+    """Exhaustive breadth-first search over every world state, unreduced.
+
+    States that differ only in which of two interchangeable robots holds
+    what are distinct here, unlike in ``search``.
 
     Returns the minimal number of actions to reach the goal, or None when
     the goal is unreachable within ``bound`` actions. Intended for small

@@ -32,10 +32,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph, AbstractObject
-from .domain import Problem, apply, makespan
-# execute_hypergraph, is_goal and topological_order are unused here but stay
-# module attributes: bench/spans.py wraps them in hyperplan.reuse by name.
-from .domain import execute_hypergraph, is_goal  # noqa: F401
+from .domain import Problem, apply_unchecked, makespan
+# apply, execute_hypergraph, is_goal and topological_order are unused here but
+# stay module attributes: bench/spans.py wraps them in hyperplan.reuse by name.
+from .domain import apply, execute_hypergraph, is_goal  # noqa: F401
 from .hypergraph import topological_order  # noqa: F401
 from .planner import (
     BudgetExhausted,
@@ -55,11 +55,22 @@ class NoGrounding(Exception):
 
 
 class SubproblemInfeasible(Exception):
-    def __init__(self, arc_id: int | None, reason: str):
+    """A refinement sub-problem has no solution within the search budget.
+
+    ``arc_id`` is the abstract arc of its sub-goal (None for the one
+    sub-problem of a strategy without sub-goals), ``goal`` the
+    sub-problem's goal and ``expansions`` the states its search expanded.
+    """
+
+    def __init__(self, arc_id: int | None, reason: str, goal: Mapping[str, tuple],
+                 expansions: int):
         self.arc_id = arc_id
         self.reason = reason
-        super().__init__(
-            reason if arc_id is None else f"abstract arc {arc_id}: {reason}")
+        self.goal = goal
+        self.expansions = expansions
+        stacks = ", ".join(f"{r}=[{' '.join(want)}]" for r, want in goal.items())
+        text = f"{reason} (sub-goal {stacks or 'none'}; {expansions} states expanded)"
+        super().__init__(text if arc_id is None else f"abstract arc {arc_id}: {text}")
 
 
 @dataclass(frozen=True)
@@ -247,9 +258,11 @@ def _refine_actions(subgoals: tuple, p: Problem, search_cfg: SearchConfig) -> tu
         try:
             sub_actions, sub_stats = search(sub, search_cfg, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
-            raise SubproblemInfeasible(aid, str(exc)) from exc
+            raise SubproblemInfeasible(aid, str(exc), sub.goal, exc.expansions) from exc
+        # search drew every action from applicable_actions; build_hypergraph
+        # applies them again from p.initial, checking each
         for action in sub_actions:
-            state = apply(state, action, p)
+            state = apply_unchecked(state, action, p)
         actions.extend(sub_actions)
         substats.append(sub_stats)
     return actions, substats

@@ -266,12 +266,14 @@ def test_reuse_refinement_failure_is_a_planning_failure(tmp_path, capsys):
     assert run_command(["reuse", str(scenario), "--strategy", str(strategy),
                         *budget]) == 1
     assert capsys.readouterr().err == \
-        "planning failed: abstract arc 1: expansion budget of 34 exhausted\n"
+        "planning failed: abstract arc 1: expansion budget of 34 exhausted " \
+        "(sub-goal r1=[o1]; 34 states expanded)\n"
     assert run_command(["reuse", str(scenario), "--strategy", str(strategy),
                         *budget, "--fallback-scratch"]) == 0
     assert capsys.readouterr().out.startswith(
         "reused <scratch fallback> (SubproblemInfeasible: abstract arc 1: "
-        "expansion budget of 34 exhausted) on seed288: ")
+        "expansion budget of 34 exhausted (sub-goal r1=[o1]; 34 states "
+        "expanded)) on seed288: ")
 
 
 def _fig1_strategy_json(tmp_path) -> dict:

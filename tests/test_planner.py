@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -23,8 +24,16 @@ from hyperplan import (
     topological_order,
     validate_hyperpath,
 )
-from hyperplan.domain import Held, OnStack, applicable_actions, apply
-from hyperplan.planner import heuristic
+from hyperplan.domain import (
+    Held,
+    OnStack,
+    applicable_actions,
+    apply,
+    apply_unchecked,
+    idle_twins,
+    symmetry_key,
+)
+from hyperplan.planner import heuristic, successor_heuristic
 
 from conftest import load_scenario, random_instance, random_walk
 
@@ -327,10 +336,11 @@ def test_heuristic_dominates_reference_on_walks():
 
 # Recorded from the search with f-ties broken toward lower h and the
 # must-move heuristic; the sequences are those the first search found, the
-# counts are lower. Any drift in heuristic values, successor order or
-# tie-breaking changes these sequences or counts.
+# counts are lower. fig1 and perm6-two-robots have two interchangeable
+# robots, so their counts are of symmetry classes. Any drift in heuristic
+# values, successor order or tie-breaking changes these sequences or counts.
 GOLDEN = {
-    "fig1": (6, 16, [
+    "fig1": (6, 13, [
         "pick blue C right", "pick red B right", "place blue C left",
         "pick blue A right", "place blue A left", "place red B left"]),
     "fig2": (9, 18, [
@@ -346,7 +356,7 @@ GOLDEN = {
         "pick arm b5 s0", "place arm b5 tray", "pick arm b0 s0", "place arm b0 s1",
         "pick arm b1 s0", "place arm b1 s2", "pick arm b4 tray", "place arm b4 s0",
         "pick arm b5 tray", "place arm b5 s2"]),
-    "perm6-two-robots": (27, 111, [
+    "perm6-two-robots": (18, 74, [
         "pick blue b0 s1", "pick red b4 s0", "place blue b0 s2", "pick blue b3 s0",
         "place blue b3 s1", "pick blue b2 s0", "place red b4 s0", "pick red b3 s1",
         "place red b3 s0", "pick red b5 s1", "place blue b2 s1", "place red b5 s1"]),
@@ -390,3 +400,123 @@ def test_search_on_satisfied_goal_returns_no_actions(fig1):
     actions, stats = search(satisfied)
     assert actions == []
     assert (stats.expansions, stats.solution_actions, stats.makespan) == (0, 0, 0)
+
+
+# --- incremental hash and heuristic, interchangeable robots -----------------------
+
+def walked_successors(problems):
+    """``(p, state, action, successor)`` for every applicable action at every
+    state of a random walk on each problem."""
+    for i, p in enumerate(problems):
+        for state in random_walk(p, random.Random(i), 30):
+            for action in applicable_actions(state, p):
+                yield p, state, action, apply_unchecked(state, action, p)
+
+
+WALKED = [random_instance(seed, 4, 2, 4) for seed in range(120)] + \
+    [PERM6_ONE_ROBOT, PERM6_TWO_ROBOTS]
+
+
+def test_successor_hash_equals_the_rebuilt_states_hash():
+    checked = 0
+    for p, _, _, successor in walked_successors(WALKED):
+        rebuilt = WorldState(successor.stacks, successor.buffers, successor.holdings)
+        assert successor == rebuilt
+        assert hash(successor) == hash(rebuilt), (successor, rebuilt)
+        key = symmetry_key(successor, p)
+        assert hash(key) == hash(WorldState(key.stacks, key.buffers, key.holdings))
+        checked += 1
+    assert checked >= 10_000
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_successor_heuristic_equals_the_heuristic(prefix):
+    checked = 0
+    for p, state, action, successor in walked_successors(WALKED):
+        h = heuristic(state, p, prefix)
+        if h is None:
+            continue
+        memo: dict = {}
+        expected = heuristic(successor, p, prefix)
+        assert expected is not None
+        assert successor_heuristic(h, state, action, successor, p, prefix, memo) \
+            == expected, (state, action)
+        checked += 1
+    assert checked >= 5_000
+
+
+def interchangeable(robots: int, capacity: int) -> Problem:
+    """``robots`` identical robots of one capacity over two stacks and a
+    one-slot buffer re-order a three-box tower."""
+    regions = (Region("L", "stack"), Region("R", "stack"), Region("B", "buffer", 1))
+    specs = tuple(RobotSpec(f"r{i}", frozenset({"L", "R", "B"}), capacity)
+                  for i in range(robots))
+    return Problem(regions, specs, ("o0", "o1", "o2"),
+                   WorldState(stacks={"L": ("o0", "o1", "o2")}),
+                   {"L": ("o2", "o0", "o1")})
+
+
+def duplicated_robot(p: Problem) -> Problem:
+    """``p`` with its first robot's spec repeated under a new id."""
+    twin = replace(p.robots[0], id=p.robots[0].id + "twin")
+    return replace(p, robots=p.robots + (twin,))
+
+
+def assert_search_matches_oracle(p: Problem, bound: int) -> bool:
+    """``search`` finds the oracle's optimum and a plan ``apply`` replays to
+    a goal, or nothing when the oracle finds nothing. True if solved."""
+    expected = bfs_oracle(p, bound=bound)
+    try:
+        actions, stats = search(p)
+    except NoSolution:
+        assert expected is None
+        return False
+    if expected is None:
+        assert len(actions) > bound
+        return False
+    assert len(actions) == expected
+    state = p.initial
+    for action in actions:
+        state = apply(state, action, p)
+    assert is_goal(state, p)
+    return True
+
+
+@pytest.mark.parametrize("robots,capacity", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_search_with_interchangeable_robots_matches_oracle(robots, capacity):
+    """From every other state of a walk, loaded robots included."""
+    p = interchangeable(robots, capacity)
+    assert p.robot_classes == (tuple(f"r{i}" for i in range(robots)),)
+    walk = random_walk(p, random.Random(10 * robots + capacity), 30)
+    for state in walk[::2]:
+        assert assert_search_matches_oracle(replace(p, initial=state), 30)
+    assert any(symmetry_key(state, p) is not state for state in walk[::2])
+
+
+def test_search_with_a_duplicated_robot_matches_oracle_on_corpus():
+    solved = 0
+    for seed in range(200):
+        p = duplicated_robot(random_instance(seed, 4, 2, 4))
+        assert p.robot_classes
+        solved += assert_search_matches_oracle(p, 20)
+    assert solved >= 130
+
+
+def test_symmetry_key_merges_exchanged_loads():
+    p = interchangeable(3, 2)
+    state = WorldState(stacks={"L": ("o0",)},
+                       holdings={"r0": ("o2",), "r2": ("o1",)})
+    key = symmetry_key(state, p)
+    # loads sorted, handed out in id order: (), (o1,), (o2,)
+    assert key.holdings == {"r1": ("o1",), "r2": ("o2",)}
+    assert key.stacks is state.stacks
+    for r0, r1, r2 in itertools.permutations([("o2",), ("o1",), ()]):
+        holdings = {r: v for r, v in (("r0", r0), ("r1", r1), ("r2", r2)) if v}
+        assert symmetry_key(WorldState({"L": ("o0",)}, None, holdings), p) == key
+    assert symmetry_key(key, p) is key
+    # r0 is the first empty hand, so r1's picks would repeat its keys
+    assert idle_twins(key, p) == ()
+    assert idle_twins(WorldState({"L": ("o0", "o1")}, None, {"r2": ("o2",)}), p) == ("r1",)
+    assert idle_twins(WorldState({"L": ("o0", "o1", "o2")}), p) == ("r1", "r2")
+    # no two robots alike: the key is the state itself
+    assert symmetry_key(PERM6_ONE_ROBOT.initial, PERM6_ONE_ROBOT) is PERM6_ONE_ROBOT.initial

@@ -5,9 +5,11 @@ import pytest
 from hyperplan import (
     FAIL_HARD,
     SCRATCH_FALLBACK,
+    BudgetExhausted,
     BufferRole,
     Handoff,
     NoGrounding,
+    NoSolution,
     Place,
     Problem,
     Region,
@@ -312,11 +314,45 @@ def test_subproblem_of_a_malformed_problem_reports_its_errors(fig2):
 
 
 def test_failure_without_an_abstract_arc_names_only_the_reason(fig2):
+    # no "abstract arc" prefix: the reason, then the sub-goal and its count
     tiny = RefinementConfig(search=SearchConfig(max_expansions=1))
     with pytest.raises(SubproblemInfeasible) as failure:
         refine((), fig2.problem, tiny)
     assert failure.value.arc_id is None
-    assert str(failure.value) == "expansion budget of 1 exhausted"
+    assert str(failure.value) == \
+        "expansion budget of 1 exhausted (sub-goal goal=[z y x]; 1 states expanded)"
+
+
+def test_budget_failure_names_the_subgoal_and_its_expansions():
+    # the sub-problem of abstract arc 1 needs 39 expansions
+    p = random_instance(288, 4, 2, 4)
+    ah = _own_strategy(p)
+    tight = RefinementConfig(SearchConfig(max_expansions=34), FAIL_HARD)
+    with pytest.raises(SubproblemInfeasible) as failure:
+        reuse_pipeline(ah, p, tight)
+    exc = failure.value
+    assert (exc.arc_id, dict(exc.goal), exc.expansions) == (1, {"r1": ("o1",)}, 34)
+    assert isinstance(exc.__cause__, BudgetExhausted)
+    assert str(exc) == ("abstract arc 1: expansion budget of 34 exhausted "
+                        "(sub-goal r1=[o1]; 34 states expanded)")
+
+
+def test_exhausted_subproblem_names_the_subgoal_and_its_expansions():
+    # one robot, one stack: two boxes cannot swap order
+    regions = (Region("L", "stack"),)
+    robots = (RobotSpec("a", frozenset({"L"})),)
+    p = Problem(regions, robots, ("x", "y"),
+                WorldState(stacks={"L": ("x", "y")}), {"L": ("y", "x")})
+    with pytest.raises(NoSolution) as unsolved:
+        search(p)
+    assert unsolved.value.expansions == 2
+    with pytest.raises(SubproblemInfeasible) as failure:
+        refine((), p)
+    exc = failure.value
+    assert (exc.arc_id, dict(exc.goal), exc.expansions) == (None, {"L": ("y", "x")}, 2)
+    assert isinstance(exc.__cause__, NoSolution)
+    assert str(exc) == ("state space exhausted without reaching the goal "
+                        "(sub-goal L=[y x]; 2 states expanded)")
 
 
 def test_refined_plan_contains_every_critical_composition(fig1_strategy, fig2):
@@ -400,7 +436,8 @@ def _own_strategy(p):
     ("no-record", "NoGrounding: no stored strategy matches this problem"),
     ("no-grounding", "NoGrounding: goal stack-height multisets differ"),
     ("infeasible",
-     "SubproblemInfeasible: abstract arc 1: expansion budget of 34 exhausted"),
+     "SubproblemInfeasible: abstract arc 1: expansion budget of 34 exhausted "
+     "(sub-goal r1=[o1]; 34 states expanded)"),
 ])
 def test_fallback_reason_names_the_failure(route, reason):
     search = SearchConfig()
