@@ -688,7 +688,8 @@ def symmetry_key(s: WorldState, p: Problem) -> WorldState:
     get = holdings.get
     for robots in p.robot_classes:
         if len(robots) == 2:
-            # most classes are pairs: exchange two loads without a sort
+            # most classes are pairs: two lookups and one comparison, where
+            # the general sort below costs about twice as much per call
             first, second = robots
             load, other = get(first, ()), get(second, ())
             if load <= other:
@@ -720,20 +721,6 @@ def symmetry_key(s: WorldState, p: Problem) -> WorldState:
     if swapped is None:
         return s
     return WorldState._normalised(s.stacks, s.buffers, swapped, h % HASH_MODULUS)
-
-
-def idle_twins(s: WorldState, p: Problem) -> tuple:
-    """Empty-handed robots of a class with an empty-handed twin of lower id.
-
-    Such a robot's picks lead to the states of the twin's picks with the two
-    loads exchanged, which share their ``symmetry_key``.
-    """
-    holdings = s.holdings
-    idle: tuple = ()
-    for robots in p.robot_classes:
-        empty = tuple(r for r in robots if r not in holdings)
-        idle += empty[1:]
-    return idle
 
 
 def is_goal(s: WorldState, p: Problem, prefix: bool = False) -> bool:

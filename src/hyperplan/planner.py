@@ -41,7 +41,6 @@ from .domain import (
     apply_unchecked,
     initial_decomposition,
     is_goal,
-    idle_twins,
     makespan,
     symmetry_key,
 )
@@ -312,17 +311,9 @@ def search(p: Problem, config: SearchConfig | None = None,
         arrival = parent[key]
         # its result is the closed predecessor
         back = None if arrival is None else undo(*arrival, p)
-        actions = applicable_actions(state, p)
-        if keyed:
-            idle = idle_twins(state, p)
-            if idle:
-                # their successors' keys repeat those of picks made earlier
-                # in this loop, so they would be skipped anyway
-                actions = [a for a in actions
-                           if not (isinstance(a, Pick) and a.robot in idle)]
         # applicable_actions checks every precondition, so apply's own
         # check would only repeat it
-        for action in actions:
+        for action in applicable_actions(state, p):
             if action is back:
                 continue
             successor = apply_unchecked(state, action, p)

@@ -35,6 +35,8 @@ from .abstraction import AbstractHypergraph, AbstractObject
 from .domain import Problem, apply_unchecked, makespan
 # apply, execute_hypergraph, is_goal and topological_order are unused here but
 # stay module attributes: bench/spans.py wraps them in hyperplan.reuse by name.
+# Refinement threads state with apply_unchecked, so the span it records for
+# hyperplan.reuse.apply is always empty.
 from .domain import apply, execute_hypergraph, is_goal  # noqa: F401
 from .hypergraph import topological_order  # noqa: F401
 from .planner import (

@@ -30,7 +30,6 @@ from hyperplan.domain import (
     applicable_actions,
     apply,
     apply_unchecked,
-    idle_twins,
     symmetry_key,
 )
 from hyperplan.planner import heuristic, successor_heuristic
@@ -514,9 +513,14 @@ def test_symmetry_key_merges_exchanged_loads():
         holdings = {r: v for r, v in (("r0", r0), ("r1", r1), ("r2", r2)) if v}
         assert symmetry_key(WorldState({"L": ("o0",)}, None, holdings), p) == key
     assert symmetry_key(key, p) is key
-    # r0 is the first empty hand, so r1's picks would repeat its keys
-    assert idle_twins(key, p) == ()
-    assert idle_twins(WorldState({"L": ("o0", "o1")}, None, {"r2": ("o2",)}), p) == ("r1",)
-    assert idle_twins(WorldState({"L": ("o0", "o1", "o2")}), p) == ("r1", "r2")
+    # a pair: the smaller load goes to r0, an empty hand first
+    pair = interchangeable(2, 2)
+    for holdings, want in (({"r0": ("o1",)}, {"r1": ("o1",)}),
+                           ({"r0": ("o2",), "r1": ("o1", "o0")},
+                            {"r0": ("o1", "o0"), "r1": ("o2",)})):
+        state = WorldState({"L": ("o0",)}, None, holdings)
+        key = symmetry_key(state, pair)
+        assert key.holdings == want
+        assert hash(key) == hash(WorldState(key.stacks, key.buffers, want))
     # no two robots alike: the key is the state itself
     assert symmetry_key(PERM6_ONE_ROBOT.initial, PERM6_ONE_ROBOT) is PERM6_ONE_ROBOT.initial
