@@ -12,11 +12,9 @@ unconstrained.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
@@ -93,27 +91,16 @@ def object_facts(state: Iterable) -> frozenset:
 
 # --- world state ---------------------------------------------------------
 
-# Modulus of the state hash: Python's own numeric hash modulus, 2**61 - 1 on
-# 64-bit builds.
-HASH_MODULUS = sys.hash_info.modulus
-
-
-def entry_hash(key: str, value) -> int:
-    """A state entry's share of ``WorldState``'s hash; an empty entry has none."""
-    return hash((key, value)) if value else 0
-
-
 class WorldState:
     """Immutable placement of every object plus per-robot holdings.
 
     Internally stored as per-region stacks/buffer sets and per-robot held
     tuples; the ``placements`` view derives the object -> fact map. Empty
     entries are normalised away, so two states are equal exactly when their
-    three dicts are equal. The hash is the sum, modulo ``HASH_MODULUS``, of
-    one hash per entry (``entry_hash``): it does not depend on insertion
-    order, and ``apply_unchecked`` updates it entry by entry instead of
-    hashing the whole state again. The dicts are shared between states
-    (``apply`` copies only the ones an action touches), so never mutate them.
+    three dicts are equal. The hash is that of the three dicts' items,
+    computed on first use (``search`` runs over slot tuples and never hashes
+    a state). The dicts are shared between states (``apply`` copies only the
+    ones an action touches), so never mutate them.
     """
 
     __slots__ = ("stacks", "buffers", "holdings", "_hash")
@@ -122,28 +109,20 @@ class WorldState:
                  stacks: Mapping[str, Sequence[str]] | None = None,
                  buffers: Mapping[str, Iterable[str]] | None = None,
                  holdings: Mapping[str, Sequence[str]] | None = None):
-        self._fill({r: tuple(v) for r, v in (stacks or {}).items() if v},
-                   {r: frozenset(v) for r, v in (buffers or {}).items() if v},
-                   {r: tuple(v) for r, v in (holdings or {}).items() if v})
-
-    def _fill(self, stacks: dict, buffers: dict, holdings: dict) -> None:
-        self.stacks = stacks
-        self.buffers = buffers
-        self.holdings = holdings
-        # each item's hash is its entry_hash
-        self._hash = (sum(map(hash, stacks.items())) + sum(map(hash, buffers.items()))
-                      + sum(map(hash, holdings.items()))) % HASH_MODULUS
+        self.stacks = {r: tuple(v) for r, v in (stacks or {}).items() if v}
+        self.buffers = {r: frozenset(v) for r, v in (buffers or {}).items() if v}
+        self.holdings = {r: tuple(v) for r, v in (holdings or {}).items() if v}
+        self._hash = None
 
     @classmethod
-    def _normalised(cls, stacks: dict, buffers: dict, holdings: dict,
-                    h: int) -> "WorldState":
+    def _sharing(cls, stacks: dict, buffers: dict, holdings: dict) -> "WorldState":
         """State over dicts that already hold tuples, frozensets and no empty
-        entry, whose hash ``h`` the caller derived with ``entry_hash``."""
+        entry; the dicts are shared, not copied."""
         state = cls.__new__(cls)
         state.stacks = stacks
         state.buffers = buffers
         state.holdings = holdings
-        state._hash = h
+        state._hash = None
         return state
 
     @classmethod
@@ -203,6 +182,10 @@ class WorldState:
                 and self.holdings == other.holdings)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((frozenset(self.stacks.items()),
+                               frozenset(self.buffers.items()),
+                               frozenset(self.holdings.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -302,16 +285,15 @@ def action_robots(a: Action) -> frozenset:
     return frozenset((a.robot,))
 
 
-class _ActionCache(dict):
-    """Actions of one class by constructor arguments, built on first lookup."""
+class Memo(dict):
+    """``fn(key)`` by key, computed on first lookup."""
 
-    def __init__(self, cls) -> None:
-        super().__init__()
-        self.cls = cls
+    def __init__(self, fn) -> None:
+        self.fn = fn
 
-    def __missing__(self, key: tuple) -> Action:
-        action = self[key] = self.cls(*key)
-        return action
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 # --- problem -------------------------------------------------------------
@@ -328,7 +310,7 @@ class Problem:
     The lookup tables derived from these fields (``region_map``,
     ``robot_map``, ``goal_objects``, the heuristic's ``goal_region``,
     ``unreachable_goals``, ``reachable`` and ``reach_pairs``, the
-    successor generator's ``robot_table`` and ``action_cache``, and the
+    successor generators' ``robot_table`` and ``action_cache``, and the
     search's ``robot_classes``) and the
     goal-independent validation errors (``structure_errors``) are computed
     on first use and then cached on the instance. So treat a ``Problem`` as
@@ -387,19 +369,22 @@ class Problem:
 
     @cached_property
     def robot_table(self) -> tuple:
-        """One row per robot, in id order, for ``applicable_actions``.
-
-        A row is ``(id, capacity, regions, partners)``: the reachable
-        ``(region id, buffer capacity)`` pairs in id order, with ``None`` for
-        a stack, and the ``(robot id, capacity)`` pairs of the other robots
-        it shares a region with, in id order.
+        """One row per robot, in id order, for ``applicable_actions`` and the
+        search's slot states (one entry per region in declaration order, then
+        one per robot in id order). A row is ``(id, slot, capacity, regions,
+        partners)``: the robot's slot, its reachable ``(slot, region id,
+        buffer capacity)`` triples in region-id order (None for a stack), and
+        the ``(slot, id, capacity)`` of every other robot it shares a region
+        with, in id order.
         """
         robots = sorted(self.robots, key=lambda spec: spec.id)
-        region_map = self.region_map
+        region_slot = {r.id: i for i, r in enumerate(self.regions)}
+        robot_slot = {spec.id: i for i, spec in enumerate(robots, len(self.regions))}
         return tuple(
-            (spec.id, spec.capacity,
-             tuple((r, region_map[r].capacity) for r in sorted(spec.reach)),
-             tuple((other.id, other.capacity) for other in robots
+            (spec.id, robot_slot[spec.id], spec.capacity,
+             tuple((region_slot[r], r, self.region_map[r].capacity)
+                   for r in sorted(spec.reach)),
+             tuple((robot_slot[other.id], other.id, other.capacity) for other in robots
                    if other.id != spec.id and spec.reach & other.reach))
             for spec in robots)
 
@@ -410,14 +395,16 @@ class Problem:
         Indexed by the constructor's arguments, e.g. ``picks[robot, obj,
         region]``; a missing entry is built on first access.
         """
-        return _ActionCache(Pick), _ActionCache(Place), _ActionCache(Handoff)
+        return tuple(Memo(lambda key, cls=cls: cls(*key))
+                     for cls in (Pick, Place, Handoff))
 
     @cached_property
     def robot_classes(self) -> tuple:
         """Classes of two or more interchangeable robots: equal reach and capacity.
 
         Each class is a tuple of robot ids in id order, and the classes are
-        in the order of their first id. ``symmetry_key`` reads them.
+        in the order of their first id. ``search`` merges states that differ
+        only in which robot of a class holds what.
         """
         classes: dict = {}
         for spec in sorted(self.robots, key=lambda spec: spec.id):
@@ -560,17 +547,18 @@ def applicable_actions(s: WorldState, p: Problem) -> tuple:
     Generated in that order from ``p.robot_table``, robots in id order: every
     robot's picks, then every robot's places, then the handoffs. The action
     instances come from ``p.action_cache``, so no action is built twice.
+    ``search`` generates the same actions in the same order over slot states.
     """
     stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
     pick, place, handoff = p.action_cache
     picks: list = []
     places: list = []
     handoffs: list = []
-    for rid, capacity, regions, partners in p.robot_table:
+    for rid, _, capacity, regions, partners in p.robot_table:
         held = holdings.get(rid, ())
         if len(held) < capacity:
             tops = []
-            for r, cap in regions:
+            for _, r, cap in regions:
                 if cap is None:
                     if r in stacks:
                         tops.append((stacks[r][-1], r))
@@ -582,10 +570,10 @@ def applicable_actions(s: WorldState, p: Problem) -> tuple:
             continue
         held = sorted(held)
         for o in held:
-            for r, cap in regions:
+            for _, r, cap in regions:
                 if cap is None or len(buffers.get(r, ())) < cap:
                     places.append(place[rid, o, r])
-        receivers = [q for q, cap in partners if len(holdings.get(q, ())) < cap]
+        receivers = [q for _, q, cap in partners if len(holdings.get(q, ())) < cap]
         handoffs.extend(handoff[rid, q, o] for o in held for q in receivers)
     return tuple(picks + places + handoffs)
 
@@ -604,123 +592,39 @@ def apply(s: WorldState, a: Action, p: Problem) -> WorldState:
     """Successor state after one action; only the involved entities change.
 
     Raises PreconditionViolated when ``a`` is not applicable in ``s``.
+    Copy-on-write: the successor shares every dict of ``s`` the action does
+    not touch.
     """
     reason = precondition_failure(s, a, p)
     if reason is not None:
         raise PreconditionViolated(a, reason)
-    return apply_unchecked(s, a, p)
-
-
-def apply_unchecked(s: WorldState, a: Action, p: Problem) -> WorldState:
-    """``apply`` without the precondition check, for actions known applicable.
-
-    Only for an action ``applicable_actions(s, p)`` returned; anything else
-    yields a state that breaks the domain's invariants. Copy-on-write: the
-    successor shares every dict of ``s`` the action does not touch, and its
-    hash is ``s``'s with the replaced entries' shares swapped.
-    """
     stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
     o = a.obj
     if isinstance(a, Handoff):
-        giver, receiver = a.giver, a.receiver
-        give = holdings[giver]
-        take = holdings.get(receiver, ())
-        gave = _without(give, o)
-        took = take + (o,)
-        holdings = _replaced(holdings, giver, gave)
-        holdings[receiver] = took
-        h = (s._hash + entry_hash(giver, gave) - hash((giver, give))
-             + hash((receiver, took)) - entry_hash(receiver, take))
-        return WorldState._normalised(stacks, buffers, holdings, h % HASH_MODULUS)
+        holdings = _replaced(holdings, a.giver, _without(holdings[a.giver], o))
+        holdings[a.receiver] = holdings.get(a.receiver, ()) + (o,)
+        return WorldState._sharing(stacks, buffers, holdings)
     rid, region = a.robot, a.region
     held = holdings.get(rid, ())
     on_stack = p.region_map[region].kind == STACK
-    # the picked-from entry, the held load after a Pick and both entries a
-    # Place fills are never empty
     if isinstance(a, Pick):
-        now_held = held + (o,)
-        if on_stack:
-            before = stacks[region]
-            after = before[:-1]
-        else:
-            before = buffers[region]
-            after = before - {o}
-        h = (s._hash + entry_hash(region, after) - hash((region, before))
-             + hash((rid, now_held)) - entry_hash(rid, held))
+        held = held + (o,)
+        after = stacks[region][:-1] if on_stack else buffers[region] - {o}
     else:
-        now_held = _without(held, o)
-        if on_stack:
-            before = stacks.get(region, ())
-            after = before + (o,)
-        else:
-            before = buffers.get(region, frozenset())
-            after = before | {o}
-        h = (s._hash + hash((region, after)) - entry_hash(region, before)
-             + entry_hash(rid, now_held) - hash((rid, held)))
+        held = _without(held, o)
+        after = (stacks.get(region, ()) + (o,) if on_stack
+                 else buffers.get(region, frozenset()) | {o})
     if on_stack:
         stacks = _replaced(stacks, region, after)
     else:
         buffers = _replaced(buffers, region, after)
-    holdings = _replaced(holdings, rid, now_held)
-    return WorldState._normalised(stacks, buffers, holdings, h % HASH_MODULUS)
+    return WorldState._sharing(stacks, buffers, _replaced(holdings, rid, held))
 
 
 def _without(held: tuple, o: str) -> tuple:
     """``held`` without ``o``, the rest in order."""
     i = held.index(o)
     return held[:i] + held[i + 1:]
-
-
-def symmetry_key(s: WorldState, p: Problem) -> WorldState:
-    """``s`` with the loads of each class of interchangeable robots sorted
-    and handed to the class's robots in id order.
-
-    Two states that differ only in which interchangeable robot holds what
-    share this key, and the heuristic, the goal test and the successors up
-    to the same exchange are equal on both. With no ``p.robot_classes`` it
-    is ``s`` itself; otherwise it is ``s`` whenever the loads already are in
-    that order. The key's hash is ``s``'s with the exchanged entries'
-    shares swapped.
-    """
-    holdings = s.holdings
-    swapped = None
-    h = s._hash
-    get = holdings.get
-    for robots in p.robot_classes:
-        if len(robots) == 2:
-            # most classes are pairs: two lookups and one comparison, where
-            # the general sort below costs about twice as much per call
-            first, second = robots
-            load, other = get(first, ()), get(second, ())
-            if load <= other:
-                continue
-            # other < load, so load is not empty
-            if swapped is None:
-                swapped = dict(holdings)
-            swapped[second] = load
-            h += hash((second, load)) - hash((first, load))
-            if other:
-                swapped[first] = other
-                h += hash((first, other)) - hash((second, other))
-            else:
-                del swapped[first]
-            continue
-        loads = list(map(get, robots, repeat(())))
-        ordered = sorted(loads)
-        if loads == ordered:
-            continue
-        if swapped is None:
-            swapped = dict(holdings)
-        for r, old, new in zip(robots, loads, ordered):
-            if old != new:
-                h += entry_hash(r, new) - entry_hash(r, old)
-                if new:
-                    swapped[r] = new
-                else:
-                    del swapped[r]
-    if swapped is None:
-        return s
-    return WorldState._normalised(s.stacks, s.buffers, swapped, h % HASH_MODULUS)
 
 
 def is_goal(s: WorldState, p: Problem, prefix: bool = False) -> bool:

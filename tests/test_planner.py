@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from dataclasses import replace
@@ -24,15 +25,9 @@ from hyperplan import (
     topological_order,
     validate_hyperpath,
 )
-from hyperplan.domain import (
-    Held,
-    OnStack,
-    applicable_actions,
-    apply,
-    apply_unchecked,
-    symmetry_key,
-)
-from hyperplan.planner import heuristic, successor_heuristic
+from hyperplan import planner
+from hyperplan.domain import Held, OnStack, applicable_actions, apply
+from hyperplan.planner import SlotSpace, heuristic
 
 from conftest import load_scenario, random_instance, random_walk
 
@@ -401,48 +396,7 @@ def test_search_on_satisfied_goal_returns_no_actions(fig1):
     assert (stats.expansions, stats.solution_actions, stats.makespan) == (0, 0, 0)
 
 
-# --- incremental hash and heuristic, interchangeable robots -----------------------
-
-def walked_successors(problems):
-    """``(p, state, action, successor)`` for every applicable action at every
-    state of a random walk on each problem."""
-    for i, p in enumerate(problems):
-        for state in random_walk(p, random.Random(i), 30):
-            for action in applicable_actions(state, p):
-                yield p, state, action, apply_unchecked(state, action, p)
-
-
-WALKED = [random_instance(seed, 4, 2, 4) for seed in range(120)] + \
-    [PERM6_ONE_ROBOT, PERM6_TWO_ROBOTS]
-
-
-def test_successor_hash_equals_the_rebuilt_states_hash():
-    checked = 0
-    for p, _, _, successor in walked_successors(WALKED):
-        rebuilt = WorldState(successor.stacks, successor.buffers, successor.holdings)
-        assert successor == rebuilt
-        assert hash(successor) == hash(rebuilt), (successor, rebuilt)
-        key = symmetry_key(successor, p)
-        assert hash(key) == hash(WorldState(key.stacks, key.buffers, key.holdings))
-        checked += 1
-    assert checked >= 10_000
-
-
-@pytest.mark.parametrize("prefix", [False, True])
-def test_successor_heuristic_equals_the_heuristic(prefix):
-    checked = 0
-    for p, state, action, successor in walked_successors(WALKED):
-        h = heuristic(state, p, prefix)
-        if h is None:
-            continue
-        memo: dict = {}
-        expected = heuristic(successor, p, prefix)
-        assert expected is not None
-        assert successor_heuristic(h, state, action, successor, p, prefix, memo) \
-            == expected, (state, action)
-        checked += 1
-    assert checked >= 5_000
-
+# --- slot states, state hash, interchangeable robots -------------------------------
 
 def interchangeable(robots: int, capacity: int) -> Problem:
     """``robots`` identical robots of one capacity over two stacks and a
@@ -459,6 +413,64 @@ def duplicated_robot(p: Problem) -> Problem:
     """``p`` with its first robot's spec repeated under a new id."""
     twin = replace(p.robots[0], id=p.robots[0].id + "twin")
     return replace(p, robots=p.robots + (twin,))
+
+
+# three robots share regions in the last two, so a handoff has two receivers
+WALKED = [random_instance(seed, 4, 2, 4) for seed in range(120)] + \
+    [PERM6_ONE_ROBOT, PERM6_TWO_ROBOTS, interchangeable(3, 2),
+     duplicated_robot(PERM6_TWO_ROBOTS)]
+
+
+def walked_states(problems):
+    """``(p, state)`` for every state of a random walk on each problem."""
+    for i, p in enumerate(problems):
+        for state in random_walk(p, random.Random(i), 30):
+            yield p, state
+
+
+def test_successor_hash_equals_the_rebuilt_states_hash():
+    """``apply`` shares and updates its parent's dicts, so their insertion
+    order differs from a state built afresh; equal states hash alike."""
+    checked = 0
+    for p, state in walked_states(WALKED):
+        for action in applicable_actions(state, p):
+            successor = apply(state, action, p)
+            rebuilt = WorldState(*(dict(reversed(d.items())) for d in
+                                   (successor.stacks, successor.buffers, successor.holdings)))
+            assert successor == rebuilt
+            assert hash(successor) == hash(rebuilt), (successor, rebuilt)
+            checked += 1
+    assert checked >= 10_000
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_slot_successors_match_apply_and_heuristic(prefix):
+    """At every walked state, the search's successors are
+    ``applicable_actions`` with the checked ``apply``, as slot tuples, and
+    at every state that is no dead end their h is the full ``heuristic``,
+    which is 0 exactly on the goals, the search's goal test."""
+    checked = with_h = goals = 0
+    spaces = {id(p): SlotSpace(p, prefix) for p in WALKED}
+    for p, state in walked_states(WALKED):
+        space = spaces[id(p)]
+        slots = space.slots(state)
+        got = space.successors(slots)
+        applied = [(action, apply(state, action, p)) for action in applicable_actions(state, p)]
+        assert [(action, successor) for action, successor, _, _ in got] == \
+            [(action, space.slots(successor)) for action, successor in applied], state
+        checked += len(got)
+        h = heuristic(state, p, prefix)
+        if h is None:
+            continue
+        assert (h == 0) == is_goal(state, p, prefix=prefix)
+        assert [space.successor_h(h, slots, successor, dh, slot)
+                for _, successor, dh, slot in got] == \
+            [heuristic(successor, p, prefix) for _, successor in applied], (state, prefix)
+        goals += h == 0
+        with_h += len(got)
+    assert checked >= 10_000
+    assert with_h >= 9_000
+    assert goals >= 1_000
 
 
 def assert_search_matches_oracle(p: Problem, bound: int) -> bool:
@@ -489,7 +501,8 @@ def test_search_with_interchangeable_robots_matches_oracle(robots, capacity):
     walk = random_walk(p, random.Random(10 * robots + capacity), 30)
     for state in walk[::2]:
         assert assert_search_matches_oracle(replace(p, initial=state), 30)
-    assert any(symmetry_key(state, p) is not state for state in walk[::2])
+    space = SlotSpace(p, False)
+    assert any(space.key(space.slots(state)) != space.slots(state) for state in walk[::2])
 
 
 def test_search_with_a_duplicated_robot_matches_oracle_on_corpus():
@@ -501,26 +514,74 @@ def test_search_with_a_duplicated_robot_matches_oracle_on_corpus():
     assert solved >= 130
 
 
-def test_symmetry_key_merges_exchanged_loads():
-    p = interchangeable(3, 2)
-    state = WorldState(stacks={"L": ("o0",)},
-                       holdings={"r0": ("o2",), "r2": ("o1",)})
-    key = symmetry_key(state, p)
-    # loads sorted, handed out in id order: (), (o1,), (o2,)
-    assert key.holdings == {"r1": ("o1",), "r2": ("o2",)}
-    assert key.stacks is state.stacks
-    for r0, r1, r2 in itertools.permutations([("o2",), ("o1",), ()]):
-        holdings = {r: v for r, v in (("r0", r0), ("r1", r1), ("r2", r2)) if v}
-        assert symmetry_key(WorldState({"L": ("o0",)}, None, holdings), p) == key
-    assert symmetry_key(key, p) is key
-    # a pair: the smaller load goes to r0, an empty hand first
-    pair = interchangeable(2, 2)
-    for holdings, want in (({"r0": ("o1",)}, {"r1": ("o1",)}),
-                           ({"r0": ("o2",), "r1": ("o1", "o0")},
-                            {"r0": ("o1", "o0"), "r1": ("o2",)})):
-        state = WorldState({"L": ("o0",)}, None, holdings)
-        key = symmetry_key(state, pair)
-        assert key.holdings == want
-        assert hash(key) == hash(WorldState(key.stacks, key.buffers, want))
+def test_slot_key_merges_exchanged_loads():
+    """Every permutation of a class's loads over its robots has one key: the
+    loads sorted over the robots in id order."""
+    def slots(space, loads):
+        return space.slots(WorldState(holdings={f"r{i}": load for i, load in enumerate(loads)}))
+
+    for robots, loads, want in (
+            (3, [("o2",), ("o1",), ()], [(), ("o1",), ("o2",)]),
+            (2, [("o1",), ()], [(), ("o1",)]),
+            (2, [("o2",), ("o1", "o0")], [("o1", "o0"), ("o2",)])):
+        space = SlotSpace(interchangeable(robots, 2), False)
+        key = slots(space, want)
+        assert space.key(key) is key
+        for exchanged in itertools.permutations(loads):
+            assert space.key(slots(space, exchanged)) == key
     # no two robots alike: the key is the state itself
-    assert symmetry_key(PERM6_ONE_ROBOT.initial, PERM6_ONE_ROBOT) is PERM6_ONE_ROBOT.initial
+    space = SlotSpace(PERM6_ONE_ROBOT, False)
+    init = space.slots(PERM6_ONE_ROBOT.initial)
+    assert space.key(init) is init
+
+
+# Totals over random_instance(seed, 4, 2, 4), seeds 0-399, per goal reading:
+# (solved, expansions, generated, actions) of the searches that found a plan.
+# Any change in successor order, tie-breaking or symmetry merging moves them.
+CORPUS_SEARCH_TOTALS = {False: (286, 1544, 3539, 640), True: (288, 1542, 3542, 630)}
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_corpus_search_counts_are_pinned(prefix):
+    solved = expansions = generated = actions = 0
+    for seed in range(400):
+        try:
+            found, stats = search(random_instance(seed, 4, 2, 4), prefix_goals=prefix)
+        except NoSolution:
+            continue
+        solved += 1
+        expansions += stats.expansions
+        generated += stats.generated
+        actions += len(found)
+    assert (solved, expansions, generated, actions) == CORPUS_SEARCH_TOTALS[prefix]
+
+
+def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
+    from conftest import reversal_problem
+
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return heuristic(*args)
+
+    monkeypatch.setattr(planner, "heuristic", spy)
+    unsolvable = Problem((Region("L", "stack"),), (RobotSpec("a", frozenset({"L"})),),
+                         ("x", "y"), WorldState(stacks={"L": ("x", "y")}),
+                         {"L": ("y", "x")})
+    cases = ((fig1.problem, None, None), (unsolvable, None, NoSolution),
+             (reversal_problem(4), SearchConfig(max_expansions=2), BudgetExhausted))
+    was_enabled = gc.isenabled()
+    try:
+        for enabled, switch in ((True, gc.enable), (False, gc.disable)):
+            switch()
+            for p, cfg, error in cases:
+                if error is None:
+                    search(p, cfg)
+                else:
+                    with pytest.raises(error):
+                        search(p, cfg)
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False] * 6
