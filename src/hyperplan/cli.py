@@ -33,12 +33,11 @@ from .domain import (
     WorldState,
 )
 from .hypergraph import (
+    Entity,
     Hyperarc,
     InvalidHypergraph,
     Node,
     SolutionHypergraph,
-    obj,
-    robot,
     to_dot,
     validate_hyperpath,
 )
@@ -260,8 +259,7 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
         nodes = {}
         for entry in data["nodes"]:
             composition = frozenset(
-                robot(name) if kind == "robot" else obj(name)
-                for kind, name in entry["entities"])
+                Entity(kind, name) for kind, name in entry["entities"])
             state = frozenset(_decode_fact(f) for f in entry["facts"])
             if entry["id"] in nodes:
                 raise ParseError("plan.nodes", f"repeated node id {entry['id']!r}")

@@ -706,8 +706,9 @@ def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
 
     Validates the hyperpath, matches its sources to the initial
     decomposition and applies the arc actions in id order, checking every
-    precondition against the evolving state. Returns ``(final_state,
-    makespan, action_count)``, the makespan from ``makespan``.
+    precondition against the evolving state and every head node's facts
+    against the state its arc leaves. Returns ``(final_state, makespan,
+    action_count)``, the makespan from ``makespan``.
     """
     if not graph.nodes:
         return (p.initial, 0, 0)
@@ -729,4 +730,27 @@ def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
             state = apply(state, action, p)
         except PreconditionViolated as exc:
             raise ExecutionFault(aid, exc.reason) from exc
+        for nid in graph.arcs[aid].heads:
+            if not _facts_hold(graph.nodes[nid], state):
+                raise ExecutionFault(aid, f"node {nid} facts do not match the state")
     return (state, makespan(graph), len(graph.arcs))
+
+
+def _facts_hold(node, s: WorldState) -> bool:
+    """True iff ``node`` has one fact per object member, each naming members
+    and holding in ``s``: read at the stack index, buffer or hand it names."""
+    objects = {e.name for e in node.composition if not e.is_robot}
+    if len(node.state) != len(objects):
+        return False
+    for fact in node.state:
+        if isinstance(fact, OnStack):
+            stack = s.stacks.get(fact.region, ())
+            holds = fact.height in range(len(stack)) and stack[fact.height] == fact.obj
+        elif isinstance(fact, InBuffer):
+            holds = fact.obj in s.buffers.get(fact.region, ())
+        else:
+            holds = (isinstance(fact, Held) and robot(fact.robot) in node.composition
+                     and fact.obj in s.holdings.get(fact.robot, ()))
+        if not holds or fact.obj not in objects:
+            return False
+    return True

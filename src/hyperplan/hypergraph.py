@@ -256,18 +256,17 @@ def topological_order(graph: SolutionHypergraph) -> list:
 
 
 class HypergraphBuilder:
-    """Incremental constructor that enforces hyperpath discipline.
+    """Incremental constructor that assigns dense node and arc ids.
 
-    ``add_arc`` refuses to consume a node twice or to produce a node twice,
-    so graphs assembled through the builder satisfy the discipline by
-    construction; ``build`` additionally runs the full validator.
+    ``add_arc`` records an arc as given; ``build`` runs the full validator,
+    so a dangling node, a node consumed or produced twice, a conservation
+    failure or an arc out of order is reported once, when the graph is
+    sealed.
     """
 
     def __init__(self) -> None:
         self._nodes: dict = {}
         self._arcs: dict = {}
-        self._produced: set = set()
-        self._consumed: set = set()
 
     def add_node(self, composition: Iterable, state: Iterable = (),
                  via: tuple = ()) -> int:
@@ -279,21 +278,8 @@ class HypergraphBuilder:
         return self._nodes[nid]
 
     def add_arc(self, label: object, tails: Iterable, heads: Iterable) -> int:
-        tails = frozenset(tails)
-        heads = frozenset(heads)
-        for nid in tails | heads:
-            if nid not in self._nodes:
-                raise ValueError(f"unknown node id {nid}")
-        for nid in tails:
-            if nid in self._consumed:
-                raise ValueError(f"node {nid} already consumed")
-        for nid in heads:
-            if nid in self._produced:
-                raise ValueError(f"node {nid} already produced")
         aid = len(self._arcs)
-        self._arcs[aid] = Hyperarc(aid, label, tails, heads)
-        self._consumed |= tails
-        self._produced |= heads
+        self._arcs[aid] = Hyperarc(aid, label, frozenset(tails), frozenset(heads))
         return aid
 
     def build(self) -> SolutionHypergraph:

@@ -21,7 +21,8 @@ problem's goal-independent tables and structure checks, so it costs its own
 search plus the check of its goal and start state. It returns actions only;
 the concatenated actions compile into one solution hypergraph, checked as it
 is compiled and not executed a second time, whose robot entities are exactly
-those the sub-solutions introduced.
+those the sub-solutions introduced. ``reuse_pipeline`` runs the three
+phases and is the one place that decides to plan from scratch instead.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class GroundingAssignment:
 
 @dataclass(frozen=True)
 class RefinementConfig:
+    """Every search's budget, and whether ``reuse_pipeline`` falls back."""
+
     search: SearchConfig = field(default_factory=SearchConfig)
     fallback: str = FAIL_HARD
 
@@ -97,13 +100,15 @@ class RefinementConfig:
 
 @dataclass
 class ReuseStats:
+    """Search counts and seconds of one reuse (of the scratch plan after a
+    fallback); the phase times follow ``reuse_pipeline``'s timing rule."""
+
     subproblems: tuple = ()
     total_expansions: int = 0
     actions: int = 0
     makespan: int = 0
     fallback_reason: str = ""   # "<ExceptionClass>: <message>"; empty if none
     wall_time: float = 0.0
-    # seconds per reuse_pipeline phase; a phase that did not run reads 0
     ground_time: float = 0.0
     reconstruct_time: float = 0.0
     refine_time: float = 0.0
@@ -211,7 +216,7 @@ def reconstruct(ah: AbstractHypergraph, g: GroundingAssignment,
 # --- refinement ---------------------------------------------------------------
 
 def refine(subgoals: tuple, p: Problem,
-           config: RefinementConfig | None = None) -> tuple:
+           config: SearchConfig | None = None) -> tuple:
     """Solve every sub-goal as a sub-problem and stitch the results.
 
     State is threaded through the sub-problems in order; the goal of each
@@ -220,32 +225,12 @@ def refine(subgoals: tuple, p: Problem,
     sub-problem). Each sub-problem is searched for actions only, and the
     whole action list is compiled once at the end. Returns
     ``(SolutionHypergraph, ReuseStats)``; the per-sub-problem stats carry
-    expansions, generated states and action counts, not makespans; its
-    ``wall_time`` and ``refine_time`` are the time this call took. Under
-    the scratch fallback a failed refinement is discarded in favour of
-    planning from scratch.
+    expansions, generated states and action counts, not makespans, and the
+    times read 0: ``reuse_pipeline`` times every phase. Raises
+    SubproblemInfeasible when a sub-problem has no solution within the
+    budget; whether to plan from scratch instead is ``reuse_pipeline``'s
+    decision.
     """
-    cfg = config or RefinementConfig()
-    started = time.perf_counter()
-    try:
-        actions, substats = _refine_actions(subgoals, p, cfg.search)
-    except SubproblemInfeasible as exc:
-        if cfg.fallback != SCRATCH_FALLBACK:
-            raise
-        graph, stats = _scratch(p, cfg, exc)
-    else:
-        graph = build_hypergraph(actions, p)
-        stats = ReuseStats(
-            subproblems=tuple(substats),
-            total_expansions=sum(s.expansions for s in substats),
-            actions=len(graph.arcs),
-            makespan=makespan(graph),
-        )
-    stats.refine_time = stats.wall_time = time.perf_counter() - started
-    return graph, stats
-
-
-def _refine_actions(subgoals: tuple, p: Problem, search_cfg: SearchConfig) -> tuple:
     state = p.initial
     actions: list = []
     substats: list = []
@@ -256,56 +241,60 @@ def _refine_actions(subgoals: tuple, p: Problem, search_cfg: SearchConfig) -> tu
         exact = i == len(steps)
         sub = p.subproblem(state, p.goal if exact else dict(achieved))
         try:
-            sub_actions, sub_stats = search(sub, search_cfg, prefix_goals=not exact)
+            sub_actions, sub_stats = search(sub, config, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc), sub.goal, exc.expansions) from exc
         for action in sub_actions:
             state = apply(state, action, p)
         actions.extend(sub_actions)
         substats.append(sub_stats)
-    return actions, substats
-
-
-def _scratch(p: Problem, cfg: RefinementConfig, reason: Exception) -> tuple:
-    """Plan from scratch because ``reason`` stopped reuse; the caller times it."""
-    graph, stats = plan(p, cfg.search)
-    reuse_stats = ReuseStats(
-        subproblems=(stats,),
-        total_expansions=stats.expansions,
-        actions=stats.solution_actions,
-        makespan=stats.makespan,
-        fallback_reason=f"{type(reason).__name__}: {reason}",
+    graph = build_hypergraph(actions, p)
+    return graph, ReuseStats(
+        subproblems=tuple(substats),
+        total_expansions=sum(s.expansions for s in substats),
+        actions=len(graph.arcs),
+        makespan=makespan(graph),
     )
-    return graph, reuse_stats
 
 
 def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
                    config: RefinementConfig | None = None) -> tuple:
-    """ground_strategy, reconstruct, then refine, honouring the fallback.
+    """ground_strategy, reconstruct, then refine; the one scratch fallback.
 
     ``ah`` is None when no stored strategy matched; that is a grounding
-    failure like any other. ``wall_time`` covers the whole pipeline on every
-    path, grounding and reconstruction included; the phase times split it.
-    After a grounding failure only ``ground_time`` is set, and the scratch
-    plan that follows is in ``wall_time`` alone.
+    failure like any other. A NoGrounding or SubproblemInfeasible from any
+    phase is raised under ``FAIL_HARD``; under ``SCRATCH_FALLBACK`` the
+    problem is planned from scratch instead, and the stats are the scratch
+    run's with ``fallback_reason`` naming the failure. Timing follows one
+    rule on every path: each phase time covers that phase, a failed attempt
+    included; a phase that never ran reads 0; ``wall_time`` covers the
+    whole call, so a scratch plan after a failure is counted in it alone.
     """
     cfg = config or RefinementConfig()
-    started = time.perf_counter()
+    ticks = [time.perf_counter()]  # the start, then the end of each phase run
     try:
         if ah is None:
             raise NoGrounding("no stored strategy matches this problem")
         assignment = ground_strategy(ah, p)
-    except NoGrounding as exc:
+        ticks.append(time.perf_counter())
+        subgoals = reconstruct(ah, assignment, p)
+        ticks.append(time.perf_counter())
+        graph, stats = refine(subgoals, p, cfg.search)
+        ticks.append(time.perf_counter())
+    except (NoGrounding, SubproblemInfeasible) as exc:
+        ticks.append(time.perf_counter())
         if cfg.fallback != SCRATCH_FALLBACK:
             raise
-        grounded = time.perf_counter()
-        graph, stats = _scratch(p, cfg, exc)
-    else:
-        grounded = time.perf_counter()
-        subgoals = reconstruct(ah, assignment, p)
-        reconstructed = time.perf_counter()
-        graph, stats = refine(subgoals, p, cfg)
-        stats.reconstruct_time = reconstructed - grounded
-    stats.ground_time = grounded - started
-    stats.wall_time = time.perf_counter() - started
+        graph, scratch = plan(p, cfg.search)
+        stats = ReuseStats(
+            subproblems=(scratch,),
+            total_expansions=scratch.expansions,
+            actions=scratch.solution_actions,
+            makespan=scratch.makespan,
+            fallback_reason=f"{type(exc).__name__}: {exc}",
+        )
+    phases = [end - begin for begin, end in zip(ticks, ticks[1:])]
+    stats.ground_time, stats.reconstruct_time, stats.refine_time = \
+        phases + [0.0] * (3 - len(phases))
+    stats.wall_time = time.perf_counter() - ticks[0]
     return graph, stats

@@ -377,6 +377,36 @@ def test_extract_rejects_mismatched_or_partial_plans(tmp_path):
                         "--out", str(strategy)]) == 2
 
 
+def test_extract_rejects_a_plan_whose_facts_contradict_its_actions(tmp_path, capsys):
+    data = _fig1_plan_json(tmp_path)
+    # node 7 is C, just placed on the empty "left" stack by arc 2
+    assert data["nodes"][7]["facts"] == [["on", "C", "left", 0]]
+    data["nodes"][7]["facts"] = [["on", "C", "right", 2]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_command(["extract", fig1_path(), str(bad),
+                        "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err.startswith("input error: arc 2: node 7 facts ")
+
+
+def test_dot_rejects_an_unknown_entity_kind(tmp_path, capsys):
+    data = _fig1_plan_json(tmp_path)
+    renamed = 0
+    for node in data["nodes"]:
+        for entity in node["entities"]:
+            if entity == ["robot", "red"]:
+                entity[0] = "gripper"
+                renamed += 1
+    assert renamed > 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_command(["dot", str(bad), "--out", str(tmp_path / "out.dot")]) == 2
+    assert capsys.readouterr().err == \
+        "input error: plan: malformed plan file: unknown entity kind: 'gripper'\n"
+
+
 def test_dot_command_on_plan_and_strategy(tmp_path):
     plan_file = tmp_path / "p.json"
     strategy = tmp_path / "s.json"

@@ -27,8 +27,8 @@ from hyperplan import (
     plan,
     reuse_pipeline,
 )
-from hyperplan.domain import action_robots, action_sort_key
-from hyperplan.hypergraph import SolutionHypergraph
+from hyperplan.domain import Held, InBuffer, OnStack, action_robots, action_sort_key
+from hyperplan.hypergraph import Node, SolutionHypergraph, obj, robot
 
 from conftest import random_instance, random_walk
 
@@ -329,6 +329,41 @@ def test_execute_rejects_infeasible_arc(fig1):
     with pytest.raises(ExecutionFault) as failure:
         execute_hypergraph(SolutionHypergraph(dict(graph.nodes), arcs), p)
     assert str(failure.value).startswith("arc 1: ")
+
+
+PICK = Pick("blue", "C", "right")  # heads: 3 (blue with C), 4 (A, B on "right")
+PLACE = Place("blue", "C", "left")  # heads: 5 (C on "left"), 6 (blue)
+HANDOFF = Handoff("blue", "red", "C")  # heads: 5 (blue), 6 (red with C)
+
+
+@pytest.mark.parametrize("actions,edits", [
+    pytest.param([PICK, PLACE], {5: ({obj("C")}, {OnStack("C", "right", 2)})},
+                 id="wrong-place"),
+    pytest.param([PICK, PLACE], {5: ({obj("C")}, {InBuffer("C", "left")})},
+                 id="not-in-that-buffer"),
+    pytest.param([PICK, PLACE], {5: ({obj("C")}, set())}, id="missing-fact"),
+    pytest.param([PICK, PLACE], {5: ({obj("C")}, {OnStack("A", "right", 0)})},
+                 id="fact-of-a-non-member"),
+    pytest.param([PICK, PLACE], {5: ({obj("C")}, {OnStack("C", "left", 0),
+                                                  OnStack("A", "right", 0)})},
+                 id="extra-fact"),
+    # the entities stay conserved in the two edits below
+    pytest.param([PICK, HANDOFF], {5: ({robot("blue"), obj("C")}, {Held("blue", "C")}),
+                                   6: ({robot("red")}, set())},
+                 id="held-by-the-giver"),
+    pytest.param([PICK], {3: ({obj("C")}, {Held("blue", "C")}),
+                          4: ({obj("A"), obj("B"), robot("blue")},
+                              {OnStack("A", "right", 0), OnStack("B", "right", 1)})},
+                 id="holder-outside-the-node"),
+])
+def test_execute_rejects_head_facts_the_state_contradicts(fig1, actions, edits):
+    p = fig1.problem
+    graph = build_hypergraph(actions, p)
+    nodes = dict(graph.nodes)
+    for nid, (composition, facts) in edits.items():
+        nodes[nid] = Node(nid, frozenset(composition), frozenset(facts))
+    with pytest.raises(ExecutionFault, match=f"^arc {len(actions) - 1}: node "):
+        execute_hypergraph(SolutionHypergraph(nodes, dict(graph.arcs)), p)
 
 
 def layered_makespan(graph) -> int:

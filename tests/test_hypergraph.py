@@ -216,10 +216,16 @@ def test_builder_enforces_hyperpath_discipline():
     n0 = b.add_node({obj("x")})
     n1 = b.add_node({obj("x")})
     b.add_arc("move", {n0}, {n1})
-    with pytest.raises(ValueError, match="consumed"):
-        b.add_arc("again", {n0}, {b.add_node({obj("x")})})
-    with pytest.raises(ValueError, match="produced"):
-        b.add_arc("again", {b.add_node({obj("x")})}, {n1})
+    b.add_arc("again", {n0}, {b.add_node({obj("x")})})
+    with pytest.raises(InvalidHypergraph, match="consumed by arcs"):
+        b.build()
+    b = HypergraphBuilder()
+    n0 = b.add_node({obj("x")})
+    n1 = b.add_node({obj("x")})
+    b.add_arc("move", {n0}, {n1})
+    b.add_arc("again", {b.add_node({obj("x")})}, {n1})
+    with pytest.raises(InvalidHypergraph, match="produced by arcs"):
+        b.build()
 
 
 def test_builder_build_rejects_conservation_failure():

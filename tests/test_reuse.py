@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -315,9 +316,8 @@ def test_subproblem_of_a_malformed_problem_reports_its_errors(fig2):
 
 def test_failure_without_an_abstract_arc_names_only_the_reason(fig2):
     # no "abstract arc" prefix: the reason, then the sub-goal and its count
-    tiny = RefinementConfig(search=SearchConfig(max_expansions=1))
     with pytest.raises(SubproblemInfeasible) as failure:
-        refine((), fig2.problem, tiny)
+        refine((), fig2.problem, SearchConfig(max_expansions=1))
     assert failure.value.arc_id is None
     assert str(failure.value) == \
         "expansion budget of 1 exhausted (sub-goal goal=[z y x]; 1 states expanded)"
@@ -407,6 +407,31 @@ def test_refine_subproblem_failure_fallback(fig1_strategy):
                             fallback=FAIL_HARD)
     with pytest.raises(SubproblemInfeasible):
         reuse_pipeline(ah, reversal_problem(3), tiny)
+
+
+def test_refine_raises_and_leaves_the_fallback_to_the_pipeline(fig1_strategy):
+    ah, p = fig1_strategy
+    subgoals = reconstruct(ah, ground_strategy(ah, p), p)
+    with pytest.raises(SubproblemInfeasible):
+        refine(subgoals, p, SearchConfig(max_expansions=1))
+    # a search budget is all refine takes: it has no fallback setting
+    assert list(inspect.signature(refine).parameters) == ["subgoals", "p", "config"]
+    with pytest.raises(TypeError):
+        refine(subgoals, p, SearchConfig(max_expansions=1), fallback=SCRATCH_FALLBACK)
+
+
+def test_scratch_plan_after_a_failed_refinement_is_in_wall_time_only():
+    # the sub-problem of abstract arc 1 runs out at 34 expansions; scratch
+    # needs 34
+    p = random_instance(288, 4, 2, 4)
+    ah = _own_strategy(p)
+    cfg = RefinementConfig(SearchConfig(max_expansions=34), SCRATCH_FALLBACK)
+    _, stats = reuse_pipeline(ah, p, cfg)
+    assert stats.fallback_reason.startswith("SubproblemInfeasible: ")
+    # the failed refinement is timed as the refine phase
+    assert stats.refine_time > 0
+    phases = stats.ground_time + stats.reconstruct_time + stats.refine_time
+    assert stats.wall_time - phases >= stats.subproblems[0].wall_time
 
 
 def test_prefix_subgoals_refine_seed205_without_fallback():
@@ -599,7 +624,7 @@ def test_roundtrip_property_on_random_instances():
         for _, targets in subgoals:
             for region, order in targets:
                 assert p.goal[region][:len(order)] == order, f"seed {seed}"
-        graph, stats = refine(subgoals, p, RefinementConfig(fallback=FAIL_HARD))
+        graph, stats = refine(subgoals, p, SearchConfig())
         final, _, _ = execute_hypergraph(graph, p)
         assert is_goal(final, p), f"seed {seed}"
         assert stats.actions >= scratch_stats.solution_actions, f"seed {seed}"
