@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import library
@@ -195,17 +195,6 @@ def _encode_fact(fact) -> list:
     return ["held", fact.robot, fact.obj]
 
 
-def _decode_fact(raw: list):
-    tag = raw[0]
-    if tag == "on":
-        return OnStack(raw[1], raw[2], raw[3])
-    if tag == "in":
-        return InBuffer(raw[1], raw[2])
-    if tag == "held":
-        return Held(raw[1], raw[2])
-    raise ParseError("facts", f"unknown fact tag {tag!r}")
-
-
 def _encode_action(action) -> list:
     if isinstance(action, Pick):
         return ["pick", action.robot, action.obj, action.region]
@@ -214,15 +203,26 @@ def _encode_action(action) -> list:
     return ["handoff", action.giver, action.receiver, action.obj]
 
 
-def _decode_action(raw: list):
-    tag = raw[0]
-    if tag == "pick":
-        return Pick(raw[1], raw[2], raw[3])
-    if tag == "place":
-        return Place(raw[1], raw[2], raw[3])
-    if tag == "handoff":
-        return Handoff(raw[1], raw[2], raw[3])
-    raise ParseError("arcs.action", f"unknown action tag {tag!r}")
+# tag -> (class, number of arguments) of a plan file's fact and action entries
+_FACT_TAGS = {tag: (cls, len(fields(cls)))
+              for tag, cls in (("on", OnStack), ("in", InBuffer), ("held", Held))}
+_ACTION_TAGS = {tag: (cls, len(fields(cls)))
+                for tag, cls in (("pick", Pick), ("place", Place), ("handoff", Handoff))}
+
+
+def _decode_tagged(raw: list, tags: dict, where: str, what: str):
+    """``[tag, *args]`` as the tag's class applied to ``args``; ParseError
+    unless the tag is known and ``args`` has one entry per field."""
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(where, f"{what} {raw!r} is not a non-empty list")
+    known = tags.get(raw[0])
+    if known is None:
+        raise ParseError(where, f"unknown {what} tag {raw[0]!r}")
+    cls, arity = known
+    if len(raw) != 1 + arity:
+        raise ParseError(where, f"{what} {raw[0]!r} takes {arity} arguments, "
+                                f"got {len(raw) - 1}")
+    return cls(*raw[1:])
 
 
 def plan_to_json(graph: SolutionHypergraph, scenario_name: str) -> dict:
@@ -260,7 +260,8 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
         for entry in data["nodes"]:
             composition = frozenset(
                 Entity(kind, name) for kind, name in entry["entities"])
-            state = frozenset(_decode_fact(f) for f in entry["facts"])
+            state = frozenset(_decode_tagged(f, _FACT_TAGS, "facts", "fact")
+                              for f in entry["facts"])
             if entry["id"] in nodes:
                 raise ParseError("plan.nodes", f"repeated node id {entry['id']!r}")
             nodes[entry["id"]] = Node(entry["id"], composition, state)
@@ -269,7 +270,8 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
             if entry["id"] in arcs:
                 raise ParseError("plan.arcs", f"repeated arc id {entry['id']!r}")
             arcs[entry["id"]] = Hyperarc(
-                entry["id"], _decode_action(entry["action"]),
+                entry["id"], _decode_tagged(entry["action"], _ACTION_TAGS,
+                                            "arcs.action", "action"),
                 frozenset(entry["tails"]), frozenset(entry["heads"]))
     except ParseError:
         raise

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
@@ -163,18 +163,6 @@ class WorldState:
                 out[o] = Held(r, o)
         return out
 
-    def placement_of(self, o: str) -> Fact | None:
-        for r, stack in self.stacks.items():
-            if o in stack:
-                return OnStack(o, r, stack.index(o))
-        for r, objs in self.buffers.items():
-            if o in objs:
-                return InBuffer(o, r)
-        for r, held in self.holdings.items():
-            if o in held:
-                return Held(r, o)
-        return None
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, WorldState)
                 and self.stacks == other.stacks
@@ -300,7 +288,7 @@ class Memo(dict):
 
 # Cached Problem tables that depend on neither the goal nor the start state.
 GOAL_INDEPENDENT = ("region_map", "robot_map", "reachable", "reach_pairs",
-                    "robot_table", "action_cache", "robot_classes")
+                    "robot_table", "robot_classes")
 
 
 @dataclass(frozen=True)
@@ -310,11 +298,11 @@ class Problem:
     The lookup tables derived from these fields (``region_map``,
     ``robot_map``, ``goal_objects``, the heuristic's ``goal_region``,
     ``unreachable_goals``, ``reachable`` and ``reach_pairs``, the
-    successor generators' ``robot_table`` and ``action_cache``, and the
-    search's ``robot_classes``) and the
-    goal-independent validation errors (``structure_errors``) are computed
-    on first use and then cached on the instance. So treat a ``Problem`` as
-    immutable, its ``goal`` dict and the tables included.
+    successor generators' ``robot_table``, the search's ``robot_classes``
+    and compilation's ``entities``) and the goal-independent validation
+    errors (``structure_errors``) are computed on first use and then cached
+    on the instance. So treat a ``Problem`` as immutable, its ``goal`` dict
+    and the tables included.
     ``dataclasses.replace`` derives a changed problem that starts with
     empty caches. ``subproblem`` derives one with only a new start state
     and goal, which shares the goal-independent tables and errors with
@@ -341,6 +329,13 @@ class Problem:
     @cached_property
     def robot_map(self) -> dict:
         return {r.id: r for r in self.robots}
+
+    @cached_property
+    def entities(self) -> dict:
+        """Name -> the one ``Entity`` compiled graphs use for that object or robot."""
+        table = {o: obj(o) for o in self.objects}
+        table.update((spec.id, robot(spec.id)) for spec in self.robots)
+        return table
 
     @cached_property
     def goal_objects(self) -> frozenset:
@@ -372,31 +367,27 @@ class Problem:
         """One row per robot, in id order, for ``applicable_actions`` and the
         search's slot states (one entry per region in declaration order, then
         one per robot in id order). A row is ``(id, slot, capacity, regions,
-        partners)``: the robot's slot, its reachable ``(slot, region id,
-        buffer capacity)`` triples in region-id order (None for a stack), and
-        the ``(slot, id, capacity)`` of every other robot it shares a region
-        with, in id order.
+        partners)``: the robot's slot; one ``(slot, region id, buffer
+        capacity, picks, places)`` entry per region it reaches, in region-id
+        order (capacity None for a stack); and one ``(slot, id, capacity,
+        handoffs)`` entry per other robot it shares a region with, in id
+        order. ``picks``, ``places`` and ``handoffs`` map an object to that
+        robot's action on it there (to that partner), one instance each,
+        built on first lookup.
         """
         robots = sorted(self.robots, key=lambda spec: spec.id)
         region_slot = {r.id: i for i, r in enumerate(self.regions)}
         robot_slot = {spec.id: i for i, spec in enumerate(robots, len(self.regions))}
         return tuple(
             (spec.id, robot_slot[spec.id], spec.capacity,
-             tuple((region_slot[r], r, self.region_map[r].capacity)
+             tuple((region_slot[r], r, self.region_map[r].capacity,
+                    Memo(partial(Pick, spec.id, region=r)),
+                    Memo(partial(Place, spec.id, region=r)))
                    for r in sorted(spec.reach)),
-             tuple((robot_slot[other.id], other.id, other.capacity) for other in robots
-                   if other.id != spec.id and spec.reach & other.reach))
+             tuple((robot_slot[other.id], other.id, other.capacity,
+                    Memo(partial(Handoff, spec.id, other.id)))
+                   for other in robots if other.id != spec.id and spec.reach & other.reach))
             for spec in robots)
-
-    @cached_property
-    def action_cache(self) -> tuple:
-        """``(picks, places, handoffs)``: one action instance per argument tuple.
-
-        Indexed by the constructor's arguments, e.g. ``picks[robot, obj,
-        region]``; a missing entry is built on first access.
-        """
-        return tuple(Memo(lambda key, cls=cls: cls(*key))
-                     for cls in (Pick, Place, Handoff))
 
     @cached_property
     def robot_classes(self) -> tuple:
@@ -546,11 +537,10 @@ def applicable_actions(s: WorldState, p: Problem) -> tuple:
 
     Generated in that order from ``p.robot_table``, robots in id order: every
     robot's picks, then every robot's places, then the handoffs. The action
-    instances come from ``p.action_cache``, so no action is built twice.
-    ``search`` generates the same actions in the same order over slot states.
+    instances come from the table, so no action is built twice. ``search``
+    generates the same actions in the same order over slot states.
     """
     stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
-    pick, place, handoff = p.action_cache
     picks: list = []
     places: list = []
     handoffs: list = []
@@ -558,23 +548,24 @@ def applicable_actions(s: WorldState, p: Problem) -> tuple:
         held = holdings.get(rid, ())
         if len(held) < capacity:
             tops = []
-            for _, r, cap in regions:
+            for _, r, cap, pick, _ in regions:
                 if cap is None:
                     if r in stacks:
-                        tops.append((stacks[r][-1], r))
+                        tops.append((stacks[r][-1], r, pick))
                 else:
-                    tops.extend((o, r) for o in buffers.get(r, ()))
-            tops.sort()
-            picks.extend(pick[rid, o, r] for o, r in tops)
+                    tops.extend((o, r, pick) for o in buffers.get(r, ()))
+            tops.sort()   # no two tops share an object
+            picks.extend(pick[o] for o, _, pick in tops)
         if not held:
             continue
         held = sorted(held)
         for o in held:
-            for _, r, cap in regions:
+            for _, r, cap, _, place in regions:
                 if cap is None or len(buffers.get(r, ())) < cap:
-                    places.append(place[rid, o, r])
-        receivers = [q for _, q, cap in partners if len(holdings.get(q, ())) < cap]
-        handoffs.extend(handoff[rid, q, o] for o in held for q in receivers)
+                    places.append(place[o])
+        receivers = [handoff for _, q, cap, handoff in partners
+                     if len(holdings.get(q, ())) < cap]
+        handoffs.extend(handoff[o] for o in held for handoff in receivers)
     return tuple(picks + places + handoffs)
 
 
@@ -659,21 +650,22 @@ def initial_decomposition(p: Problem) -> list:
     """
     out = []
     s = p.initial
+    entity = p.entities
     for region in p.regions:
         if region.kind == STACK:
             stack = s.stacks.get(region.id, ())
             if stack:
-                comp = frozenset(obj(o) for o in stack)
+                comp = frozenset(entity[o] for o in stack)
                 facts = frozenset(
                     OnStack(o, region.id, h) for h, o in enumerate(stack))
                 out.append((comp, facts))
         else:
             for o in sorted(s.buffers.get(region.id, frozenset())):
-                out.append((frozenset([obj(o)]),
+                out.append((frozenset([entity[o]]),
                             frozenset([InBuffer(o, region.id)])))
     for spec in p.robots:
         held = s.holdings.get(spec.id, ())
-        comp = frozenset([robot(spec.id)]) | frozenset(obj(o) for o in held)
+        comp = frozenset(entity[e] for e in (spec.id,) + held)
         facts = frozenset(Held(spec.id, o) for o in held)
         out.append((comp, facts))
     return out

@@ -1,16 +1,19 @@
 """From-scratch solving: best-first search plus hypergraph compilation.
 
-``search`` runs A* with unit action cost and an admissible heuristic that
+``search`` runs A* with unit action cost and a consistent heuristic that
 counts the objects that must move, so the returned action count is
 minimal; among frontier entries of equal f the lower h pops first, then
 the earlier push. It runs over flat slot tuples (``SlotSpace``), so
-hashing and comparing states are tuple operations, and takes each
-successor's h from its parent's. States that differ only in which
-interchangeable robot holds what are one node. It returns actions and
-compiles nothing. ``plan`` is ``search`` plus one compilation into a
+hashing and comparing states are tuple operations: ``SlotSpace.successors``
+hands over each successor with its h, derived from its parent's, and its
+key, and one table maps each key to its g and how it was reached. States
+that differ only in which interchangeable robot holds what are one node.
+It returns actions and compiles nothing. ``Compiler`` turns actions into a
 solution hypergraph whose arcs recover the plan's parallel structure,
-checked as it is compiled (every action applied with its precondition
-check, the graph validated once); its makespan is read off the graph.
+checked as it is compiled (every action applied once with its
+precondition check, the graph validated once); refinement compiles each
+sub-problem's actions as they come. ``plan`` is ``search`` plus one
+compilation, and its makespan is read off the graph.
 ``bfs_oracle`` is an independent exhaustive breadth-first search over
 ``WorldState`` with ``applicable_actions`` and ``apply``, no symmetry
 reduction and no heuristic, so tests can cross-check optimality.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -28,8 +30,10 @@ from functools import partial
 
 from .domain import (
     STACK,
-    Action,
+    Held,
+    InBuffer,
     Memo,
+    OnStack,
     Pick,
     Place,
     Problem,
@@ -43,12 +47,7 @@ from .domain import (
 # execute_hypergraph is unused here but stays a module attribute:
 # bench/spans.py wraps hyperplan.planner.execute_hypergraph by name.
 from .domain import execute_hypergraph  # noqa: F401
-from .hypergraph import (
-    HypergraphBuilder,
-    SolutionHypergraph,
-    obj,
-    robot,
-)
+from .hypergraph import HypergraphBuilder, SolutionHypergraph
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,9 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
 
     Each action moves exactly one object, and each term counts actions on a
     different object, so the sum stays admissible with handoffs and robot
-    capacity above 1. It is 0 exactly on the states ``is_goal`` accepts in
+    capacity above 1. It is also consistent: an action lowers the moved
+    object's term by at most 1 and no other term, so h drops by at most 1
+    per action, and A* never has to reopen a state. It is 0 exactly on the states ``is_goal`` accepts in
     the same reading (nothing must move), which is how ``search`` tests the
     goal.
 
@@ -191,7 +192,7 @@ def held_term(holder: str, o: str, p: Problem) -> int:
 
 class SlotSpace:
     """A problem's states as slot tuples, laid out by ``Problem.robot_table``,
-    with the heuristic's terms for one goal reading.
+    with the heuristic's terms for one goal reading and the search key.
 
     ``terms[slot]`` memoises the heuristic's terms for a slot: by object,
     its ``placed_term`` in a buffer slot and its ``held_term`` in a robot
@@ -201,7 +202,6 @@ class SlotSpace:
     def __init__(self, p: Problem, prefix: bool) -> None:
         self.p = p
         self.rows = p.robot_table
-        self.actions = p.action_cache
         robot_slot = {row[0]: row[1] for row in self.rows}
         self.classes = tuple(tuple(map(robot_slot.get, robots))
                              for robots in p.robot_classes)
@@ -222,6 +222,14 @@ class SlotSpace:
         test and the successors up to that exchange agree on one key."""
         swapped = None
         for slots in self.classes:
+            if len(slots) == 2:   # a pair, the common case: no sort
+                i, j = slots
+                if state[i] <= state[j]:
+                    continue
+                if swapped is None:
+                    swapped = list(state)
+                swapped[i], swapped[j] = state[j], state[i]
+                continue
             loads = [state[i] for i in slots]
             ordered = sorted(loads)
             if loads != ordered:
@@ -231,85 +239,89 @@ class SlotSpace:
                     swapped[i] = load
         return state if swapped is None else tuple(swapped)
 
-    def successors(self, state: tuple) -> list:
-        """``(action, successor, dh, slot)`` per action applicable in
-        ``state``, in the order ``applicable_actions`` returns them.
+    def successors(self, state: tuple, h: int) -> list:
+        """``(action, successor, key, h)`` per action applicable in ``state``,
+        in the order ``applicable_actions`` returns them.
 
-        ``slot`` is the stack slot the action changes, or None; ``dh`` is
-        the change in the heuristic's other terms (see ``successor_h``).
+        ``h`` is the heuristic of ``state``; each successor's is ``h`` plus
+        the change in the terms of the slots the action replaced. ``key`` is
+        the successor's ``key``, the successor itself when no two robots
+        are alike.
         """
-        pick, place, handoff = self.actions
         terms = self.terms
         out = []
         append = out.append
-        for rid, slot, capacity, regions, _ in self.rows:
+        for _, slot, capacity, regions, _ in self.rows:
             load = state[slot]
             if len(load) >= capacity:
                 continue
             tops = []
-            for rslot, r, cap in regions:
+            for rslot, _, cap, pick, _ in regions:
                 here = state[rslot]
                 if cap is None:
                     if here:
-                        tops.append((here[-1], rslot, r, True))
+                        tops.append((here[-1], rslot, True, pick))
                 else:
-                    tops.extend([(o, rslot, r, False) for o in here])
-            tops.sort()
+                    tops.extend([(o, rslot, False, pick) for o in here])
+            tops.sort()   # no two tops share an object
             held = terms[slot]
-            for o, rslot, r, on_stack in tops:
+            for o, rslot, on_stack, pick in tops:
                 successor = list(state)
                 successor[slot] = load + (o,)
+                here = state[rslot]
+                costs = terms[rslot]
                 if on_stack:
-                    successor[rslot] = state[rslot][:-1]
-                    append((pick[rid, o, r], tuple(successor), held[o], rslot))
+                    rest = successor[rslot] = here[:-1]
+                    h2 = h + held[o] + costs[rest] - costs[here]
                 else:
-                    successor[rslot] = state[rslot] - {o}
-                    append((pick[rid, o, r], tuple(successor),
-                            held[o] - terms[rslot][o], None))
-        for rid, slot, _, regions, _ in self.rows:
+                    successor[rslot] = here - {o}
+                    h2 = h + held[o] - costs[o]
+                successor = tuple(successor)
+                append((pick[o], successor, successor, h2))
+        for _, slot, _, regions, _ in self.rows:
             load = state[slot]
             held = terms[slot]
             for o in sorted(load):
                 i = load.index(o)
                 rest = load[:i] + load[i + 1:]
-                for rslot, r, cap in regions:
+                h1 = h - held[o]
+                for rslot, _, cap, _, place in regions:
                     here = state[rslot]
                     if cap is not None and len(here) >= cap:
                         continue
                     successor = list(state)
                     successor[slot] = rest
+                    costs = terms[rslot]
                     if cap is None:
-                        successor[rslot] = here + (o,)
-                        append((place[rid, o, r], tuple(successor), -held[o], rslot))
+                        landed = successor[rslot] = here + (o,)
+                        h2 = h1 + costs[landed] - costs[here]
                     else:
                         successor[rslot] = here | {o}
-                        append((place[rid, o, r], tuple(successor),
-                                terms[rslot][o] - held[o], None))
-        for rid, slot, _, _, partners in self.rows:
+                        h2 = h1 + costs[o]
+                    successor = tuple(successor)
+                    append((place[o], successor, successor, h2))
+        for _, slot, _, _, partners in self.rows:
             load = state[slot]
             if not load:
                 continue
-            receivers = [(qslot, q) for qslot, q, cap in partners if len(state[qslot]) < cap]
+            receivers = [(qslot, handoff) for qslot, _, cap, handoff in partners
+                         if len(state[qslot]) < cap]
             held = terms[slot]
             for o in sorted(load):
                 i = load.index(o)
                 rest = load[:i] + load[i + 1:]
-                for qslot, q in receivers:
+                for qslot, handoff in receivers:
                     successor = list(state)
                     successor[slot] = rest
                     successor[qslot] = state[qslot] + (o,)
-                    append((handoff[rid, q, o], tuple(successor),
-                            terms[qslot][o] - held[o], None))
+                    successor = tuple(successor)
+                    append((handoff[o], successor, successor,
+                            h + terms[qslot][o] - held[o]))
+        if self.classes:
+            key = self.key
+            return [(action, successor, key(successor), h2)
+                    for action, successor, _, h2 in out]
         return out
-
-    def successor_h(self, h: int, state: tuple, successor: tuple, dh: int,
-                    slot: int | None) -> int:
-        """The heuristic of ``successor``, as ``successors`` returned it with
-        ``dh`` and ``slot``, from ``h``, that of ``state``."""
-        if slot is None:
-            return h + dh
-        costs = self.terms[slot]
-        return h + dh + costs[successor[slot]] - costs[state[slot]]
 
 
 def search(p: Problem, config: SearchConfig | None = None,
@@ -353,69 +365,55 @@ def search(p: Problem, config: SearchConfig | None = None,
 
 def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     """``search`` on a checked problem; the caller times it."""
-    stats = SearchStats()
     h0 = heuristic(p.initial, p, prefix)
     if h0 is None:
         raise NoSolution("an object that must move or a goal region is unreachable")
     if not h0:   # the start is a goal; see heuristic
-        return [], stats
+        return [], SearchStats()
     space = SlotSpace(p, prefix)
+    successors = space.successors
     init = space.slots(p.initial)
-    keyed = bool(space.classes)
-    key_of = space.key
-    successors, successor_h = space.successors, space.successor_h
-    init_key = key_of(init) if keyed else init
-    counter = itertools.count()
+    init_key = space.key(init)
     # (f, h, insertion, state, key): the heap keeps the actual state
-    frontier = [(h0, h0, next(counter), init, init_key)]
-    # keyed by SlotSpace.key; parent[key] is (actual predecessor, action).
-    # When a key is first popped, the popped state is the predecessor with
-    # the action applied: states of one key share h, so a later, strictly
-    # better path to the key, which alone replaces parent[key], has the
-    # lower f and pops first.
-    best_g = {init_key: 0}
-    parent: dict = {init_key: None}
-    closed: set = set()
-
+    frontier = [(h0, h0, 0, init, init_key)]
+    # SlotSpace.key -> (g, predecessor's key, action). When a key is first
+    # popped, the popped state is the predecessor's popped state with the
+    # action applied: states of one key share h, so a later, strictly better
+    # path to the key, which alone replaces its entry, has the lower f and
+    # pops first. The heuristic is consistent (h drops by at most 1 per
+    # action), so that pop has the key's least g: an entry popped with a
+    # larger g is stale, and no successor of an expanded key improves on it.
+    nodes = {init_key: (0, None, None)}
+    known = nodes.setdefault
+    pop, push = heapq.heappop, heapq.heappush
+    expansions = generated = 0
     while frontier:
-        _, h, _, state, key = heapq.heappop(frontier)
-        if key in closed:
+        f, h, _, state, key = pop(frontier)
+        g = nodes[key][0]
+        if f - h != g:
             continue
         if not h:   # exactly the goals; see heuristic
             actions = []
-            step = parent[key]
-            while step is not None:
-                prev, act = step
-                actions.append(act)
-                step = parent[key_of(prev) if keyed else prev]
+            node = nodes[key]
+            while node[1] is not None:
+                actions.append(node[2])
+                node = nodes[node[1]]
             actions.reverse()
-            stats.solution_actions = len(actions)
-            return actions, stats
-        closed.add(key)
-        stats.expansions += 1
-        if stats.expansions > max_expansions:
+            return actions, SearchStats(expansions, generated, len(actions))
+        expansions += 1
+        if expansions > max_expansions:
             raise BudgetExhausted(max_expansions)
-        g2 = best_g[key] + 1
-        # the action that undoes the arriving one leads back to the closed
-        # predecessor: skip it before computing its key
-        arrival = parent[key]
-        prev = None if arrival is None else arrival[0]
-        for action, successor, dh, slot in successors(state):
-            if successor == prev:
-                continue
-            succ_key = key_of(successor) if keyed else successor
-            if succ_key in closed:
-                continue
-            known = best_g.get(succ_key)
-            if known is not None and known <= g2:
-                continue
-            h2 = successor_h(h, state, successor, dh, slot)
-            best_g[succ_key] = g2
-            parent[succ_key] = (state, action)
-            heapq.heappush(frontier, (g2 + h2, h2, next(counter), successor, succ_key))
-            stats.generated += 1
-    raise NoSolution("state space exhausted without reaching the goal",
-                     stats.expansions)
+        g += 1
+        for action, successor, succ_key, h2 in successors(state, h):
+            node = (g, key, action)
+            best = known(succ_key, node)
+            if best is not node:
+                if best[0] <= g:
+                    continue
+                nodes[succ_key] = node
+            generated += 1
+            push(frontier, (g + h2, h2, generated, successor, succ_key))
+    raise NoSolution("state space exhausted without reaching the goal", expansions)
 
 
 def plan(p: Problem, config: SearchConfig | None = None) -> tuple:
@@ -434,67 +432,90 @@ def plan(p: Problem, config: SearchConfig | None = None) -> tuple:
 
 
 def build_hypergraph(actions: list, p: Problem) -> SolutionHypergraph:
-    """Compile an executable action sequence into a solution hypergraph.
+    """Compile an executable action sequence into a solution hypergraph:
+    ``Compiler`` over the whole sequence."""
+    compiler = Compiler(p)
+    compiler.extend(actions)
+    return compiler.build()
+
+
+class Compiler:
+    """A solution hypergraph compiled one action sequence at a time.
 
     Sources are the initial maximal compositions (one node per occupied
-    stack, per buffer object, per robot with its load). Each action then
-    consumes the frontier nodes of its entities and produces recomposed
-    heads: Pick merges robot and object and splits off the stack remainder,
-    Place splits robot and object and merges the object into the landing
-    stack, Handoff moves the object between the two robot compositions.
+    stack, per buffer object, per robot with its load). Each action is
+    applied to ``state`` with its precondition check, then consumes the
+    frontier nodes of its entities and produces recomposed heads: Pick
+    merges robot and object and splits off the stack remainder, Place
+    splits robot and object and merges the object into the landing stack,
+    Handoff moves the object between the two robot compositions. A head is
+    the node it recomposes with the moved object added or taken away, in
+    its composition and in its facts, which are one ``OnStack``, ``Held``
+    or ``InBuffer`` fact apart. Members are the problem's ``entities``.
+    ``build`` validates the graph once.
     """
-    builder = HypergraphBuilder()
-    frontier: dict = {}
-    for comp, facts in initial_decomposition(p):
-        nid = builder.add_node(comp, facts)
-        for entity in comp:
-            frontier[entity] = nid
 
-    def emit(state: WorldState, comp, action: Action) -> int:
-        """Head node for ``comp`` with its facts read off the new state."""
-        comp = frozenset(comp)
-        facts = frozenset(state.placement_of(e.name) for e in comp
-                          if not e.is_robot)
-        nid = builder.add_node(comp, facts, via=(action,))
+    def __init__(self, p: Problem) -> None:
+        self.p = p
+        self.state = p.initial
+        self.builder = HypergraphBuilder()
+        self.frontier: dict = {}   # entity name -> node id
+        for comp, facts in initial_decomposition(p):
+            self._emit(comp, facts, ())
+
+    def _emit(self, comp: frozenset, facts: frozenset, via: tuple) -> int:
+        nid = self.builder.add_node(comp, facts, via)
         for entity in comp:
-            frontier[entity] = nid
+            self.frontier[entity.name] = nid
         return nid
 
-    state = p.initial
-    for action in actions:
-        nxt = apply(state, action, p)
-        if isinstance(action, Pick):
-            robot_node = frontier[robot(action.robot)]
-            obj_node = frontier[obj(action.obj)]
-            tails = {robot_node, obj_node}
-            carried = builder.node(robot_node).composition | {obj(action.obj)}
-            remainder = builder.node(obj_node).composition - {obj(action.obj)}
-            heads = {emit(nxt, carried, action)}
-            if remainder:
-                heads.add(emit(nxt, remainder, action))
-        elif isinstance(action, Place):
-            robot_node = frontier[robot(action.robot)]
-            tails = {robot_node}
-            landing: frozenset = frozenset()
-            if p.region_map[action.region].kind == STACK:
-                below = state.stacks.get(action.region, ())
-                if below:
-                    group = frontier[obj(below[-1])]
-                    tails.add(group)
-                    landing = builder.node(group).composition
-            heads = {emit(nxt, landing | {obj(action.obj)}, action)}
-            rest = builder.node(robot_node).composition - {obj(action.obj)}
-            heads.add(emit(nxt, rest, action))
-        else:
-            giver_node = frontier[robot(action.giver)]
-            receiver_node = frontier[robot(action.receiver)]
-            tails = {giver_node, receiver_node}
-            give_rest = builder.node(giver_node).composition - {obj(action.obj)}
-            take = builder.node(receiver_node).composition | {obj(action.obj)}
-            heads = {emit(nxt, give_rest, action), emit(nxt, take, action)}
-        builder.add_arc(action, tails, heads)
-        state = nxt
-    return builder.build()
+    def extend(self, actions: list) -> None:
+        """Apply and compile ``actions`` from ``state``, which they advance."""
+        p, emit, frontier, node = self.p, self._emit, self.frontier, self.builder.node
+        state = self.state
+        for action in actions:
+            nxt = apply(state, action, p)
+            o = action.obj
+            moved = frozenset((p.entities[o],))
+            via = (action,)
+            if isinstance(action, Pick):
+                hand, source = node(frontier[action.robot]), node(frontier[o])
+                tails = (hand.id, source.id)
+                heads = [emit(hand.composition | moved,
+                              hand.state | {Held(action.robot, o)}, via)]
+                rest = source.composition - moved
+                if rest:   # o left the top of a stack, at height len(rest)
+                    heads.append(emit(rest, source.state - {OnStack(o, action.region, len(rest))},
+                                      via))
+            elif isinstance(action, Place):
+                hand = node(frontier[action.robot])
+                tails = (hand.id,)
+                if p.region_map[action.region].kind == STACK:
+                    below = state.stacks.get(action.region, ())
+                    fact = OnStack(o, action.region, len(below))
+                    if below:
+                        group = node(frontier[below[-1]])
+                        tails += (group.id,)
+                        landing = emit(group.composition | moved, group.state | {fact}, via)
+                    else:
+                        landing = emit(moved, frozenset((fact,)), via)
+                else:
+                    landing = emit(moved, frozenset((InBuffer(o, action.region),)), via)
+                heads = [landing, emit(hand.composition - moved,
+                                       hand.state - {Held(action.robot, o)}, via)]
+            else:
+                giver, receiver = node(frontier[action.giver]), node(frontier[action.receiver])
+                tails = (giver.id, receiver.id)
+                heads = [emit(giver.composition - moved,
+                              giver.state - {Held(action.giver, o)}, via),
+                         emit(receiver.composition | moved,
+                              receiver.state | {Held(action.receiver, o)}, via)]
+            self.builder.add_arc(action, tails, heads)
+            state = nxt
+        self.state = state
+
+    def build(self) -> SolutionHypergraph:
+        return self.builder.build()
 
 
 def bfs_oracle(p: Problem, bound: int = 64) -> int | None:

@@ -18,11 +18,13 @@ it allowed). The last sub-problem is exact: it reaches the full goal with
 nothing above a goal stack, so a refinement that succeeds reaches the goal.
 Each sub-problem is derived with ``Problem.subproblem``: it shares the
 problem's goal-independent tables and structure checks, so it costs its own
-search plus the check of its goal and start state. It returns actions only;
-the concatenated actions compile into one solution hypergraph, checked as it
-is compiled and not executed a second time, whose robot entities are exactly
-those the sub-solutions introduced. ``reuse_pipeline`` runs the three
-phases and is the one place that decides to plan from scratch instead.
+search plus the check of its goal and start state. Its search returns
+actions only, and one ``Compiler`` takes them as they come: it applies each
+action once, with its precondition check, and its state is where the next
+sub-problem starts. The result is one solution hypergraph, validated once
+and not executed a second time, whose robot entities are exactly those the
+sub-solutions introduced. ``reuse_pipeline`` runs the three phases and is
+the one place that decides to plan from scratch instead.
 """
 
 from __future__ import annotations
@@ -33,16 +35,18 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph, AbstractObject
-from .domain import Problem, apply, makespan
-# execute_hypergraph, is_goal and topological_order are unused here but stay
-# module attributes: bench/spans.py wraps them in hyperplan.reuse by name.
-from .domain import execute_hypergraph, is_goal  # noqa: F401
+from .domain import Problem, makespan
+# apply, build_hypergraph, execute_hypergraph, is_goal and topological_order
+# are unused here but stay module attributes: bench/spans.py wraps them in
+# hyperplan.reuse by name.
+from .domain import apply, execute_hypergraph, is_goal  # noqa: F401
 from .hypergraph import topological_order  # noqa: F401
+from .planner import build_hypergraph  # noqa: F401
 from .planner import (
     BudgetExhausted,
+    Compiler,
     NoSolution,
     SearchConfig,
-    build_hypergraph,
     plan,
     search,
 )
@@ -222,8 +226,9 @@ def refine(subgoals: tuple, p: Problem,
     State is threaded through the sub-problems in order; the goal of each
     is every placement achieved so far, read positionally, except the last,
     which is the full goal read exactly (with no sub-goals, that is the only
-    sub-problem). Each sub-problem is searched for actions only, and the
-    whole action list is compiled once at the end. Returns
+    sub-problem). Each sub-problem is searched for actions only, which one
+    ``Compiler`` applies and compiles, so its state starts the next
+    sub-problem; the graph is sealed once at the end. Returns
     ``(SolutionHypergraph, ReuseStats)``; the per-sub-problem stats carry
     expansions, generated states and action counts, not makespans, and the
     times read 0: ``reuse_pipeline`` times every phase. Raises
@@ -231,24 +236,21 @@ def refine(subgoals: tuple, p: Problem,
     budget; whether to plan from scratch instead is ``reuse_pipeline``'s
     decision.
     """
-    state = p.initial
-    actions: list = []
+    compiler = Compiler(p)
     substats: list = []
     achieved: dict = {}
     steps = subgoals or ((None, ()),)
     for i, (aid, targets) in enumerate(steps, 1):
         achieved.update(targets)
         exact = i == len(steps)
-        sub = p.subproblem(state, p.goal if exact else dict(achieved))
+        sub = p.subproblem(compiler.state, p.goal if exact else dict(achieved))
         try:
             sub_actions, sub_stats = search(sub, config, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc), sub.goal, exc.expansions) from exc
-        for action in sub_actions:
-            state = apply(state, action, p)
-        actions.extend(sub_actions)
+        compiler.extend(sub_actions)
         substats.append(sub_stats)
-    graph = build_hypergraph(actions, p)
+    graph = compiler.build()
     return graph, ReuseStats(
         subproblems=tuple(substats),
         total_expansions=sum(s.expansions for s in substats),

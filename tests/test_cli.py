@@ -311,6 +311,15 @@ def _malformed(tmp_path, shape: str):
             data["nodes"].append(data["nodes"][-1])
         elif shape == "plan-repeated-arc":
             data["arcs"].append(data["arcs"][-1])
+        elif shape.endswith("-fact"):
+            facts = next(n["facts"] for n in data["nodes"] if n["facts"])
+            # ["on", "C", "right", 0] cut to ["on", "C"], or one entry too long
+            facts[0] = facts[0][:2] if shape == "plan-short-fact" else facts[0] + [0]
+        elif shape.endswith("-action"):
+            action = data["arcs"][0]["action"]
+            # ["pick", "blue", "C", "right"] cut to ["pick", "blue"], or too long
+            data["arcs"][0]["action"] = (action[:2] if shape == "plan-short-action"
+                                         else action + ["left"])
         else:  # plan-arcs-out-of-order: ids renumbered last to first
             last = len(data["arcs"]) - 1
             for entry in data["arcs"]:
@@ -338,7 +347,8 @@ def _malformed(tmp_path, shape: str):
 ] + [
     (command, shape)
     for command in ("extract", "dot")
-    for shape in ("plan-repeated-node", "plan-repeated-arc")
+    for shape in ("plan-repeated-node", "plan-repeated-arc", "plan-short-fact",
+                  "plan-long-fact", "plan-short-action", "plan-long-action")
 ] + [("extract", "plan-arcs-out-of-order"), ("dot", "plan-arcs-out-of-order")])
 def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     data = _malformed(tmp_path, shape)

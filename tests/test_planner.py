@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -19,15 +21,18 @@ from hyperplan import (
     bfs_oracle,
     build_hypergraph,
     execute_hypergraph,
+    extract_strategy,
     is_goal,
     plan,
+    reuse_pipeline,
     search,
     topological_order,
     validate_hyperpath,
 )
 from hyperplan import planner
-from hyperplan.domain import Held, OnStack, applicable_actions, apply
-from hyperplan.planner import SlotSpace, heuristic
+from hyperplan.cli import plan_to_json
+from hyperplan.domain import Held, InBuffer, OnStack, applicable_actions, apply
+from hyperplan.planner import Compiler, SlotSpace, heuristic
 
 from conftest import load_scenario, random_instance, random_walk
 
@@ -161,27 +166,6 @@ def test_build_rejects_inapplicable_sequence(fig1):
         build_hypergraph([Pick("blue", "A", "right")], fig1.problem)
 
 
-def test_build_output_reexecutes_to_sequential_state(fig1):
-    p = fig1.problem
-    rng = random.Random(7)
-    state = p.initial
-    actions = []
-    for _ in range(6):
-        from hyperplan import applicable_actions
-
-        options = applicable_actions(state, p)
-        if not options:
-            break
-        action = rng.choice(options)
-        state = apply(state, action, p)
-        actions.append(action)
-    graph = build_hypergraph(actions, p)
-    assert validate_hyperpath(graph).ok
-    final, _, count = execute_hypergraph(graph, p)
-    assert final == state
-    assert count == len(actions)
-
-
 # --- oracle equivalence and heuristic admissibility ---------------------------------
 
 def test_oracle_on_known_instances(fig1):
@@ -260,6 +244,21 @@ def test_heuristic_admissible_on_sampled_states():
     assert checked >= 1300
 
 
+def placement_of(s: WorldState, o: str):
+    """The fact that places ``o`` in ``s``, found by scanning every stack,
+    buffer and hand; None if ``o`` is nowhere."""
+    for r, stack in s.stacks.items():
+        if o in stack:
+            return OnStack(o, r, stack.index(o))
+    for r, objs in s.buffers.items():
+        if o in objs:
+            return InBuffer(o, r)
+    for r, held in s.holdings.items():
+        if o in held:
+            return Held(r, o)
+    return None
+
+
 def reference_heuristic(s, p):
     """The heuristic as first written: it counts only goal objects off their
     goal cell, one ``placement_of`` scan each. ``heuristic`` must dominate it."""
@@ -270,7 +269,7 @@ def reference_heuristic(s, p):
     robots = {spec.id: spec for spec in p.robots}
     total = 0
     for o, (region, height) in targets.items():
-        fact = s.placement_of(o)
+        fact = placement_of(s, o)
         if isinstance(fact, OnStack) and fact.region == region and fact.height == height:
             continue
         if region not in reachable:
@@ -366,15 +365,41 @@ def assert_search_matches_plan(p: Problem) -> None:
         (plan_stats.expansions, plan_stats.generated, plan_stats.solution_actions)
 
 
+def golden_problem(name: str) -> Problem:
+    problems = {"perm6-one-robot": PERM6_ONE_ROBOT, "perm6-two-robots": PERM6_TWO_ROBOTS}
+    return problems[name] if name in problems else load_scenario(name).problem
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_search_order_is_pinned(name):
-    problems = {"perm6-one-robot": PERM6_ONE_ROBOT, "perm6-two-robots": PERM6_TWO_ROBOTS}
-    p = problems[name] if name in problems else load_scenario(name).problem
+    p = golden_problem(name)
     graph, stats = plan(p)
     expansions, generated, actions = GOLDEN[name]
     assert [str(a) for a in plan_actions(graph)] == actions
     assert (stats.expansions, stats.generated) == (expansions, generated)
     assert_search_matches_plan(p)
+
+
+# sha256 over plan_to_json of the GOLDEN plans, then of the plans corpus
+# seeds 0-99 refine from their own strategies. Any change in node order,
+# compositions, facts or arcs moves it.
+COMPILED_GRAPHS_SHA256 = "7bb2d15e5c1ca71cb679731b5273a6b2cac4163203aea025136e148701875f6b"
+
+
+def test_compiled_graphs_are_pinned():
+    graphs = [(name, plan(golden_problem(name))[0]) for name in sorted(GOLDEN)]
+    for seed in range(100):
+        p = random_instance(seed, 4, 2, 4)
+        try:
+            graph, _ = plan(p)
+        except NoSolution:
+            continue
+        graphs.append((f"seed{seed:03d}", reuse_pipeline(extract_strategy(graph, p), p)[0]))
+    assert len(graphs) == 77
+    digest = hashlib.sha256()
+    for name, graph in graphs:
+        digest.update(json.dumps(plan_to_json(graph, name), sort_keys=True).encode())
+    assert digest.hexdigest() == COMPILED_GRAPHS_SHA256
 
 
 def test_search_returns_the_actions_plan_compiles_on_corpus():
@@ -421,10 +446,25 @@ WALKED = [random_instance(seed, 4, 2, 4) for seed in range(120)] + \
      duplicated_robot(PERM6_TWO_ROBOTS)]
 
 
-def walked_states(problems):
-    """``(p, state)`` for every state of a random walk on each problem."""
+def walks(problems):
+    """``(p, actions, states)`` of a 30-action random walk on each problem:
+    ``states`` starts at the initial state and follows each action."""
     for i, p in enumerate(problems):
-        for state in random_walk(p, random.Random(i), 30):
+        rng = random.Random(i)
+        actions, states = [], [p.initial]
+        for _ in range(30):
+            options = applicable_actions(states[-1], p)
+            if not options:
+                break
+            actions.append(rng.choice(options))
+            states.append(apply(states[-1], actions[-1], p))
+        yield p, actions, states
+
+
+def walked_states(problems):
+    """``(p, state)`` for every state of ``walks``."""
+    for p, _, states in walks(problems):
+        for state in states:
             yield p, state
 
 
@@ -443,29 +483,61 @@ def test_successor_hash_equals_the_rebuilt_states_hash():
     assert checked >= 10_000
 
 
+def test_build_output_reexecutes_to_sequential_state():
+    """On every walk, each node's facts are a scan of the state the arc that
+    made it leaves (of the initial state for a source), the graph executes
+    to the walk's last state, and compiling the walk in pieces, as
+    refinement does, gives the same graph."""
+    checked = 0
+    for i, (p, actions, states) in enumerate(walks(WALKED)):
+        graph = build_hypergraph(actions, p)
+        assert validate_hyperpath(graph).ok
+        after = dict.fromkeys(graph.sources, p.initial)
+        for aid in topological_order(graph):
+            after.update(dict.fromkeys(graph.arcs[aid].heads, states[aid + 1]))
+        for nid, node in graph.nodes.items():
+            scan = {placement_of(after[nid], e.name) for e in node.composition
+                    if not e.is_robot}
+            assert node.state == scan, (i, nid)
+            checked += 1
+        final, _, count = execute_hypergraph(graph, p)
+        assert (final, count) == (states[-1], len(actions))
+        compiler = Compiler(p)
+        cut = random.Random(i).randint(0, len(actions))
+        compiler.extend(actions[:cut])
+        compiler.extend(actions[cut:])
+        assert compiler.build() == graph
+        assert compiler.state == states[-1]
+    assert checked >= 6_000
+
+
 @pytest.mark.parametrize("prefix", [False, True])
 def test_slot_successors_match_apply_and_heuristic(prefix):
     """At every walked state, the search's successors are
-    ``applicable_actions`` with the checked ``apply``, as slot tuples, and
-    at every state that is no dead end their h is the full ``heuristic``,
-    which is 0 exactly on the goals, the search's goal test."""
+    ``applicable_actions`` with the checked ``apply``, as slot tuples, with
+    their ``key``. At every state that is no dead end their h is the full
+    ``heuristic``, which is 0 exactly on the goals, the search's goal test,
+    and drops by at most 1 per action: it is consistent, so A* never needs
+    to reopen a state."""
     checked = with_h = goals = 0
     spaces = {id(p): SlotSpace(p, prefix) for p in WALKED}
     for p, state in walked_states(WALKED):
         space = spaces[id(p)]
         slots = space.slots(state)
-        got = space.successors(slots)
-        applied = [(action, apply(state, action, p)) for action in applicable_actions(state, p)]
-        assert [(action, successor) for action, successor, _, _ in got] == \
-            [(action, space.slots(successor)) for action, successor in applied], state
-        checked += len(got)
         h = heuristic(state, p, prefix)
+        got = space.successors(slots, h or 0)
+        applied = [(action, apply(state, action, p)) for action in applicable_actions(state, p)]
+        assert [(action, successor, key) for action, successor, key, _ in got] == \
+            [(action, space.slots(successor), space.key(space.slots(successor)))
+             for action, successor in applied], state
+        checked += len(got)
         if h is None:
             continue
         assert (h == 0) == is_goal(state, p, prefix=prefix)
-        assert [space.successor_h(h, slots, successor, dh, slot)
-                for _, successor, dh, slot in got] == \
-            [heuristic(successor, p, prefix) for _, successor in applied], (state, prefix)
+        successor_h = [h2 for _, _, _, h2 in got]
+        assert successor_h == [heuristic(successor, p, prefix) for _, successor in applied], \
+            (state, prefix)
+        assert all(h <= 1 + h2 for h2 in successor_h), (state, prefix)
         goals += h == 0
         with_h += len(got)
     assert checked >= 10_000

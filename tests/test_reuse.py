@@ -177,15 +177,17 @@ def test_refine_zero_actions_when_critical_placements_hold(fig1_strategy):
 
 @pytest.fixture
 def compile_calls(monkeypatch):
-    """Counts solution-hypergraph compilations, by refine and by plan."""
-    from hyperplan import planner, reuse
+    """The arc count of every solution hypergraph compiled, by refine and
+    by plan: each is sealed by ``Compiler.build``."""
+    from hyperplan.planner import Compiler
 
     calls = []
-    for module in (planner, reuse):
-        def counted(actions, p, _original=module.build_hypergraph):
-            calls.append(len(actions))
-            return _original(actions, p)
-        monkeypatch.setattr(module, "build_hypergraph", counted)
+
+    def counted(self, _original=Compiler.build):
+        graph = _original(self)
+        calls.append(len(graph.arcs))
+        return graph
+    monkeypatch.setattr(Compiler, "build", counted)
     return calls
 
 
@@ -199,6 +201,25 @@ def test_refinement_compiles_once(fig1_strategy, fig2, compile_calls):
     assert [(s.expansions, s.solution_actions) for s in stats.subproblems] == \
         [(3, 3), (3, 3), (3, 3)]
     assert stats.makespan == execute_hypergraph(graph, p)[1]
+
+
+def test_refinement_checks_each_action_once(fig1_strategy, fig2, monkeypatch):
+    """Refinement threads its state through the compilation, so each action
+    passes the checked ``apply`` once."""
+    from hyperplan import domain
+
+    ah, _ = fig1_strategy
+    p = fig2.problem
+    subgoals = reconstruct(ah, ground_strategy(ah, p), p)
+    checks = []
+
+    def counted(s, a, problem, _original=domain.precondition_failure):
+        checks.append(a)
+        return _original(s, a, problem)
+    monkeypatch.setattr(domain, "precondition_failure", counted)
+    graph, _ = refine(subgoals, p)
+    assert checks == [graph.arcs[aid].label for aid in sorted(graph.arcs)]
+    assert len(checks) == 9
 
 
 def test_satisfied_start_without_subgoals_is_one_empty_subproblem(compile_calls):
