@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
@@ -182,30 +183,37 @@ class WorldState:
     def validate(self, problem: "Problem") -> list:
         """List every invariant violation of this state against a problem."""
         errors = []
-        seen: dict = {}
+        region_map = problem.region_map
+        placed = 0
+        names: set = set()
         for r, stack in self.stacks.items():
-            region = problem.region_map.get(r)
+            region = region_map.get(r)
             if region is None or region.kind != STACK:
                 errors.append(f"{r!r} is not a stack region")
-            for o in stack:
-                seen[o] = seen.get(o, 0) + 1
+            placed += len(stack)
+            names.update(stack)
         for r, objs in self.buffers.items():
-            region = problem.region_map.get(r)
+            region = region_map.get(r)
             if region is None or region.kind != BUFFER:
                 errors.append(f"{r!r} is not a buffer region")
             elif len(objs) > region.capacity:
                 errors.append(f"buffer {r!r} over capacity")
-            for o in objs:
-                seen[o] = seen.get(o, 0) + 1
+            placed += len(objs)
+            names.update(objs)
         for r, held in self.holdings.items():
             spec = problem.robot_map.get(r)
             if spec is None:
                 errors.append(f"unknown robot {r!r}")
             elif len(held) > spec.capacity:
                 errors.append(f"robot {r!r} over capacity")
-            for o in held:
-                seen[o] = seen.get(o, 0) + 1
-        for o in problem.objects:
+            placed += len(held)
+            names.update(held)
+        declared = problem.objects
+        if placed == len(names) == len(declared) and names.issubset(declared):
+            return errors   # each declared object placed once, and nothing else
+        seen = Counter(chain(*self.stacks.values(), *self.buffers.values(),
+                             *self.holdings.values()))
+        for o in declared:
             count = seen.pop(o, 0)
             if count != 1:
                 errors.append(f"object {o!r} placed {count} times")
@@ -259,6 +267,11 @@ class Handoff:
 Action = Pick | Place | Handoff
 
 
+def _handoff(giver: str, obj: str, receiver: str) -> Handoff:
+    """``Handoff`` with the object second, as ``Memo`` passes its key."""
+    return Handoff(giver, receiver, obj)
+
+
 def action_sort_key(a: Action) -> tuple:
     if isinstance(a, Pick):
         return (0, a.robot, a.obj, a.region)
@@ -267,20 +280,16 @@ def action_sort_key(a: Action) -> tuple:
     return (2, a.giver, a.obj, a.receiver)
 
 
-def action_robots(a: Action) -> frozenset:
-    if isinstance(a, Handoff):
-        return frozenset((a.giver, a.receiver))
-    return frozenset((a.robot,))
-
-
 class Memo(dict):
-    """``fn(key)`` by key, computed on first lookup."""
+    """``fn(first, key, *rest)`` by key, computed on first lookup."""
 
-    def __init__(self, fn) -> None:
-        self.fn = fn
+    __slots__ = ("fn", "first", "rest")
+
+    def __init__(self, fn, first, *rest) -> None:
+        self.fn, self.first, self.rest = fn, first, rest
 
     def __missing__(self, key):
-        value = self[key] = self.fn(key)
+        value = self[key] = self.fn(self.first, key, *self.rest)
         return value
 
 
@@ -289,6 +298,9 @@ class Memo(dict):
 # Cached Problem tables that depend on neither the goal nor the start state.
 GOAL_INDEPENDENT = ("region_map", "robot_map", "reachable", "reach_pairs",
                     "robot_table", "robot_classes")
+# Cached Problem tables of the goal, in an order in which each is computed
+# from the goal and the tables before it.
+GOAL_TABLES = ("goal_region", "goal_objects", "unreachable_goals")
 
 
 @dataclass(frozen=True)
@@ -339,7 +351,7 @@ class Problem:
 
     @cached_property
     def goal_objects(self) -> frozenset:
-        return frozenset(o for stack in self.goal.values() for o in stack)
+        return frozenset(self.goal_region)
 
     @cached_property
     def goal_region(self) -> dict:
@@ -381,11 +393,10 @@ class Problem:
         return tuple(
             (spec.id, robot_slot[spec.id], spec.capacity,
              tuple((region_slot[r], r, self.region_map[r].capacity,
-                    Memo(partial(Pick, spec.id, region=r)),
-                    Memo(partial(Place, spec.id, region=r)))
+                    Memo(Pick, spec.id, r), Memo(Place, spec.id, r))
                    for r in sorted(spec.reach)),
              tuple((robot_slot[other.id], other.id, other.capacity,
-                    Memo(partial(Handoff, spec.id, other.id)))
+                    Memo(_handoff, spec.id, other.id))
                    for other in robots if other.id != spec.id and spec.reach & other.reach))
             for spec in robots)
 
@@ -408,16 +419,21 @@ class Problem:
         The result shares this problem's ``structure_errors`` and, when
         there are none, its ``GOAL_INDEPENDENT`` tables, computing any not
         cached yet, so every problem derived from one parent shares a
-        single copy. Its goal tables are its own, and ``validate`` still
-        checks its goal and its start state.
+        single copy. Its ``GOAL_TABLES`` are its own, filled here, and
+        ``validate`` still checks its goal and its start state.
         """
-        sub = Problem(self.regions, self.robots, self.objects, initial, goal)
+        # no __init__: regions, robots and objects are this problem's, normalised already
+        sub = object.__new__(Problem)
         tables = sub.__dict__
-        tables["structure_errors"] = self.structure_errors
+        tables.update(regions=self.regions, robots=self.robots, objects=self.objects,
+                      initial=initial, goal={r: tuple(v) for r, v in goal.items()},
+                      structure_errors=self.structure_errors)
         if not self.structure_errors:
             # robot_table needs every reach region declared
             for name in GOAL_INDEPENDENT:
                 tables[name] = getattr(self, name)
+        for name in GOAL_TABLES:   # each table's function, without the first-read lock
+            tables[name] = getattr(Problem, name).func(sub)
         return sub
 
     @cached_property
@@ -443,17 +459,17 @@ class Problem:
     def validate(self) -> list:
         """Every error: ``structure_errors``, then the goal's and the start state's."""
         errors = list(self.structure_errors)
+        region_map, objects = self.region_map, self.objects
         for r, stack in self.goal.items():
-            region = self.region_map.get(r)
+            region = region_map.get(r)
             if region is None:
                 errors.append(f"goal region {r!r} undeclared")
             elif region.kind != STACK:
                 errors.append(f"goal region {r!r} is not a stack")
             for o in stack:
-                if o not in self.objects:
+                if o not in objects:
                     errors.append(f"goal object {o!r} undeclared")
-        goal_all = [o for stack in self.goal.values() for o in stack]
-        if len(set(goal_all)) != len(goal_all):
+        if sum(map(len, self.goal.values())) != len(self.goal_region):
             errors.append("object appears in two goal stacks")
         errors.extend(self.initial.validate(self))
         return errors
@@ -677,19 +693,39 @@ def makespan(graph: SolutionHypergraph) -> int:
     Sources sit in layer 0. Each arc, in id order, takes the first layer
     after its tails' producers in which none of its robots acts in a
     lower-id arc; the makespan is the last layer used.
+
+    On a compiled graph every arc consumes its robots' own nodes, so that
+    first layer is already past theirs; the robot rule guards graphs read
+    from outside, whose labels need not match their compositions.
     """
+    arcs = graph.arcs
     layer_of: dict = {}
-    busy: set = set()
+    busy: set = set()   # (robot, layer) pairs taken
     last = 0
     for aid in topological_order(graph):
-        arc = graph.arcs[aid]
-        robots = action_robots(arc.label)
-        layer = 1 + max(layer_of.get(t, 0) for t in arc.tails)
-        while any((r, layer) in busy for r in robots):
-            layer += 1
-        busy.update((r, layer) for r in robots)
-        layer_of.update((h, layer) for h in arc.heads)
-        last = max(last, layer)
+        arc = arcs[aid]
+        label = arc.label
+        layer = 0
+        for t in arc.tails:
+            before = layer_of.get(t, 0)
+            if before > layer:
+                layer = before
+        layer += 1
+        if isinstance(label, Handoff):
+            giver, receiver = label.giver, label.receiver
+            while (giver, layer) in busy or (receiver, layer) in busy:
+                layer += 1
+            busy.add((giver, layer))
+            busy.add((receiver, layer))
+        else:
+            r = label.robot
+            while (r, layer) in busy:
+                layer += 1
+            busy.add((r, layer))
+        for h in arc.heads:
+            layer_of[h] = layer
+        if layer > last:
+            last = layer
     return last
 
 

@@ -13,6 +13,13 @@ downstream determinism (arc order, DOT output, abstraction) relies on
 that. Graphs are immutable once built; transformations always construct
 new graphs. ``HypergraphBuilder.build`` validates what it seals, so a plan
 compiled through it is checked once, as it is compiled.
+
+The check (``hyperpath_violations``) first makes one pass over the arcs
+that only decides whether anything is wrong: it sorts nothing and builds
+no report, so a valid graph whose arcs come in id order costs a few set
+operations per arc. Only when that pass finds a fault (or the arcs come
+out of id order) does the reporting pass run, which lists every violation
+with its code and detail in a fixed order.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ class Hyperarc:
     def __post_init__(self) -> None:
         if not self.tails or not self.heads:
             raise ValueError("hyperarc tails and heads must be non-empty")
-        if self.tails & self.heads:
+        if not self.tails.isdisjoint(self.heads):
             raise ValueError("hyperarc tails and heads must be disjoint")
 
 
@@ -193,7 +200,68 @@ def hyperpath_violations(compositions: Mapping[int, frozenset],
     dependency order also rule out every cycle. An arc conserves entities
     when its tail and head compositions hold equal multisets of entities; a
     missing node holds none.
+
+    ``_is_hyperpath`` first decides, in one pass, that there is nothing to
+    report; only when it cannot does ``_violations`` list the violations,
+    in the order described there.
     """
+    if _is_hyperpath(compositions, arcs):
+        return []
+    return _violations(compositions, arcs)
+
+
+def _is_hyperpath(compositions: Mapping[int, frozenset],
+                  arcs: Mapping[int, Hyperarc]) -> bool:
+    """True only if ``_violations`` reports nothing; False when in doubt.
+
+    One pass over the arcs as the mapping holds them, which must be
+    ascending by id: a node is consumed at most once, produced at most
+    once and never after it was consumed, exists, and each arc's tail and
+    head compositions repeat no entity and hold equal sets.
+    """
+    consumed: set = set()
+    produced: set = set()
+    last = -1
+    comp = compositions.get
+    try:
+        for aid, arc in arcs.items():
+            if aid <= last:
+                return False
+            last = aid
+            tails, heads = arc.tails, arc.heads
+            if not (consumed.isdisjoint(tails) and produced.isdisjoint(heads)
+                    and consumed.isdisjoint(heads)):
+                return False
+            consumed |= tails
+            produced |= heads
+            size = 0
+            tail = head = _NONE
+            for nid in tails:
+                members = comp(nid)
+                if members is None:
+                    return False
+                size += len(members)
+                tail = tail | members if tail else members
+            if len(tail) != size:
+                return False
+            for nid in heads:
+                members = comp(nid)
+                if members is None:
+                    return False
+                size -= len(members)
+                head = head | members if head else members
+            if size or head != tail:
+                return False
+    except TypeError:   # e.g. ids that do not compare with ints: the report decides
+        return False
+    return True
+
+
+def _violations(compositions: Mapping[int, frozenset],
+                arcs: Mapping[int, Hyperarc]) -> list:
+    """Every violation: per arc in id order its dangling nodes, double
+    productions, double consumptions (each in node order) and conservation
+    failure, then the arcs out of order, by consumed node."""
     out = []
     producers: dict = {}
     consumers: dict = {}

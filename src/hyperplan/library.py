@@ -216,12 +216,12 @@ def store(record: StrategyRecord, directory) -> str:
 
 
 def load(directory) -> list:
-    """All records in a directory, sorted by id; corrupt files raise."""
+    """All records in a directory, sorted by id; corrupt files raise
+    CorruptRecord, and a missing directory or a file raises OSError, as
+    listing it does."""
     directory = Path(directory)
-    records = []
-    for path in sorted(directory.glob("*.json")):
-        records.append(read_record(path))
-    return sorted(records, key=lambda r: r.id)
+    paths = sorted(path for path in directory.iterdir() if path.match("*.json"))
+    return sorted(map(read_record, paths), key=lambda r: r.id)
 
 
 def retrieve(p: Problem, records) -> StrategyRecord | None:

@@ -26,7 +26,6 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 from .domain import (
     STACK,
@@ -205,10 +204,9 @@ class SlotSpace:
         robot_slot = {row[0]: row[1] for row in self.rows}
         self.classes = tuple(tuple(map(robot_slot.get, robots))
                              for robots in p.robot_classes)
-        self.terms = [Memo(partial(stack_term, r.id, p=p, prefix=prefix)
-                            if r.kind == STACK else partial(placed_term, r.id, p=p))
-                      for r in p.regions]
-        self.terms += [Memo(partial(held_term, row[0], p=p)) for row in self.rows]
+        self.terms = [Memo(stack_term, r.id, p, prefix) if r.kind == STACK
+                      else Memo(placed_term, r.id, p) for r in p.regions]
+        self.terms += [Memo(held_term, row[0], p) for row in self.rows]
 
     def slots(self, s: WorldState) -> tuple:
         stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
@@ -452,6 +450,9 @@ class Compiler:
     the node it recomposes with the moved object added or taken away, in
     its composition and in its facts, which are one ``OnStack``, ``Held``
     or ``InBuffer`` fact apart. Members are the problem's ``entities``.
+    The frontier is keyed by holder, so an action updates one entry per
+    head: ``stacks`` maps each occupied stack region to its node, and
+    ``holders`` each robot and each buffered object to its own node.
     ``build`` validates the graph once.
     """
 
@@ -459,19 +460,21 @@ class Compiler:
         self.p = p
         self.state = p.initial
         self.builder = HypergraphBuilder()
-        self.frontier: dict = {}   # entity name -> node id
+        node_of: dict = {}   # entity name -> source node id
         for comp, facts in initial_decomposition(p):
-            self._emit(comp, facts, ())
-
-    def _emit(self, comp: frozenset, facts: frozenset, via: tuple) -> int:
-        nid = self.builder.add_node(comp, facts, via)
-        for entity in comp:
-            self.frontier[entity.name] = nid
-        return nid
+            nid = self.builder.add_node(comp, facts)
+            for entity in comp:
+                node_of[entity.name] = nid
+        self.stacks = {r: node_of[stack[0]] for r, stack in p.initial.stacks.items()}
+        self.holders = {spec.id: node_of[spec.id] for spec in p.robots}
+        for objs in p.initial.buffers.values():
+            for o in objs:
+                self.holders[o] = node_of[o]
 
     def extend(self, actions: list) -> None:
         """Apply and compile ``actions`` from ``state``, which they advance."""
-        p, emit, frontier, node = self.p, self._emit, self.frontier, self.builder.node
+        p, add, node = self.p, self.builder.add_node, self.builder.node
+        stacks, holders = self.stacks, self.holders
         state = self.state
         for action in actions:
             nxt = apply(state, action, p)
@@ -479,37 +482,42 @@ class Compiler:
             moved = frozenset((p.entities[o],))
             via = (action,)
             if isinstance(action, Pick):
-                hand, source = node(frontier[action.robot]), node(frontier[o])
+                r, region = action.robot, action.region
+                hand = node(holders[r])
+                source = node(stacks.pop(region) if p.region_map[region].kind == STACK
+                              else holders.pop(o))
                 tails = (hand.id, source.id)
-                heads = [emit(hand.composition | moved,
-                              hand.state | {Held(action.robot, o)}, via)]
+                holders[r] = add(hand.composition | moved, hand.state | {Held(r, o)}, via)
+                heads = [holders[r]]
                 rest = source.composition - moved
                 if rest:   # o left the top of a stack, at height len(rest)
-                    heads.append(emit(rest, source.state - {OnStack(o, action.region, len(rest))},
-                                      via))
+                    stacks[region] = add(rest, source.state - {OnStack(o, region, len(rest))},
+                                         via)
+                    heads.append(stacks[region])
             elif isinstance(action, Place):
-                hand = node(frontier[action.robot])
+                r, region = action.robot, action.region
+                hand = node(holders[r])
                 tails = (hand.id,)
-                if p.region_map[action.region].kind == STACK:
-                    below = state.stacks.get(action.region, ())
-                    fact = OnStack(o, action.region, len(below))
-                    if below:
-                        group = node(frontier[below[-1]])
+                if p.region_map[region].kind == STACK:
+                    fact = OnStack(o, region, len(state.stacks.get(region, ())))
+                    if region in stacks:
+                        group = node(stacks[region])
                         tails += (group.id,)
-                        landing = emit(group.composition | moved, group.state | {fact}, via)
+                        landing = add(group.composition | moved, group.state | {fact}, via)
                     else:
-                        landing = emit(moved, frozenset((fact,)), via)
+                        landing = add(moved, (fact,), via)
+                    stacks[region] = landing
                 else:
-                    landing = emit(moved, frozenset((InBuffer(o, action.region),)), via)
-                heads = [landing, emit(hand.composition - moved,
-                                       hand.state - {Held(action.robot, o)}, via)]
+                    landing = holders[o] = add(moved, (InBuffer(o, region),), via)
+                holders[r] = add(hand.composition - moved, hand.state - {Held(r, o)}, via)
+                heads = [landing, holders[r]]
             else:
-                giver, receiver = node(frontier[action.giver]), node(frontier[action.receiver])
-                tails = (giver.id, receiver.id)
-                heads = [emit(giver.composition - moved,
-                              giver.state - {Held(action.giver, o)}, via),
-                         emit(receiver.composition | moved,
-                              receiver.state | {Held(action.receiver, o)}, via)]
+                giver, receiver = action.giver, action.receiver
+                g, q = node(holders[giver]), node(holders[receiver])
+                tails = (g.id, q.id)
+                heads = [add(g.composition - moved, g.state - {Held(giver, o)}, via),
+                         add(q.composition | moved, q.state | {Held(receiver, o)}, via)]
+                holders[giver], holders[receiver] = heads
             self.builder.add_arc(action, tails, heads)
             state = nxt
         self.state = state

@@ -182,6 +182,20 @@ def test_reuse_from_library_and_empty_library(tmp_path, capsys):
         "this problem) on fig2: ")
 
 
+@pytest.mark.parametrize("command", ["reuse", "bench"])
+def test_library_that_is_no_directory_is_an_input_error(tmp_path, capsys, command):
+    """A mistyped --library path, or a file, exits 2; an existing empty
+    directory is a library without a match (see above)."""
+    (tmp_path / "file.json").write_text("{}")
+    for library in (tmp_path / "missing", tmp_path / "file.json"):
+        argv = {"reuse": ["reuse", fig1_path(), "--library", str(library)],
+                "bench": ["bench", fig1_path(), "--library", str(library),
+                          "--out", str(tmp_path / "bench.csv")]}[command]
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "bench.csv").exists()
+
+
 def test_reuse_stats_file(tmp_path):
     plan_file = tmp_path / "p.json"
     lib = tmp_path / "lib"

@@ -27,8 +27,8 @@ from hyperplan import (
     plan,
     reuse_pipeline,
 )
-from hyperplan.domain import Held, InBuffer, OnStack, action_robots, action_sort_key
-from hyperplan.hypergraph import Node, SolutionHypergraph, obj, robot
+from hyperplan.domain import Held, InBuffer, OnStack, action_sort_key
+from hyperplan.hypergraph import HypergraphBuilder, Node, SolutionHypergraph, obj, robot
 
 from conftest import random_instance, random_walk
 
@@ -185,6 +185,98 @@ def test_problem_validation_catches_bad_goals(fig1):
     bad = Problem(p.regions, p.robots, p.objects, p.initial,
                   {"left": ("C", "ghost")})
     assert any("ghost" in e for e in bad.validate())
+
+
+def reference_validate(p) -> list:
+    """``Problem.validate`` as it was before its one-pass object count,
+    kept as the reference for its messages and their order."""
+    errors = list(p.structure_errors)
+    for r, stack in p.goal.items():
+        region = p.region_map.get(r)
+        if region is None:
+            errors.append(f"goal region {r!r} undeclared")
+        elif region.kind != "stack":
+            errors.append(f"goal region {r!r} is not a stack")
+        for o in stack:
+            if o not in p.objects:
+                errors.append(f"goal object {o!r} undeclared")
+    goal_all = [o for stack in p.goal.values() for o in stack]
+    if len(set(goal_all)) != len(goal_all):
+        errors.append("object appears in two goal stacks")
+    s, seen = p.initial, {}
+    for r, stack in s.stacks.items():
+        region = p.region_map.get(r)
+        if region is None or region.kind != "stack":
+            errors.append(f"{r!r} is not a stack region")
+        for o in stack:
+            seen[o] = seen.get(o, 0) + 1
+    for r, objs in s.buffers.items():
+        region = p.region_map.get(r)
+        if region is None or region.kind != "buffer":
+            errors.append(f"{r!r} is not a buffer region")
+        elif len(objs) > region.capacity:
+            errors.append(f"buffer {r!r} over capacity")
+        for o in objs:
+            seen[o] = seen.get(o, 0) + 1
+    for r, held in s.holdings.items():
+        spec = p.robot_map.get(r)
+        if spec is None:
+            errors.append(f"unknown robot {r!r}")
+        elif len(held) > spec.capacity:
+            errors.append(f"robot {r!r} over capacity")
+        for o in held:
+            seen[o] = seen.get(o, 0) + 1
+    for o in p.objects:
+        count = seen.pop(o, 0)
+        if count != 1:
+            errors.append(f"object {o!r} placed {count} times")
+    for o in seen:
+        errors.append(f"undeclared object {o!r}")
+    return errors
+
+
+def broken_problems(p):
+    """Single and double faults in a valid problem's objects, start state
+    and goal, each as a new problem; the faulty start states and goals
+    also through ``p.subproblem``."""
+    stacks, buffers = p.initial.stacks, p.initial.buffers
+    first, everything = p.objects[0], p.objects
+    stack_id = next(r.id for r in p.regions if r.kind == "stack")
+    buffer_id = next((r.id for r in p.regions if r.kind == "buffer"), "nowhere")
+    robot_id = p.robots[0].id
+    starts = [
+        WorldState({**stacks, stack_id: stacks.get(stack_id, ()) + ("ghost",)}, buffers),
+        WorldState({**stacks, stack_id: stacks.get(stack_id, ()) + (first,)}, buffers),
+        WorldState({**stacks, "nowhere": ("ghost",)}, buffers),
+        WorldState({**stacks, buffer_id: ("ghost",)}, buffers),
+        WorldState({}, {buffer_id: everything, stack_id: ("ghost",)}),
+        WorldState({}, {}, {robot_id: everything, "nobody": ("ghost",)}),
+    ]
+    goals = [{**p.goal, stack_id: ("ghost",)}, {"nowhere": (first,)},
+             {buffer_id: (first,)}, {stack_id: (first, first)}]
+    for objects in (everything + (first,), everything[1:],
+                    everything + ("ghost",), everything + (first, "ghost")):
+        yield Problem(p.regions, p.robots, objects, p.initial, p.goal)
+        for initial in starts[:2]:
+            yield Problem(p.regions, p.robots, objects, initial, p.goal)
+    for initial in starts:
+        yield Problem(p.regions, p.robots, p.objects, initial, p.goal)
+        yield p.subproblem(initial, p.goal)
+    for goal in goals:
+        yield Problem(p.regions, p.robots, p.objects, p.initial, goal)
+        yield p.subproblem(p.initial, goal)
+        yield p.subproblem(starts[1], goal)
+
+
+def test_validation_reports_what_the_reference_reports():
+    faults = 0
+    for seed in range(100):
+        p = random_instance(seed, 4, 2, 4)
+        assert p.validate() == reference_validate(p) == []
+        for bad in broken_problems(p):
+            assert bad.validate() == reference_validate(bad), seed
+            faults += bool(bad.validate())
+    assert faults > 2_500
 
 
 # --- applicable / apply -------------------------------------------------------
@@ -366,6 +458,12 @@ def test_execute_rejects_head_facts_the_state_contradicts(fig1, actions, edits):
         execute_hypergraph(SolutionHypergraph(nodes, dict(graph.arcs)), p)
 
 
+def action_robots(a) -> frozenset:
+    if isinstance(a, Handoff):
+        return frozenset((a.giver, a.receiver))
+    return frozenset((a.robot,))
+
+
 def layered_makespan(graph) -> int:
     """Reference greedy, built one layer at a time.
 
@@ -410,6 +508,21 @@ def test_makespan_matches_the_layered_greedy_on_the_corpus():
             assert execute_hypergraph(graph, p)[1] == want, f"seed {seed}"
             compared += 1
     assert compared == 2 * 286
+
+
+def test_makespan_moves_an_arc_whose_robot_already_acts_in_its_layer():
+    """Four arcs that each consume one source, so every arc's tails allow
+    layer 1; their labels share robots, which no compiled graph does. r
+    acts in arcs 0-2 and s in arcs 2-3: the busy-layer rule puts them in
+    layers 1, 2, 3 and 1."""
+    b = HypergraphBuilder()
+    sources = [b.add_node({obj(name)}) for name in "wxyz"]
+    labels = [Pick("r", "w", "left"), Place("r", "x", "left"),
+              Handoff("s", "r", "y"), Pick("s", "z", "right")]
+    for nid, label in zip(sources, labels):
+        b.add_arc(label, {nid}, {b.add_node(b.node(nid).composition)})
+    graph = b.build()
+    assert makespan(graph) == layered_makespan(graph) == 3
 
 
 def test_initial_decomposition_partitions_entities(fig1):

@@ -293,3 +293,145 @@ def test_dot_abstract_arcs_are_dashed():
     text = to_dot(b.build(), graph_name="strategy")
     assert "style=dashed" in text
     assert text.count("style=dashed") == 1
+
+
+_NONE = frozenset()
+
+
+def reference_violations(compositions, arcs) -> list:
+    """``hyperpath_violations`` as it was before its one-pass check, kept as
+    the reference for the report: the same codes, details and order."""
+    out = []
+    producers: dict = {}
+    consumers: dict = {}
+    for aid in sorted(arcs):
+        arc = arcs[aid]
+        for nid in sorted(arc.tails | arc.heads):
+            if nid not in compositions:
+                out.append(Violation(
+                    "dangling-node", f"arc {aid} references missing node {nid}"))
+        for nid in sorted(arc.heads):
+            if nid in producers:
+                out.append(Violation(
+                    "double-production",
+                    f"node {nid} produced by arcs {producers[nid]} and {aid}"))
+            else:
+                producers[nid] = aid
+        for nid in sorted(arc.tails):
+            if nid in consumers:
+                out.append(Violation(
+                    "double-consumption",
+                    f"node {nid} consumed by arcs {consumers[nid]} and {aid}"))
+            else:
+                consumers[nid] = aid
+        tail_comps = [compositions.get(nid, _NONE) for nid in arc.tails]
+        head_comps = [compositions.get(nid, _NONE) for nid in arc.heads]
+        tail_set = _NONE.union(*tail_comps)
+        head_set = _NONE.union(*head_comps)
+        if (len(tail_set) == sum(map(len, tail_comps))
+                and len(head_set) == sum(map(len, head_comps))
+                and tail_set == head_set):
+            continue
+        tail_ents = Counter(e for comp in tail_comps for e in comp)
+        head_ents = Counter(e for comp in head_comps for e in comp)
+        if tail_ents != head_ents:
+            missing = sorted(str(e) for e in (tail_ents - head_ents))
+            extra = sorted(str(e) for e in (head_ents - tail_ents))
+            out.append(Violation(
+                "entity-conservation",
+                f"arc {aid} loses {missing or '[]'} and gains {extra or '[]'}"))
+    for nid, aid in sorted(consumers.items()):
+        if producers.get(nid, -1) >= aid:
+            out.append(Violation(
+                "arc-order",
+                f"arc {aid} consumes node {nid}, produced by arc {producers[nid]}"))
+    return out
+
+
+def single_mutations(comps: dict, arcs: dict):
+    """``(kind, compositions, arcs)`` per single mutation of a valid graph:
+    a tail's node dropped, an entity moved from one head composition of an
+    arc to the other, a head of a later arc replaced by one of an earlier
+    arc's heads (arcs in id order), two arc ids swapped (arcs listed in id
+    order, then in reverse)."""
+    ids = sorted(arcs)
+    for aid in ids:
+        arc = arcs[aid]
+        for nid in sorted(arc.tails):
+            yield "drop-tail", {k: c for k, c in comps.items() if k != nid}, arcs
+        if len(arc.heads) == 2:
+            a, b = sorted(arc.heads)
+            for src, dst in ((a, b), (b, a)):
+                if len(comps[src]) > 1:
+                    for e in sorted(comps[src]):
+                        yield ("move-entity",
+                               {**comps, src: comps[src] - {e}, dst: comps[dst] | {e}}, arcs)
+        for other in ids:
+            if other <= aid:
+                continue
+            later = arcs[other]
+            for nid in sorted(arc.heads):
+                if nid in later.tails:
+                    continue
+                heads = (later.heads - {min(later.heads)}) | {nid}
+                yield ("double-production", comps,
+                       {**arcs, other: Hyperarc(other, later.label, later.tails, heads)})
+            swapped = {**arcs, aid: later, other: arc}   # still in id order
+            yield "swap-ids", comps, swapped
+            yield "swap-ids", comps, dict(reversed(swapped.items()))
+
+
+EDGE_CASES = {
+    # name: (node compositions, {arc id: (tails, heads)} in listing order, faulty)
+    "repeats-on-both-sides-differ": (
+        {0: {robot("r"), obj("x")}, 1: {obj("x")}, 2: {robot("r"), obj("x")}, 3: {robot("r")}},
+        {0: ({0, 1}, {2, 3})}, True),
+    "repeats-in-heads-only": ({0: {obj("x")}, 1: {obj("x")}, 2: {obj("x")}},
+                              {0: ({0}, {1, 2})}, True),
+    "dangling-head-on-a-conserving-arc": ({0: {obj("x")}, 1: {obj("x")}},
+                                          {0: ({0}, {1, 9})}, True),
+    "dangling-tail-on-a-conserving-arc": ({0: {obj("x")}, 1: {obj("x")}},
+                                          {0: ({0, 9}, {1})}, True),
+    "out-of-order-listed-backwards": ({i: {obj("x")} for i in range(3)},
+                                      {1: ({0}, {1}), 0: ({1}, {2})}, True),
+    "in-order-listed-backwards": ({i: {obj("x")} for i in range(3)},
+                                  {1: ({1}, {2}), 0: ({0}, {1})}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_report_matches_the_reference_on_edge_cases(case):
+    comps, arc_ends, faulty = EDGE_CASES[case]
+    comps = {nid: frozenset(c) for nid, c in comps.items()}
+    arcs = {aid: Hyperarc(aid, ABSTRACT, frozenset(t), frozenset(h))
+            for aid, (t, h) in arc_ends.items()}
+    want = reference_violations(comps, arcs)
+    assert hyperpath_violations(comps, arcs) == want
+    assert bool(want) == faulty
+
+
+def test_report_matches_the_reference_on_mutated_corpus_graphs():
+    from conftest import random_instance
+    from hyperplan.planner import NoSolution, plan
+
+    made, reported = Counter(), Counter()
+    for seed in range(400):
+        try:
+            graph, _ = plan(random_instance(seed, 4, 2, 4))
+        except NoSolution:
+            continue
+        comps = {nid: n.composition for nid, n in graph.nodes.items()}
+        arcs = dict(graph.arcs)
+        assert hyperpath_violations(comps, arcs) == reference_violations(comps, arcs) == []
+        for kind, mutated_comps, mutated_arcs in single_mutations(comps, arcs):
+            want = reference_violations(mutated_comps, mutated_arcs)
+            assert hyperpath_violations(mutated_comps, mutated_arcs) == want, (seed, kind)
+            made[kind] += 1
+            reported[kind] += bool(want)
+    assert sum(made.values()) > 6_000
+    # a dropped node and a doubly produced node are always faults; a swap
+    # of independent arcs and a move into a head no arc consumes are not
+    for kind in ("drop-tail", "double-production"):
+        assert reported[kind] == made[kind], kind
+    for kind in ("swap-ids", "move-entity"):
+        assert 0 < reported[kind] < made[kind], kind

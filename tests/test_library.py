@@ -138,6 +138,14 @@ def test_load_empty_directory(tmp_path):
     assert load(tmp_path) == []
 
 
+def test_load_rejects_a_missing_directory_and_a_file(tmp_path, fig1_record):
+    with pytest.raises(FileNotFoundError):
+        load(tmp_path / "missing")
+    store(fig1_record, tmp_path)
+    with pytest.raises(NotADirectoryError):
+        load(tmp_path / f"{fig1_record.id}.json")
+
+
 def test_retrieve_matches_goal_shape(tmp_path, fig1_record):
     store(fig1_record, tmp_path)
     records = load(tmp_path)
