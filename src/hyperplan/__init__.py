@@ -65,7 +65,6 @@ from .abstraction import (
 from .reuse import (
     FAIL_HARD,
     SCRATCH_FALLBACK,
-    GroundingAssignment,
     NoGrounding,
     RefinementConfig,
     ReuseStats,

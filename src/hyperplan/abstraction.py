@@ -17,6 +17,7 @@ grounded later into any subset of concrete robots (possibly none).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .domain import (
@@ -104,7 +105,7 @@ class AbstractHypergraph(HypergraphTable):
     """Robot-free, label-stripped strategy with abstract hyperarcs.
 
     ``goal_stacks`` records the strategy's final target content per
-    TargetRole; grounding constraints are derived from it.
+    TargetRole; grounding pairs these roles with goal regions.
     """
 
     goal_stacks: Mapping[TargetRole, tuple]
@@ -112,6 +113,26 @@ class AbstractHypergraph(HypergraphTable):
     @property
     def abstract_objects(self) -> frozenset:
         return self.entities()
+
+    @cached_property
+    def schedule(self) -> tuple:
+        """What reuse reads of the strategy, derived once: one
+        ``(arc_id, ((target index, prefix length), ...))`` step per arc, in
+        id order (the dependency order), whose heads (in id order) place a
+        prefix of their target role's goal stack. Not stored, and not part
+        of equality or ``canonical_form``."""
+        steps = []
+        for aid in sorted(self.arcs):
+            targets = []
+            for nid in sorted(self.arcs[aid].heads):
+                node = self.nodes[nid]
+                order = node.stack_order
+                stack = self.goal_stacks.get(node.region, ())
+                if order and stack[:len(order)] == order:
+                    targets.append((node.region.index, len(order)))
+            if targets:
+                steps.append((aid, tuple(targets)))
+        return tuple(steps)
 
 
 @node_dot_label.register
@@ -245,9 +266,10 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
     object no arc touches is dropped, so an arc-free plan for an empty
     goal gives an empty strategy. Placeholders are dense AbstractObjects
     numbered by first appearance in topological order (sources first,
-    bottom of a stack first). Goal regions become TargetRoles in
-    goal-declaration order, other stack regions SourceRoles by first use,
-    buffers the BufferRole. One abstract hyperarc is emitted per
+    bottom of a stack first). Every goal region becomes a TargetRole in
+    goal-declaration order (an empty one the plan never touches too),
+    other stack regions SourceRoles by first use, buffers the
+    BufferRole. One abstract hyperarc is emitted per
     non-source critical node; leftover objects from its consumed frontier
     split into residual head nodes so abstract objects are conserved arc
     by arc.
@@ -335,8 +357,7 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
                 head_pids.append(pid)
         proto_arcs.append((tuple(tail_pids), tuple(head_pids)))
 
-    target_index = {r: i for i, r in
-                    enumerate(r for r in p.goal if r in used_regions)}
+    target_index = {r: i for i, r in enumerate(p.goal)}
     source_index: dict = {}
     for r in used_regions:
         if r not in target_index and p.region_map[r].kind != BUFFER:
@@ -364,7 +385,7 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
 
     goal_stacks = {}
     for region, want in p.goal.items():
-        if region in target_index and all(o in index_of for o in want):
+        if all(o in index_of for o in want):
             goal_stacks[TargetRole(target_index[region])] = tuple(
                 AbstractObject(index_of[o]) for o in want)
     return AbstractHypergraph(nodes, arcs, goal_stacks)
@@ -395,11 +416,16 @@ def ah_violations(ah: AbstractHypergraph) -> list:
     indices = sorted(o.index for o in ah.abstract_objects)
     if indices != list(range(len(indices))):
         out.append(Violation("role-indices", f"object indices not dense: {indices}"))
+    pinned: set = set()
     for role, stack in ah.goal_stacks.items():
         for o in stack:
             if o not in ah.abstract_objects:
                 out.append(Violation(
                     "goal-stack", f"{role} references unknown {o}"))
+            elif o in pinned:
+                out.append(Violation(
+                    "goal-stack", f"{o} pinned to two different goal positions"))
+            pinned.add(o)
     return out
 
 

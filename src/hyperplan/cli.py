@@ -251,6 +251,13 @@ def plan_to_json(graph: SolutionHypergraph, scenario_name: str) -> dict:
     }
 
 
+def _int_id(value, where: str) -> int:
+    """A node or arc id, or ParseError unless it is an int (a bool is not)."""
+    if type(value) is not int:
+        raise ParseError(where, f"id {value!r} is not an integer")
+    return value
+
+
 def plan_from_json(data: dict) -> SolutionHypergraph:
     try:
         if data.get("version") != PLAN_FORMAT_VERSION:
@@ -262,17 +269,20 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
                 Entity(kind, name) for kind, name in entry["entities"])
             state = frozenset(_decode_tagged(f, _FACT_TAGS, "facts", "fact")
                               for f in entry["facts"])
-            if entry["id"] in nodes:
-                raise ParseError("plan.nodes", f"repeated node id {entry['id']!r}")
-            nodes[entry["id"]] = Node(entry["id"], composition, state)
+            nid = _int_id(entry["id"], "plan.nodes.id")
+            if nid in nodes:
+                raise ParseError("plan.nodes", f"repeated node id {nid!r}")
+            nodes[nid] = Node(nid, composition, state)
         arcs = {}
         for entry in data["arcs"]:
-            if entry["id"] in arcs:
-                raise ParseError("plan.arcs", f"repeated arc id {entry['id']!r}")
-            arcs[entry["id"]] = Hyperarc(
-                entry["id"], _decode_tagged(entry["action"], _ACTION_TAGS,
-                                            "arcs.action", "action"),
-                frozenset(entry["tails"]), frozenset(entry["heads"]))
+            aid = _int_id(entry["id"], "plan.arcs.id")
+            if aid in arcs:
+                raise ParseError("plan.arcs", f"repeated arc id {aid!r}")
+            arcs[aid] = Hyperarc(
+                aid, _decode_tagged(entry["action"], _ACTION_TAGS,
+                                    "arcs.action", "action"),
+                frozenset(_int_id(t, "plan.arcs.tails") for t in entry["tails"]),
+                frozenset(_int_id(h, "plan.arcs.heads") for h in entry["heads"]))
     except ParseError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

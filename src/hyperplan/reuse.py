@@ -1,16 +1,14 @@
 """Grounding an abstract strategy on a new problem and refining it.
 
-Grounding binds the abstract objects of the strategy's goal stacks to
-concrete objects, and nothing else: an abstract object at position i of a
-target stack maps to the object at position i of the matched goal stack.
-Target roles are matched to goal regions by equal stack height, then
-declaration order.
-
-Reconstruction turns the grounded strategy into sub-goals: one entry per
-abstract hyperarc whose heads place a prefix of a goal stack, in arc id
-order, which is the strategy's dependency order. Temporary placements
-(objects the strategy moved without a goal position, e.g. parked
-blockers) are left to the search.
+Grounding pairs the strategy's target roles with the problem's goal
+regions, and nothing else: by equal stack height, then declaration order.
+Reconstruction reads the strategy's ``schedule``, derived once per
+strategy: one step per abstract hyperarc whose heads place a prefix of a
+goal stack, in arc id order, which is the strategy's dependency order.
+Each step names (target role, prefix length) pairs, so a grounded
+sub-goal is that prefix of the paired region's goal stack. Temporary
+placements (objects the strategy moved without a goal position, e.g.
+parked blockers) are left to the search.
 Refinement solves each sub-goal as a search sub-problem: start from the
 state the previous sub-problems produced and reach every placement achieved
 so far, read positionally (each goal stack's wanted prefix, objects above
@@ -31,10 +29,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping
 
-from .abstraction import AbstractHypergraph, AbstractObject
+from .abstraction import AbstractHypergraph
 from .domain import Problem, makespan
 # apply, build_hypergraph, execute_hypergraph, is_goal and topological_order
 # are unused here but stay module attributes: bench/spans.py wraps them in
@@ -79,18 +76,6 @@ class SubproblemInfeasible(Exception):
 
 
 @dataclass(frozen=True)
-class GroundingAssignment:
-    """Goal-stack placeholders to goal objects, target roles to goal regions."""
-
-    object_map: Mapping[AbstractObject, str]
-    region_map: Mapping
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "object_map", MappingProxyType(dict(self.object_map)))
-        object.__setattr__(self, "region_map", MappingProxyType(dict(self.region_map)))
-
-
-@dataclass(frozen=True)
 class RefinementConfig:
     """Every search's budget, and whether ``reuse_pipeline`` falls back."""
 
@@ -124,97 +109,51 @@ class ReuseStats:
 
 # --- grounding -------------------------------------------------------------
 
-def _match_targets(ah: AbstractHypergraph, p: Problem) -> dict:
-    """Pair target roles with goal regions of equal stack height."""
-    ah_stacks = sorted(ah.goal_stacks, key=lambda r: r.index)
-    if sorted(len(ah.goal_stacks[r]) for r in ah_stacks) != \
-            sorted(len(v) for v in p.goal.values()):
-        raise NoGrounding("goal stack-height multisets differ")
-    roles_by_height: dict = {}
-    for role in ah_stacks:
-        roles_by_height.setdefault(len(ah.goal_stacks[role]), []).append(role)
-    regions_by_height: dict = {}
-    for region, want in p.goal.items():
-        regions_by_height.setdefault(len(want), []).append(region)
-    out = {}
-    for height, roles in roles_by_height.items():
-        for role, region in zip(roles, regions_by_height[height]):
-            out[role] = region
-    return out
+def ground_strategy(ah: AbstractHypergraph, p: Problem) -> dict:
+    """Target role index to goal region, or raise NoGrounding.
 
-
-def ground_strategy(ah: AbstractHypergraph, p: Problem) -> GroundingAssignment:
-    """Bind every goal-stack placeholder by position, or raise NoGrounding.
-
-    The abstract object at position i of a target stack maps to the object
-    at position i of the goal region matched to that role. Placeholders
-    outside the goal stacks stay unbound: no sub-goal mentions them.
+    Roles pair with goal regions of equal stack height, in role index and
+    goal declaration order; the height multisets must be equal.
     """
     errors = p.validate()
     if errors:
         raise ValueError(f"invalid problem: {errors[0]}")
-    region_map = _match_targets(ah, p)
-    object_map: dict = {}
-    for role in sorted(ah.goal_stacks, key=lambda r: r.index):
-        for aobj, concrete in zip(ah.goal_stacks[role], p.goal[region_map[role]]):
-            if object_map.setdefault(aobj, concrete) != concrete:
-                raise NoGrounding(
-                    f"{aobj} pinned to two different goal positions")
-    return GroundingAssignment(object_map, region_map)
+    roles = sorted(ah.goal_stacks, key=lambda r: r.index)
+    heights = sorted(len(want) for want in p.goal.values())
+    if sorted(len(ah.goal_stacks[r]) for r in roles) != heights:
+        raise NoGrounding("goal stack-height multisets differ")
+    regions_by_height: dict = {}
+    for region, want in p.goal.items():
+        regions_by_height.setdefault(len(want), []).append(region)
+    return {r.index: regions_by_height[len(ah.goal_stacks[r])].pop(0) for r in roles}
 
 
-def verify_grounding(ah: AbstractHypergraph, p: Problem,
-                     g: GroundingAssignment) -> list:
-    """Independent re-check of the binding ``ground_strategy`` promises."""
+def verify_grounding(ah: AbstractHypergraph, p: Problem, regions: dict) -> list:
+    """Independent re-check of the pairing ``ground_strategy`` promises."""
     errors = []
-    values = list(g.object_map.values())
-    if len(set(values)) != len(values):
-        errors.append("object map is not injective")
-    goal_objects = {o for stack in ah.goal_stacks.values() for o in stack}
-    if set(g.object_map) != goal_objects:
-        errors.append("object map does not bind exactly the goal-stack objects")
+    if len(set(regions.values())) != len(regions):
+        errors.append("region map is not injective")
     for role, stack in ah.goal_stacks.items():
-        region = g.region_map.get(role)
+        region = regions.get(role.index)
         if region not in p.goal:
             errors.append(f"{role} not mapped to a goal region")
-            continue
-        want = p.goal[region]
-        if len(want) != len(stack):
+        elif len(p.goal[region]) != len(stack):
             errors.append(f"{role} height differs from goal region {region!r}")
-            continue
-        for pos, aobj in enumerate(stack):
-            if g.object_map.get(aobj) != want[pos]:
-                errors.append(
-                    f"{role} position {pos} maps to "
-                    f"{g.object_map.get(aobj)!r}, goal wants {want[pos]!r}")
     return errors
 
 
 # --- reconstruction ----------------------------------------------------------
 
-def reconstruct(ah: AbstractHypergraph, g: GroundingAssignment,
-                p: Problem) -> tuple:
+def reconstruct(ah: AbstractHypergraph, regions: dict, p: Problem) -> tuple:
     """Grounded sub-goals in refinement order.
 
-    Walks the abstract hyperarcs in id order, their dependency order, and
-    returns one ``(arc_id, ((goal_region, stack_order), ...))`` entry per
-    arc whose heads place a prefix of their target role's goal stack. These
-    are the placements that agree with the final goal; temporary placements
-    and arcs without a goal-prefix head are dropped.
+    One ``(arc_id, ((goal_region, stack_order), ...))`` entry per step of
+    ``ah.schedule``: each (target index, prefix length) pair becomes that
+    prefix of the paired region's goal stack.
     """
-    subgoals = []
-    for aid in sorted(ah.arcs):
-        targets = []
-        for nid in sorted(ah.arcs[aid].heads):
-            node = ah.nodes[nid]
-            stack = ah.goal_stacks.get(node.region, ())
-            order = node.stack_order
-            if order and stack[:len(order)] == order:
-                targets.append((g.region_map[node.region],
-                                tuple(g.object_map[o] for o in order)))
-        if targets:
-            subgoals.append((aid, tuple(targets)))
-    return tuple(subgoals)
+    return tuple(
+        (aid, tuple((regions[t], p.goal[regions[t]][:k]) for t, k in targets))
+        for aid, targets in ah.schedule)
 
 
 # --- refinement ---------------------------------------------------------------
@@ -277,9 +216,9 @@ def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
     try:
         if ah is None:
             raise NoGrounding("no stored strategy matches this problem")
-        assignment = ground_strategy(ah, p)
+        regions = ground_strategy(ah, p)
         ticks.append(time.perf_counter())
-        subgoals = reconstruct(ah, assignment, p)
+        subgoals = reconstruct(ah, regions, p)
         ticks.append(time.perf_counter())
         graph, stats = refine(subgoals, p, cfg.search)
         ticks.append(time.perf_counter())

@@ -133,6 +133,11 @@ def test_fig1_abstraction_shape(fig1):
     assert roles == {SourceRole, TargetRole}
     (target_stack,) = ah.goal_stacks.values()
     assert [o.index for o in target_stack] == [2, 0, 1]
+    # one schedule step per arc, each placing a longer goal-stack prefix
+    assert ah.schedule == ((0, ((0, 1),)), (1, ((0, 2),)), (2, ((0, 3),)))
+    from hyperplan.abstraction import AbstractHypergraph
+
+    assert AbstractHypergraph(ah.nodes, ah.arcs, ah.goal_stacks) == ah
 
 
 def test_single_object_strategy():
@@ -198,6 +203,7 @@ def test_two_target_strategy_roles():
     heights = sorted(len(v) for v in ah.goal_stacks.values())
     assert heights == [1, 2]
     assert ah_violations(ah) == []
+    assert {t for _, targets in ah.schedule for t, _ in targets} == {0, 1}
 
 
 def test_buffer_start_strategy():

@@ -334,6 +334,13 @@ def _malformed(tmp_path, shape: str):
             # ["pick", "blue", "C", "right"] cut to ["pick", "blue"], or too long
             data["arcs"][0]["action"] = (action[:2] if shape == "plan-short-action"
                                          else action + ["left"])
+        elif shape == "plan-string-arc-ids":
+            for entry in data["arcs"]:
+                entry["id"] = str(entry["id"])
+        elif shape == "plan-bool-node-id":
+            data["nodes"][1]["id"] = True
+        elif shape == "plan-string-heads":
+            data["arcs"][0]["heads"] = [str(h) for h in data["arcs"][0]["heads"]]
         else:  # plan-arcs-out-of-order: ids renumbered last to first
             last = len(data["arcs"]) - 1
             for entry in data["arcs"]:
@@ -344,6 +351,9 @@ def _malformed(tmp_path, shape: str):
         data["goal_stacks"] = list(data["goal_stacks"].values())
     elif shape == "strategy-repeated-node":
         data["nodes"].append(data["nodes"][-1])
+    elif shape == "goal-placeholder-repeated":
+        stack = data["goal_stacks"]["target:0"]
+        stack[1] = stack[0]
     else:  # strategy-arcs-swapped
         _swap_dependent_arcs(data["arcs"])
     return data
@@ -357,12 +367,14 @@ def _malformed(tmp_path, shape: str):
 ] + [
     (command, shape)
     for command in ("reuse-strategy", "reuse-library", "dot")
-    for shape in ("goal-stacks-list", "strategy-repeated-node", "strategy-arcs-swapped")
+    for shape in ("goal-stacks-list", "strategy-repeated-node", "strategy-arcs-swapped",
+                  "goal-placeholder-repeated")
 ] + [
     (command, shape)
     for command in ("extract", "dot")
     for shape in ("plan-repeated-node", "plan-repeated-arc", "plan-short-fact",
-                  "plan-long-fact", "plan-short-action", "plan-long-action")
+                  "plan-long-fact", "plan-short-action", "plan-long-action",
+                  "plan-string-arc-ids", "plan-bool-node-id", "plan-string-heads")
 ] + [("extract", "plan-arcs-out-of-order"), ("dot", "plan-arcs-out-of-order")])
 def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     data = _malformed(tmp_path, shape)
@@ -380,6 +392,53 @@ def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     capsys.readouterr()
     assert run_command(argv) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("field,value,where", [
+    ("arc id", "0", "plan.arcs.id"),
+    ("arc id", 0.0, "plan.arcs.id"),
+    ("node id", False, "plan.nodes.id"),
+    ("tail", "3", "plan.arcs.tails"),
+    ("head", True, "plan.arcs.heads"),
+])
+def test_plan_ids_must_be_integers(fig1, field, value, where):
+    data = json.loads(json.dumps(plan_to_json(plan(fig1.problem)[0], "fig1")))
+    if field == "node id":
+        data["nodes"][0]["id"] = value
+    elif field == "arc id":
+        data["arcs"][0]["id"] = value
+    else:
+        data["arcs"][0][field + "s"][0] = value
+    with pytest.raises(ParseError) as failure:
+        plan_from_json(data)
+    assert str(failure.value) == f"{where}: id {value!r} is not an integer"
+
+
+def test_untouched_empty_goal_stack_round_trip(tmp_path, capsys):
+    # S must stay empty; the plan never touches it
+    scenario = tmp_path / "keep-s-empty.json"
+    scenario.write_text(json.dumps({
+        "name": "keep-s-empty",
+        "regions": [{"id": "L", "kind": "stack"}, {"id": "R", "kind": "stack"},
+                    {"id": "S", "kind": "stack"}],
+        "objects": ["A", "B"],
+        "robots": [{"id": "a", "reach": ["L", "R", "S"]}],
+        "initial": {"R": ["B", "A"]},
+        "goal": {"L": ["A", "B"], "S": []},
+    }))
+    plan_file = tmp_path / "plan.json"
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    strategy = lib / "keep-s-empty.json"
+    assert run_command(["solve", str(scenario), "--out", str(plan_file)]) == 0
+    assert run_command(["extract", str(scenario), str(plan_file),
+                        "--out", str(strategy)]) == 0
+    assert json.loads(strategy.read_text())["goal_stacks"]["target:1"] == []
+    for source in (["--strategy", str(strategy)], ["--library", str(lib)]):
+        capsys.readouterr()
+        assert run_command(["reuse", str(scenario), *source]) == 0
+        assert capsys.readouterr().out.startswith(
+            "reused keep-s-empty on keep-s-empty: 4 actions")
 
 
 def test_extract_rejects_mismatched_or_partial_plans(tmp_path):

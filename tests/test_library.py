@@ -107,6 +107,31 @@ def test_repeated_node_id_is_rejected(fig1_record):
         record_from_json(data)
 
 
+def test_goal_placeholder_at_two_positions_is_rejected(tmp_path, fig1_record):
+    # grounding pairs roles with goal regions only, so a placeholder pinned
+    # to two goal positions is refused once, at load
+    data = record_to_json(fig1_record)
+    stack = data["goal_stacks"]["target:0"]
+    stack[1] = stack[0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorruptRecord,
+                       match=f"x{stack[0]} pinned to two different goal positions"):
+        read_record(path)
+
+
+def test_schedule_survives_the_round_trip(tmp_path):
+    fig1, fig3 = load_scenario("fig1"), load_scenario("fig3")
+    blocker = _two_box_problem({"R": ("B", "A", "X")})
+    for name, p in (("fig1", fig1.problem), ("fig3", fig3.problem),
+                    ("blocker", blocker), ("rev5", reversal_problem(5))):
+        record = _record_for(name, p)
+        store(record, tmp_path)
+        loaded = read_record(tmp_path / f"{name}.json")
+        assert loaded.ah.schedule == record.ah.schedule, name
+        assert loaded.ah.schedule
+
+
 def test_dependent_arcs_out_of_order_are_rejected(fig1_record):
     # arc ids are the array order, so swapping two dependent arcs makes the
     # first entry consume a node only the later one produces

@@ -47,22 +47,47 @@ def fig1_strategy():
 
 # --- grounding -------------------------------------------------------------------
 
+def _subgoal_objects(subgoals) -> set:
+    return {o for _, targets in subgoals for _, order in targets for o in order}
+
+
 def test_grounding_own_problem_is_identity(fig1_strategy):
     ah, p = fig1_strategy
     g = ground_strategy(ah, p)
-    goal_stack = p.goal["left"]
-    mapped = [g.object_map[o] for o in next(iter(ah.goal_stacks.values()))]
-    assert mapped == list(goal_stack)
+    assert g == {0: "left"}
     assert verify_grounding(ah, p, g) == []
+    subgoals = reconstruct(ah, g, p)
+    # the strategy's own goal stack, placed bottom first
+    assert [order for _, ((_, order),) in subgoals] == \
+        [p.goal["left"][:k] for k in range(1, 4)]
 
 
 def test_grounding_on_new_objects_and_regions(fig1_strategy, fig2):
     ah, _ = fig1_strategy
-    g = ground_strategy(ah, fig2.problem)
-    assert verify_grounding(ah, fig2.problem, g) == []
-    # position i of the strategy's target stack maps to goal position i
-    (stack,) = ah.goal_stacks.values()
-    assert [g.object_map[o] for o in stack] == list(fig2.problem.goal["goal"])
+    p = fig2.problem
+    g = ground_strategy(ah, p)
+    assert verify_grounding(ah, p, g) == []
+    # the strategy's target stack pairs with the goal region of its height,
+    # and its placements become prefixes of that region's goal stack
+    assert g == {0: "goal"}
+    subgoals = reconstruct(ah, g, p)
+    assert [targets for _, targets in subgoals] == \
+        [(("goal", p.goal["goal"][:k]),) for k in range(1, 4)]
+    assert _subgoal_objects(subgoals) == set(p.goal["goal"])
+
+
+def test_grounding_verifier_reports_a_bad_pairing(fig1_strategy, fig2):
+    ah, p = fig1_strategy
+    assert verify_grounding(ah, p, {0: "right"}) == \
+        ["target:0 not mapped to a goal region"]
+    assert verify_grounding(ah, fig2.problem, {}) == \
+        ["target:0 not mapped to a goal region"]
+    two = replace(p, goal={"left": ("C", "A", "B"), "right": ()})
+    assert verify_grounding(ah, two, {0: "left", 1: "left"}) == \
+        ["region map is not injective"]
+    low = replace(p, goal={"left": ("C", "A")})
+    assert verify_grounding(ah, low, {0: "left"}) == \
+        ["target:0 height differs from goal region 'left'"]
 
 
 def test_grounding_requires_matching_goal_shape(fig1_strategy):
@@ -89,8 +114,8 @@ def test_grounding_is_deterministic(fig1_strategy, fig2):
     ah, _ = fig1_strategy
     first = ground_strategy(ah, fig2.problem)
     second = ground_strategy(ah, fig2.problem)
-    assert dict(first.object_map) == dict(second.object_map)
-    assert dict(first.region_map) == dict(second.region_map)
+    assert first == second
+    assert reconstruct(ah, first, fig2.problem) == reconstruct(ah, second, fig2.problem)
 
 
 # --- reconstruction -----------------------------------------------------------------
@@ -120,7 +145,7 @@ def test_reconstruct_grounds_node_labels(fig1_strategy, fig2):
     subgoals = reconstruct(ah, g, p)
     arc_ids = [aid for aid, _ in subgoals]
     assert len(set(arc_ids)) == len(arc_ids) and set(arc_ids) <= set(ah.arcs)
-    grounded = set(g.object_map.values())
+    grounded = p.goal_objects
     for _, targets in subgoals:
         assert targets
         for region, order in targets:
@@ -592,7 +617,8 @@ def test_blocker_objects_ground_and_refine(team_size, optimal):
     assert len(ah.abstract_objects) == 3  # the blocker is part of the strategy
     g = ground_strategy(ah, p)
     assert verify_grounding(ah, p, g) == []
-    assert set(g.object_map.values()) == {"A", "B"}  # only goal positions bind
+    # only goal positions become sub-goals: the blocker is left to the search
+    assert _subgoal_objects(reconstruct(ah, g, p)) == {"A", "B"}
     graph, stats = reuse_pipeline(ah, p)
     final, _, _ = execute_hypergraph(graph, p)
     assert is_goal(final, p)
@@ -696,3 +722,134 @@ def test_lifetime_transfer_on_held_out_corpus_seeds():
         assert is_goal(final, p), f"seed {seed}"
         assert stats.actions >= scratch_stats.solution_actions, f"seed {seed}"
     assert targets == 147
+
+
+# --- reference: grounding by object binding -------------------------------------
+# Before strategies carried a schedule, grounding bound every goal-stack
+# placeholder to the object at its goal position, and reconstruction mapped
+# each goal-prefix head through that binding. The schedule must give the
+# same sub-goals and fail on the same pairs.
+
+def _reference_ground(ah, p) -> tuple:
+    errors = p.validate()
+    if errors:
+        raise ValueError(f"invalid problem: {errors[0]}")
+    ah_stacks = sorted(ah.goal_stacks, key=lambda r: r.index)
+    if sorted(len(ah.goal_stacks[r]) for r in ah_stacks) != \
+            sorted(len(v) for v in p.goal.values()):
+        raise NoGrounding("goal stack-height multisets differ")
+    roles_by_height: dict = {}
+    for role in ah_stacks:
+        roles_by_height.setdefault(len(ah.goal_stacks[role]), []).append(role)
+    regions_by_height: dict = {}
+    for region, want in p.goal.items():
+        regions_by_height.setdefault(len(want), []).append(region)
+    region_map = {}
+    for height, roles in roles_by_height.items():
+        for role, region in zip(roles, regions_by_height[height]):
+            region_map[role] = region
+    object_map: dict = {}
+    for role in ah_stacks:
+        for aobj, concrete in zip(ah.goal_stacks[role], p.goal[region_map[role]]):
+            if object_map.setdefault(aobj, concrete) != concrete:
+                raise NoGrounding(f"{aobj} pinned to two different goal positions")
+    return object_map, region_map
+
+
+def _reference_reconstruct(ah, object_map, region_map) -> tuple:
+    subgoals = []
+    for aid in sorted(ah.arcs):
+        targets = []
+        for nid in sorted(ah.arcs[aid].heads):
+            node = ah.nodes[nid]
+            stack = ah.goal_stacks.get(node.region, ())
+            order = node.stack_order
+            if order and stack[:len(order)] == order:
+                targets.append((region_map[node.region],
+                                tuple(object_map[o] for o in order)))
+        if targets:
+            subgoals.append((aid, tuple(targets)))
+    return tuple(subgoals)
+
+
+def _agrees_with_reference(ah, p) -> bool:
+    """Same sub-goals as the reference, or NoGrounding from both; True if grounded."""
+    try:
+        expected = _reference_reconstruct(ah, *_reference_ground(ah, p))
+    except NoGrounding as failure:
+        with pytest.raises(NoGrounding) as raised:
+            ground_strategy(ah, p)
+        assert str(raised.value) == str(failure)
+        return False
+    assert reconstruct(ah, ground_strategy(ah, p), p) == expected
+    return True
+
+
+@pytest.fixture(scope="module")
+def corpus_strategies():
+    """(problem, own strategy) of every solvable corpus seed."""
+    out = []
+    for seed in range(400):
+        p = random_instance(seed, 4, 2, 4)
+        try:
+            out.append((p, _own_strategy(p)))
+        except NoSolution:
+            continue
+    assert len(out) == 286
+    return out
+
+
+def test_schedule_matches_object_binding_on_own_problems(corpus_strategies):
+    for p, ah in corpus_strategies:
+        assert _agrees_with_reference(ah, p)
+
+
+def test_schedule_matches_object_binding_across_corpus_pairs(corpus_strategies):
+    # every 4th strategy on every target (a fresh copy): 72 x 286 pairs
+    grounded = failed = 0
+    for _, ah in corpus_strategies[::4]:
+        for p, _ in corpus_strategies:
+            if _agrees_with_reference(ah, replace(p)):
+                grounded += 1
+            else:
+                failed += 1
+    assert (grounded, failed) == (5997, 14595)
+
+
+def test_schedule_matches_object_binding_from_fig1(fig1_strategy, fig2, fig3):
+    ah, p = fig1_strategy
+    for target in (p, fig2.problem, fig3.problem):
+        assert _agrees_with_reference(ah, target)
+    assert _agrees_with_reference(_buffered_strategy(), p)
+    assert not _agrees_with_reference(ah, reversal_problem(4))
+
+
+# --- goal regions that stay empty -------------------------------------------------
+
+def _empty_goal_stack_problem() -> Problem:
+    # S must stay empty and the optimal plan never touches it
+    regions = (Region("L", "stack"), Region("R", "stack"), Region("S", "stack"))
+    robots = (RobotSpec("a", frozenset({"L", "R", "S"})),)
+    return Problem(regions, robots, ("A", "B"),
+                   WorldState(stacks={"R": ("B", "A")}),
+                   {"L": ("A", "B"), "S": ()})
+
+
+def test_own_strategy_with_an_untouched_empty_goal_stack_reuses():
+    from hyperplan import TargetRole, make_record, retrieve
+
+    p = _empty_goal_stack_problem()
+    scratch, scratch_stats = plan(p)
+    assert all(a.label.region != "S" for a in scratch.arcs.values()
+               if isinstance(a.label, Place))
+    ah = extract_strategy(scratch, p)
+    assert ah.goal_stacks[TargetRole(1)] == ()
+    assert ground_strategy(ah, p) == {0: "L", 1: "S"}
+    record = make_record("empty-s", ah, "empty-s")
+    assert record.signature.goal_stack_heights == (0, 2)
+    assert retrieve(p, [record]) is record
+    graph, stats = reuse_pipeline(ah, p, RefinementConfig(fallback=FAIL_HARD))
+    assert not stats.fallback_used
+    final, _, _ = execute_hypergraph(graph, p)
+    assert is_goal(final, p)
+    assert stats.actions == scratch_stats.solution_actions
