@@ -11,9 +11,12 @@ that differ only in which interchangeable robot holds what are one node.
 It returns actions and compiles nothing. ``Compiler`` turns actions into a
 solution hypergraph whose arcs recover the plan's parallel structure,
 checked as it is compiled (every action applied once with its
-precondition check, the graph validated once); refinement compiles each
-sub-problem's actions as they come. ``plan`` is ``search`` plus one
-compilation, and its makespan is read off the graph.
+precondition check, the graph validated once) and layered as it grows;
+refinement compiles each sub-problem's actions as they come. A compiled
+plan is search's action list with interchangeable robots renamed at picks
+(``Compiler.rename``): each pick goes to the robot of its class whose hand
+is free first. ``plan`` is ``search`` plus one compilation, and its
+makespan is the compiler's last layer.
 ``bfs_oracle`` is an independent exhaustive breadth-first search over
 ``WorldState`` with ``applicable_actions`` and ``apply``, no symmetry
 reduction and no heuristic, so tests can cross-check optimality.
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 from .domain import (
     STACK,
+    Handoff,
     Held,
     InBuffer,
     Memo,
@@ -41,8 +45,8 @@ from .domain import (
     apply,
     initial_decomposition,
     is_goal,
-    makespan,
 )
+from .domain import _without
 # execute_hypergraph is unused here but stays a module attribute:
 # bench/spans.py wraps hyperplan.planner.execute_hypergraph by name.
 from .domain import execute_hypergraph  # noqa: F401
@@ -417,14 +421,17 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
 def plan(p: Problem, config: SearchConfig | None = None) -> tuple:
     """``search``, then compile: returns ``(SolutionHypergraph, SearchStats)``.
 
-    The goal is read exactly. The actions are compiled into one solution
-    hypergraph, checked as it is compiled, and the stats get its makespan.
-    Errors are those of ``search``.
+    The goal is read exactly. The actions, with interchangeable robots
+    renamed at picks (``Compiler.rename``), are compiled into one solution
+    hypergraph, checked as it is compiled, and the stats get its makespan,
+    the compiler's last layer. Errors are those of ``search``.
     """
     started = time.perf_counter()
     actions, stats = search(p, config)
-    graph = build_hypergraph(actions, p)
-    stats.makespan = makespan(graph)
+    compiler = Compiler(p)
+    compiler.extend(compiler.rename(actions))
+    graph = compiler.build()
+    stats.makespan = compiler.makespan
     stats.wall_time = time.perf_counter() - started
     return graph, stats
 
@@ -453,6 +460,11 @@ class Compiler:
     The frontier is keyed by holder, so an action updates one entry per
     head: ``stacks`` maps each occupied stack region to its node, and
     ``holders`` each robot and each buffered object to its own node.
+    ``layers`` gives each node its layer as it is added: 0 for a source,
+    one past the last of its arc's tails for a head, the rule
+    ``domain.makespan`` applies to a compiled graph, whose robot rule never
+    fires there. ``extend`` compiles exactly the actions it is given;
+    ``plan`` and refinement hand it search's actions through ``rename``.
     ``build`` validates the graph once.
     """
 
@@ -461,10 +473,12 @@ class Compiler:
         self.state = p.initial
         self.builder = HypergraphBuilder()
         node_of: dict = {}   # entity name -> source node id
-        for comp, facts in initial_decomposition(p):
+        sources = initial_decomposition(p)
+        for comp, facts in sources:
             nid = self.builder.add_node(comp, facts)
             for entity in comp:
                 node_of[entity.name] = nid
+        self.layers = [0] * len(sources)   # node id -> layer
         self.stacks = {r: node_of[stack[0]] for r, stack in p.initial.stacks.items()}
         self.holders = {spec.id: node_of[spec.id] for spec in p.robots}
         for objs in p.initial.buffers.values():
@@ -474,7 +488,7 @@ class Compiler:
     def extend(self, actions: list) -> None:
         """Apply and compile ``actions`` from ``state``, which they advance."""
         p, add, node = self.p, self.builder.add_node, self.builder.node
-        stacks, holders = self.stacks, self.holders
+        stacks, holders, layers = self.stacks, self.holders, self.layers
         state = self.state
         for action in actions:
             nxt = apply(state, action, p)
@@ -487,22 +501,27 @@ class Compiler:
                 source = node(stacks.pop(region) if p.region_map[region].kind == STACK
                               else holders.pop(o))
                 tails = (hand.id, source.id)
+                layer = 1 + max(layers[hand.id], layers[source.id])
                 holders[r] = add(hand.composition | moved, hand.state | {Held(r, o)}, via)
                 heads = [holders[r]]
+                layers.append(layer)
                 rest = source.composition - moved
                 if rest:   # o left the top of a stack, at height len(rest)
                     stacks[region] = add(rest, source.state - {OnStack(o, region, len(rest))},
                                          via)
                     heads.append(stacks[region])
+                    layers.append(layer)
             elif isinstance(action, Place):
                 r, region = action.robot, action.region
                 hand = node(holders[r])
                 tails = (hand.id,)
+                layer = 1 + layers[hand.id]
                 if p.region_map[region].kind == STACK:
                     fact = OnStack(o, region, len(state.stacks.get(region, ())))
                     if region in stacks:
                         group = node(stacks[region])
                         tails += (group.id,)
+                        layer = 1 + max(layers[hand.id], layers[group.id])
                         landing = add(group.composition | moved, group.state | {fact}, via)
                     else:
                         landing = add(moved, (fact,), via)
@@ -511,19 +530,141 @@ class Compiler:
                     landing = holders[o] = add(moved, (InBuffer(o, region),), via)
                 holders[r] = add(hand.composition - moved, hand.state - {Held(r, o)}, via)
                 heads = [landing, holders[r]]
+                layers += (layer, layer)
             else:
                 giver, receiver = action.giver, action.receiver
                 g, q = node(holders[giver]), node(holders[receiver])
                 tails = (g.id, q.id)
+                layer = 1 + max(layers[g.id], layers[q.id])
                 heads = [add(g.composition - moved, g.state - {Held(giver, o)}, via),
                          add(q.composition | moved, q.state | {Held(receiver, o)}, via)]
                 holders[giver], holders[receiver] = heads
+                layers += (layer, layer)
             self.builder.add_arc(action, tails, heads)
             state = nxt
         self.state = state
 
+    @property
+    def makespan(self) -> int:
+        """The last layer: ``domain.makespan`` of the graph compiled so far."""
+        return max(self.layers, default=0)
+
+    def rename(self, actions: list) -> list:
+        """``actions``, which are valid from ``state``, with each pick handed
+        to the interchangeable robot whose hand is free earliest.
+
+        A pick by a robot of one of ``Problem.robot_classes`` looks at each
+        peer that holds exactly the same load: the state is then symmetric
+        under exchanging the two. If the robot's hand, not the source, holds
+        the pick back (a pick's layer is one past both), the peer whose hand
+        node has the lowest layer below the robot's takes the pick, and the
+        two exchange names in this action and in every later one. Ties keep
+        the robot. Places and handoffs are renamed but never exchange. The
+        objects, regions, order and count of the actions stay the same, and
+        ``extend`` still checks each one.
+
+        Layers are found as ``extend`` will find them: what the actions so
+        far changed is kept aside, by holder as in the frontier, and
+        anything else reads as compiled. Nothing after the last pick is
+        followed, since no later layer decides anything.
+        """
+        classes = self.p.robot_classes
+        end = len(actions)
+        while end and type(actions[end - 1]) is not Pick:
+            end -= 1
+        if not classes or not end:
+            return actions
+        kinds, layers = self.p.region_map, self.layers
+        frontier, holders = self.stacks, self.holders
+        piles, held = self.state.stacks, self.state.holdings
+        tops: dict = {}      # stack region -> its node's layer, 0 once empty
+        hands: dict = {}     # robot or buffered object -> its node's layer
+        heights: dict = {}   # stack region -> objects on it
+        loads: dict = {}     # robot -> load
+        alias: dict = {}     # search's robot -> the robot that acts, once exchanged
+        out = []
+        for i, action in enumerate(actions[:end], 1):
+            if type(action) is not Pick:
+                action = _relabeled(action, alias)
+                o = action.obj
+                if type(action) is Handoff:
+                    giver, receiver = action.giver, action.receiver
+                    a = hands[giver] if giver in hands else layers[holders[giver]]
+                    b = hands[receiver] if receiver in hands else layers[holders[receiver]]
+                    hands[giver] = hands[receiver] = 1 + (a if a > b else b)
+                    loads[giver] = _without(loads[giver] if giver in loads
+                                            else held[giver], o)
+                    loads[receiver] = (loads[receiver] if receiver in loads
+                                       else held.get(receiver, ())) + (o,)
+                else:
+                    r, region = action.robot, action.region
+                    a = hands[r] if r in hands else layers[holders[r]]
+                    b = tops[region] if region in tops else \
+                        layers[frontier[region]] if region in frontier else 0
+                    hands[r] = layer = 1 + (a if a > b else b)
+                    loads[r] = _without(loads[r] if r in loads else held[r], o)
+                    if kinds[region].kind == STACK:
+                        tops[region] = layer
+                        heights[region] = 1 + (heights[region] if region in heights
+                                               else len(piles.get(region, ())))
+                    else:
+                        hands[o] = layer
+                out.append(action)
+                continue
+            o, robot, region = action.obj, action.robot, action.region
+            r = alias.get(robot, robot)
+            on_stack = kinds[region].kind == STACK
+            if on_stack:
+                source = tops[region] if region in tops else layers[frontier[region]]
+            else:
+                source = hands[o] if o in hands else layers[holders[o]]
+            hand = hands[r] if r in hands else layers[holders[r]]
+            load = loads[r] if r in loads else held.get(r, ())
+            best = r
+            if hand > source:
+                for robots in classes:
+                    if r in robots:
+                        for c in robots:
+                            free = hands[c] if c in hands else layers[holders[c]]
+                            if free < hand and \
+                                    (loads[c] if c in loads else held.get(c, ())) == load:
+                                best, hand = c, free
+                        break
+            if best != r:
+                for k in robots:   # exchange r and best from here on
+                    acting = alias.get(k, k)
+                    if acting == r:
+                        alias[k] = best
+                    elif acting == best:
+                        alias[k] = r
+                r = best
+            out.append(action if r == robot else Pick(r, o, region))
+            if i == end:
+                break
+            hands[r] = layer = 1 + (hand if hand > source else source)
+            loads[r] = load + (o,)
+            if on_stack:
+                left = heights[region] if region in heights else len(piles[region])
+                heights[region] = left - 1
+                tops[region] = layer if left > 1 else 0
+        out += [_relabeled(action, alias) for action in actions[end:]] if alias \
+            else actions[end:]
+        return out
+
     def build(self) -> SolutionHypergraph:
         return self.builder.build()
+
+
+def _relabeled(action, alias: dict):
+    """A place or handoff with each robot replaced by its ``alias``, if any."""
+    if type(action) is Handoff:
+        giver = alias.get(action.giver, action.giver)
+        receiver = alias.get(action.receiver, action.receiver)
+        if giver == action.giver and receiver == action.receiver:
+            return action
+        return Handoff(giver, receiver, action.obj)
+    r = alias.get(action.robot, action.robot)
+    return action if r == action.robot else Place(r, action.obj, action.region)
 
 
 def bfs_oracle(p: Problem, bound: int = 64) -> int | None:

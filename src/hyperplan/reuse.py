@@ -17,12 +17,16 @@ nothing above a goal stack, so a refinement that succeeds reaches the goal.
 Each sub-problem is derived with ``Problem.subproblem``: it shares the
 problem's goal-independent tables and structure checks, so it costs its own
 search plus the check of its goal and start state. Its search returns
-actions only, and one ``Compiler`` takes them as they come: it applies each
-action once, with its precondition check, and its state is where the next
-sub-problem starts. The result is one solution hypergraph, validated once
-and not executed a second time, whose robot entities are exactly those the
-sub-solutions introduced. ``reuse_pipeline`` runs the three phases and is
-the one place that decides to plan from scratch instead.
+actions only, and one ``Compiler`` takes them as they come, renamed at
+picks (``Compiler.rename``): each pick goes to the interchangeable robot
+whose hand is free first, so two alike robots work in parallel although
+each sub-problem's search puts every move on one of them. The compiler
+applies each action once, with its precondition check, and its state is
+where the next sub-problem starts. The result is one solution hypergraph,
+validated once and not executed a second time, whose robot entities are
+exactly those the sub-solutions introduced. ``reuse_pipeline`` runs the
+three phases and is the one place that decides to plan from scratch
+instead.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph
-from .domain import Problem, makespan
+from .domain import Problem
 # apply, build_hypergraph, execute_hypergraph, is_goal and topological_order
 # are unused here but stay module attributes: bench/spans.py wraps them in
 # hyperplan.reuse by name.
@@ -166,8 +170,9 @@ def refine(subgoals: tuple, p: Problem,
     is every placement achieved so far, read positionally, except the last,
     which is the full goal read exactly (with no sub-goals, that is the only
     sub-problem). Each sub-problem is searched for actions only, which one
-    ``Compiler`` applies and compiles, so its state starts the next
-    sub-problem; the graph is sealed once at the end. Returns
+    ``Compiler`` renames at picks, applies and compiles, so its state starts
+    the next sub-problem; the graph is sealed once at the end, and its
+    makespan is the compiler's last layer. Returns
     ``(SolutionHypergraph, ReuseStats)``; the per-sub-problem stats carry
     expansions, generated states and action counts, not makespans, and the
     times read 0: ``reuse_pipeline`` times every phase. Raises
@@ -187,14 +192,14 @@ def refine(subgoals: tuple, p: Problem,
             sub_actions, sub_stats = search(sub, config, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc), sub.goal, exc.expansions) from exc
-        compiler.extend(sub_actions)
+        compiler.extend(compiler.rename(sub_actions))
         substats.append(sub_stats)
     graph = compiler.build()
     return graph, ReuseStats(
         subproblems=tuple(substats),
         total_expansions=sum(s.expansions for s in substats),
         actions=len(graph.arcs),
-        makespan=makespan(graph),
+        makespan=compiler.makespan,
     )
 
 

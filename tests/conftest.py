@@ -163,3 +163,16 @@ def random_walk(problem: Problem, rng: random.Random, steps: int) -> list:
         state = apply(state, rng.choice(actions), problem)
         visited.append(state)
     return visited
+
+
+def class_erased(p: Problem, actions) -> list:
+    """``actions`` as tuples with each robot of ``p.robot_classes`` replaced
+    by its class's index: plans that differ only in which interchangeable
+    robot acts are equal here."""
+    class_of = {r: i for i, robots in enumerate(p.robot_classes) for r in robots}
+    out = []
+    for a in actions:
+        robots = (a.giver, a.receiver) if hasattr(a, "giver") else (a.robot,)
+        out.append((type(a).__name__, a.obj, getattr(a, "region", None))
+                   + tuple(class_of.get(r, r) for r in robots))
+    return out

@@ -23,6 +23,7 @@ from hyperplan import (
     execute_hypergraph,
     extract_strategy,
     is_goal,
+    makespan,
     plan,
     reuse_pipeline,
     search,
@@ -34,7 +35,7 @@ from hyperplan.cli import plan_to_json
 from hyperplan.domain import Held, InBuffer, OnStack, applicable_actions, apply
 from hyperplan.planner import Compiler, SlotSpace, heuristic
 
-from conftest import load_scenario, random_instance, random_walk
+from conftest import class_erased, load_scenario, random_instance, random_walk
 
 
 def plan_actions(graph):
@@ -382,8 +383,8 @@ def test_search_order_is_pinned(name):
 
 # sha256 over plan_to_json of the GOLDEN plans, then of the plans corpus
 # seeds 0-99 refine from their own strategies. Any change in node order,
-# compositions, facts or arcs moves it.
-COMPILED_GRAPHS_SHA256 = "7bb2d15e5c1ca71cb679731b5273a6b2cac4163203aea025136e148701875f6b"
+# compositions, facts, arcs or robot names moves it.
+COMPILED_GRAPHS_SHA256 = "ee42c572634295bb0042b7e224f7898b9c655e0c8d75d676dde2262d44c6ed84"
 
 
 def test_compiled_graphs_are_pinned():
@@ -509,6 +510,61 @@ def test_build_output_reexecutes_to_sequential_state():
         assert compiler.build() == graph
         assert compiler.state == states[-1]
     assert checked >= 6_000
+
+
+def test_compiler_layers_give_the_makespan():
+    """The compiler's last layer is ``makespan`` of the graph it compiled:
+    on the GOLDEN plans, on every corpus scratch and refined plan, and on
+    each walk, renamed or not, compiled up to a random cut and then to its
+    end."""
+    checked = 0
+    for name in sorted(GOLDEN):
+        graph, stats = plan(golden_problem(name))
+        assert stats.makespan == makespan(graph) > 0, name
+        checked += 1
+    for seed in range(400):
+        p = random_instance(seed, 4, 2, 4)
+        try:
+            graph, stats = plan(p)
+        except NoSolution:
+            continue
+        reused, reuse_stats = reuse_pipeline(extract_strategy(graph, p), p)
+        assert stats.makespan == makespan(graph), seed
+        assert reuse_stats.makespan == makespan(reused), seed
+        checked += 2
+    for i, (p, actions, _) in enumerate(walks(WALKED)):
+        cut = random.Random(i).randint(0, len(actions))
+        for sequence in (actions, Compiler(p).rename(actions)):
+            compiler = Compiler(p)
+            compiler.extend(sequence[:cut])
+            assert compiler.makespan == makespan(build_hypergraph(sequence[:cut], p)), i
+            compiler.extend(sequence[cut:])
+            assert compiler.makespan == makespan(compiler.build()), i
+            checked += 1
+    assert checked == 5 + 2 * 286 + 2 * len(WALKED)
+
+
+def test_renaming_exchanges_only_interchangeable_robots_on_walks():
+    """A renamed walk has the walk's objects, regions and action kinds, with
+    each robot replaced by one of its class; the checked ``apply`` accepts
+    it, and it leaves the walk's stacks and buffers, with the loads of each
+    class exchanged among its robots."""
+    renamed = 0
+    for i, (p, actions, states) in enumerate(walks(WALKED)):
+        compiler = Compiler(p)
+        out = compiler.rename(actions)
+        if not p.robot_classes:
+            assert out is actions
+            continue
+        assert class_erased(p, out) == class_erased(p, actions), i
+        compiler.extend(out)
+        final, end = compiler.state, states[-1]
+        assert (final.stacks, final.buffers) == (end.stacks, end.buffers), i
+        for robots in p.robot_classes:
+            assert sorted(final.holdings.get(r, ()) for r in robots) == \
+                sorted(end.holdings.get(r, ()) for r in robots), i
+        renamed += out != actions
+    assert renamed >= 5
 
 
 @pytest.mark.parametrize("prefix", [False, True])

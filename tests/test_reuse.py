@@ -1,4 +1,5 @@
 import inspect
+import json
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from hyperplan import (
     Problem,
     Region,
     RefinementConfig,
+    ReuseStats,
     RobotSpec,
     SearchConfig,
     SubproblemInfeasible,
@@ -25,6 +27,7 @@ from hyperplan import (
     extract_strategy,
     ground_strategy,
     is_goal,
+    makespan,
     plan,
     reconstruct,
     refine,
@@ -34,8 +37,10 @@ from hyperplan import (
     validate_hyperpath,
     verify_grounding,
 )
+from hyperplan.cli import plan_to_json
+from hyperplan.planner import Compiler
 
-from conftest import load_scenario, random_instance, reversal_problem
+from conftest import class_erased, load_scenario, random_instance, reversal_problem
 
 
 @pytest.fixture(scope="module")
@@ -787,12 +792,12 @@ def _agrees_with_reference(ah, p) -> bool:
 
 @pytest.fixture(scope="module")
 def corpus_strategies():
-    """(problem, own strategy) of every solvable corpus seed."""
+    """(seed, problem, own strategy) of every solvable corpus seed."""
     out = []
     for seed in range(400):
         p = random_instance(seed, 4, 2, 4)
         try:
-            out.append((p, _own_strategy(p)))
+            out.append((seed, p, _own_strategy(p)))
         except NoSolution:
             continue
     assert len(out) == 286
@@ -800,15 +805,15 @@ def corpus_strategies():
 
 
 def test_schedule_matches_object_binding_on_own_problems(corpus_strategies):
-    for p, ah in corpus_strategies:
+    for _, p, ah in corpus_strategies:
         assert _agrees_with_reference(ah, p)
 
 
 def test_schedule_matches_object_binding_across_corpus_pairs(corpus_strategies):
     # every 4th strategy on every target (a fresh copy): 72 x 286 pairs
     grounded = failed = 0
-    for _, ah in corpus_strategies[::4]:
-        for p, _ in corpus_strategies:
+    for _, _, ah in corpus_strategies[::4]:
+        for _, p, _ in corpus_strategies:
             if _agrees_with_reference(ah, replace(p)):
                 grounded += 1
             else:
@@ -822,6 +827,73 @@ def test_schedule_matches_object_binding_from_fig1(fig1_strategy, fig2, fig3):
         assert _agrees_with_reference(ah, target)
     assert _agrees_with_reference(_buffered_strategy(), p)
     assert not _agrees_with_reference(ah, reversal_problem(4))
+
+
+# --- reference: refinement that compiles search's robots ---------------------------
+# Before compiled plans renamed interchangeable robots at picks, refinement
+# compiled each sub-problem's actions as its search returned them, so every
+# sub-problem started with one robot doing all the moves. Renaming must give
+# the same plan once each robot is erased to its class, with a makespan no
+# higher.
+
+def _reference_refine(subgoals, p, config=None) -> tuple:
+    compiler = Compiler(p)
+    substats: list = []
+    achieved: dict = {}
+    steps = subgoals or ((None, ()),)
+    for i, (aid, targets) in enumerate(steps, 1):
+        achieved.update(targets)
+        exact = i == len(steps)
+        sub = p.subproblem(compiler.state, p.goal if exact else dict(achieved))
+        try:
+            sub_actions, sub_stats = search(sub, config, prefix_goals=not exact)
+        except (NoSolution, BudgetExhausted) as exc:
+            raise SubproblemInfeasible(aid, str(exc), sub.goal, exc.expansions) from exc
+        compiler.extend(sub_actions)
+        substats.append(sub_stats)
+    graph = compiler.build()
+    return graph, ReuseStats(
+        subproblems=tuple(substats),
+        total_expansions=sum(s.expansions for s in substats),
+        actions=len(graph.arcs),
+        makespan=makespan(graph),
+    )
+
+
+def _labels(graph) -> list:
+    return [graph.arcs[aid].label for aid in topological_order(graph)]
+
+
+def test_renamed_refinement_matches_the_reference_on_own_strategies(corpus_strategies):
+    lowered = []
+    for seed, p, ah in corpus_strategies:
+        subgoals = reconstruct(ah, ground_strategy(ah, p), p)
+        expected, expected_stats = _reference_refine(subgoals, p)
+        graph, stats = refine(subgoals, p)
+        assert class_erased(p, _labels(graph)) == class_erased(p, _labels(expected)), seed
+        assert [s.expansions for s in stats.subproblems] == \
+            [s.expansions for s in expected_stats.subproblems], seed
+        assert stats.makespan <= expected_stats.makespan, seed
+        if stats.makespan < expected_stats.makespan:
+            lowered.append(seed)
+    # the last move of seed 41 goes to the robot whose hand is free first
+    assert lowered == [41]
+
+
+def test_renaming_shortens_fig1_reused_on_fig1_only(fig1_strategy, fig2, fig3):
+    ah, p = fig1_strategy
+    subgoals = reconstruct(ah, ground_strategy(ah, p), p)
+    graph, stats = refine(subgoals, p)
+    expected, expected_stats = _reference_refine(subgoals, p)
+    assert (stats.actions, stats.makespan) == (6, 5)
+    assert (expected_stats.actions, expected_stats.makespan) == (6, 6)
+    assert class_erased(p, _labels(graph)) == class_erased(p, _labels(expected))
+    # disjoint reach (fig2) and one robot (fig3): no two robots alike
+    for target in (fig2.problem, fig3.problem):
+        assert not target.robot_classes
+        subgoals = reconstruct(ah, ground_strategy(ah, target), target)
+        assert json.dumps(plan_to_json(refine(subgoals, target)[0], "plan")) == \
+            json.dumps(plan_to_json(_reference_refine(subgoals, target)[0], "plan"))
 
 
 # --- goal regions that stay empty -------------------------------------------------
