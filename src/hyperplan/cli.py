@@ -85,6 +85,21 @@ def _require(data: dict, where: str, required: set, optional: set = frozenset())
             raise ParseError(f"{where}.{key}", "missing field")
 
 
+def _is_id_list(value) -> bool:
+    """True for a JSON list of strings (ids of objects or regions)."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check_id_and_capacity(entry: dict, where: str) -> None:
+    """ParseError unless the id is a string and the capacity, if given, an
+    int (a bool is not)."""
+    if not isinstance(entry["id"], str):
+        raise ParseError(f"{where}.id", f"{entry['id']!r} is not a string")
+    capacity = entry.get("capacity")
+    if capacity is not None and type(capacity) is not int:
+        raise ParseError(f"{where}.capacity", f"{capacity!r} is not an integer")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Strict scenario reader: unknown fields and bad shapes are rejected."""
     try:
@@ -104,21 +119,26 @@ def parse_scenario(text: str) -> Scenario:
     for i, entry in enumerate(data["regions"]):
         where = f"regions[{i}]"
         _require(entry, where, {"id", "kind"}, {"capacity"})
+        _check_id_and_capacity(entry, where)
         try:
             regions.append(Region(entry["id"], entry["kind"], entry.get("capacity")))
         except (ValueError, TypeError) as exc:
             raise ParseError(where, str(exc)) from exc
 
     objects = data["objects"]
-    if not isinstance(objects, list) or not all(isinstance(o, str) for o in objects):
+    if not _is_id_list(objects):
         raise ParseError("scenario.objects", "expected a list of strings")
 
     robots = []
     for i, entry in enumerate(data["robots"]):
         where = f"robots[{i}]"
         _require(entry, where, {"id", "reach"}, {"capacity"})
+        _check_id_and_capacity(entry, where)
+        reach = entry["reach"]
+        if not _is_id_list(reach):
+            raise ParseError(f"{where}.reach", "expected a list of region ids")
         try:
-            robots.append(RobotSpec(entry["id"], frozenset(entry["reach"]),
+            robots.append(RobotSpec(entry["id"], frozenset(reach),
                                     entry.get("capacity", 1)))
         except (ValueError, TypeError) as exc:
             raise ParseError(where, str(exc)) from exc
@@ -130,7 +150,7 @@ def parse_scenario(text: str) -> Scenario:
     for region_id, contents in data["initial"].items():
         if region_id not in region_kinds:
             raise ParseError(f"initial.{region_id}", "unknown region")
-        if not isinstance(contents, list):
+        if not _is_id_list(contents):
             raise ParseError(f"initial.{region_id}", "expected an object list")
         if region_kinds[region_id] == STACK:
             stacks[region_id] = tuple(contents)
@@ -141,7 +161,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError("scenario.goal", "expected region -> object list")
     goal = {}
     for region_id, contents in data["goal"].items():
-        if not isinstance(contents, list):
+        if not _is_id_list(contents):
             raise ParseError(f"goal.{region_id}", "expected an object list")
         goal[region_id] = tuple(contents)
 

@@ -133,29 +133,43 @@ def record_to_json(record: StrategyRecord) -> dict:
     }
 
 
+def _ints(values, file: str, what: str) -> list:
+    """``values`` as a list, or CorruptRecord unless each is an int (a bool
+    is not)."""
+    values = list(values)
+    for value in values:
+        if type(value) is not int:
+            raise CorruptRecord(file, f"{what} {value!r} is not an integer")
+    return values
+
+
+def _objects(indices, file: str, what: str) -> tuple:
+    return tuple(map(AbstractObject, _ints(indices, file, what)))
+
+
 def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
     try:
         if data.get("version") != FORMAT_VERSION:
             raise CorruptRecord(file, f"unsupported version {data.get('version')!r}")
         nodes = {}
         for entry in data["nodes"]:
+            (nid,) = _ints((entry["id"],), file, "node id")
             # refinement always attaches robots, so no other value is usable
             if entry["abstract_robot"] is not True:
-                raise CorruptRecord(
-                    file, f"node {entry['id']}: abstract_robot must be true")
-            if entry["id"] in nodes:
-                raise CorruptRecord(file, f"repeated node id {entry['id']!r}")
-            nodes[entry["id"]] = AbstractNode(
-                id=entry["id"],
-                composition=frozenset(AbstractObject(i) for i in entry["objects"]),
+                raise CorruptRecord(file, f"node {nid}: abstract_robot must be true")
+            if nid in nodes:
+                raise CorruptRecord(file, f"repeated node id {nid!r}")
+            nodes[nid] = AbstractNode(
+                id=nid,
+                composition=frozenset(_objects(entry["objects"], file, "object index")),
                 region=_role_parse(entry["region_role"], file),
-                stack_order=tuple(AbstractObject(i) for i in entry["stack_order"]),
+                stack_order=_objects(entry["stack_order"], file, "stack_order entry"),
             )
-        arcs = {i: Hyperarc(i, ABSTRACT,
-                            frozenset(entry["tails"]), frozenset(entry["heads"]))
+        arcs = {i: Hyperarc(i, ABSTRACT, frozenset(_ints(entry["tails"], file, "arc tail")),
+                            frozenset(_ints(entry["heads"], file, "arc head")))
                 for i, entry in enumerate(data["arcs"])}
         goal_stacks = {
-            _role_parse(role, file): tuple(AbstractObject(i) for i in stack)
+            _role_parse(role, file): _objects(stack, file, "goal-stack entry")
             for role, stack in data["goal_stacks"].items()
         }
         ah = AbstractHypergraph(nodes, arcs, goal_stacks)

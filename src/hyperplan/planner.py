@@ -12,11 +12,12 @@ It returns actions and compiles nothing. ``Compiler`` turns actions into a
 solution hypergraph whose arcs recover the plan's parallel structure,
 checked as it is compiled (every action applied once with its
 precondition check, the graph validated once) and layered as it grows;
-refinement compiles each sub-problem's actions as they come. A compiled
-plan is search's action list with interchangeable robots renamed at picks
-(``Compiler.rename``): each pick goes to the robot of its class whose hand
-is free first. ``plan`` is ``search`` plus one compilation, and its
-makespan is the compiler's last layer.
+refinement compiles each sub-problem's actions as they come. As it
+compiles a pick, the compiler hands it to the robot of its class whose
+hand is free first, from the layers it already holds, so a compiled plan
+is search's action list with interchangeable robots renamed at picks.
+``plan`` is ``search`` plus one compilation, and its makespan is the
+compiler's last layer.
 ``bfs_oracle`` is an independent exhaustive breadth-first search over
 ``WorldState`` with ``applicable_actions`` and ``apply``, no symmetry
 reduction and no heuristic, so tests can cross-check optimality.
@@ -46,7 +47,6 @@ from .domain import (
     initial_decomposition,
     is_goal,
 )
-from .domain import _without
 # execute_hypergraph is unused here but stays a module attribute:
 # bench/spans.py wraps hyperplan.planner.execute_hypergraph by name.
 from .domain import execute_hypergraph  # noqa: F401
@@ -421,15 +421,15 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
 def plan(p: Problem, config: SearchConfig | None = None) -> tuple:
     """``search``, then compile: returns ``(SolutionHypergraph, SearchStats)``.
 
-    The goal is read exactly. The actions, with interchangeable robots
-    renamed at picks (``Compiler.rename``), are compiled into one solution
-    hypergraph, checked as it is compiled, and the stats get its makespan,
-    the compiler's last layer. Errors are those of ``search``.
+    The goal is read exactly. The actions are compiled into one solution
+    hypergraph by ``Compiler``, which renames interchangeable robots at
+    picks and checks as it compiles, and the stats get its makespan, the
+    compiler's last layer. Errors are those of ``search``.
     """
     started = time.perf_counter()
     actions, stats = search(p, config)
     compiler = Compiler(p)
-    compiler.extend(compiler.rename(actions))
+    compiler.extend(actions)
     graph = compiler.build()
     stats.makespan = compiler.makespan
     stats.wall_time = time.perf_counter() - started
@@ -463,9 +463,10 @@ class Compiler:
     ``layers`` gives each node its layer as it is added: 0 for a source,
     one past the last of its arc's tails for a head, the rule
     ``domain.makespan`` applies to a compiled graph, whose robot rule never
-    fires there. ``extend`` compiles exactly the actions it is given;
-    ``plan`` and refinement hand it search's actions through ``rename``.
-    ``build`` validates the graph once.
+    fires there. ``extend`` hands each pick to the interchangeable robot
+    whose hand is free first, reading those layers (``peers`` maps each
+    robot of a ``Problem.robot_classes`` class to its class). ``build``
+    validates the graph once.
     """
 
     def __init__(self, p: Problem) -> None:
@@ -481,20 +482,57 @@ class Compiler:
         self.layers = [0] * len(sources)   # node id -> layer
         self.stacks = {r: node_of[stack[0]] for r, stack in p.initial.stacks.items()}
         self.holders = {spec.id: node_of[spec.id] for spec in p.robots}
+        self.peers = {r: robots for robots in p.robot_classes for r in robots}
         for objs in p.initial.buffers.values():
             for o in objs:
                 self.holders[o] = node_of[o]
 
     def extend(self, actions: list) -> None:
-        """Apply and compile ``actions`` from ``state``, which they advance."""
+        """Apply and compile ``actions``, which are valid from ``state`` and
+        advance it, with each pick handed to the interchangeable robot whose
+        hand is free first.
+
+        A pick by a robot of one of ``Problem.robot_classes`` looks at each
+        peer that holds exactly the same load: the state is then symmetric
+        under exchanging the two. If the robot's hand, not the source, holds
+        the pick back (a pick's layer is one past both), the peer whose hand
+        node has the lowest layer below the robot's takes the pick, and the
+        two exchange names in this action and in every later one of
+        ``actions``. Ties keep the robot. Places and handoffs are renamed
+        but never exchange. The objects, regions, order and count of the
+        actions stay the same, each is applied with its precondition check,
+        and without interchangeable robots ``actions`` compile as given.
+        """
         p, add, node = self.p, self.builder.add_node, self.builder.node
-        stacks, holders, layers = self.stacks, self.holders, self.layers
+        stacks, holders, layers, peers = self.stacks, self.holders, self.layers, self.peers
+        alias: dict = {}   # robot in actions -> the robot that acts, once exchanged
         state = self.state
         for action in actions:
-            nxt = apply(state, action, p)
             o = action.obj
+            if alias:
+                action = _relabeled(action, alias)
+            if type(action) is Pick and action.robot in peers:
+                r, robots = action.robot, peers[action.robot]
+                hand = layers[holders[r]]
+                # .get: a wrong pick decides nothing and fails in apply
+                source = stacks.get(action.region, holders.get(o))
+                if source is not None and hand > layers[source]:
+                    held = state.holdings
+                    load, best = held.get(r, ()), r
+                    for c in robots:
+                        free = layers[holders[c]]
+                        if free < hand and held.get(c, ()) == load:
+                            best, hand = c, free
+                    if best != r:
+                        for k in robots:   # exchange r and best from here on
+                            acting = alias.get(k, k)
+                            if acting == r:
+                                alias[k] = best
+                            elif acting == best:
+                                alias[k] = r
+                        action = Pick(best, o, action.region)
+            nxt = apply(state, action, p)
             moved = frozenset((p.entities[o],))
-            via = (action,)
             if isinstance(action, Pick):
                 r, region = action.robot, action.region
                 hand = node(holders[r])
@@ -502,13 +540,12 @@ class Compiler:
                               else holders.pop(o))
                 tails = (hand.id, source.id)
                 layer = 1 + max(layers[hand.id], layers[source.id])
-                holders[r] = add(hand.composition | moved, hand.state | {Held(r, o)}, via)
+                holders[r] = add(hand.composition | moved, hand.state | {Held(r, o)})
                 heads = [holders[r]]
                 layers.append(layer)
                 rest = source.composition - moved
                 if rest:   # o left the top of a stack, at height len(rest)
-                    stacks[region] = add(rest, source.state - {OnStack(o, region, len(rest))},
-                                         via)
+                    stacks[region] = add(rest, source.state - {OnStack(o, region, len(rest))})
                     heads.append(stacks[region])
                     layers.append(layer)
             elif isinstance(action, Place):
@@ -522,13 +559,13 @@ class Compiler:
                         group = node(stacks[region])
                         tails += (group.id,)
                         layer = 1 + max(layers[hand.id], layers[group.id])
-                        landing = add(group.composition | moved, group.state | {fact}, via)
+                        landing = add(group.composition | moved, group.state | {fact})
                     else:
-                        landing = add(moved, (fact,), via)
+                        landing = add(moved, (fact,))
                     stacks[region] = landing
                 else:
-                    landing = holders[o] = add(moved, (InBuffer(o, region),), via)
-                holders[r] = add(hand.composition - moved, hand.state - {Held(r, o)}, via)
+                    landing = holders[o] = add(moved, (InBuffer(o, region),))
+                holders[r] = add(hand.composition - moved, hand.state - {Held(r, o)})
                 heads = [landing, holders[r]]
                 layers += (layer, layer)
             else:
@@ -536,8 +573,8 @@ class Compiler:
                 g, q = node(holders[giver]), node(holders[receiver])
                 tails = (g.id, q.id)
                 layer = 1 + max(layers[g.id], layers[q.id])
-                heads = [add(g.composition - moved, g.state - {Held(giver, o)}, via),
-                         add(q.composition | moved, q.state | {Held(receiver, o)}, via)]
+                heads = [add(g.composition - moved, g.state - {Held(giver, o)}),
+                         add(q.composition | moved, q.state | {Held(receiver, o)})]
                 holders[giver], holders[receiver] = heads
                 layers += (layer, layer)
             self.builder.add_arc(action, tails, heads)
@@ -549,114 +586,12 @@ class Compiler:
         """The last layer: ``domain.makespan`` of the graph compiled so far."""
         return max(self.layers, default=0)
 
-    def rename(self, actions: list) -> list:
-        """``actions``, which are valid from ``state``, with each pick handed
-        to the interchangeable robot whose hand is free earliest.
-
-        A pick by a robot of one of ``Problem.robot_classes`` looks at each
-        peer that holds exactly the same load: the state is then symmetric
-        under exchanging the two. If the robot's hand, not the source, holds
-        the pick back (a pick's layer is one past both), the peer whose hand
-        node has the lowest layer below the robot's takes the pick, and the
-        two exchange names in this action and in every later one. Ties keep
-        the robot. Places and handoffs are renamed but never exchange. The
-        objects, regions, order and count of the actions stay the same, and
-        ``extend`` still checks each one.
-
-        Layers are found as ``extend`` will find them: what the actions so
-        far changed is kept aside, by holder as in the frontier, and
-        anything else reads as compiled. Nothing after the last pick is
-        followed, since no later layer decides anything.
-        """
-        classes = self.p.robot_classes
-        end = len(actions)
-        while end and type(actions[end - 1]) is not Pick:
-            end -= 1
-        if not classes or not end:
-            return actions
-        kinds, layers = self.p.region_map, self.layers
-        frontier, holders = self.stacks, self.holders
-        piles, held = self.state.stacks, self.state.holdings
-        tops: dict = {}      # stack region -> its node's layer, 0 once empty
-        hands: dict = {}     # robot or buffered object -> its node's layer
-        heights: dict = {}   # stack region -> objects on it
-        loads: dict = {}     # robot -> load
-        alias: dict = {}     # search's robot -> the robot that acts, once exchanged
-        out = []
-        for i, action in enumerate(actions[:end], 1):
-            if type(action) is not Pick:
-                action = _relabeled(action, alias)
-                o = action.obj
-                if type(action) is Handoff:
-                    giver, receiver = action.giver, action.receiver
-                    a = hands[giver] if giver in hands else layers[holders[giver]]
-                    b = hands[receiver] if receiver in hands else layers[holders[receiver]]
-                    hands[giver] = hands[receiver] = 1 + (a if a > b else b)
-                    loads[giver] = _without(loads[giver] if giver in loads
-                                            else held[giver], o)
-                    loads[receiver] = (loads[receiver] if receiver in loads
-                                       else held.get(receiver, ())) + (o,)
-                else:
-                    r, region = action.robot, action.region
-                    a = hands[r] if r in hands else layers[holders[r]]
-                    b = tops[region] if region in tops else \
-                        layers[frontier[region]] if region in frontier else 0
-                    hands[r] = layer = 1 + (a if a > b else b)
-                    loads[r] = _without(loads[r] if r in loads else held[r], o)
-                    if kinds[region].kind == STACK:
-                        tops[region] = layer
-                        heights[region] = 1 + (heights[region] if region in heights
-                                               else len(piles.get(region, ())))
-                    else:
-                        hands[o] = layer
-                out.append(action)
-                continue
-            o, robot, region = action.obj, action.robot, action.region
-            r = alias.get(robot, robot)
-            on_stack = kinds[region].kind == STACK
-            if on_stack:
-                source = tops[region] if region in tops else layers[frontier[region]]
-            else:
-                source = hands[o] if o in hands else layers[holders[o]]
-            hand = hands[r] if r in hands else layers[holders[r]]
-            load = loads[r] if r in loads else held.get(r, ())
-            best = r
-            if hand > source:
-                for robots in classes:
-                    if r in robots:
-                        for c in robots:
-                            free = hands[c] if c in hands else layers[holders[c]]
-                            if free < hand and \
-                                    (loads[c] if c in loads else held.get(c, ())) == load:
-                                best, hand = c, free
-                        break
-            if best != r:
-                for k in robots:   # exchange r and best from here on
-                    acting = alias.get(k, k)
-                    if acting == r:
-                        alias[k] = best
-                    elif acting == best:
-                        alias[k] = r
-                r = best
-            out.append(action if r == robot else Pick(r, o, region))
-            if i == end:
-                break
-            hands[r] = layer = 1 + (hand if hand > source else source)
-            loads[r] = load + (o,)
-            if on_stack:
-                left = heights[region] if region in heights else len(piles[region])
-                heights[region] = left - 1
-                tops[region] = layer if left > 1 else 0
-        out += [_relabeled(action, alias) for action in actions[end:]] if alias \
-            else actions[end:]
-        return out
-
     def build(self) -> SolutionHypergraph:
         return self.builder.build()
 
 
 def _relabeled(action, alias: dict):
-    """A place or handoff with each robot replaced by its ``alias``, if any."""
+    """``action`` with each robot replaced by its ``alias``, if any."""
     if type(action) is Handoff:
         giver = alias.get(action.giver, action.giver)
         receiver = alias.get(action.receiver, action.receiver)
@@ -664,7 +599,7 @@ def _relabeled(action, alias: dict):
             return action
         return Handoff(giver, receiver, action.obj)
     r = alias.get(action.robot, action.robot)
-    return action if r == action.robot else Place(r, action.obj, action.region)
+    return action if r == action.robot else type(action)(r, action.obj, action.region)
 
 
 def bfs_oracle(p: Problem, bound: int = 64) -> int | None:

@@ -17,12 +17,11 @@ nothing above a goal stack, so a refinement that succeeds reaches the goal.
 Each sub-problem is derived with ``Problem.subproblem``: it shares the
 problem's goal-independent tables and structure checks, so it costs its own
 search plus the check of its goal and start state. Its search returns
-actions only, and one ``Compiler`` takes them as they come, renamed at
-picks (``Compiler.rename``): each pick goes to the interchangeable robot
-whose hand is free first, so two alike robots work in parallel although
-each sub-problem's search puts every move on one of them. The compiler
-applies each action once, with its precondition check, and its state is
-where the next sub-problem starts. The result is one solution hypergraph,
+actions only, and one ``Compiler`` takes them as they come. The compiler
+hands each pick to the interchangeable robot whose hand is free first, so
+two alike robots work in parallel although each sub-problem's search puts
+every move on one of them. It applies each action once, with its
+precondition check, and its state is where the next sub-problem starts. The result is one solution hypergraph,
 validated once and not executed a second time, whose robot entities are
 exactly those the sub-solutions introduced. ``reuse_pipeline`` runs the
 three phases and is the one place that decides to plan from scratch
@@ -170,7 +169,7 @@ def refine(subgoals: tuple, p: Problem,
     is every placement achieved so far, read positionally, except the last,
     which is the full goal read exactly (with no sub-goals, that is the only
     sub-problem). Each sub-problem is searched for actions only, which one
-    ``Compiler`` renames at picks, applies and compiles, so its state starts
+    ``Compiler`` applies and compiles, renaming at picks, so its state starts
     the next sub-problem; the graph is sealed once at the end, and its
     makespan is the compiler's last layer. Returns
     ``(SolutionHypergraph, ReuseStats)``; the per-sub-problem stats carry
@@ -192,7 +191,7 @@ def refine(subgoals: tuple, p: Problem,
             sub_actions, sub_stats = search(sub, config, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc), sub.goal, exc.expansions) from exc
-        compiler.extend(compiler.rename(sub_actions))
+        compiler.extend(sub_actions)
         substats.append(sub_stats)
     graph = compiler.build()
     return graph, ReuseStats(

@@ -69,6 +69,37 @@ def test_parse_rejects_bad_json():
         parse_scenario("{nope")
 
 
+@pytest.mark.parametrize("where,value", [
+    ("regions[2].capacity", True),
+    ("regions[2].capacity", 1.5),
+    ("regions[2].capacity", 2.0),
+    ("robots[0].capacity", 1.5),
+    ("robots[0].capacity", 2.0),
+    ("robots[0].capacity", True),
+    ("regions[0].id", ["left"]),
+    ("robots[0].id", 7),
+    ("robots[0].reach", "left"),
+    ("robots[0].reach", ["left", 1]),
+])
+def test_parse_rejects_ids_capacities_and_reach_of_the_wrong_type(where, value):
+    data = scenario_to_json(load_scenario("fig1"))
+    data["regions"].append({"id": "pad", "kind": "buffer", "capacity": 2})
+    entry, field = where.split(".")
+    kind, index = entry.rstrip("]").split("[")
+    data[kind][int(index)][field] = value
+    with pytest.raises(ParseError) as failure:
+        parse_scenario(json.dumps(data))
+    assert str(failure.value).startswith(f"{where}: ")
+
+
+@pytest.mark.parametrize("section,region", [("initial", "right"), ("goal", "left")])
+def test_parse_rejects_an_object_that_is_not_a_string(section, region):
+    data = scenario_to_json(load_scenario("fig1"))
+    data[section][region][0] = [data[section][region][0]]
+    with pytest.raises(ParseError, match=f"{section}.{region}: expected an object list"):
+        parse_scenario(json.dumps(data))
+
+
 def test_minimal_scenario_is_valid():
     text = json.dumps({
         "name": "tiny",
@@ -412,6 +443,28 @@ def test_plan_ids_must_be_integers(fig1, field, value, where):
     with pytest.raises(ParseError) as failure:
         plan_from_json(data)
     assert str(failure.value) == f"{where}: id {value!r} is not an integer"
+
+
+def test_strategy_with_a_string_object_index_is_an_input_error(tmp_path, capsys):
+    plan_file, strategy = tmp_path / "fig1.plan.json", tmp_path / "fig1.strategy.json"
+    assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
+    assert run_command(["extract", fig1_path(), str(plan_file), "--out", str(strategy)]) == 0
+    data = json.loads(strategy.read_text())
+    data["nodes"][0]["objects"][0] = str(data["nodes"][0]["objects"][0])
+    strategy.write_text(json.dumps(data))
+    for argv in (["dot", str(strategy), "--out", str(tmp_path / "s.dot")],
+                 ["reuse", fig1_path(), "--strategy", str(strategy)]):
+        capsys.readouterr()
+        assert run_command(argv) == 2
+        assert "object index '0' is not an integer" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_fractional_capacity(tmp_path):
+    data = scenario_to_json(load_scenario("fig1"))
+    data["robots"][0]["capacity"] = 1.5
+    scenario = tmp_path / "half.json"
+    scenario.write_text(json.dumps(data))
+    assert run_command(["solve", str(scenario)]) == 2
 
 
 def test_untouched_empty_goal_stack_round_trip(tmp_path, capsys):

@@ -271,3 +271,31 @@ def test_write_record_is_atomic(tmp_path, fig1_record):
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
     assert read_record(target) == fig1_record
+
+
+@pytest.mark.parametrize("field,value,what", [
+    ("node id", "x", "node id"),
+    ("node id", 0.0, "node id"),
+    ("object", "0", "object index"),
+    ("object", True, "object index"),
+    ("stack_order", "0", "stack_order entry"),
+    ("tail", "0", "arc tail"),
+    ("head", False, "arc head"),
+    ("goal stack", 1.0, "goal-stack entry"),
+])
+def test_record_ids_and_indices_must_be_integers(fig1_record, field, value, what):
+    data = record_to_json(fig1_record)
+    node = next(n for n in data["nodes"] if n["stack_order"])
+    if field == "node id":
+        data["nodes"].append(dict(data["nodes"][-1], id=value))
+    elif field == "object":
+        node["objects"][0] = value
+    elif field == "stack_order":
+        node["stack_order"][0] = value
+    elif field == "goal stack":
+        data["goal_stacks"]["target:0"][0] = value
+    else:
+        data["arcs"][0][field + "s"][0] = value
+    with pytest.raises(CorruptRecord) as failure:
+        record_from_json(data)
+    assert str(failure.value) == f"<memory>: {what} {value!r} is not an integer"

@@ -484,15 +484,33 @@ def test_successor_hash_equals_the_rebuilt_states_hash():
     assert checked >= 10_000
 
 
+def compiled_labels(graph) -> list:
+    """A compiled graph's arc labels in arc id order, the order compiled."""
+    return [graph.arcs[aid].label for aid in sorted(graph.arcs)]
+
+
+def replayed(p: Problem, actions) -> list:
+    """The states the checked ``apply`` takes ``actions`` through, from the
+    initial state."""
+    states = [p.initial]
+    for action in actions:
+        states.append(apply(states[-1], action, p))
+    return states
+
+
 def test_build_output_reexecutes_to_sequential_state():
-    """On every walk, each node's facts are a scan of the state the arc that
-    made it leaves (of the initial state for a source), the graph executes
-    to the walk's last state, and compiling the walk in pieces, as
-    refinement does, gives the same graph."""
+    """On every walk, the compiled labels are the walk's once each robot is
+    erased to its class, each node's facts are a scan of the state the arc
+    that made it leaves when the labels replay (of the initial state for a
+    source), the graph executes to the labels' last state, and compiling
+    the labels in pieces, as refinement does, gives the same graph."""
     checked = 0
-    for i, (p, actions, states) in enumerate(walks(WALKED)):
+    for i, (p, actions, _) in enumerate(walks(WALKED)):
         graph = build_hypergraph(actions, p)
         assert validate_hyperpath(graph).ok
+        labels = compiled_labels(graph)
+        assert class_erased(p, labels) == class_erased(p, actions), i
+        states = replayed(p, labels)
         after = dict.fromkeys(graph.sources, p.initial)
         for aid in topological_order(graph):
             after.update(dict.fromkeys(graph.arcs[aid].heads, states[aid + 1]))
@@ -504,19 +522,29 @@ def test_build_output_reexecutes_to_sequential_state():
         final, _, count = execute_hypergraph(graph, p)
         assert (final, count) == (states[-1], len(actions))
         compiler = Compiler(p)
-        cut = random.Random(i).randint(0, len(actions))
-        compiler.extend(actions[:cut])
-        compiler.extend(actions[cut:])
+        cut = random.Random(i).randint(0, len(labels))
+        compiler.extend(labels[:cut])
+        compiler.extend(labels[cut:])
         assert compiler.build() == graph
         assert compiler.state == states[-1]
     assert checked >= 6_000
 
 
+def test_compiling_compiled_labels_again_gives_the_same_graph():
+    """Renaming at picks is idempotent: a compiled plan's labels already
+    hand each pick to the robot whose hand is free first."""
+    for i, (p, actions, _) in enumerate(walks(WALKED)):
+        graph = build_hypergraph(actions, p)
+        again = build_hypergraph(compiled_labels(graph), p)
+        assert again == graph, i
+        assert compiled_labels(again) == compiled_labels(graph), i
+
+
 def test_compiler_layers_give_the_makespan():
     """The compiler's last layer is ``makespan`` of the graph it compiled:
     on the GOLDEN plans, on every corpus scratch and refined plan, and on
-    each walk, renamed or not, compiled up to a random cut and then to its
-    end."""
+    each walk, up to a random cut and to its end, and on its compiled
+    labels, compiled up to the cut and then to their end."""
     checked = 0
     for name in sorted(GOLDEN):
         graph, stats = plan(golden_problem(name))
@@ -534,37 +562,69 @@ def test_compiler_layers_give_the_makespan():
         checked += 2
     for i, (p, actions, _) in enumerate(walks(WALKED)):
         cut = random.Random(i).randint(0, len(actions))
-        for sequence in (actions, Compiler(p).rename(actions)):
+        for sequence in (actions[:cut], actions):
             compiler = Compiler(p)
-            compiler.extend(sequence[:cut])
-            assert compiler.makespan == makespan(build_hypergraph(sequence[:cut], p)), i
-            compiler.extend(sequence[cut:])
-            assert compiler.makespan == makespan(compiler.build()), i
+            compiler.extend(sequence)
+            graph = compiler.build()
+            assert compiler.makespan == makespan(graph), i
             checked += 1
-    assert checked == 5 + 2 * 286 + 2 * len(WALKED)
+        labels = compiled_labels(graph)
+        compiler = Compiler(p)
+        compiler.extend(labels[:cut])
+        assert compiler.makespan == makespan(build_hypergraph(labels[:cut], p)), i
+        compiler.extend(labels[cut:])
+        assert compiler.makespan == makespan(compiler.build()), i
+        checked += 1
+    assert checked == 5 + 2 * 286 + 3 * len(WALKED)
 
 
 def test_renaming_exchanges_only_interchangeable_robots_on_walks():
-    """A renamed walk has the walk's objects, regions and action kinds, with
-    each robot replaced by one of its class; the checked ``apply`` accepts
-    it, and it leaves the walk's stacks and buffers, with the loads of each
-    class exchanged among its robots."""
+    """A compiled walk's labels have the walk's objects, regions and action
+    kinds, with each robot replaced by one of its class; the checked
+    ``apply`` accepts them, and they leave the walk's stacks and buffers,
+    with the loads of each class exchanged among its robots. Without
+    interchangeable robots the walk compiles as given."""
     renamed = 0
     for i, (p, actions, states) in enumerate(walks(WALKED)):
-        compiler = Compiler(p)
-        out = compiler.rename(actions)
+        out = compiled_labels(build_hypergraph(actions, p))
         if not p.robot_classes:
-            assert out is actions
+            assert out == actions, i
             continue
         assert class_erased(p, out) == class_erased(p, actions), i
-        compiler.extend(out)
-        final, end = compiler.state, states[-1]
+        final, end = replayed(p, out)[-1], states[-1]
         assert (final.stacks, final.buffers) == (end.stacks, end.buffers), i
         for robots in p.robot_classes:
             assert sorted(final.holdings.get(r, ()) for r in robots) == \
                 sorted(end.holdings.get(r, ()) for r in robots), i
         renamed += out != actions
     assert renamed >= 5
+
+
+@pytest.mark.parametrize("actions", [
+    [Pick("r0", "o1", "L")],                      # not the top
+    [Pick("r0", "o2", "R")],                      # empty stack
+    [Pick("r0", "o2", "X")],                      # no such region
+    [Pick("r0", "o2", "L"), Pick("r0", "o1", "L")],   # hand full
+    # r0's hand holds the pick back, so r1 is asked, and o0 is not the top
+    [Pick("r0", "o2", "L"), Place("r0", "o2", "B"), Pick("r0", "o0", "L")],
+    [Pick("r0", "o2", "L"), Place("r0", "o2", "B"), Pick("r0", "o1", "B")],
+    [Place("r0", "o0", "R")],                     # empty hand
+    [Pick("r0", "o2", "L"), Place("r0", "o2", "X")],
+    [Pick("r0", "o2", "L"), Place("r0", "o2", "B"),
+     Pick("r0", "o1", "L"), Place("r0", "o1", "B")],   # full buffer
+    # the last pick went to r1 and the names were exchanged: r1 means r0
+    [Pick("r0", "o2", "L"), Place("r0", "o2", "B"),
+     Pick("r0", "o1", "L"), Place("r1", "o1", "R")],
+])
+def test_invalid_pick_or_place_raises_precondition_violated(actions):
+    from hyperplan import PreconditionViolated
+
+    p = interchangeable(2, 1)
+    with pytest.raises(PreconditionViolated):
+        build_hypergraph(actions, p)
+    # the same list with its last action right compiles
+    fine = actions[:-1]
+    assert len(build_hypergraph(fine, p).arcs) == len(fine)
 
 
 @pytest.mark.parametrize("prefix", [False, True])

@@ -836,8 +836,16 @@ def test_schedule_matches_object_binding_from_fig1(fig1_strategy, fig2, fig3):
 # the same plan once each robot is erased to its class, with a makespan no
 # higher.
 
+def _literal(p):
+    """A copy of ``p`` whose robots are in no class, so ``Compiler`` over
+    it compiles actions as given."""
+    q = replace(p)
+    q.__dict__["robot_classes"] = ()
+    return q
+
+
 def _reference_refine(subgoals, p, config=None) -> tuple:
-    compiler = Compiler(p)
+    compiler = Compiler(_literal(p))
     substats: list = []
     achieved: dict = {}
     steps = subgoals or ((None, ()),)
