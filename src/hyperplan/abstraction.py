@@ -16,6 +16,7 @@ grounded later into any subset of concrete robots (possibly none).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -110,7 +111,7 @@ class AbstractHypergraph(HypergraphTable):
 
     goal_stacks: Mapping[TargetRole, tuple]
 
-    @property
+    @cached_property
     def abstract_objects(self) -> frozenset:
         return self.entities()
 
@@ -154,71 +155,54 @@ def remove_robot_entities(graph: SolutionHypergraph) -> SolutionHypergraph:
     heads without asserting any new placement (picks and handoffs: pure
     robot bookkeeping) are contracted onto their tail nodes; the contracted
     arc's label is appended to the node's ``via`` history and the node
-    adopts the head's facts. Places always survive, since a fresh placement
-    is a new object configuration. The result is a valid hyperpath over
-    objects only.
+    keeps its creation facts, which already hold every placement the heads
+    assert. A Place survives unless it restores a placement the node was
+    created with. The result is a valid hyperpath over objects only.
     """
-    if not any(e.is_robot for e in graph.entities()):
+    if not any(e.is_robot for n in graph.nodes.values() for e in n.composition):
         return graph
-    objcomp = {nid: frozenset(e for e in n.composition if not e.is_robot)
-               for nid, n in graph.nodes.items()}
 
-    leader: dict = {}
-    comp_of: dict = {}
-    facts_of: dict = {}
-    via_of: dict = {}
+    def objects_of(nid):
+        node = graph.nodes[nid]
+        return (frozenset(e for e in node.composition if not e.is_robot),
+                object_facts(node.state))
+
+    records: list = []    # (composition, creation facts, via) per kept node, by new id
+    leader: dict = {}     # object-level node id -> new id of the node it maps to
+
+    def keep(nid, comp, facts, via) -> int:
+        leader[nid] = len(records)
+        records.append((comp, facts, via))
+        return leader[nid]
+
+    builder = HypergraphBuilder()
     for nid in graph.sources:
-        if objcomp[nid]:
-            leader[nid] = nid
-            comp_of[nid] = objcomp[nid]
-            facts_of[nid] = object_facts(graph.nodes[nid].state)
-            via_of[nid] = list(graph.nodes[nid].via)
-
-    def sorted_comps(comps):
-        return sorted(comps, key=lambda c: tuple(sorted(c)))
-
-    kept = []
+        comp, facts = objects_of(nid)
+        if comp:
+            keep(nid, comp, facts, list(graph.nodes[nid].via))
     for aid in topological_order(graph):
         arc = graph.arcs[aid]
-        tails = sorted({leader[t] for t in arc.tails if t in leader})
-        heads = [(hid, objcomp[hid]) for hid in sorted(arc.heads) if objcomp[hid]]
+        tails = {leader[t] for t in arc.tails if t in leader}
+        heads = [(hid, *objects_of(hid)) for hid in sorted(arc.heads)]
+        heads = [(hid, comp, facts) for hid, comp, facts in heads if comp]
         if not heads:
             continue
-        same_content = sorted_comps(comp_of[g] for g in tails) == \
-            sorted_comps(c for _, c in heads)
-        head_facts = frozenset(
-            f for hid, _ in heads
-            for f in object_facts(graph.nodes[hid].state))
-        tail_facts = frozenset(f for g in tails for f in facts_of[g])
+        same_content = (Counter(records[g][0] for g in tails)
+                        == Counter(comp for _, comp, _ in heads))
+        head_facts = frozenset().union(*(facts for _, _, facts in heads))
+        tail_facts = frozenset().union(*(records[g][1] for g in tails))
         if same_content and head_facts <= tail_facts:
             # contraction keeps the node's creation facts: picks and
             # handoffs only move objects into or between hands
-            by_comp = {comp_of[g]: g for g in tails}
-            for hid, comp in heads:
-                group = by_comp[comp]
-                leader[hid] = group
-                via_of[group].append(arc.label)
+            by_comp = {records[g][0]: g for g in tails}
+            for hid, comp, _ in heads:
+                leader[hid] = by_comp[comp]
+                records[leader[hid]][2].append(arc.label)
         else:
-            for hid, comp in heads:
-                leader[hid] = hid
-                comp_of[hid] = comp
-                facts_of[hid] = object_facts(graph.nodes[hid].state)
-                via_of[hid] = [arc.label]
-            kept.append((aid, tails, [hid for hid, _ in heads]))
-
-    builder = HypergraphBuilder()
-    new_id: dict = {}
-    for nid in graph.sources:
-        if leader.get(nid) == nid:
-            new_id[nid] = builder.add_node(
-                comp_of[nid], facts_of[nid], via=tuple(via_of[nid]))
-    for aid, tails, heads in kept:
-        for hid in heads:
-            new_id[hid] = builder.add_node(
-                comp_of[hid], facts_of[hid], via=tuple(via_of[hid]))
-        builder.add_arc(graph.arcs[aid].label,
-                        {new_id[g] for g in tails},
-                        {new_id[h] for h in heads})
+            builder.add_arc(arc.label, tails, [keep(hid, comp, facts, [arc.label])
+                                               for hid, comp, facts in heads])
+    for comp, facts, via in records:
+        builder.add_node(comp, facts, via=tuple(via))
     return builder.build()
 
 
@@ -243,16 +227,15 @@ def select_critical_nodes(h_obj: SolutionHypergraph, p: Problem) -> frozenset:
 
 # --- step 3: label stripping ------------------------------------------------
 
-def _member_order(names, facts, index_of=None):
-    """Order object names placed on one stack by height, others by index."""
+def _member_order(names, facts, index_of):
+    """Order object names placed on one stack by height, others by index
+    (a name with no index yet sorts as index 0), ties by name."""
 
     def key(name):
         fact = facts.get(name)
         if isinstance(fact, OnStack):
             return (0, fact.height)
-        if index_of is not None:
-            return (1, index_of.get(name, 0))
-        return (1, 0)
+        return (1, index_of.get(name, 0))
 
     return sorted(names, key=lambda n: (key(n), n))
 
@@ -274,7 +257,6 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
     split into residual head nodes so abstract objects are conserved arc
     by arc.
     """
-    order = topological_order(h_obj)
     covered = {e.name
                for arc in h_obj.arcs.values()
                for nid in arc.tails | arc.heads
@@ -285,77 +267,61 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
                 if isinstance(f, (OnStack, InBuffer))}
 
     index_of: dict = {}
-    for nid in h_obj.sources:
-        members = [e.name for e in h_obj.nodes[nid].composition]
-        for name in _member_order(members, node_facts(nid)):
-            if name in covered and name not in index_of:
-                index_of[name] = len(index_of)
-
     protos: list = []     # (member tuple, region id or None, placed tuple)
     used_regions: list = []
+    frontier: dict = {}   # object name -> proto that holds it now
 
     def add_proto(members, facts) -> int:
         ordered = tuple(_member_order(members, facts, index_of))
-        regions = {facts[m].region for m in ordered
-                   if isinstance(facts.get(m), (OnStack, InBuffer))}
+        known = [facts[m] for m in ordered if m in facts]
+        regions = {f.region for f in known}
         region = None
         placed: tuple = ()
-        if len(regions) == 1 and all(m in facts for m in ordered):
+        if len(regions) == 1 and len(known) == len(ordered):
             region = next(iter(regions))
             placed = ordered
             if region not in used_regions:
                 used_regions.append(region)
+        for m in ordered:
+            frontier[m] = len(protos)
         protos.append((ordered, region, placed))
         return len(protos) - 1
 
-    frontier: dict = {}
-    for nid in h_obj.sources:
-        members = [e.name for e in h_obj.nodes[nid].composition
-                   if e.name in covered]
-        if not members:
-            continue
-        pid = add_proto(members, node_facts(nid))
-        for m in members:
-            frontier[m] = pid
-
-    producer = {nid: aid for aid, arc in h_obj.arcs.items() for nid in arc.heads}
-    position = {aid: i for i, aid in enumerate(order)}
-    pending = sorted((nid for nid in critical if nid in producer),
-                     key=lambda nid: (position[producer[nid]], nid))
-
-    # Facts seen so far while replaying the object-level plan; None marks an
-    # object currently carried.
+    # Facts seen so far while replaying the object-level plan; an object
+    # currently carried has none.
     live_facts: dict = {}
     for nid in h_obj.sources:
-        live_facts.update(node_facts(nid))
-    cursor = 0
+        facts = node_facts(nid)
+        live_facts.update(facts)
+        members = _member_order([e.name for e in h_obj.nodes[nid].composition
+                                 if e.name in covered], facts, index_of)
+        for name in members:
+            index_of.setdefault(name, len(index_of))
+        if members:
+            add_proto(members, facts)
 
     proto_arcs: list = []
-    for c in pending:
-        stop = position[producer[c]]
-        while cursor <= stop:
-            arc = h_obj.arcs[order[cursor]]
-            for hid in sorted(arc.heads):
-                facts = node_facts(hid)
-                for e in h_obj.nodes[hid].composition:
-                    if facts.get(e.name) is None:
-                        live_facts.pop(e.name, None)
-                    else:
-                        live_facts[e.name] = facts[e.name]
-            cursor += 1
-        members_c = {e.name for e in h_obj.nodes[c].composition}
-        tail_pids = sorted({frontier[m] for m in members_c})
-        head_pids = [add_proto(members_c, node_facts(c))]
-        for m in members_c:
-            frontier[m] = head_pids[0]
-        for t in tail_pids:
-            leftover = [m for m in protos[t][0] if m not in members_c]
-            if leftover:
-                pid = add_proto(leftover, live_facts)
-                for m in leftover:
-                    frontier[m] = pid
-                head_pids.append(pid)
-        proto_arcs.append((tuple(tail_pids), tuple(head_pids)))
+    for aid in topological_order(h_obj):
+        heads = sorted(h_obj.arcs[aid].heads)
+        for hid in heads:
+            facts = node_facts(hid)
+            for e in h_obj.nodes[hid].composition:
+                if facts.get(e.name) is None:
+                    live_facts.pop(e.name, None)
+                else:
+                    live_facts[e.name] = facts[e.name]
+        for c in heads:
+            if c not in critical:
+                continue
+            members_c = {e.name for e in h_obj.nodes[c].composition}
+            tail_pids = sorted({frontier[m] for m in members_c})
+            # c's arc is applied, so live_facts holds c's own facts
+            head_pids = [add_proto(members_c, live_facts)]
+            for t in tail_pids:
+                leftover = [m for m in protos[t][0] if m not in members_c]
+                if leftover:
+                    head_pids.append(add_proto(leftover, live_facts))
+            proto_arcs.append((tail_pids, head_pids))
 
     target_index = {r: i for i, r in enumerate(p.goal)}
     source_index: dict = {}

@@ -111,6 +111,8 @@ def parse_scenario(text: str) -> Scenario:
              {"description"})
     if not isinstance(data["name"], str) or not data["name"]:
         raise ParseError("scenario.name", "expected a non-empty string")
+    if not isinstance(data.get("description", ""), str):
+        raise ParseError("scenario.description", "expected a string")
     for key in ("regions", "objects", "robots"):
         if not isinstance(data[key], list):
             raise ParseError(f"scenario.{key}", "expected a list")
@@ -156,6 +158,8 @@ def parse_scenario(text: str) -> Scenario:
             stacks[region_id] = tuple(contents)
         else:
             buffers[region_id] = frozenset(contents)
+            if len(buffers[region_id]) != len(contents):
+                raise ParseError(f"initial.{region_id}", "lists an object twice")
 
     if not isinstance(data["goal"], dict):
         raise ParseError("scenario.goal", "expected region -> object list")
@@ -287,12 +291,16 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
         for entry in data["nodes"]:
             composition = frozenset(
                 Entity(kind, name) for kind, name in entry["entities"])
-            state = frozenset(_decode_tagged(f, _FACT_TAGS, "facts", "fact")
-                              for f in entry["facts"])
+            facts = [_decode_tagged(f, _FACT_TAGS, "facts", "fact")
+                     for f in entry["facts"]]
+            for fact in facts:
+                if isinstance(fact, OnStack) and type(fact.height) is not int:
+                    raise ParseError("plan.nodes.facts",
+                                     f"height {fact.height!r} is not an integer")
             nid = _int_id(entry["id"], "plan.nodes.id")
             if nid in nodes:
                 raise ParseError("plan.nodes", f"repeated node id {nid!r}")
-            nodes[nid] = Node(nid, composition, state)
+            nodes[nid] = Node(nid, composition, frozenset(facts))
         arcs = {}
         for entry in data["arcs"]:
             aid = _int_id(entry["id"], "plan.arcs.id")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import singledispatch
+from functools import cached_property, singledispatch
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -144,9 +144,10 @@ class InvalidHypergraph(ValueError):
 class HypergraphTable:
     """Immutable table of nodes and hyperarcs, shared by every graph flavour.
 
-    Every field is a mapping, copied into a read-only view on construction.
-    Equality compares all fields and is type-strict, so graphs of different
-    flavours never compare equal.
+    Every field is a mapping, copied into a read-only view on construction,
+    so tables derived from the fields (``sources``, ``sinks``) are computed
+    once, on first read. Equality compares all fields and is type-strict,
+    so graphs of different flavours never compare equal.
     """
 
     nodes: Mapping[int, object]
@@ -157,13 +158,13 @@ class HypergraphTable:
             object.__setattr__(
                 self, f.name, MappingProxyType(dict(getattr(self, f.name))))
 
-    @property
+    @cached_property
     def sources(self) -> tuple:
         """Node ids with no producing arc, ascending."""
         produced = {n for a in self.arcs.values() for n in a.heads}
         return tuple(i for i in sorted(self.nodes) if i not in produced)
 
-    @property
+    @cached_property
     def sinks(self) -> tuple:
         """Node ids with no consuming arc, ascending."""
         consumed = {n for a in self.arcs.values() for n in a.tails}

@@ -177,15 +177,12 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
             num_abstract_objects=data["signature"]["num_abstract_objects"],
             goal_stack_heights=tuple(data["signature"]["goal_stack_heights"]),
         )
-        record = StrategyRecord(
-            id=data["id"],
-            signature=signature,
-            ah=ah,
-            provenance=Provenance(
-                scenario=data["provenance"]["scenario"],
-                created_at=data["provenance"]["created_at"],
-            ),
-        )
+        provenance = Provenance(data["provenance"]["scenario"],
+                                data["provenance"]["created_at"])
+        for key, value in vars(provenance).items():
+            if not isinstance(value, str):
+                raise CorruptRecord(file, f"provenance.{key} {value!r} is not a string")
+        record = StrategyRecord(data["id"], signature, ah, provenance)
     except CorruptRecord:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -100,6 +100,20 @@ def test_parse_rejects_an_object_that_is_not_a_string(section, region):
         parse_scenario(json.dumps(data))
 
 
+def test_parse_rejects_a_description_that_is_not_a_string():
+    data = scenario_to_json(load_scenario("fig3"))
+    data["description"] = ["x"]
+    with pytest.raises(ParseError, match="^scenario.description: expected a string$"):
+        parse_scenario(json.dumps(data))
+
+
+def test_parse_rejects_an_object_listed_twice_in_a_buffer():
+    data = scenario_to_json(load_scenario("fig3"))
+    data["initial"] = {"right": ["A", "B"], "side": ["C", "C"]}
+    with pytest.raises(ParseError, match="^initial.side: lists an object twice$"):
+        parse_scenario(json.dumps(data))
+
+
 def test_minimal_scenario_is_valid():
     text = json.dumps({
         "name": "tiny",
@@ -443,6 +457,48 @@ def test_plan_ids_must_be_integers(fig1, field, value, where):
     with pytest.raises(ParseError) as failure:
         plan_from_json(data)
     assert str(failure.value) == f"{where}: id {value!r} is not an integer"
+
+
+def test_plan_fact_heights_must_be_integers(fig1):
+    data = json.loads(json.dumps(plan_to_json(plan(fig1.problem)[0], "fig1")))
+    for node in data["nodes"]:
+        for fact in node["facts"]:
+            if fact[0] == "on" and fact[3] == 0:
+                fact[3] = False
+    with pytest.raises(ParseError) as failure:
+        plan_from_json(data)
+    assert str(failure.value) == "plan.nodes.facts: height False is not an integer"
+
+
+def test_malformed_types_are_input_errors(tmp_path, capsys):
+    """A list description, a buffer listing an object twice, a boolean fact
+    height and a non-string provenance value each exit 2."""
+    scenario = scenario_to_json(load_scenario("fig3"))
+    described = dict(scenario, description=["x"])
+    repeated = dict(scenario, initial={"right": ["A", "B"], "side": ["C", "C"]})
+    plan_file, strategy = tmp_path / "fig1.plan.json", tmp_path / "fig1.strategy.json"
+    assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
+    assert run_command(["extract", fig1_path(), str(plan_file), "--out", str(strategy)]) == 0
+    false_heights = json.loads(plan_file.read_text())
+    for node in false_heights["nodes"]:
+        node["facts"] = [f[:3] + [False] if f[0] == "on" and f[3] == 0 else f
+                         for f in node["facts"]]
+    record = json.loads(strategy.read_text())
+    record["provenance"] = {"scenario": ["x"], "created_at": 5}
+    files = {}
+    for name, data in (("described", described), ("repeated", repeated),
+                       ("false-heights", false_heights), ("provenance", record)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    for argv in (["solve", str(files["described"])],
+                 ["solve", str(files["repeated"])],
+                 ["extract", fig1_path(), str(files["false-heights"]),
+                  "--out", str(tmp_path / "s.json")],
+                 ["dot", str(files["provenance"]), "--out", str(tmp_path / "s.dot")],
+                 ["reuse", fig1_path(), "--strategy", str(files["provenance"])]):
+        capsys.readouterr()
+        assert run_command(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("input error: "), argv
 
 
 def test_strategy_with_a_string_object_index_is_an_input_error(tmp_path, capsys):

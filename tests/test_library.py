@@ -299,3 +299,12 @@ def test_record_ids_and_indices_must_be_integers(fig1_record, field, value, what
     with pytest.raises(CorruptRecord) as failure:
         record_from_json(data)
     assert str(failure.value) == f"<memory>: {what} {value!r} is not an integer"
+
+
+@pytest.mark.parametrize("key,value", [("scenario", ["x"]), ("created_at", 5)])
+def test_provenance_values_must_be_strings(fig1_record, key, value):
+    data = record_to_json(fig1_record)
+    data["provenance"][key] = value
+    with pytest.raises(CorruptRecord) as failure:
+        record_from_json(data)
+    assert str(failure.value) == f"<memory>: provenance.{key} {value!r} is not a string"
