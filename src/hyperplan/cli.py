@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from . import library
@@ -139,6 +140,8 @@ def parse_scenario(text: str) -> Scenario:
         reach = entry["reach"]
         if not _is_id_list(reach):
             raise ParseError(f"{where}.reach", "expected a list of region ids")
+        if len(set(reach)) != len(reach):
+            raise ParseError(f"{where}.reach", "lists a region twice")
         try:
             robots.append(RobotSpec(entry["id"], frozenset(reach),
                                     entry.get("capacity", 1)))
@@ -211,27 +214,22 @@ def read_scenario(path) -> Scenario:
 
 # --- plan files ---------------------------------------------------------------
 
-def _encode_fact(fact) -> list:
-    if isinstance(fact, OnStack):
-        return ["on", fact.obj, fact.region, fact.height]
-    if isinstance(fact, InBuffer):
-        return ["in", fact.obj, fact.region]
-    return ["held", fact.robot, fact.obj]
-
-
-def _encode_action(action) -> list:
-    if isinstance(action, Pick):
-        return ["pick", action.robot, action.obj, action.region]
-    if isinstance(action, Place):
-        return ["place", action.robot, action.obj, action.region]
-    return ["handoff", action.giver, action.receiver, action.obj]
-
-
-# tag -> (class, number of arguments) of a plan file's fact and action entries
+# tag -> (class, number of arguments) of a plan file's fact and action
+# entries, which list the tag and then the class's field values in order
 _FACT_TAGS = {tag: (cls, len(fields(cls)))
               for tag, cls in (("on", OnStack), ("in", InBuffer), ("held", Held))}
 _ACTION_TAGS = {tag: (cls, len(fields(cls)))
                 for tag, cls in (("pick", Pick), ("place", Place), ("handoff", Handoff))}
+# class -> (tag, field values getter); every class has two fields or more,
+# so the getter returns a tuple
+_ENCODINGS = {cls: (tag, attrgetter(*(f.name for f in fields(cls))))
+              for tags in (_FACT_TAGS, _ACTION_TAGS) for tag, (cls, _) in tags.items()}
+
+
+def _encode_tagged(value) -> list:
+    """``value`` as the ``[tag, *args]`` entry that ``_decode_tagged`` reads."""
+    tag, args = _ENCODINGS[type(value)]
+    return [tag, *args(value)]
 
 
 def _decode_tagged(raw: list, tags: dict, where: str, what: str):
@@ -258,7 +256,7 @@ def plan_to_json(graph: SolutionHypergraph, scenario_name: str) -> dict:
                 "id": nid,
                 "entities": [[e.kind, e.name]
                              for e in sorted(graph.nodes[nid].composition)],
-                "facts": sorted((_encode_fact(f) for f in graph.nodes[nid].state),
+                "facts": sorted((_encode_tagged(f) for f in graph.nodes[nid].state),
                                 key=str),
             }
             for nid in sorted(graph.nodes)
@@ -266,7 +264,7 @@ def plan_to_json(graph: SolutionHypergraph, scenario_name: str) -> dict:
         "arcs": [
             {
                 "id": aid,
-                "action": _encode_action(graph.arcs[aid].label),
+                "action": _encode_tagged(graph.arcs[aid].label),
                 "tails": sorted(graph.arcs[aid].tails),
                 "heads": sorted(graph.arcs[aid].heads),
             }
@@ -282,6 +280,15 @@ def _int_id(value, where: str) -> int:
     return value
 
 
+def _entity(raw) -> Entity:
+    """A node's ``[kind, name]`` entry, or ParseError unless both are strings."""
+    kind, name = raw
+    if type(kind) is not str or type(name) is not str:
+        raise ParseError("plan.nodes.entities",
+                         f"entity {raw!r} is not a [kind, name] pair of strings")
+    return Entity(kind, name)
+
+
 def plan_from_json(data: dict) -> SolutionHypergraph:
     try:
         if data.get("version") != PLAN_FORMAT_VERSION:
@@ -289,8 +296,7 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
                              f"unsupported version {data.get('version')!r}")
         nodes = {}
         for entry in data["nodes"]:
-            composition = frozenset(
-                Entity(kind, name) for kind, name in entry["entities"])
+            composition = frozenset(map(_entity, entry["entities"]))
             facts = [_decode_tagged(f, _FACT_TAGS, "facts", "fact")
                      for f in entry["facts"]]
             for fact in facts:

@@ -14,12 +14,9 @@ that. Graphs are immutable once built; transformations always construct
 new graphs. ``HypergraphBuilder.build`` validates what it seals, so a plan
 compiled through it is checked once, as it is compiled.
 
-The check (``hyperpath_violations``) first makes one pass over the arcs
-that only decides whether anything is wrong: it sorts nothing and builds
-no report, so a valid graph whose arcs come in id order costs a few set
-operations per arc. Only when that pass finds a fault (or the arcs come
-out of id order) does the reporting pass run, which lists every violation
-with its code and detail in a fixed order.
+The check (``hyperpath_violations``) is one pass over the arcs in id
+order: a valid arc costs a few set operations, and only an arc that
+faults lists its violations.
 """
 
 from __future__ import annotations
@@ -202,114 +199,65 @@ def hyperpath_violations(compositions: Mapping[int, frozenset],
     when its tail and head compositions hold equal multisets of entities; a
     missing node holds none.
 
-    ``_is_hyperpath`` first decides, in one pass, that there is nothing to
-    report; only when it cannot does ``_violations`` list the violations,
-    in the order described there.
+    One pass in arc id order decides each arc with a few set operations;
+    only an arc that faults lists its dangling nodes, double productions
+    and double consumptions (each in node order), then its conservation
+    failure. Nodes first produced after an earlier arc consumed them
+    follow, in node order, as arc-order violations.
     """
-    if _is_hyperpath(compositions, arcs):
-        return []
-    return _violations(compositions, arcs)
-
-
-def _is_hyperpath(compositions: Mapping[int, frozenset],
-                  arcs: Mapping[int, Hyperarc]) -> bool:
-    """True only if ``_violations`` reports nothing; False when in doubt.
-
-    One pass over the arcs as the mapping holds them, which must be
-    ascending by id: a node is consumed at most once, produced at most
-    once and never after it was consumed, exists, and each arc's tail and
-    head compositions repeat no entity and hold equal sets.
-    """
-    consumed: set = set()
-    produced: set = set()
-    last = -1
+    out, late = [], []
+    producers: dict = {}   # node -> first arc that produces it
+    consumers: dict = {}   # node -> first arc that consumes it
     comp = compositions.get
-    try:
-        for aid, arc in arcs.items():
-            if aid <= last:
-                return False
-            last = aid
-            tails, heads = arc.tails, arc.heads
-            if not (consumed.isdisjoint(tails) and produced.isdisjoint(heads)
-                    and consumed.isdisjoint(heads)):
-                return False
-            consumed |= tails
-            produced |= heads
-            size = 0
-            tail = head = _NONE
-            for nid in tails:
-                members = comp(nid)
-                if members is None:
-                    return False
-                size += len(members)
-                tail = tail | members if tail else members
-            if len(tail) != size:
-                return False
-            for nid in heads:
-                members = comp(nid)
-                if members is None:
-                    return False
-                size -= len(members)
-                head = head | members if head else members
-            if size or head != tail:
-                return False
-    except TypeError:   # e.g. ids that do not compare with ints: the report decides
-        return False
-    return True
-
-
-def _violations(compositions: Mapping[int, frozenset],
-                arcs: Mapping[int, Hyperarc]) -> list:
-    """Every violation: per arc in id order its dangling nodes, double
-    productions, double consumptions (each in node order) and conservation
-    failure, then the arcs out of order, by consumed node."""
-    out = []
-    producers: dict = {}
-    consumers: dict = {}
     for aid in sorted(arcs):
         arc = arcs[aid]
-        for nid in sorted(arc.tails | arc.heads):
-            if nid not in compositions:
-                out.append(Violation(
-                    "dangling-node", f"arc {aid} references missing node {nid}"))
-        for nid in sorted(arc.heads):
-            if nid in producers:
-                out.append(Violation(
-                    "double-production",
-                    f"node {nid} produced by arcs {producers[nid]} and {aid}"))
-            else:
-                producers[nid] = aid
-        for nid in sorted(arc.tails):
-            if nid in consumers:
-                out.append(Violation(
-                    "double-consumption",
-                    f"node {nid} consumed by arcs {consumers[nid]} and {aid}"))
-            else:
-                consumers[nid] = aid
-        tail_comps = [compositions.get(nid, _NONE) for nid in arc.tails]
-        head_comps = [compositions.get(nid, _NONE) for nid in arc.heads]
-        tail_set = _NONE.union(*tail_comps)
-        head_set = _NONE.union(*head_comps)
+        tails, heads = arc.tails, arc.heads
         # When no entity repeats within a side, the multisets are the two
         # unions. Unions reuse the hashes stored in the compositions; only
-        # an arc that fails this test hashes its entities, into Counters.
-        if (len(tail_set) == sum(map(len, tail_comps))
-                and len(head_set) == sum(map(len, head_comps))
-                and tail_set == head_set):
+        # an arc that faults hashes its entities, into Counters.
+        ok = True
+        size = 0
+        tail = head = _NONE
+        for nid in tails:
+            members = comp(nid)
+            if consumers.setdefault(nid, aid) != aid or members is None:
+                ok = False
+            else:
+                size += len(members)
+                tail = tail | members if tail else members
+        ok = ok and len(tail) == size
+        for nid in heads:
+            members = comp(nid)
+            first = producers.setdefault(nid, aid)
+            if first == aid and nid in consumers:
+                late.append(nid)
+            if first != aid or members is None:
+                ok = False
+            else:
+                size -= len(members)
+                head = head | members if head else members
+        if ok and not size and head == tail:
             continue
-        tail_ents = Counter(e for comp in tail_comps for e in comp)
-        head_ents = Counter(e for comp in head_comps for e in comp)
+        out += [Violation("dangling-node", f"arc {aid} references missing node {nid}")
+                for nid in sorted(tails | heads) if nid not in compositions]
+        out += [Violation("double-production",
+                          f"node {nid} produced by arcs {producers[nid]} and {aid}")
+                for nid in sorted(heads) if producers[nid] != aid]
+        out += [Violation("double-consumption",
+                          f"node {nid} consumed by arcs {consumers[nid]} and {aid}")
+                for nid in sorted(tails) if consumers[nid] != aid]
+        tail_ents = Counter(e for nid in tails for e in comp(nid, _NONE))
+        head_ents = Counter(e for nid in heads for e in comp(nid, _NONE))
         if tail_ents != head_ents:
             missing = sorted(str(e) for e in (tail_ents - head_ents))
             extra = sorted(str(e) for e in (head_ents - tail_ents))
             out.append(Violation(
                 "entity-conservation",
                 f"arc {aid} loses {missing or '[]'} and gains {extra or '[]'}"))
-    for nid, aid in sorted(consumers.items()):
-        if producers.get(nid, -1) >= aid:
-            out.append(Violation(
-                "arc-order",
-                f"arc {aid} consumes node {nid}, produced by arc {producers[nid]}"))
+    for nid in sorted(late):
+        out.append(Violation(
+            "arc-order",
+            f"arc {consumers[nid]} consumes node {nid}, produced by arc {producers[nid]}"))
     return out
 
 

@@ -114,6 +114,13 @@ def test_parse_rejects_an_object_listed_twice_in_a_buffer():
         parse_scenario(json.dumps(data))
 
 
+def test_parse_rejects_a_region_listed_twice_in_a_reach():
+    data = scenario_to_json(load_scenario("fig3"))
+    data["robots"][0]["reach"] = ["left", "right", "side", "left"]
+    with pytest.raises(ParseError, match=r"^robots\[0\].reach: lists a region twice$"):
+        parse_scenario(json.dumps(data))
+
+
 def test_minimal_scenario_is_valid():
     text = json.dumps({
         "name": "tiny",
@@ -470,12 +477,28 @@ def test_plan_fact_heights_must_be_integers(fig1):
     assert str(failure.value) == "plan.nodes.facts: height False is not an integer"
 
 
+@pytest.mark.parametrize("position,value", [(1, 5), (0, 0)])
+def test_plan_entity_kinds_and_names_must_be_strings(fig1, position, value):
+    data = json.loads(json.dumps(plan_to_json(plan(fig1.problem)[0], "fig1")))
+    for node in data["nodes"]:
+        for entity in node["entities"]:
+            if entity[1] == "A":
+                entity[position] = value
+    with pytest.raises(ParseError) as failure:
+        plan_from_json(data)
+    assert str(failure.value).startswith("plan.nodes.entities: entity ")
+    assert str(failure.value).endswith(" is not a [kind, name] pair of strings")
+
+
 def test_malformed_types_are_input_errors(tmp_path, capsys):
-    """A list description, a buffer listing an object twice, a boolean fact
-    height and a non-string provenance value each exit 2."""
+    """A list description, a buffer listing an object twice, a reach listing
+    a region twice, a boolean fact height, an integer entity name and a
+    non-string provenance value each exit 2."""
     scenario = scenario_to_json(load_scenario("fig3"))
     described = dict(scenario, description=["x"])
     repeated = dict(scenario, initial={"right": ["A", "B"], "side": ["C", "C"]})
+    twice_reached = json.loads(json.dumps(scenario))
+    twice_reached["robots"][0]["reach"] = ["left", "right", "side", "left"]
     plan_file, strategy = tmp_path / "fig1.plan.json", tmp_path / "fig1.strategy.json"
     assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
     assert run_command(["extract", fig1_path(), str(plan_file), "--out", str(strategy)]) == 0
@@ -483,15 +506,23 @@ def test_malformed_types_are_input_errors(tmp_path, capsys):
     for node in false_heights["nodes"]:
         node["facts"] = [f[:3] + [False] if f[0] == "on" and f[3] == 0 else f
                          for f in node["facts"]]
+    renamed = json.loads(plan_file.read_text())
+    for node in renamed["nodes"]:
+        node["entities"] = [[kind, 5 if name == "A" else name]
+                            for kind, name in node["entities"]]
     record = json.loads(strategy.read_text())
     record["provenance"] = {"scenario": ["x"], "created_at": 5}
     files = {}
     for name, data in (("described", described), ("repeated", repeated),
-                       ("false-heights", false_heights), ("provenance", record)):
+                       ("twice-reached", twice_reached),
+                       ("false-heights", false_heights), ("renamed", renamed),
+                       ("provenance", record)):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(data))
     for argv in (["solve", str(files["described"])],
                  ["solve", str(files["repeated"])],
+                 ["solve", str(files["twice-reached"])],
+                 ["dot", str(files["renamed"]), "--out", str(tmp_path / "p.dot")],
                  ["extract", fig1_path(), str(files["false-heights"]),
                   "--out", str(tmp_path / "s.json")],
                  ["dot", str(files["provenance"]), "--out", str(tmp_path / "s.dot")],

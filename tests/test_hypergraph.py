@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -396,6 +397,13 @@ EDGE_CASES = {
                                       {1: ({0}, {1}), 0: ({1}, {2})}, True),
     "in-order-listed-backwards": ({i: {obj("x")} for i in range(3)},
                                   {1: ({1}, {2}), 0: ({0}, {1})}, False),
+    "consumed-before-produced-then-produced-again": (
+        {i: {obj("x")} for i in range(4)},
+        {0: ({1}, {2}), 1: ({0}, {1}), 2: ({3}, {1})}, True),
+    "consumed-twice-before-produced": ({i: {obj("x")} for i in range(4)},
+                                       {0: ({1}, {2}), 1: ({1}, {3}), 2: ({0}, {1})}, True),
+    "dangling-head-produced-twice": ({i: {obj("x")} for i in range(3)},
+                                     {0: ({0}, {1, 9}), 1: ({1}, {2, 9})}, True),
 }
 
 
@@ -412,20 +420,34 @@ def test_report_matches_the_reference_on_edge_cases(case):
 
 def test_report_matches_the_reference_on_mutated_corpus_graphs():
     from conftest import random_instance
+    from hyperplan import applicable_actions, apply, build_hypergraph
     from hyperplan.planner import NoSolution, plan
 
-    made, reported = Counter(), Counter()
+    graphs = []
     for seed in range(400):
         try:
-            graph, _ = plan(random_instance(seed, 4, 2, 4))
+            graphs.append((seed, plan(random_instance(seed, 4, 2, 4))[0]))
         except NoSolution:
             continue
+    # random walks add handoffs, buffer moves and longer plans than optimal ones
+    for seed in range(40):
+        p = random_instance(seed, 4, 2, 4)
+        rng, state, actions = random.Random(seed), p.initial, []
+        for _ in range(10):
+            options = applicable_actions(state, p)
+            if not options:
+                break
+            actions.append(rng.choice(options))
+            state = apply(state, actions[-1], p)
+        graphs.append((f"walk {seed}", build_hypergraph(actions, p)))
+    made, reported = Counter(), Counter()
+    for origin, graph in graphs:
         comps = {nid: n.composition for nid, n in graph.nodes.items()}
         arcs = dict(graph.arcs)
         assert hyperpath_violations(comps, arcs) == reference_violations(comps, arcs) == []
         for kind, mutated_comps, mutated_arcs in single_mutations(comps, arcs):
             want = reference_violations(mutated_comps, mutated_arcs)
-            assert hyperpath_violations(mutated_comps, mutated_arcs) == want, (seed, kind)
+            assert hyperpath_violations(mutated_comps, mutated_arcs) == want, (origin, kind)
             made[kind] += 1
             reported[kind] += bool(want)
     assert sum(made.values()) > 6_000
