@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -214,16 +214,17 @@ def read_scenario(path) -> Scenario:
 
 # --- plan files ---------------------------------------------------------------
 
-# tag -> (class, number of arguments) of a plan file's fact and action
-# entries, which list the tag and then the class's field values in order
-_FACT_TAGS = {tag: (cls, len(fields(cls)))
+# tag -> (class, field names) of a plan file's fact and action entries,
+# which list the tag and then the class's field values in order; every
+# value is a string except a fact's height, an integer
+_FACT_TAGS = {tag: (cls, cls.__match_args__)
               for tag, cls in (("on", OnStack), ("in", InBuffer), ("held", Held))}
-_ACTION_TAGS = {tag: (cls, len(fields(cls)))
+_ACTION_TAGS = {tag: (cls, cls.__match_args__)
                 for tag, cls in (("pick", Pick), ("place", Place), ("handoff", Handoff))}
 # class -> (tag, field values getter); every class has two fields or more,
 # so the getter returns a tuple
-_ENCODINGS = {cls: (tag, attrgetter(*(f.name for f in fields(cls))))
-              for tags in (_FACT_TAGS, _ACTION_TAGS) for tag, (cls, _) in tags.items()}
+_ENCODINGS = {cls: (tag, attrgetter(*names))
+              for tags in (_FACT_TAGS, _ACTION_TAGS) for tag, (cls, names) in tags.items()}
 
 
 def _encode_tagged(value) -> list:
@@ -234,17 +235,25 @@ def _encode_tagged(value) -> list:
 
 def _decode_tagged(raw: list, tags: dict, where: str, what: str):
     """``[tag, *args]`` as the tag's class applied to ``args``; ParseError
-    unless the tag is known and ``args`` has one entry per field."""
+    unless the tag is known, ``args`` has one entry per field and each is a
+    string (a height an integer, and a bool is not one)."""
     if not isinstance(raw, list) or not raw:
         raise ParseError(where, f"{what} {raw!r} is not a non-empty list")
     known = tags.get(raw[0])
     if known is None:
         raise ParseError(where, f"unknown {what} tag {raw[0]!r}")
-    cls, arity = known
-    if len(raw) != 1 + arity:
-        raise ParseError(where, f"{what} {raw[0]!r} takes {arity} arguments, "
-                                f"got {len(raw) - 1}")
-    return cls(*raw[1:])
+    cls, names = known
+    args = raw[1:]
+    if len(args) != len(names):
+        raise ParseError(where, f"{what} {raw[0]!r} takes {len(names)} arguments, "
+                                f"got {len(args)}")
+    for name, value in zip(names, args):
+        if name == "height":
+            if type(value) is not int:
+                raise ParseError(where, f"height {value!r} is not an integer")
+        elif type(value) is not str:
+            raise ParseError(where, f"{what} {raw[0]!r} {name} {value!r} is not a string")
+    return cls(*args)
 
 
 def plan_to_json(graph: SolutionHypergraph, scenario_name: str) -> dict:
@@ -297,12 +306,8 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
         nodes = {}
         for entry in data["nodes"]:
             composition = frozenset(map(_entity, entry["entities"]))
-            facts = [_decode_tagged(f, _FACT_TAGS, "facts", "fact")
+            facts = [_decode_tagged(f, _FACT_TAGS, "plan.nodes.facts", "fact")
                      for f in entry["facts"]]
-            for fact in facts:
-                if isinstance(fact, OnStack) and type(fact.height) is not int:
-                    raise ParseError("plan.nodes.facts",
-                                     f"height {fact.height!r} is not an integer")
             nid = _int_id(entry["id"], "plan.nodes.id")
             if nid in nodes:
                 raise ParseError("plan.nodes", f"repeated node id {nid!r}")
@@ -314,7 +319,7 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
                 raise ParseError("plan.arcs", f"repeated arc id {aid!r}")
             arcs[aid] = Hyperarc(
                 aid, _decode_tagged(entry["action"], _ACTION_TAGS,
-                                    "arcs.action", "action"),
+                                    "plan.arcs.action", "action"),
                 frozenset(_int_id(t, "plan.arcs.tails") for t in entry["tails"]),
                 frozenset(_int_id(h, "plan.arcs.heads") for h in entry["heads"]))
     except ParseError:

@@ -19,6 +19,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
+    Record,
     SolutionHypergraph,
     obj,
     robot,
@@ -61,25 +62,49 @@ class RobotSpec:
 
 # --- facts ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OnStack:
+class _Fact(Record):
+    """A placement or holding fact: a slotted ``Record`` whose hash is
+    computed once, when it is built. Compiling an action builds one or two
+    facts and adds them to or takes them from node states, frozensets that
+    hash each fact they are given; those hashes read the stored one."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class OnStack(_Fact):
     """Object sits on a stack region at the given height (0 = bottom)."""
 
-    obj: str
-    region: str
-    height: int
+    __slots__ = __match_args__ = ("obj", "region", "height")
+
+    def __init__(self, obj: str, region: str, height: int) -> None:
+        self.obj, self.region, self.height = obj, region, height
+        self._key = key = (obj, region, height)
+        self._hash = hash(key)
 
 
-@dataclass(frozen=True)
-class InBuffer:
-    obj: str
-    region: str
+class InBuffer(_Fact):
+    """Object sits in a buffer region."""
+
+    __slots__ = __match_args__ = ("obj", "region")
+
+    def __init__(self, obj: str, region: str) -> None:
+        self.obj, self.region = obj, region
+        self._key = key = (obj, region)
+        self._hash = hash(key)
 
 
-@dataclass(frozen=True)
-class Held:
-    robot: str
-    obj: str
+class Held(_Fact):
+    """Robot holds the object."""
+
+    __slots__ = __match_args__ = ("robot", "obj")
+
+    def __init__(self, robot: str, obj: str) -> None:
+        self.robot, self.obj = robot, obj
+        self._key = key = (robot, obj)
+        self._hash = hash(key)
 
 
 Fact = OnStack | InBuffer | Held
@@ -419,8 +444,9 @@ class Problem:
         The result shares this problem's ``structure_errors`` and, when
         there are none, its ``GOAL_INDEPENDENT`` tables, computing any not
         cached yet, so every problem derived from one parent shares a
-        single copy. Its ``GOAL_TABLES`` are its own, filled here, and
-        ``validate`` still checks its goal and its start state.
+        single copy. Its ``GOAL_TABLES`` are its own, filled here.
+        ``validate`` still checks its goal and its start state; refinement
+        does not call it, as its sub-problems are valid by construction.
         """
         # no __init__: regions, robots and objects are this problem's, normalised already
         sub = object.__new__(Problem)
@@ -470,9 +496,24 @@ class Problem:
                 if o not in objects:
                     errors.append(f"goal object {o!r} undeclared")
         if sum(map(len, self.goal.values())) != len(self.goal_region):
-            errors.append("object appears in two goal stacks")
+            listed: dict = {}   # goal object -> the goal stack of each listing
+            for r, stack in self.goal.items():
+                for o in stack:
+                    listed.setdefault(o, []).append(r)
+            for o, stacks in listed.items():
+                if len(stacks) > 1:
+                    names = list(map(repr, dict.fromkeys(stacks)))
+                    errors.append(f"goal object {o!r} appears {len(stacks)} times in goal "
+                                  f"stack{'s' * (len(names) > 1)} {' and '.join(names)}")
         errors.extend(self.initial.validate(self))
         return errors
+
+
+def check_problem(p: Problem) -> None:
+    """Raise ValueError naming the first of ``p.validate()``'s errors, if any."""
+    errors = p.validate()
+    if errors:
+        raise ValueError(f"invalid problem: {errors[0]}")
 
 
 class PreconditionViolated(Exception):

@@ -22,7 +22,7 @@ faults lists its violations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, singledispatch
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -76,41 +76,67 @@ class AbstractMarker:
 ABSTRACT = AbstractMarker()
 
 
-@dataclass(frozen=True)
-class Node:
+class Record:
+    """Base of the compiled records: ``Node``, ``Hyperarc`` and the facts.
+
+    A record is a ``__slots__`` object that is immutable by convention, as
+    ``WorldState`` is: ``__init__`` sets each field once, with plain
+    assignments, and nothing sets one later. ``_key`` is the tuple of the
+    fields equality reads, so ``==`` compares one tuple, and records of
+    different classes are never equal. ``__match_args__`` names every field
+    in order, for ``repr`` and for the plan file's tag tables.
+    """
+
+    __slots__ = ("_key",)
+    __match_args__: tuple = ()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({args})"
+
+
+class Node(Record):
     """One entity composition at one moment.
 
     ``state`` holds local assertions (placement and holding facts) that may
     mention only entities of the composition; the hypergraph layer treats
     them as opaque hashables. ``via`` records the labels of the arcs that
     created or were contracted onto this node, oldest first; it is history,
-    not identity, and is excluded from equality.
+    not identity, and is excluded from equality. A slotted ``Record``:
+    compiling a node costs its plain field assignments and one key tuple.
     """
 
-    id: int
-    composition: frozenset
-    state: frozenset = frozenset()
-    via: tuple = field(default=(), compare=False)
+    __slots__ = __match_args__ = ("id", "composition", "state", "via")
 
-    def __post_init__(self) -> None:
-        if not self.composition:
+    def __init__(self, id: int, composition: frozenset, state: frozenset = frozenset(),
+                 via: tuple = ()) -> None:
+        if not composition:
             raise ValueError("node composition must be non-empty")
+        self.id, self.composition, self.state, self.via = id, composition, state, via
+        self._key = (id, composition, state)
 
 
-@dataclass(frozen=True)
-class Hyperarc:
-    """One action (or abstract transition) from tail nodes to head nodes."""
+class Hyperarc(Record):
+    """One action (or abstract transition) from tail nodes to head nodes; a
+    slotted ``Record``, like ``Node``."""
 
-    id: int
-    label: object
-    tails: frozenset
-    heads: frozenset
+    __slots__ = __match_args__ = ("id", "label", "tails", "heads")
 
-    def __post_init__(self) -> None:
-        if not self.tails or not self.heads:
+    def __init__(self, id: int, label: object, tails: frozenset, heads: frozenset) -> None:
+        if not tails or not heads:
             raise ValueError("hyperarc tails and heads must be non-empty")
-        if not self.tails.isdisjoint(self.heads):
+        if not tails.isdisjoint(heads):
             raise ValueError("hyperarc tails and heads must be disjoint")
+        self.id, self.label, self.tails, self.heads = id, label, tails, heads
+        self._key = (id, label, tails, heads)
 
 
 @dataclass(frozen=True)

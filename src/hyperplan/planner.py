@@ -8,7 +8,9 @@ hashing and comparing states are tuple operations: ``SlotSpace.successors``
 hands over each successor with its h, derived from its parent's, and its
 key, and one table maps each key to its g and how it was reached. States
 that differ only in which interchangeable robot holds what are one node.
-It returns actions and compiles nothing. ``Compiler`` turns actions into a
+It returns actions and compiles nothing. It checks its problem first;
+``search_unchecked`` is the rest of it, for refinement's sub-problems,
+which are valid by construction. ``Compiler`` turns actions into a
 solution hypergraph whose arcs recover the plan's parallel structure,
 checked as it is compiled (every action applied once with its
 precondition check, the graph validated once) and layered as it grows;
@@ -44,6 +46,7 @@ from .domain import (
     WorldState,
     applicable_actions,
     apply,
+    check_problem,
     initial_decomposition,
     is_goal,
 )
@@ -347,10 +350,16 @@ def search(p: Problem, config: SearchConfig | None = None,
     ``SlotSpace.key``, so ``expansions`` and ``generated`` count those
     classes.
     """
+    check_problem(p)
+    return search_unchecked(p, config, prefix_goals)
+
+
+def search_unchecked(p: Problem, config: SearchConfig | None = None,
+                     prefix_goals: bool = False) -> tuple:
+    """``search`` on a problem the caller vouches is valid: everything
+    ``search`` does after its ``check_problem``. Refinement searches its
+    sub-problems through it, as each is valid by construction."""
     cfg = config or SearchConfig()
-    errors = p.validate()
-    if errors:
-        raise ValueError(f"invalid problem: {errors[0]}")
     started = time.perf_counter()
     # nothing the search allocates forms a cycle, and each full collection
     # would walk every state it keeps; the caller's setting is restored

@@ -15,17 +15,21 @@ so far, read positionally (each goal stack's wanted prefix, objects above
 it allowed). The last sub-problem is exact: it reaches the full goal with
 nothing above a goal stack, so a refinement that succeeds reaches the goal.
 Each sub-problem is derived with ``Problem.subproblem``: it shares the
-problem's goal-independent tables and structure checks, so it costs its own
-search plus the check of its goal and start state. Its search returns
-actions only, and one ``Compiler`` takes them as they come. The compiler
-hands each pick to the interchangeable robot whose hand is free first, so
-two alike robots work in parallel although each sub-problem's search puts
-every move on one of them. It applies each action once, with its
-precondition check, and its state is where the next sub-problem starts. The result is one solution hypergraph,
-validated once and not executed a second time, whose robot entities are
-exactly those the sub-solutions introduced. ``reuse_pipeline`` runs the
-three phases and is the one place that decides to plan from scratch
-instead.
+problem's goal-independent tables and structure checks, and it is valid by
+construction (its start state is reached by checked ``apply`` calls, its
+goal is a prefix of the checked goal), so it costs its own search and no
+check: ``refine`` checks the request's problem once and searches each
+sub-problem with ``search_unchecked``. Its search returns actions only,
+and one ``Compiler`` takes them as they come. The compiler hands each pick
+to the interchangeable robot whose hand is free first, so two alike robots
+work in parallel although each sub-problem's search puts every move on one
+of them. It applies each action once, with its precondition check, and its
+state is where the next sub-problem starts. The result is one solution
+hypergraph, validated once and not executed a second time, whose robot
+entities are exactly those the sub-solutions introduced.
+``reuse_pipeline`` runs the three phases and is the one place that decides
+to plan from scratch instead; with grounding's check, it checks the
+problem twice.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph
-from .domain import Problem
+from .domain import Problem, check_problem
 # apply, build_hypergraph, execute_hypergraph, is_goal and topological_order
 # are unused here but stay module attributes: bench/spans.py wraps them in
 # hyperplan.reuse by name.
@@ -48,7 +52,7 @@ from .planner import (
     NoSolution,
     SearchConfig,
     plan,
-    search,
+    search_unchecked,
 )
 
 FAIL_HARD = "fail-hard"
@@ -118,9 +122,7 @@ def ground_strategy(ah: AbstractHypergraph, p: Problem) -> dict:
     Roles pair with goal regions of equal stack height, in role index and
     goal declaration order; the height multisets must be equal.
     """
-    errors = p.validate()
-    if errors:
-        raise ValueError(f"invalid problem: {errors[0]}")
+    check_problem(p)
     roles = sorted(ah.goal_stacks, key=lambda r: r.index)
     heights = sorted(len(want) for want in p.goal.values())
     if sorted(len(ah.goal_stacks[r]) for r in roles) != heights:
@@ -165,10 +167,12 @@ def refine(subgoals: tuple, p: Problem,
            config: SearchConfig | None = None) -> tuple:
     """Solve every sub-goal as a sub-problem and stitch the results.
 
-    State is threaded through the sub-problems in order; the goal of each
-    is every placement achieved so far, read positionally, except the last,
-    which is the full goal read exactly (with no sub-goals, that is the only
-    sub-problem). Each sub-problem is searched for actions only, which one
+    ``p`` is checked once (ValueError if it is invalid); its sub-problems
+    are valid by construction and searched unchecked. State is threaded
+    through the sub-problems in order; the goal of each is every placement
+    achieved so far, read positionally, except the last, which is the full
+    goal read exactly (with no sub-goals, that is the only sub-problem).
+    Each sub-problem is searched for actions only, which one
     ``Compiler`` applies and compiles, renaming at picks, so its state starts
     the next sub-problem; the graph is sealed once at the end, and its
     makespan is the compiler's last layer. Returns
@@ -179,6 +183,7 @@ def refine(subgoals: tuple, p: Problem,
     budget; whether to plan from scratch instead is ``reuse_pipeline``'s
     decision.
     """
+    check_problem(p)
     compiler = Compiler(p)
     substats: list = []
     achieved: dict = {}
@@ -188,7 +193,7 @@ def refine(subgoals: tuple, p: Problem,
         exact = i == len(steps)
         sub = p.subproblem(compiler.state, p.goal if exact else dict(achieved))
         try:
-            sub_actions, sub_stats = search(sub, config, prefix_goals=not exact)
+            sub_actions, sub_stats = search_unchecked(sub, config, prefix_goals=not exact)
         except (NoSolution, BudgetExhausted) as exc:
             raise SubproblemInfeasible(aid, str(exc), sub.goal, exc.expansions) from exc
         compiler.extend(sub_actions)

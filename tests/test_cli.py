@@ -386,6 +386,10 @@ def _malformed(tmp_path, shape: str):
             # ["pick", "blue", "C", "right"] cut to ["pick", "blue"], or too long
             data["arcs"][0]["action"] = (action[:2] if shape == "plan-short-action"
                                          else action + ["left"])
+        elif shape == "plan-list-robot":
+            data["arcs"][0]["action"][1] = ["a"]
+        elif shape == "plan-list-fact-object":
+            next(n["facts"] for n in data["nodes"] if n["facts"])[0][1] = ["a"]
         elif shape == "plan-string-arc-ids":
             for entry in data["arcs"]:
                 entry["id"] = str(entry["id"])
@@ -426,7 +430,8 @@ def _malformed(tmp_path, shape: str):
     for command in ("extract", "dot")
     for shape in ("plan-repeated-node", "plan-repeated-arc", "plan-short-fact",
                   "plan-long-fact", "plan-short-action", "plan-long-action",
-                  "plan-string-arc-ids", "plan-bool-node-id", "plan-string-heads")
+                  "plan-list-robot", "plan-list-fact-object", "plan-string-arc-ids",
+                  "plan-bool-node-id", "plan-string-heads")
 ] + [("extract", "plan-arcs-out-of-order"), ("dot", "plan-arcs-out-of-order")])
 def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     data = _malformed(tmp_path, shape)
@@ -488,6 +493,24 @@ def test_plan_entity_kinds_and_names_must_be_strings(fig1, position, value):
         plan_from_json(data)
     assert str(failure.value).startswith("plan.nodes.entities: entity ")
     assert str(failure.value).endswith(" is not a [kind, name] pair of strings")
+
+
+@pytest.mark.parametrize("entry,position,value,message", [
+    ("action", 1, ["a"], "plan.arcs.action: action 'pick' robot ['a'] is not a string"),
+    ("action", 3, 5, "plan.arcs.action: action 'pick' region 5 is not a string"),
+    ("fact", 2, {"r": 0}, "plan.nodes.facts: fact 'on' region {'r': 0} is not a string"),
+])
+def test_plan_action_and_fact_fields_must_be_strings(fig1, entry, position, value, message):
+    data = json.loads(json.dumps(plan_to_json(plan(fig1.problem)[0], "fig1")))
+    assert data["arcs"][0]["action"] == ["pick", "blue", "C", "right"]
+    assert data["nodes"][0]["facts"][0] == ["on", "A", "right", 0]
+    if entry == "action":
+        data["arcs"][0]["action"][position] = value
+    else:
+        data["nodes"][0]["facts"][0][position] = value
+    with pytest.raises(ParseError) as failure:
+        plan_from_json(data)
+    assert str(failure.value) == message
 
 
 def test_malformed_types_are_input_errors(tmp_path, capsys):

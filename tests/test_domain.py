@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from hyperplan import (
 from hyperplan.domain import Held, InBuffer, OnStack, action_sort_key
 from hyperplan.hypergraph import HypergraphBuilder, Node, SolutionHypergraph, obj, robot
 
-from conftest import random_instance, random_walk
+from conftest import SCENARIO_DIR, random_instance, random_walk
 
 
 def brute_force_applicable(s, p):
@@ -187,6 +188,52 @@ def test_problem_validation_catches_bad_goals(fig1):
     assert any("ghost" in e for e in bad.validate())
 
 
+@pytest.mark.parametrize("goal,error", [
+    ({"left": ("C", "C", "A", "B")}, "goal object 'C' appears 2 times in goal stack 'left'"),
+    ({"left": ("C", "A"), "right": ("B", "C")},
+     "goal object 'C' appears 2 times in goal stacks 'left' and 'right'"),
+])
+def test_a_repeated_goal_object_is_named_with_its_stacks(fig3, goal, error):
+    p = replace(fig3.problem, goal=goal)
+    assert p.validate() == [error]
+
+
+def test_a_repeated_goal_object_is_an_input_error(tmp_path, capsys):
+    from hyperplan.cli import run_command
+
+    scenario = json.loads((SCENARIO_DIR / "fig3.json").read_text())
+    scenario["goal"] = {"left": ["C", "C", "A", "B"]}
+    path = tmp_path / "repeated-goal.json"
+    path.write_text(json.dumps(scenario))
+    assert run_command(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: goal object 'C' appears 2 times in goal stack 'left'\n")
+
+
+def test_facts_of_different_classes_with_equal_fields_are_unequal():
+    assert Held("a", "b") != InBuffer("a", "b")
+    assert InBuffer("a", "b") != Held("a", "b")
+    assert len({Held("a", "b"), InBuffer("a", "b")}) == 2
+    assert OnStack("a", "b", 0) != ("a", "b", 0)
+
+
+def test_equal_facts_are_equal_and_hash_equal():
+    for first, second in ((OnStack("C", "left", 2), OnStack("C", "left", 2)),
+                          (InBuffer("C", "side"), InBuffer("C", "side")),
+                          (Held("blue", "C"), Held("blue", "C"))):
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert not first != second
+    assert OnStack("C", "left", 2) != OnStack("C", "left", 1)
+    assert frozenset({Held("blue", "C")}) - {Held("blue", "C")} == frozenset()
+    assert [repr(f) for f in (OnStack("C", "left", 2), InBuffer("C", "side"),
+                              Held("blue", "C"))] == [
+        "OnStack(obj='C', region='left', height=2)",
+        "InBuffer(obj='C', region='side')",
+        "Held(robot='blue', obj='C')",
+    ]
+
+
 def reference_validate(p) -> list:
     """``Problem.validate`` as it was before its one-pass object count,
     kept as the reference for its messages and their order."""
@@ -200,9 +247,16 @@ def reference_validate(p) -> list:
         for o in stack:
             if o not in p.objects:
                 errors.append(f"goal object {o!r} undeclared")
-    goal_all = [o for stack in p.goal.values() for o in stack]
-    if len(set(goal_all)) != len(goal_all):
-        errors.append("object appears in two goal stacks")
+    listings = [(o, r) for r, stack in p.goal.items() for o in stack]
+    for o in dict.fromkeys(o for o, _ in listings):
+        stacks = [r for listed, r in listings if listed == o]
+        distinct = sorted(set(stacks), key=stacks.index)
+        if len(distinct) > 1:
+            errors.append(f"goal object {o!r} appears {len(stacks)} times in goal stacks "
+                          + " and ".join(repr(r) for r in distinct))
+        elif len(stacks) > 1:
+            errors.append(f"goal object {o!r} appears {len(stacks)} times "
+                          f"in goal stack {stacks[0]!r}")
     s, seen = p.initial, {}
     for r, stack in s.stacks.items():
         region = p.region_map.get(r)

@@ -60,6 +60,26 @@ def test_hyperarc_shape_invariants():
         Hyperarc(0, None, frozenset({1}), frozenset({1}))
 
 
+def test_node_equality_ignores_via():
+    comp, state = frozenset({obj("x")}), frozenset({"fact"})
+    first = Node(3, comp, state, via=("pick",))
+    second = Node(3, comp, state, via=("place", "pick"))
+    assert first == second and hash(first) == hash(second)
+    assert first != Node(4, comp, state, via=("pick",))
+    assert first != Node(3, comp, frozenset(), via=("pick",))
+    assert repr(first) == (f"Node(id=3, composition={comp!r}, state={state!r}, "
+                           "via=('pick',))")
+
+
+def test_records_of_different_classes_are_unequal():
+    node = Node(0, frozenset({0}), frozenset({1}))
+    arc = Hyperarc(0, frozenset({0}), frozenset({1}), frozenset({2}))
+    assert node != arc and arc != node
+    assert arc == Hyperarc(0, frozenset({0}), frozenset({1}), frozenset({2}))
+    assert repr(arc) == ("Hyperarc(id=0, label=frozenset({0}), tails=frozenset({1}), "
+                         "heads=frozenset({2}))")
+
+
 def test_valid_chain_passes_validation():
     graph = chain_graph()
     assert validate_hyperpath(graph).ok

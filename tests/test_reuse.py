@@ -296,6 +296,38 @@ def test_plan_and_refine_check_each_answer_once(fig1_strategy, fig2, check_calls
     assert check_calls == {"validate_hyperpath": 3, "execute_hypergraph": 0}
 
 
+def test_reuse_checks_the_problem_twice(fig1_strategy, fig2, monkeypatch):
+    """Grounding and refinement each check the request's problem once; the
+    sub-problems are valid by construction and are not checked again."""
+    checked = []
+
+    def counted(self, _original=Problem.validate):
+        checked.append(self)
+        return _original(self)
+
+    monkeypatch.setattr(Problem, "validate", counted)
+    ah, _ = fig1_strategy
+    p = fig2.problem
+    _, stats = reuse_pipeline(ah, p)
+    assert not stats.fallback_used and len(stats.subproblems) == 3
+    assert len(checked) <= 2
+    assert all(problem is p for problem in checked)
+
+
+@pytest.mark.parametrize("goal", [{"goal": ("x", "w")}, {"goal": ("x", "x")}])
+def test_refine_rejects_an_invalid_problem(fig1_strategy, fig2, goal):
+    ah, _ = fig1_strategy
+    p = fig2.problem
+    subgoals = reconstruct(ah, ground_strategy(ah, p), p)
+    bad = replace(p, goal=goal)
+    with pytest.raises(ValueError, match="^invalid problem: goal object"):
+        refine(subgoals, bad)
+    with pytest.raises(ValueError, match="^invalid problem: goal object"):
+        refine((), bad)
+    with pytest.raises(ValueError, match="^invalid problem: goal object"):
+        ground_strategy(ah, bad)
+
+
 def test_wall_time_covers_grounding(fig1_strategy, monkeypatch):
     import time
 
@@ -322,11 +354,11 @@ def test_refinement_subproblems_share_the_problems_tables(fig1_strategy, fig2,
 
     searched = []
 
-    def recorded(sub, *args, _original=reuse.search, **kwargs):
+    def recorded(sub, *args, _original=reuse.search_unchecked, **kwargs):
         searched.append(sub)
         return _original(sub, *args, **kwargs)
 
-    monkeypatch.setattr(reuse, "search", recorded)
+    monkeypatch.setattr(reuse, "search_unchecked", recorded)
     ah, _ = fig1_strategy
     p = fig2.problem
     refine(reconstruct(ah, ground_strategy(ah, p), p), p)
@@ -697,6 +729,39 @@ def test_roundtrip_property_on_random_instances():
             assert _placements_hold(state, achieved), f"seed {seed}"
         assert done == len(actions), f"seed {seed}"
     assert refined == 286
+
+
+@pytest.mark.parametrize("family,seeds,solved,exhausted", [
+    ((6, 3, 5), range(300), 206, 0),
+    ((8, 2, 4), range(200), 109, 4),
+])
+def test_own_problem_round_trip_beyond_four_objects(family, seeds, solved, exhausted):
+    """The contract on up to 6 and 8 objects: every problem scratch solves
+    within the budget refines from its own strategy, read back from JSON,
+    without a fallback, reaches the goal by replay and is never shorter."""
+    from hyperplan.library import make_record, record_from_json, record_to_json
+
+    budget = SearchConfig(max_expansions=20_000)
+    counts = {"solved": 0, "exhausted": 0}
+    for seed in seeds:
+        p = random_instance(seed, *family)
+        try:
+            scratch, scratch_stats = plan(p, budget)
+        except NoSolution:
+            continue
+        except BudgetExhausted:
+            counts["exhausted"] += 1
+            continue
+        record = make_record(f"seed{seed}", extract_strategy(scratch, p), f"seed{seed}",
+                             created_at="2026-01-01T00:00:00+00:00")
+        stored = record_from_json(json.loads(json.dumps(record_to_json(record))))
+        graph, stats = reuse_pipeline(stored.ah, p, RefinementConfig(budget, FAIL_HARD))
+        assert not stats.fallback_used, f"seed {seed}"
+        final, _, actions = execute_hypergraph(graph, p)
+        assert is_goal(final, p), f"seed {seed}"
+        assert actions == stats.actions >= scratch_stats.solution_actions, f"seed {seed}"
+        counts["solved"] += 1
+    assert counts == {"solved": solved, "exhausted": exhausted}
 
 
 def test_lifetime_transfer_on_held_out_corpus_seeds():
