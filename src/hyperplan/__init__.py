@@ -73,7 +73,6 @@ from .reuse import (
     reconstruct,
     refine,
     reuse_pipeline,
-    verify_grounding,
 )
 from .library import (
     CorruptRecord,

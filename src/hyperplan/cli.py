@@ -57,8 +57,6 @@ PLAN_FORMAT_VERSION = 1
 
 class ParseError(Exception):
     def __init__(self, field: str, reason: str):
-        self.field = field
-        self.reason = reason
         super().__init__(f"{field}: {reason}")
 
 
@@ -86,6 +84,13 @@ def _require(data: dict, where: str, required: set, optional: set = frozenset())
             raise ParseError(f"{where}.{key}", "missing field")
 
 
+def _list(value, where: str) -> list:
+    """``value``, or ParseError unless it is a JSON list."""
+    if type(value) is not list:
+        raise ParseError(where, "expected a list")
+    return value
+
+
 def _is_id_list(value) -> bool:
     """True for a JSON list of strings (ids of objects or regions)."""
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
@@ -103,10 +108,7 @@ def _check_id_and_capacity(entry: dict, where: str) -> None:
 
 def parse_scenario(text: str) -> Scenario:
     """Strict scenario reader: unknown fields and bad shapes are rejected."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("<document>", f"not valid JSON: {exc}") from exc
+    data = library.read_json(text, ParseError, "<document>")
     _require(data, "scenario",
              {"name", "regions", "objects", "robots", "initial", "goal"},
              {"description"})
@@ -115,8 +117,10 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(data.get("description", ""), str):
         raise ParseError("scenario.description", "expected a string")
     for key in ("regions", "objects", "robots"):
-        if not isinstance(data[key], list):
-            raise ParseError(f"scenario.{key}", "expected a list")
+        _list(data[key], f"scenario.{key}")
+    for key in ("initial", "goal"):
+        if not isinstance(data[key], dict):
+            raise ParseError(f"scenario.{key}", "expected region -> object list")
 
     regions = []
     for i, entry in enumerate(data["regions"]):
@@ -150,8 +154,6 @@ def parse_scenario(text: str) -> Scenario:
 
     region_kinds = {r.id: r.kind for r in regions}
     stacks, buffers = {}, {}
-    if not isinstance(data["initial"], dict):
-        raise ParseError("scenario.initial", "expected region -> object list")
     for region_id, contents in data["initial"].items():
         if region_id not in region_kinds:
             raise ParseError(f"initial.{region_id}", "unknown region")
@@ -164,8 +166,6 @@ def parse_scenario(text: str) -> Scenario:
             if len(buffers[region_id]) != len(contents):
                 raise ParseError(f"initial.{region_id}", "lists an object twice")
 
-    if not isinstance(data["goal"], dict):
-        raise ParseError("scenario.goal", "expected region -> object list")
     goal = {}
     for region_id, contents in data["goal"].items():
         if not _is_id_list(contents):
@@ -239,10 +239,9 @@ def _decode_tagged(raw: list, tags: dict, where: str, what: str):
     string (a height an integer, and a bool is not one)."""
     if not isinstance(raw, list) or not raw:
         raise ParseError(where, f"{what} {raw!r} is not a non-empty list")
-    known = tags.get(raw[0])
-    if known is None:
+    if type(raw[0]) is not str or raw[0] not in tags:
         raise ParseError(where, f"unknown {what} tag {raw[0]!r}")
-    cls, names = known
+    cls, names = tags[raw[0]]
     args = raw[1:]
     if len(args) != len(names):
         raise ParseError(where, f"{what} {raw[0]!r} takes {len(names)} arguments, "
@@ -290,38 +289,46 @@ def _int_id(value, where: str) -> int:
 
 
 def _entity(raw) -> Entity:
-    """A node's ``[kind, name]`` entry, or ParseError unless both are strings."""
-    kind, name = raw
-    if type(kind) is not str or type(name) is not str:
-        raise ParseError("plan.nodes.entities",
-                         f"entity {raw!r} is not a [kind, name] pair of strings")
-    return Entity(kind, name)
+    """A node's ``[kind, name]`` entry, or ParseError unless it is a list of
+    two strings."""
+    if type(raw) is list and len(raw) == 2:
+        kind, name = raw
+        if type(kind) is str and type(name) is str:
+            return Entity(kind, name)
+    raise ParseError("plan.nodes.entities",
+                     f"entity {raw!r} is not a [kind, name] pair of strings")
 
 
 def plan_from_json(data: dict) -> SolutionHypergraph:
     try:
-        if data.get("version") != PLAN_FORMAT_VERSION:
-            raise ParseError("plan.version",
-                             f"unsupported version {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != PLAN_FORMAT_VERSION:
+            raise ParseError("plan.version", f"unsupported version {version!r}")
+        scenario = data.get("scenario")
+        if type(scenario) is not str:
+            raise ParseError("plan.scenario", f"{scenario!r} is not a string")
         nodes = {}
-        for entry in data["nodes"]:
-            composition = frozenset(map(_entity, entry["entities"]))
+        for entry in _list(data["nodes"], "plan.nodes"):
+            composition = frozenset(map(_entity, _list(entry["entities"],
+                                                       "plan.nodes.entities")))
             facts = [_decode_tagged(f, _FACT_TAGS, "plan.nodes.facts", "fact")
-                     for f in entry["facts"]]
+                     for f in _list(entry["facts"], "plan.nodes.facts")]
             nid = _int_id(entry["id"], "plan.nodes.id")
             if nid in nodes:
                 raise ParseError("plan.nodes", f"repeated node id {nid!r}")
             nodes[nid] = Node(nid, composition, frozenset(facts))
         arcs = {}
-        for entry in data["arcs"]:
+        for entry in _list(data["arcs"], "plan.arcs"):
             aid = _int_id(entry["id"], "plan.arcs.id")
             if aid in arcs:
                 raise ParseError("plan.arcs", f"repeated arc id {aid!r}")
             arcs[aid] = Hyperarc(
                 aid, _decode_tagged(entry["action"], _ACTION_TAGS,
                                     "plan.arcs.action", "action"),
-                frozenset(_int_id(t, "plan.arcs.tails") for t in entry["tails"]),
-                frozenset(_int_id(h, "plan.arcs.heads") for h in entry["heads"]))
+                frozenset(_int_id(t, "plan.arcs.tails")
+                          for t in _list(entry["tails"], "plan.arcs.tails")),
+                frozenset(_int_id(h, "plan.arcs.heads")
+                          for h in _list(entry["heads"], "plan.arcs.heads")))
     except ParseError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -330,11 +337,7 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
 
 
 def read_plan(path) -> SolutionHypergraph:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), f"not valid JSON: {exc}") from exc
-    return plan_from_json(data)
+    return plan_from_json(library.read_json(Path(path).read_text(), ParseError, str(path)))
 
 
 # --- bench -------------------------------------------------------------------
@@ -372,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", help="write the solution hypergraph (JSON)")
     solve.add_argument("--dot", help="write a DOT rendering")
     solve.add_argument("--stats", help="write search statistics (JSON)")
-    solve.add_argument("--max-expansions", type=int, default=200_000)
 
     extract = sub.add_parser("extract", help="abstract a solved plan")
     extract.add_argument("scenario")
@@ -389,13 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     reuse.add_argument("--out", help="write the refined plan (JSON)")
     reuse.add_argument("--dot", help="write a DOT rendering")
     reuse.add_argument("--stats", help="write reuse statistics (JSON)")
-    reuse.add_argument("--max-expansions", type=int, default=200_000)
 
     bench = sub.add_parser("bench", help="scratch vs reuse comparison")
     bench.add_argument("scenarios", nargs="+")
     bench.add_argument("--library", required=True)
     bench.add_argument("--out", required=True, help="CSV file to write")
-    bench.add_argument("--max-expansions", type=int, default=200_000)
+    for command in (solve, reuse, bench):
+        command.add_argument("--max-expansions", type=int,
+                             default=SearchConfig.max_expansions)
 
     dot = sub.add_parser("dot", help="render a plan or strategy file")
     dot.add_argument("input")
@@ -501,10 +504,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    try:
-        data = json.loads(Path(args.input).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(args.input, f"not valid JSON: {exc}") from exc
+    data = library.read_json(Path(args.input).read_text(), ParseError, args.input)
     if isinstance(data, dict) and "signature" in data:
         record = library.record_from_json(data, args.input)
         _write(args.out, to_dot(record.ah, graph_name="strategy"))

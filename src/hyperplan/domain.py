@@ -107,9 +107,6 @@ class Held(_Fact):
         self._hash = hash(key)
 
 
-Fact = OnStack | InBuffer | Held
-
-
 def object_facts(state: Iterable) -> frozenset:
     """Drop holding facts, keeping only object placement assertions."""
     return frozenset(f for f in state if isinstance(f, (OnStack, InBuffer)))
@@ -120,16 +117,15 @@ def object_facts(state: Iterable) -> frozenset:
 class WorldState:
     """Immutable placement of every object plus per-robot holdings.
 
-    Internally stored as per-region stacks/buffer sets and per-robot held
-    tuples; the ``placements`` view derives the object -> fact map. Empty
-    entries are normalised away, so two states are equal exactly when their
-    three dicts are equal. The hash is that of the three dicts' items,
-    computed on first use (``search`` runs over slot tuples and never hashes
-    a state). The dicts are shared between states (``apply`` copies only the
+    Stored as per-region stacks/buffer sets and per-robot held tuples.
+    Empty entries are normalised away, so two states are equal exactly when
+    their three dicts are equal, and the hash is that of the three dicts'
+    items (only ``bfs_oracle`` hashes states: ``search`` runs over slot
+    tuples). The dicts are shared between states (``apply`` copies only the
     ones an action touches), so never mutate them.
     """
 
-    __slots__ = ("stacks", "buffers", "holdings", "_hash")
+    __slots__ = ("stacks", "buffers", "holdings")
 
     def __init__(self,
                  stacks: Mapping[str, Sequence[str]] | None = None,
@@ -138,7 +134,6 @@ class WorldState:
         self.stacks = {r: tuple(v) for r, v in (stacks or {}).items() if v}
         self.buffers = {r: frozenset(v) for r, v in (buffers or {}).items() if v}
         self.holdings = {r: tuple(v) for r, v in (holdings or {}).items() if v}
-        self._hash = None
 
     @classmethod
     def _sharing(cls, stacks: dict, buffers: dict, holdings: dict) -> "WorldState":
@@ -148,46 +143,7 @@ class WorldState:
         state.stacks = stacks
         state.buffers = buffers
         state.holdings = holdings
-        state._hash = None
         return state
-
-    @classmethod
-    def from_placements(cls, placements: Mapping[str, Fact],
-                        holdings: Mapping[str, Sequence[str]] | None = None) -> "WorldState":
-        stacks: dict = {}
-        buffers: dict = {}
-        held: dict = {}
-        for o, fact in placements.items():
-            if isinstance(fact, OnStack):
-                stacks.setdefault(fact.region, {})[fact.height] = o
-            elif isinstance(fact, InBuffer):
-                buffers.setdefault(fact.region, set()).add(o)
-            elif isinstance(fact, Held):
-                held.setdefault(fact.robot, []).append(o)
-            else:
-                raise ValueError(f"unknown placement fact for {o!r}")
-        ordered = {}
-        for r, slots in stacks.items():
-            if sorted(slots) != list(range(len(slots))):
-                raise ValueError(f"stack {r!r} heights are not 0..k-1")
-            ordered[r] = tuple(slots[i] for i in range(len(slots)))
-        if holdings is None:
-            holdings = {r: tuple(sorted(v)) for r, v in held.items()}
-        return cls(ordered, buffers, holdings)
-
-    @property
-    def placements(self) -> dict:
-        out: dict = {}
-        for r, stack in self.stacks.items():
-            for h, o in enumerate(stack):
-                out[o] = OnStack(o, r, h)
-        for r, objs in self.buffers.items():
-            for o in objs:
-                out[o] = InBuffer(o, r)
-        for r, held in self.holdings.items():
-            for o in held:
-                out[o] = Held(r, o)
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WorldState)
@@ -196,11 +152,9 @@ class WorldState:
                 and self.holdings == other.holdings)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((frozenset(self.stacks.items()),
-                               frozenset(self.buffers.items()),
-                               frozenset(self.holdings.items())))
-        return self._hash
+        return hash((frozenset(self.stacks.items()),
+                     frozenset(self.buffers.items()),
+                     frozenset(self.holdings.items())))
 
     def __repr__(self) -> str:
         return f"WorldState(stacks={self.stacks}, buffers={self.buffers}, holdings={self.holdings})"
@@ -255,8 +209,6 @@ class Pick:
     obj: str
     region: str
 
-    dot_dashed = False
-
     def __str__(self) -> str:
         return f"pick {self.robot} {self.obj} {self.region}"
 
@@ -266,8 +218,6 @@ class Place:
     robot: str
     obj: str
     region: str
-
-    dot_dashed = False
 
     def __str__(self) -> str:
         return f"place {self.robot} {self.obj} {self.region}"
@@ -295,14 +245,6 @@ Action = Pick | Place | Handoff
 def _handoff(giver: str, obj: str, receiver: str) -> Handoff:
     """``Handoff`` with the object second, as ``Memo`` passes its key."""
     return Handoff(giver, receiver, obj)
-
-
-def action_sort_key(a: Action) -> tuple:
-    if isinstance(a, Pick):
-        return (0, a.robot, a.obj, a.region)
-    if isinstance(a, Place):
-        return (1, a.robot, a.obj, a.region)
-    return (2, a.giver, a.obj, a.receiver)
 
 
 class Memo(dict):
@@ -509,6 +451,12 @@ class Problem:
         return errors
 
 
+def goal_heights(stacks: Mapping) -> tuple:
+    """The heights of a goal's stacks, sorted: a problem's ``goal`` or a
+    strategy's ``goal_stacks``. Grounding and retrieval match on it."""
+    return tuple(sorted(map(len, stacks.values())))
+
+
 def check_problem(p: Problem) -> None:
     """Raise ValueError naming the first of ``p.validate()``'s errors, if any."""
     errors = p.validate()
@@ -526,7 +474,6 @@ class PreconditionViolated(Exception):
 class ExecutionFault(Exception):
     def __init__(self, arc_id: int | None, reason: str):
         self.arc_id = arc_id
-        self.reason = reason
         super().__init__(reason if arc_id is None else f"arc {arc_id}: {reason}")
 
 
@@ -590,7 +537,8 @@ def precondition_failure(s: WorldState, a: Action, p: Problem) -> str | None:
 
 
 def applicable_actions(s: WorldState, p: Problem) -> tuple:
-    """All actions applicable in ``s``, in ``action_sort_key`` order.
+    """All actions applicable in ``s``, sorted by kind (picks, places,
+    handoffs), robot (a handoff's giver), object, then region (receiver).
 
     Generated in that order from ``p.robot_table``, robots in id order: every
     robot's picks, then every robot's places, then the handoffs. The action

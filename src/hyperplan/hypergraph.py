@@ -60,14 +60,8 @@ def obj(name: str) -> Entity:
 
 
 class AbstractMarker:
-    """Sentinel label for hyperarcs that carry no concrete action."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel label for hyperarcs that carry no concrete action: the one
+    instance is ``ABSTRACT``."""
 
     def __repr__(self) -> str:
         return "ABSTRACT"
@@ -342,7 +336,6 @@ def node_dot_label(node) -> str:
     return ", ".join(getattr(e, "name", str(e)) for e in names)
 
 
-@singledispatch
 def arc_dot_label(label) -> str:
     if label is None or label is ABSTRACT:
         return ""
@@ -350,6 +343,7 @@ def arc_dot_label(label) -> str:
 
 
 def arc_is_dashed(label) -> bool:
+    """Abstract arcs, and labels whose class sets ``dot_dashed``, are dashed."""
     return label is ABSTRACT or getattr(label, "dot_dashed", False)
 
 

@@ -2,10 +2,11 @@
 
 One strategy per JSON file, human readable, written atomically
 (temp file then rename). A stored strategy is a retrieval candidate for a
-problem when its goal stack-height multiset matches the problem's goal
-and it has at least one placeholder per goal object.
-The candidate with the fewest extra placeholders (objects the strategy
-moved without a goal position) wins, then the smallest record id.
+problem when its ``goal_heights`` equal the problem's. Every placeholder
+of a goal stack is a distinct abstract object, so a candidate has one
+placeholder per goal object or more. The candidate with the fewest
+placeholders (the fewest objects moved without a goal position) wins,
+then the smallest record id.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .abstraction import (
     TargetRole,
     ah_violations,
 )
-from .domain import Problem
+from .domain import Problem, goal_heights
 from .hypergraph import ABSTRACT, Hyperarc
 
 FORMAT_VERSION = 1
@@ -37,8 +38,6 @@ _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 class CorruptRecord(Exception):
     def __init__(self, file: str, reason: str):
-        self.file = file
-        self.reason = reason
         super().__init__(f"{file}: {reason}")
 
 
@@ -69,7 +68,7 @@ class StrategyRecord:
 def signature_of(ah: AbstractHypergraph) -> StrategySignature:
     return StrategySignature(
         num_abstract_objects=len(ah.abstract_objects),
-        goal_stack_heights=tuple(sorted(len(v) for v in ah.goal_stacks.values())),
+        goal_stack_heights=goal_heights(ah.goal_stacks),
     )
 
 
@@ -81,10 +80,6 @@ def make_record(record_id: str, ah: AbstractHypergraph, scenario: str,
 
 
 # --- serialization -----------------------------------------------------------
-
-def _role_text(role) -> str | None:
-    return None if role is None else str(role)
-
 
 def _role_parse(text, file: str):
     if text is None:
@@ -111,7 +106,8 @@ def record_to_json(record: StrategyRecord) -> dict:
             {
                 "id": nid,
                 "objects": sorted(o.index for o in ah.nodes[nid].composition),
-                "region_role": _role_text(ah.nodes[nid].region),
+                "region_role": None if ah.nodes[nid].region is None
+                else str(ah.nodes[nid].region),
                 "stack_order": [o.index for o in ah.nodes[nid].stack_order],
                 "abstract_robot": True,
             }
@@ -133,27 +129,43 @@ def record_to_json(record: StrategyRecord) -> dict:
     }
 
 
-def _ints(values, file: str, what: str) -> list:
-    """``values`` as a list, or CorruptRecord unless each is an int (a bool
-    is not)."""
-    values = list(values)
-    for value in values:
+def read_json(text: str, error, where: str):
+    """``text`` decoded, or ``error(where, reason)`` if it is not valid JSON;
+    every file reader decodes through it, with its own error class."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(where, f"not valid JSON: {exc}") from exc
+
+
+def _list(value, file: str, where: str) -> list:
+    """``value``, or CorruptRecord unless it is a JSON list."""
+    if type(value) is not list:
+        raise CorruptRecord(file, f"{where}: expected a list")
+    return value
+
+
+def _ints(values, file: str, where: str, what: str) -> list:
+    """``values``, or CorruptRecord unless it is a list of ints (a bool is
+    not one)."""
+    for value in _list(values, file, where):
         if type(value) is not int:
             raise CorruptRecord(file, f"{what} {value!r} is not an integer")
     return values
 
 
-def _objects(indices, file: str, what: str) -> tuple:
-    return tuple(map(AbstractObject, _ints(indices, file, what)))
+def _objects(indices, file: str, where: str, what: str) -> tuple:
+    return tuple(map(AbstractObject, _ints(indices, file, where, what)))
 
 
 def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
     try:
-        if data.get("version") != FORMAT_VERSION:
-            raise CorruptRecord(file, f"unsupported version {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise CorruptRecord(file, f"unsupported version {version!r}")
         nodes = {}
-        for entry in data["nodes"]:
-            (nid,) = _ints((entry["id"],), file, "node id")
+        for entry in _list(data["nodes"], file, "nodes"):
+            (nid,) = _ints([entry["id"]], file, "nodes.id", "node id")
             # refinement always attaches robots, so no other value is usable
             if entry["abstract_robot"] is not True:
                 raise CorruptRecord(file, f"node {nid}: abstract_robot must be true")
@@ -161,21 +173,29 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
                 raise CorruptRecord(file, f"repeated node id {nid!r}")
             nodes[nid] = AbstractNode(
                 id=nid,
-                composition=frozenset(_objects(entry["objects"], file, "object index")),
+                composition=frozenset(_objects(entry["objects"], file, "nodes.objects",
+                                               "object index")),
                 region=_role_parse(entry["region_role"], file),
-                stack_order=_objects(entry["stack_order"], file, "stack_order entry"),
+                stack_order=_objects(entry["stack_order"], file, "nodes.stack_order",
+                                     "stack_order entry"),
             )
-        arcs = {i: Hyperarc(i, ABSTRACT, frozenset(_ints(entry["tails"], file, "arc tail")),
-                            frozenset(_ints(entry["heads"], file, "arc head")))
-                for i, entry in enumerate(data["arcs"])}
+        arcs = {i: Hyperarc(i, ABSTRACT,
+                            frozenset(_ints(entry["tails"], file, "arcs.tails", "arc tail")),
+                            frozenset(_ints(entry["heads"], file, "arcs.heads", "arc head")))
+                for i, entry in enumerate(_list(data["arcs"], file, "arcs"))}
         goal_stacks = {
-            _role_parse(role, file): _objects(stack, file, "goal-stack entry")
+            _role_parse(role, file): _objects(stack, file, f"goal_stacks.{role}",
+                                              "goal-stack entry")
             for role, stack in data["goal_stacks"].items()
         }
         ah = AbstractHypergraph(nodes, arcs, goal_stacks)
+        stored = data["signature"]
         signature = StrategySignature(
-            num_abstract_objects=data["signature"]["num_abstract_objects"],
-            goal_stack_heights=tuple(data["signature"]["goal_stack_heights"]),
+            num_abstract_objects=_ints([stored["num_abstract_objects"]], file, "signature",
+                                       "signature.num_abstract_objects")[0],
+            goal_stack_heights=tuple(_ints(stored["goal_stack_heights"], file,
+                                           "signature.goal_stack_heights",
+                                           "goal-stack height")),
         )
         provenance = Provenance(data["provenance"]["scenario"],
                                 data["provenance"]["created_at"])
@@ -212,11 +232,7 @@ def write_record(record: StrategyRecord, path) -> None:
 
 def read_record(path) -> StrategyRecord:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CorruptRecord(str(path), f"not valid JSON: {exc}") from exc
-    return record_from_json(data, str(path))
+    return record_from_json(read_json(path.read_text(), CorruptRecord, str(path)), str(path))
 
 
 def store(record: StrategyRecord, directory) -> str:
@@ -237,10 +253,7 @@ def load(directory) -> list:
 
 def retrieve(p: Problem, records) -> StrategyRecord | None:
     """Best stored strategy for a problem, or None (see the module docstring)."""
-    heights = tuple(sorted(len(v) for v in p.goal.values()))
-    wanted = len(p.goal_objects)
-    candidates = [r for r in records
-                  if r.signature.goal_stack_heights == heights
-                  and wanted <= r.signature.num_abstract_objects]
+    heights = goal_heights(p.goal)
+    candidates = [r for r in records if r.signature.goal_stack_heights == heights]
     return min(candidates, default=None,
-               key=lambda r: (r.signature.num_abstract_objects - wanted, r.id))
+               key=lambda r: (r.signature.num_abstract_objects, r.id))

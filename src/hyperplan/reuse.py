@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .abstraction import AbstractHypergraph
-from .domain import Problem, check_problem
+from .domain import Problem, check_problem, goal_heights
 # apply, build_hypergraph, execute_hypergraph, is_goal and topological_order
 # are unused here but stay module attributes: bench/spans.py wraps them in
 # hyperplan.reuse by name.
@@ -74,7 +74,6 @@ class SubproblemInfeasible(Exception):
     def __init__(self, arc_id: int | None, reason: str, goal: Mapping[str, tuple],
                  expansions: int):
         self.arc_id = arc_id
-        self.reason = reason
         self.goal = goal
         self.expansions = expansions
         stacks = ", ".join(f"{r}=[{' '.join(want)}]" for r, want in goal.items())
@@ -123,28 +122,13 @@ def ground_strategy(ah: AbstractHypergraph, p: Problem) -> dict:
     goal declaration order; the height multisets must be equal.
     """
     check_problem(p)
-    roles = sorted(ah.goal_stacks, key=lambda r: r.index)
-    heights = sorted(len(want) for want in p.goal.values())
-    if sorted(len(ah.goal_stacks[r]) for r in roles) != heights:
+    if goal_heights(ah.goal_stacks) != goal_heights(p.goal):
         raise NoGrounding("goal stack-height multisets differ")
     regions_by_height: dict = {}
     for region, want in p.goal.items():
         regions_by_height.setdefault(len(want), []).append(region)
-    return {r.index: regions_by_height[len(ah.goal_stacks[r])].pop(0) for r in roles}
-
-
-def verify_grounding(ah: AbstractHypergraph, p: Problem, regions: dict) -> list:
-    """Independent re-check of the pairing ``ground_strategy`` promises."""
-    errors = []
-    if len(set(regions.values())) != len(regions):
-        errors.append("region map is not injective")
-    for role, stack in ah.goal_stacks.items():
-        region = regions.get(role.index)
-        if region not in p.goal:
-            errors.append(f"{role} not mapped to a goal region")
-        elif len(p.goal[region]) != len(stack):
-            errors.append(f"{role} height differs from goal region {region!r}")
-    return errors
+    return {r.index: regions_by_height[len(ah.goal_stacks[r])].pop(0)
+            for r in sorted(ah.goal_stacks, key=lambda r: r.index)}
 
 
 # --- reconstruction ----------------------------------------------------------

@@ -3,7 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from hyperplan import Problem, Region, RobotSpec, WorldState
+from hyperplan import (
+    Held,
+    InBuffer,
+    OnStack,
+    Pick,
+    Place,
+    Problem,
+    Region,
+    RobotSpec,
+    WorldState,
+)
 from hyperplan.cli import Scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -176,3 +186,68 @@ def class_erased(p: Problem, actions) -> list:
         out.append((type(a).__name__, a.obj, getattr(a, "region", None))
                    + tuple(class_of.get(r, r) for r in robots))
     return out
+
+
+# --- reference helpers: test-side views and checks the program does not need ---
+
+def placements(s: WorldState) -> dict:
+    """Object -> the one ``OnStack``, ``InBuffer`` or ``Held`` fact placing it."""
+    out: dict = {}
+    for r, stack in s.stacks.items():
+        for h, o in enumerate(stack):
+            out[o] = OnStack(o, r, h)
+    for r, objs in s.buffers.items():
+        for o in objs:
+            out[o] = InBuffer(o, r)
+    for r, held in s.holdings.items():
+        for o in held:
+            out[o] = Held(r, o)
+    return out
+
+
+def from_placements(placed: dict, holdings=None) -> WorldState:
+    """The state ``placements`` reads, rebuilt from its facts; each robot's
+    hand in object order unless ``holdings`` gives the order."""
+    stacks: dict = {}
+    buffers: dict = {}
+    held: dict = {}
+    for o, fact in placed.items():
+        if isinstance(fact, OnStack):
+            stacks.setdefault(fact.region, {})[fact.height] = o
+        elif isinstance(fact, InBuffer):
+            buffers.setdefault(fact.region, set()).add(o)
+        elif isinstance(fact, Held):
+            held.setdefault(fact.robot, []).append(o)
+        else:
+            raise ValueError(f"unknown placement fact for {o!r}")
+    ordered = {}
+    for r, slots in stacks.items():
+        if sorted(slots) != list(range(len(slots))):
+            raise ValueError(f"stack {r!r} heights are not 0..k-1")
+        ordered[r] = tuple(slots[i] for i in range(len(slots)))
+    if holdings is None:
+        holdings = {r: tuple(sorted(v)) for r, v in held.items()}
+    return WorldState(ordered, buffers, holdings)
+
+
+def action_sort_key(a) -> tuple:
+    """The order ``applicable_actions`` returns actions in."""
+    if isinstance(a, Pick):
+        return (0, a.robot, a.obj, a.region)
+    if isinstance(a, Place):
+        return (1, a.robot, a.obj, a.region)
+    return (2, a.giver, a.obj, a.receiver)
+
+
+def verify_grounding(ah, p: Problem, regions: dict) -> list:
+    """Independent re-check of the pairing ``ground_strategy`` promises."""
+    errors = []
+    if len(set(regions.values())) != len(regions):
+        errors.append("region map is not injective")
+    for role, stack in ah.goal_stacks.items():
+        region = regions.get(role.index)
+        if region not in p.goal:
+            errors.append(f"{role} not mapped to a goal region")
+        elif len(p.goal[region]) != len(stack):
+            errors.append(f"{role} height differs from goal region {region!r}")
+    return errors

@@ -250,7 +250,9 @@ def unreachable_buffer_empty_goal_problem():
     (unreachable_buffer_empty_goal_problem, 0),
 ], ids=["untouched-goal-stack", "empty-goal-unreachable-buffer"])
 def test_placeholders_are_touched_objects_plus_goal_objects(make, placeholders):
-    from hyperplan import ground_strategy, reuse_pipeline, verify_grounding
+    from hyperplan import ground_strategy, reuse_pipeline
+
+    from conftest import verify_grounding
 
     p = make()
     scratch, scratch_stats = plan(p)

@@ -29,7 +29,6 @@ from hyperplan import (
     reuse_pipeline,
     topological_order,
     validate_hyperpath,
-    verify_grounding,
 )
 from hyperplan.cli import plan_from_json, run_command, scenario_to_json
 
@@ -38,6 +37,7 @@ from conftest import (
     blocker_tower_scenario,
     load_scenario,
     random_instance,
+    verify_grounding,
 )
 
 

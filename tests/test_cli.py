@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from hyperplan import Pick, execute_hypergraph, is_goal, plan
+from hyperplan import Pick, SearchConfig, execute_hypergraph, is_goal, plan
 from hyperplan.cli import (
     BenchResult,
     ParseError,
     Scenario,
     ValidationError,
+    build_parser,
     emit_bench_csv,
     parse_scenario,
     plan_from_json,
@@ -569,6 +570,87 @@ def test_strategy_with_a_string_object_index_is_an_input_error(tmp_path, capsys)
         assert "object index '0' is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("arcs", {}, "plan.arcs: expected a list"),
+    ("arcs", "", "plan.arcs: expected a list"),
+    ("facts", {}, "plan.nodes.facts: expected a list"),
+    ("facts", "", "plan.nodes.facts: expected a list"),
+    ("version", True, "plan.version: unsupported version True"),
+    ("scenario", 5, "plan.scenario: 5 is not a string"),
+    ("scenario", None, "plan.scenario: None is not a string"),
+    ("tag", [], "plan.nodes.facts: unknown fact tag []"),
+    ("action tag", {}, "plan.arcs.action: unknown action tag {}"),
+])
+def test_plan_fields_must_have_their_json_types(fig1, field, value, message):
+    data = json.loads(json.dumps(plan_to_json(plan(fig1.problem)[0], "fig1")))
+    if field == "facts":
+        data["nodes"][0]["facts"] = value
+    elif field == "tag":
+        data["nodes"][0]["facts"][0][0] = value
+    elif field == "action tag":
+        data["arcs"][0]["action"][0] = value
+    else:
+        data[field] = value
+    with pytest.raises(ParseError) as failure:
+        plan_from_json(data)
+    assert str(failure.value) == message
+
+
+# One value of each JSON type, for the type-mutation fuzz below.
+JSON_VALUES = (None, True, 0, 1.5, "", "x", [], {})
+
+
+def _type_mutants(doc):
+    """``(path, value, mutant)`` for each value of ``doc`` and each of
+    ``JSON_VALUES`` of another type: ``mutant`` is ``doc`` with the value at
+    ``path`` replaced. A list is entered at index 0 only."""
+    for value in JSON_VALUES:
+        if type(value) is not type(doc):
+            yield (), value, value
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc[:1])
+    else:
+        children = ()
+    for key, child in children:
+        for path, value, mutant in _type_mutants(child):
+            copy = doc.copy()   # shallow: only the path to the value is new
+            copy[key] = mutant
+            yield (key, *path), value, copy
+
+
+def test_no_type_mutant_of_an_input_file_is_accepted(tmp_path, capsys):
+    """Every value of fig3's scenario, fig1's plan and fig1's strategy, each
+    replaced by a value of every other JSON type, read by each command that
+    takes the file: ``run_command`` raises nothing, and no run exits 0. A
+    null ``region_role`` is valid, so it is no mutant."""
+    plan_file, strategy = tmp_path / "fig1.plan.json", tmp_path / "fig1.strategy.json"
+    assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
+    assert run_command(["extract", fig1_path(), str(plan_file), "--out", str(strategy)]) == 0
+    mutant = tmp_path / "mutant.json"
+    readers = (
+        (SCENARIO_DIR / "fig3.json", [["solve", str(mutant), "--max-expansions", "200"]]),
+        (plan_file, [["extract", fig1_path(), str(mutant), "--out", str(tmp_path / "s.json")],
+                     ["dot", str(mutant), "--out", str(tmp_path / "p.dot")]]),
+        (strategy, [["dot", str(mutant), "--out", str(tmp_path / "s.dot")],
+                    ["reuse", fig1_path(), "--strategy", str(mutant)]]),
+    )
+    runs, accepted = 0, []
+    for source, commands in readers:
+        for path, value, data in _type_mutants(json.loads(source.read_text())):
+            if path[-1:] == ("region_role",) and value is None:
+                continue
+            mutant.write_text(json.dumps(data))
+            for argv in commands:
+                runs += 1
+                if run_command(argv) == 0:
+                    accepted.append((source.name, path, value, argv[0]))
+    capsys.readouterr()
+    assert accepted == []
+    assert runs == 806
+
+
 def test_solve_rejects_a_fractional_capacity(tmp_path):
     data = scenario_to_json(load_scenario("fig1"))
     data["robots"][0]["capacity"] = 1.5
@@ -714,3 +796,10 @@ def test_unknown_arguments_exit_2():
     assert run_command(["solve"]) == 2
     assert run_command(["frobnicate", "x"]) == 2
     assert run_command(["--help"]) == 0
+
+
+def test_every_budget_option_defaults_to_the_search_default():
+    parser = build_parser()
+    for argv in (["solve", "s.json"], ["reuse", "s.json", "--strategy", "x.json"],
+                 ["bench", "s.json", "--library", "lib", "--out", "b.csv"]):
+        assert parser.parse_args(argv).max_expansions == SearchConfig().max_expansions

@@ -28,10 +28,17 @@ from hyperplan import (
     plan,
     reuse_pipeline,
 )
-from hyperplan.domain import Held, InBuffer, OnStack, action_sort_key
+from hyperplan.domain import Held, InBuffer, OnStack
 from hyperplan.hypergraph import HypergraphBuilder, Node, SolutionHypergraph, obj, robot
 
-from conftest import SCENARIO_DIR, random_instance, random_walk
+from conftest import (
+    SCENARIO_DIR,
+    action_sort_key,
+    from_placements,
+    placements,
+    random_instance,
+    random_walk,
+)
 
 
 def brute_force_applicable(s, p):
@@ -85,10 +92,10 @@ def test_world_state_equality_and_placements():
     s1 = WorldState(stacks={"L": ("a", "b")}, holdings={"r": ("c",)})
     s2 = WorldState(stacks={"L": ("a", "b"), "R": ()}, holdings={"r": ("c",)})
     assert s1 == s2 and hash(s1) == hash(s2)
-    placements = s1.placements
-    assert placements["a"].height == 0 and placements["b"].height == 1
-    assert placements["c"].robot == "r"
-    rebuilt = WorldState.from_placements(placements, s1.holdings)
+    placed = placements(s1)
+    assert placed["a"].height == 0 and placed["b"].height == 1
+    assert placed["c"].robot == "r"
+    rebuilt = from_placements(placed, s1.holdings)
     assert rebuilt == s1
 
 
@@ -120,7 +127,7 @@ def test_apply_normalises_emptied_entries():
     s = apply(s, Place("arm", "c", "R"), p)
     assert "arm" not in s.holdings
     _same_state(s, WorldState(stacks={"L": ("a",), "R": ("b", "c")}))
-    _same_state(s, WorldState.from_placements(s.placements))
+    _same_state(s, from_placements(placements(s)))
 
 
 def test_buffer_order_does_not_matter():
@@ -159,10 +166,10 @@ def test_reached_states_equal_rebuilt_states():
                          **{r: sorted(v, reverse=True) for r, v in s.buffers.items()}},
                 holdings={**{r.id: () for r in p.robots}, **s.holdings})
             _same_state(s, padded)
-            _same_state(s, WorldState.from_placements(s.placements, s.holdings))
+            _same_state(s, from_placements(placements(s), s.holdings))
         for x in walk:
             for y in walk:
-                same = (x.placements, x.holdings) == (y.placements, y.holdings)
+                same = (placements(x), x.holdings) == (placements(y), y.holdings)
                 assert (x == y) == same
 
 
@@ -381,7 +388,7 @@ def test_handoff_moves_held_object(fig1):
     s = apply(p.initial, Pick("blue", "C", "right"), p)
     s = apply(s, Handoff("blue", "red", "C"), p)
     assert s.holdings == {"red": ("C",)}
-    assert s.placements["C"].robot == "red"
+    assert placements(s)["C"].robot == "red"
 
 
 def test_apply_rejects_bad_preconditions(fig1):
@@ -394,8 +401,8 @@ def test_apply_rejects_bad_preconditions(fig1):
 
 def test_apply_touches_only_involved_entities(fig1):
     p = fig1.problem
-    before = p.initial.placements
-    after = apply(p.initial, Pick("blue", "C", "right"), p).placements
+    before = placements(p.initial)
+    after = placements(apply(p.initial, Pick("blue", "C", "right"), p))
     changed = {o for o in before if before[o] != after[o]}
     assert changed == {"C"}
 

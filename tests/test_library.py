@@ -301,6 +301,29 @@ def test_record_ids_and_indices_must_be_integers(fig1_record, field, value, what
     assert str(failure.value) == f"<memory>: {what} {value!r} is not an integer"
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("arcs", {}, "arcs: expected a list"),
+    ("arcs", "", "arcs: expected a list"),
+    ("nodes", {}, "nodes: expected a list"),
+    ("stack_order", {}, "nodes.stack_order: expected a list"),
+    ("stack_order", "", "nodes.stack_order: expected a list"),
+    ("version", True, "unsupported version True"),
+    ("num_abstract_objects", 3.0, "signature.num_abstract_objects 3.0 is not an integer"),
+    ("goal_stack_heights", "3", "signature.goal_stack_heights: expected a list"),
+])
+def test_record_fields_must_have_their_json_types(fig1_record, field, value, message):
+    data = record_to_json(fig1_record)
+    if field == "stack_order":
+        data["nodes"][0]["stack_order"] = value
+    elif field in data["signature"]:
+        data["signature"][field] = value
+    else:
+        data[field] = value
+    with pytest.raises(CorruptRecord) as failure:
+        record_from_json(data)
+    assert str(failure.value) == f"<memory>: {message}"
+
+
 @pytest.mark.parametrize("key,value", [("scenario", ["x"]), ("created_at", 5)])
 def test_provenance_values_must_be_strings(fig1_record, key, value):
     data = record_to_json(fig1_record)

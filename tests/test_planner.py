@@ -203,6 +203,28 @@ def test_plan_matches_oracle_on_random_family():
     assert solved >= 200
 
 
+@pytest.mark.parametrize("family,found", [((6, 3, 5), 54), ((8, 2, 4), 45)])
+def test_search_matches_oracle_beyond_four_objects(family, found):
+    """Seeds 0-99 of the larger random families, with the oracle bounded at
+    8 actions (its cost grows fast with depth here): where it finds an
+    optimum, A* finds a plan of that length within a 20,000 budget; where
+    it finds none, A* finds no plan of 8 actions or fewer."""
+    agreed = 0
+    for seed in range(100):
+        p = random_instance(seed, *family)
+        expected = bfs_oracle(p, bound=8)
+        try:
+            length = len(search(p, SearchConfig(max_expansions=20_000))[0])
+        except (NoSolution, BudgetExhausted):
+            length = None
+        if expected is None:
+            assert length is None or length > 8, f"seed {seed}: A* found {length}"
+        else:
+            assert length == expected, f"seed {seed}"
+            agreed += 1
+    assert agreed == found
+
+
 def goal_distance(p: Problem, prefix: bool) -> int | None:
     """Fewest actions from ``p.initial`` to a state ``is_goal(..., prefix)``
     accepts, by exhaustive breadth-first search; None if there is none."""

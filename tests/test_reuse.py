@@ -35,12 +35,17 @@ from hyperplan import (
     search,
     topological_order,
     validate_hyperpath,
-    verify_grounding,
 )
 from hyperplan.cli import plan_to_json
 from hyperplan.planner import Compiler
 
-from conftest import class_erased, load_scenario, random_instance, reversal_problem
+from conftest import (
+    class_erased,
+    load_scenario,
+    random_instance,
+    reversal_problem,
+    verify_grounding,
+)
 
 
 @pytest.fixture(scope="module")
