@@ -227,19 +227,6 @@ def select_critical_nodes(h_obj: SolutionHypergraph, p: Problem) -> frozenset:
 
 # --- step 3: label stripping ------------------------------------------------
 
-def _member_order(names, facts, index_of):
-    """Order object names placed on one stack by height, others by index
-    (a name with no index yet sorts as index 0), ties by name."""
-
-    def key(name):
-        fact = facts.get(name)
-        if isinstance(fact, OnStack):
-            return (0, fact.height)
-        return (1, index_of.get(name, 0))
-
-    return sorted(names, key=lambda n: (key(n), n))
-
-
 def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
                     p: Problem) -> AbstractHypergraph:
     """Strip object labels and region names, keeping only the strategy.
@@ -247,45 +234,64 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
     Placeholders stand for the objects some arc touches plus the goal
     objects: a goal stack the plan never touches is kept, a non-goal
     object no arc touches is dropped, so an arc-free plan for an empty
-    goal gives an empty strategy. Placeholders are dense AbstractObjects
-    numbered by first appearance in topological order (sources first,
-    bottom of a stack first). Every goal region becomes a TargetRole in
-    goal-declaration order (an empty one the plan never touches too),
-    other stack regions SourceRoles by first use, buffers the
-    BufferRole. One abstract hyperarc is emitted per
-    non-source critical node; leftover objects from its consumed frontier
-    split into residual head nodes so abstract objects are conserved arc
-    by arc.
+    goal gives an empty strategy.
+
+    One walk replays the object-level plan, sources first and then the
+    arcs in topological order, and builds each abstract node and arc as
+    it reaches it. A node lists its members on a stack bottom first, the
+    others by placeholder index, ties by name; a member gets the next
+    dense AbstractObject index the first time a node holds it. A region
+    gets its role the first time a node rests in it: a goal region the
+    TargetRole of its goal-declaration position (an empty goal region
+    the plan never touches keeps its role in ``goal_stacks``), a buffer
+    the BufferRole, any other stack the next SourceRole. Each non-source
+    critical node is the head of one abstract hyperarc whose tails are
+    the nodes that hold its objects now; the leftover objects of each
+    tail split into residual head nodes so abstract objects are
+    conserved arc by arc.
     """
     covered = {e.name
                for arc in h_obj.arcs.values()
                for nid in arc.tails | arc.heads
                for e in h_obj.nodes[nid].composition} | p.goal_objects
+    target_index = {r: i for i, r in enumerate(p.goal)}
+    index_of: dict = {}       # object name -> placeholder index
+    source_index: dict = {}   # source region id -> SourceRole index
+    nodes: dict = {}
+    members_of: list = []     # object names of each abstract node, by id
+    frontier: dict = {}       # object name -> id of the node that holds it now
 
     def node_facts(nid):
         return {f.obj: f for f in h_obj.nodes[nid].state
                 if isinstance(f, (OnStack, InBuffer))}
 
-    index_of: dict = {}
-    protos: list = []     # (member tuple, region id or None, placed tuple)
-    used_regions: list = []
-    frontier: dict = {}   # object name -> proto that holds it now
+    def role_of(region_id):
+        if region_id in target_index:
+            return TargetRole(target_index[region_id])
+        if p.region_map[region_id].kind == BUFFER:
+            return BufferRole()
+        return SourceRole(source_index.setdefault(region_id, len(source_index)))
 
-    def add_proto(members, facts) -> int:
-        ordered = tuple(_member_order(members, facts, index_of))
-        known = [facts[m] for m in ordered if m in facts]
-        regions = {f.region for f in known}
-        region = None
-        placed: tuple = ()
-        if len(regions) == 1 and len(known) == len(ordered):
-            region = next(iter(regions))
-            placed = ordered
-            if region not in used_regions:
-                used_regions.append(region)
-        for m in ordered:
-            frontier[m] = len(protos)
-        protos.append((ordered, region, placed))
-        return len(protos) - 1
+    def add_node(names, facts) -> int:
+        def key(name):
+            fact = facts.get(name)
+            if isinstance(fact, OnStack):
+                return (0, fact.height, name)
+            return (1, index_of.get(name, 0), name)
+
+        members = sorted(names, key=key)
+        placeholders = tuple(AbstractObject(index_of.setdefault(m, len(index_of)))
+                             for m in members)
+        regions = {facts[m].region for m in members if m in facts}
+        region, placed = None, ()
+        if len(regions) == 1 and all(m in facts for m in members):
+            region, placed = role_of(regions.pop()), placeholders
+        nid = len(members_of)
+        nodes[nid] = AbstractNode(nid, frozenset(placeholders), region, placed)
+        members_of.append(members)
+        for m in members:
+            frontier[m] = nid
+        return nid
 
     # Facts seen so far while replaying the object-level plan; an object
     # currently carried has none.
@@ -293,14 +299,11 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
     for nid in h_obj.sources:
         facts = node_facts(nid)
         live_facts.update(facts)
-        members = _member_order([e.name for e in h_obj.nodes[nid].composition
-                                 if e.name in covered], facts, index_of)
-        for name in members:
-            index_of.setdefault(name, len(index_of))
-        if members:
-            add_proto(members, facts)
+        names = [e.name for e in h_obj.nodes[nid].composition if e.name in covered]
+        if names:
+            add_node(names, facts)
 
-    proto_arcs: list = []
+    arcs: dict = {}
     for aid in topological_order(h_obj):
         heads = sorted(h_obj.arcs[aid].heads)
         for hid in heads:
@@ -313,41 +316,16 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
         for c in heads:
             if c not in critical:
                 continue
-            members_c = {e.name for e in h_obj.nodes[c].composition}
-            tail_pids = sorted({frontier[m] for m in members_c})
+            names = {e.name for e in h_obj.nodes[c].composition}
+            tails = sorted({frontier[m] for m in names})
             # c's arc is applied, so live_facts holds c's own facts
-            head_pids = [add_proto(members_c, live_facts)]
-            for t in tail_pids:
-                leftover = [m for m in protos[t][0] if m not in members_c]
+            new = [add_node(names, live_facts)]
+            for t in tails:
+                leftover = [m for m in members_of[t] if m not in names]
                 if leftover:
-                    head_pids.append(add_proto(leftover, live_facts))
-            proto_arcs.append((tail_pids, head_pids))
-
-    target_index = {r: i for i, r in enumerate(p.goal)}
-    source_index: dict = {}
-    for r in used_regions:
-        if r not in target_index and p.region_map[r].kind != BUFFER:
-            source_index[r] = len(source_index)
-
-    def role_of(region_id):
-        if region_id is None:
-            return None
-        if region_id in target_index:
-            return TargetRole(target_index[region_id])
-        if p.region_map[region_id].kind == BUFFER:
-            return BufferRole()
-        return SourceRole(source_index[region_id])
-
-    nodes = {}
-    for pid, (members, region, placed) in enumerate(protos):
-        nodes[pid] = AbstractNode(
-            id=pid,
-            composition=frozenset(AbstractObject(index_of[m]) for m in members),
-            region=role_of(region),
-            stack_order=tuple(AbstractObject(index_of[m]) for m in placed),
-        )
-    arcs = {i: Hyperarc(i, ABSTRACT, frozenset(t), frozenset(h))
-            for i, (t, h) in enumerate(proto_arcs)}
+                    new.append(add_node(leftover, live_facts))
+            arcs[len(arcs)] = Hyperarc(len(arcs), ABSTRACT, frozenset(tails),
+                                       frozenset(new))
 
     goal_stacks = {}
     for region, want in p.goal.items():
@@ -398,9 +376,11 @@ def ah_violations(ah: AbstractHypergraph) -> list:
 def canonical_form(ah: AbstractHypergraph) -> tuple:
     """Structure-only fingerprint for equality across extractions.
 
-    Node ids are renumbered along the arcs in id order (their dependency
-    order), abstract object indices by first use in that traversal, and
-    target roles by goal-stack order; arc tails and heads are emitted sorted.
+    One pass renumbers the nodes along the arcs in id order (their
+    dependency order), each node's abstract objects by first use (its stack
+    order, then its sorted composition) and source and target roles by
+    first use per kind; goal stacks follow. Arc tails and heads are emitted
+    sorted.
     """
     order = sorted(ah.arcs)
     node_seq = list(ah.sources)
@@ -409,36 +389,28 @@ def canonical_form(ah: AbstractHypergraph) -> tuple:
     node_renum = {nid: i for i, nid in enumerate(node_seq)}
 
     obj_renum: dict = {}
+    role_renum: dict = {}   # role kind -> {role index -> canonical index}
 
     def canon_obj(o):
-        if o not in obj_renum:
-            obj_renum[o] = len(obj_renum)
-        return obj_renum[o]
-
-    for nid in node_seq:
-        node = ah.nodes[nid]
-        for o in list(node.stack_order) + sorted(node.composition):
-            canon_obj(o)
-
-    role_renum: dict = {}
+        return obj_renum.setdefault(o, len(obj_renum))
 
     def canon_role(role):
         if role is None:
             return None
         if isinstance(role, BufferRole):
             return "buffer"
-        key = (type(role).__name__, role.index)
-        if key not in role_renum:
-            kind = type(role).__name__
-            nth = sum(1 for k in role_renum if k[0] == kind)
-            role_renum[key] = f"{kind.lower().removesuffix('role')}:{nth}"
-        return role_renum[key]
+        kind = type(role).__name__.lower().removesuffix("role")
+        renum = role_renum.setdefault(kind, {})
+        return f"{kind}:{renum.setdefault(role.index, len(renum))}"
 
-    nodes = tuple(
-        (tuple(sorted(canon_obj(o) for o in ah.nodes[nid].composition)),
-         canon_role(ah.nodes[nid].region),
-         tuple(canon_obj(o) for o in ah.nodes[nid].stack_order))
-        for nid in node_seq)
+    nodes = []
+    for nid in node_seq:
+        node = ah.nodes[nid]
+        for o in (*node.stack_order, *sorted(node.composition)):
+            canon_obj(o)
+        nodes.append((tuple(sorted(obj_renum[o] for o in node.composition)),
+                      canon_role(node.region),
+                      tuple(obj_renum[o] for o in node.stack_order)))
     arcs = tuple(
         (tuple(sorted(node_renum[t] for t in ah.arcs[aid].tails)),
          tuple(sorted(node_renum[h] for h in ah.arcs[aid].heads)))
@@ -446,4 +418,4 @@ def canonical_form(ah: AbstractHypergraph) -> tuple:
     goals = tuple(sorted(
         (canon_role(role), tuple(canon_obj(o) for o in stack))
         for role, stack in ah.goal_stacks.items()))
-    return (nodes, arcs, goals)
+    return (tuple(nodes), arcs, goals)

@@ -73,15 +73,23 @@ class Scenario:
 
 # --- scenario files ---------------------------------------------------------
 
-def _require(data: dict, where: str, required: set, optional: set = frozenset()):
-    if not isinstance(data, dict):
+def _object(value, where: str, keys=()) -> dict:
+    """``value``, or ParseError unless it is a JSON object that has every
+    key of ``keys``."""
+    if type(value) is not dict:
         raise ParseError(where, "expected an object")
-    for key in data:
+    for key in keys:
+        if key not in value:
+            raise ParseError(f"{where}.{key}", "missing field")
+    return value
+
+
+def _require(data: dict, where: str, required: set, optional: set = frozenset()):
+    """As ``_object``, and ParseError for a key neither required nor optional."""
+    for key in _object(data, where):
         if key not in required and key not in optional:
             raise ParseError(f"{where}.{key}", "unknown field")
-    for key in required:
-        if key not in data:
-            raise ParseError(f"{where}.{key}", "missing field")
+    _object(data, where, sorted(required))
 
 
 def _list(value, where: str) -> list:
@@ -98,12 +106,11 @@ def _is_id_list(value) -> bool:
 
 def _check_id_and_capacity(entry: dict, where: str) -> None:
     """ParseError unless the id is a string and the capacity, if given, an
-    int (a bool is not)."""
+    int (a bool and null are not)."""
     if not isinstance(entry["id"], str):
         raise ParseError(f"{where}.id", f"{entry['id']!r} is not a string")
-    capacity = entry.get("capacity")
-    if capacity is not None and type(capacity) is not int:
-        raise ParseError(f"{where}.capacity", f"{capacity!r} is not an integer")
+    if "capacity" in entry and type(entry["capacity"]) is not int:
+        raise ParseError(f"{where}.capacity", f"{entry['capacity']!r} is not an integer")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -129,7 +136,7 @@ def parse_scenario(text: str) -> Scenario:
         _check_id_and_capacity(entry, where)
         try:
             regions.append(Region(entry["id"], entry["kind"], entry.get("capacity")))
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ParseError(where, str(exc)) from exc
 
     objects = data["objects"]
@@ -149,7 +156,7 @@ def parse_scenario(text: str) -> Scenario:
         try:
             robots.append(RobotSpec(entry["id"], frozenset(reach),
                                     entry.get("capacity", 1)))
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ParseError(where, str(exc)) from exc
 
     region_kinds = {r.id: r.kind for r in regions}
@@ -300,15 +307,19 @@ def _entity(raw) -> Entity:
 
 
 def plan_from_json(data: dict) -> SolutionHypergraph:
+    version = _object(data, "plan").get("version")
+    if type(version) is not int or version != PLAN_FORMAT_VERSION:
+        raise ParseError("plan.version", f"unsupported version {version!r}")
+    scenario = data.get("scenario")
+    if type(scenario) is not str:
+        raise ParseError("plan.scenario", f"{scenario!r} is not a string")
+    _object(data, "plan", ("nodes", "arcs"))
+    # only the entity, fact, action, node and arc constructors' own checks
+    # raise ValueError here
     try:
-        version = data.get("version")
-        if type(version) is not int or version != PLAN_FORMAT_VERSION:
-            raise ParseError("plan.version", f"unsupported version {version!r}")
-        scenario = data.get("scenario")
-        if type(scenario) is not str:
-            raise ParseError("plan.scenario", f"{scenario!r} is not a string")
         nodes = {}
         for entry in _list(data["nodes"], "plan.nodes"):
+            _object(entry, "plan.nodes", ("id", "entities", "facts"))
             composition = frozenset(map(_entity, _list(entry["entities"],
                                                        "plan.nodes.entities")))
             facts = [_decode_tagged(f, _FACT_TAGS, "plan.nodes.facts", "fact")
@@ -319,6 +330,7 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
             nodes[nid] = Node(nid, composition, frozenset(facts))
         arcs = {}
         for entry in _list(data["arcs"], "plan.arcs"):
+            _object(entry, "plan.arcs", ("id", "action", "tails", "heads"))
             aid = _int_id(entry["id"], "plan.arcs.id")
             if aid in arcs:
                 raise ParseError("plan.arcs", f"repeated arc id {aid!r}")
@@ -329,9 +341,7 @@ def plan_from_json(data: dict) -> SolutionHypergraph:
                           for t in _list(entry["tails"], "plan.arcs.tails")),
                 frozenset(_int_id(h, "plan.arcs.heads")
                           for h in _list(entry["heads"], "plan.arcs.heads")))
-    except ParseError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError("plan", f"malformed plan file: {exc}") from exc
     return SolutionHypergraph(nodes, arcs)
 

@@ -87,7 +87,7 @@ def _role_parse(text, file: str):
     if text == "buffer":
         return BufferRole()
     kind, _, index = str(text).partition(":")
-    if kind in ("source", "target") and index.isdigit():
+    if kind in ("source", "target") and index.isdecimal():
         cls = SourceRole if kind == "source" else TargetRole
         return cls(int(index))
     raise CorruptRecord(file, f"unknown region role {text!r}")
@@ -145,6 +145,17 @@ def _list(value, file: str, where: str) -> list:
     return value
 
 
+def _object(value, file: str, where: str, keys) -> dict:
+    """``value``, or CorruptRecord unless it is a JSON object that has every
+    key of ``keys``."""
+    if type(value) is not dict:
+        raise CorruptRecord(file, f"{where}: expected an object")
+    for key in keys:
+        if key not in value:
+            raise CorruptRecord(file, f"{where}.{key}: missing field")
+    return value
+
+
 def _ints(values, file: str, where: str, what: str) -> list:
     """``values``, or CorruptRecord unless it is a list of ints (a bool is
     not one)."""
@@ -159,12 +170,20 @@ def _objects(indices, file: str, where: str, what: str) -> tuple:
 
 
 def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
+    version = _object(data, file, "record", ()).get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CorruptRecord(file, f"unsupported version {version!r}")
+    _object(data, file, "record",
+            ("id", "signature", "nodes", "arcs", "goal_stacks", "provenance"))
+    if type(data["id"]) is not str:
+        raise CorruptRecord(file, f"id {data['id']!r} is not a string")
+    # only the node, arc and record constructors' own checks raise
+    # ValueError here
     try:
-        version = data.get("version")
-        if type(version) is not int or version != FORMAT_VERSION:
-            raise CorruptRecord(file, f"unsupported version {version!r}")
         nodes = {}
         for entry in _list(data["nodes"], file, "nodes"):
+            _object(entry, file, "nodes",
+                    ("id", "objects", "region_role", "stack_order", "abstract_robot"))
             (nid,) = _ints([entry["id"]], file, "nodes.id", "node id")
             # refinement always attaches robots, so no other value is usable
             if entry["abstract_robot"] is not True:
@@ -179,17 +198,21 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
                 stack_order=_objects(entry["stack_order"], file, "nodes.stack_order",
                                      "stack_order entry"),
             )
-        arcs = {i: Hyperarc(i, ABSTRACT,
-                            frozenset(_ints(entry["tails"], file, "arcs.tails", "arc tail")),
-                            frozenset(_ints(entry["heads"], file, "arcs.heads", "arc head")))
-                for i, entry in enumerate(_list(data["arcs"], file, "arcs"))}
+        arcs = {}
+        for i, entry in enumerate(_list(data["arcs"], file, "arcs")):
+            _object(entry, file, "arcs", ("tails", "heads"))
+            arcs[i] = Hyperarc(
+                i, ABSTRACT,
+                frozenset(_ints(entry["tails"], file, "arcs.tails", "arc tail")),
+                frozenset(_ints(entry["heads"], file, "arcs.heads", "arc head")))
         goal_stacks = {
             _role_parse(role, file): _objects(stack, file, f"goal_stacks.{role}",
                                               "goal-stack entry")
-            for role, stack in data["goal_stacks"].items()
+            for role, stack in _object(data["goal_stacks"], file, "goal_stacks", ()).items()
         }
         ah = AbstractHypergraph(nodes, arcs, goal_stacks)
-        stored = data["signature"]
+        stored = _object(data["signature"], file, "signature",
+                         ("num_abstract_objects", "goal_stack_heights"))
         signature = StrategySignature(
             num_abstract_objects=_ints([stored["num_abstract_objects"]], file, "signature",
                                        "signature.num_abstract_objects")[0],
@@ -197,15 +220,13 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
                                            "signature.goal_stack_heights",
                                            "goal-stack height")),
         )
-        provenance = Provenance(data["provenance"]["scenario"],
-                                data["provenance"]["created_at"])
+        stored = _object(data["provenance"], file, "provenance", ("scenario", "created_at"))
+        provenance = Provenance(stored["scenario"], stored["created_at"])
         for key, value in vars(provenance).items():
             if not isinstance(value, str):
                 raise CorruptRecord(file, f"provenance.{key} {value!r} is not a string")
         record = StrategyRecord(data["id"], signature, ah, provenance)
-    except CorruptRecord:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CorruptRecord(file, f"malformed record: {exc}") from exc
     violations = ah_violations(record.ah)
     if violations:

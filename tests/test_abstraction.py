@@ -227,6 +227,28 @@ def test_buffer_start_strategy():
     assert ah_violations(ah) == []
 
 
+def test_source_roles_are_numbered_by_first_use():
+    """x is parked on s2 before y is parked on s1, so s2 gets the lower
+    SourceRole index although s1 is declared first; T, where the plan
+    starts, gets index 0."""
+    from hyperplan import build_hypergraph
+
+    regions = tuple(Region(r, "stack") for r in ("T", "G", "s1", "s2"))
+    robots = (RobotSpec("a", frozenset(r.id for r in regions)),)
+    p = Problem(regions, robots, ("g", "y", "x"),
+                WorldState(stacks={"T": ("g", "y", "x")}), {"G": ("g",)})
+    moves = [("x", "s2"), ("y", "s1"), ("g", "G")]
+    graph = build_hypergraph(
+        [a for o, r in moves for a in (Pick("a", o, "T"), Place("a", o, r))], p)
+    ah = extract_strategy(graph, p)
+    g, y, x = map(AbstractObject, range(3))
+    placed = {(node.stack_order, node.region) for node in ah.nodes.values()}
+    assert {((g, y, x), SourceRole(0)), ((x,), SourceRole(1)),
+            ((y,), SourceRole(2)), ((g,), TargetRole(0))} <= placed
+    assert ah_violations(ah) == []
+    _assert_matches_reference(graph, p)
+
+
 def untouched_goal_stack_problem():
     """T already holds its goal stack and no optimal plan touches it."""
     regions = (Region("L", "stack"), Region("R", "stack"), Region("T", "stack"))

@@ -77,6 +77,7 @@ def test_parse_rejects_bad_json():
     ("robots[0].capacity", 1.5),
     ("robots[0].capacity", 2.0),
     ("robots[0].capacity", True),
+    ("robots[0].capacity", None),
     ("regions[0].id", ["left"]),
     ("robots[0].id", 7),
     ("robots[0].reach", "left"),
@@ -580,6 +581,8 @@ def test_strategy_with_a_string_object_index_is_an_input_error(tmp_path, capsys)
     ("scenario", None, "plan.scenario: None is not a string"),
     ("tag", [], "plan.nodes.facts: unknown fact tag []"),
     ("action tag", {}, "plan.arcs.action: unknown action tag {}"),
+    ("node", 5, "plan.nodes: expected an object"),
+    ("arc", None, "plan.arcs: expected an object"),
 ])
 def test_plan_fields_must_have_their_json_types(fig1, field, value, message):
     data = json.loads(json.dumps(plan_to_json(plan(fig1.problem)[0], "fig1")))
@@ -589,6 +592,8 @@ def test_plan_fields_must_have_their_json_types(fig1, field, value, message):
         data["nodes"][0]["facts"][0][0] = value
     elif field == "action tag":
         data["arcs"][0]["action"][0] = value
+    elif field in ("node", "arc"):
+        data[field + "s"][0] = value
     else:
         data[field] = value
     with pytest.raises(ParseError) as failure:
@@ -598,6 +603,11 @@ def test_plan_fields_must_have_their_json_types(fig1, field, value, message):
 
 # One value of each JSON type, for the type-mutation fuzz below.
 JSON_VALUES = (None, True, 0, 1.5, "", "x", [], {})
+
+# Python's own exception text, which no input-error message should carry.
+PYTHON_ERROR_TEXT = ("object is not subscriptable", "has no attribute",
+                     "indices must be integers", "expected string or bytes-like object",
+                     "not supported between")
 
 
 def _type_mutants(doc):
@@ -623,8 +633,9 @@ def _type_mutants(doc):
 def test_no_type_mutant_of_an_input_file_is_accepted(tmp_path, capsys):
     """Every value of fig3's scenario, fig1's plan and fig1's strategy, each
     replaced by a value of every other JSON type, read by each command that
-    takes the file: ``run_command`` raises nothing, and no run exits 0. A
-    null ``region_role`` is valid, so it is no mutant."""
+    takes the file: ``run_command`` raises nothing, no run exits 0, and no
+    message carries Python's own exception text. A null ``region_role`` is
+    valid, so it is no mutant."""
     plan_file, strategy = tmp_path / "fig1.plan.json", tmp_path / "fig1.strategy.json"
     assert run_command(["solve", fig1_path(), "--out", str(plan_file)]) == 0
     assert run_command(["extract", fig1_path(), str(plan_file), "--out", str(strategy)]) == 0
@@ -636,7 +647,8 @@ def test_no_type_mutant_of_an_input_file_is_accepted(tmp_path, capsys):
         (strategy, [["dot", str(mutant), "--out", str(tmp_path / "s.dot")],
                     ["reuse", fig1_path(), "--strategy", str(mutant)]]),
     )
-    runs, accepted = 0, []
+    runs, accepted, leaked = 0, [], []
+    capsys.readouterr()
     for source, commands in readers:
         for path, value, data in _type_mutants(json.loads(source.read_text())):
             if path[-1:] == ("region_role",) and value is None:
@@ -646,8 +658,11 @@ def test_no_type_mutant_of_an_input_file_is_accepted(tmp_path, capsys):
                 runs += 1
                 if run_command(argv) == 0:
                     accepted.append((source.name, path, value, argv[0]))
-    capsys.readouterr()
+                err = capsys.readouterr().err
+                if any(text in err for text in PYTHON_ERROR_TEXT):
+                    leaked.append((source.name, path, value, argv[0], err))
     assert accepted == []
+    assert leaked == []
     assert runs == 806
 
 

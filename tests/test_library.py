@@ -310,6 +310,10 @@ def test_record_ids_and_indices_must_be_integers(fig1_record, field, value, what
     ("version", True, "unsupported version True"),
     ("num_abstract_objects", 3.0, "signature.num_abstract_objects 3.0 is not an integer"),
     ("goal_stack_heights", "3", "signature.goal_stack_heights: expected a list"),
+    ("id", 5, "id 5 is not a string"),
+    ("signature", "3", "signature: expected an object"),
+    ("provenance", None, "provenance: expected an object"),
+    ("goal_stacks", [], "goal_stacks: expected an object"),
 ])
 def test_record_fields_must_have_their_json_types(fig1_record, field, value, message):
     data = record_to_json(fig1_record)
@@ -322,6 +326,15 @@ def test_record_fields_must_have_their_json_types(fig1_record, field, value, mes
     with pytest.raises(CorruptRecord) as failure:
         record_from_json(data)
     assert str(failure.value) == f"<memory>: {message}"
+
+
+@pytest.mark.parametrize("role", ["source:\u00b2", "target:-1", "sink:0", 5])
+def test_unknown_region_roles_are_corrupt(fig1_record, role):
+    data = record_to_json(fig1_record)
+    data["nodes"][0]["region_role"] = role
+    with pytest.raises(CorruptRecord) as failure:
+        record_from_json(data)
+    assert str(failure.value) == f"<memory>: unknown region role {role!r}"
 
 
 @pytest.mark.parametrize("key,value", [("scenario", ["x"]), ("created_at", 5)])
