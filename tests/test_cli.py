@@ -77,11 +77,11 @@ def test_parse_rejects_bad_json():
     ("robots[0].capacity", 1.5),
     ("robots[0].capacity", 2.0),
     ("robots[0].capacity", True),
-    ("robots[0].capacity", None),
     ("regions[0].id", ["left"]),
     ("robots[0].id", 7),
     ("robots[0].reach", "left"),
     ("robots[0].reach", ["left", 1]),
+    ("robots[0].capacity", None),
 ])
 def test_parse_rejects_ids_capacities_and_reach_of_the_wrong_type(where, value):
     data = scenario_to_json(load_scenario("fig1"))
