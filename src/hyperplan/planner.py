@@ -5,9 +5,11 @@ counts the objects that must move, so the returned action count is
 minimal; among frontier entries of equal f the lower h pops first, then
 the earlier push. It runs over flat slot tuples (``SlotSpace``), so
 hashing and comparing states are tuple operations: ``SlotSpace.successors``
-hands over each successor with its h, derived from its parent's, and its
-key, and one table maps each key to its g and how it was reached. States
-that differ only in which interchangeable robot holds what are one node.
+builds each successor, its h, derived from its parent's, and its key in one
+pass and hands the three over together, and one table maps each key to its
+g and how it was reached. States that differ only in which interchangeable
+robot holds what are one node; when the robots' one such class is a pair,
+the common case, each successor is keyed as it is built.
 It returns actions and compiles nothing. It checks its problem first;
 ``search_unchecked`` is the rest of it, for refinement's sub-problems,
 which are valid by construction. ``Compiler`` turns actions into a
@@ -202,18 +204,26 @@ class SlotSpace:
 
     ``terms[slot]`` memoises the heuristic's terms for a slot: by object,
     its ``placed_term`` in a buffer slot and its ``held_term`` in a robot
-    slot; by stack, ``stack_term`` in a stack slot.
+    slot; by stack, ``stack_term`` in a stack slot. ``pops[slot]`` keeps
+    the picks from a stack slot: by stack, the stack without its top and
+    the change in ``stack_term``, stored at the stack's first pick.
+    ``pair`` is the two robot slots of the one class of interchangeable
+    robots when that class is a pair and the only one, the common case:
+    ``successors`` then keys each successor as it builds it. ``key`` keys
+    the start state, and the successors of every other class shape.
     """
 
     def __init__(self, p: Problem, prefix: bool) -> None:
         self.p = p
         self.rows = p.robot_table
         robot_slot = {row[0]: row[1] for row in self.rows}
-        self.classes = tuple(tuple(map(robot_slot.get, robots))
-                             for robots in p.robot_classes)
+        self.classes = classes = tuple(tuple(map(robot_slot.get, robots))
+                                       for robots in p.robot_classes)
+        self.pair = classes[0] if len(classes) == 1 and len(classes[0]) == 2 else None
         self.terms = [Memo(stack_term, r.id, p, prefix) if r.kind == STACK
                       else Memo(placed_term, r.id, p) for r in p.regions]
         self.terms += [Memo(held_term, row[0], p) for row in self.rows]
+        self.pops = [{} for _ in p.regions]
 
     def slots(self, s: WorldState) -> tuple:
         stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
@@ -227,14 +237,6 @@ class SlotSpace:
         test and the successors up to that exchange agree on one key."""
         swapped = None
         for slots in self.classes:
-            if len(slots) == 2:   # a pair, the common case: no sort
-                i, j = slots
-                if state[i] <= state[j]:
-                    continue
-                if swapped is None:
-                    swapped = list(state)
-                swapped[i], swapped[j] = state[j], state[i]
-                continue
             loads = [state[i] for i in slots]
             ordered = sorted(loads)
             if loads != ordered:
@@ -251,9 +253,13 @@ class SlotSpace:
         ``h`` is the heuristic of ``state``; each successor's is ``h`` plus
         the change in the terms of the slots the action replaced. ``key`` is
         the successor's ``key``, the successor itself when no two robots
-        are alike.
+        are alike. With a ``pair``, each successor is keyed from its slot
+        list before that is frozen: the pair's loads swapped when out of
+        order. Other class shapes are keyed by ``key`` afterwards.
         """
-        terms = self.terms
+        terms, pops, pair = self.terms, self.pops, self.pair
+        if pair:
+            a, b = pair
         out = []
         append = out.append
         for _, slot, capacity, regions, _ in self.rows:
@@ -263,32 +269,50 @@ class SlotSpace:
             tops = []
             for rslot, _, cap, pick, _ in regions:
                 here = state[rslot]
+                if not here:
+                    continue
                 if cap is None:
-                    if here:
-                        tops.append((here[-1], rslot, True, pick))
+                    tops.append((here[-1], rslot, True, pick))
                 else:
-                    tops.extend([(o, rslot, False, pick) for o in here])
-            tops.sort()   # no two tops share an object
+                    for o in here:
+                        tops.append((o, rslot, False, pick))
+            if len(tops) > 1:
+                tops.sort()   # no two tops share an object
             held = terms[slot]
             for o, rslot, on_stack, pick in tops:
                 successor = list(state)
                 successor[slot] = load + (o,)
-                here = state[rslot]
-                costs = terms[rslot]
                 if on_stack:
-                    rest = successor[rslot] = here[:-1]
-                    h2 = h + held[o] + costs[rest] - costs[here]
+                    here, table = state[rslot], pops[rslot]
+                    popped = table.get(here)
+                    if popped is None:   # the first pick from this stack
+                        rest = here[:-1]
+                        costs = terms[rslot]
+                        popped = table[here] = rest, costs[rest] - costs[here]
+                    successor[rslot], change = popped
+                    h2 = h + held[o] + change
                 else:
-                    successor[rslot] = here - {o}
-                    h2 = h + held[o] - costs[o]
-                successor = tuple(successor)
-                append((pick[o], successor, successor, h2))
+                    successor[rslot] = state[rslot] - {o}
+                    h2 = h + held[o] - terms[rslot][o]
+                frozen = tuple(successor)
+                if pair and successor[a] > successor[b]:
+                    successor[a], successor[b] = successor[b], successor[a]
+                    append((pick[o], frozen, tuple(successor), h2))
+                else:
+                    append((pick[o], frozen, frozen, h2))
+        unloads = []   # per row: (object, load without it), in object order
         for _, slot, _, regions, _ in self.rows:
             load = state[slot]
+            if not load:
+                unloads.append(())
+                continue
+            if len(load) == 1:
+                each = ((load[0], ()),)
+            else:
+                each = [(o, tuple(x for x in load if x != o)) for o in sorted(load)]
+            unloads.append(each)
             held = terms[slot]
-            for o in sorted(load):
-                i = load.index(o)
-                rest = load[:i] + load[i + 1:]
+            for o, rest in each:
                 h1 = h - held[o]
                 for rslot, _, cap, _, place in regions:
                     here = state[rslot]
@@ -303,26 +327,31 @@ class SlotSpace:
                     else:
                         successor[rslot] = here | {o}
                         h2 = h1 + costs[o]
-                    successor = tuple(successor)
-                    append((place[o], successor, successor, h2))
-        for _, slot, _, _, partners in self.rows:
-            load = state[slot]
-            if not load:
+                    frozen = tuple(successor)
+                    if pair and successor[a] > successor[b]:
+                        successor[a], successor[b] = successor[b], successor[a]
+                        append((place[o], frozen, tuple(successor), h2))
+                    else:
+                        append((place[o], frozen, frozen, h2))
+        for (_, slot, _, _, partners), each in zip(self.rows, unloads):
+            if not each or not partners:
                 continue
             receivers = [(qslot, handoff) for qslot, _, cap, handoff in partners
                          if len(state[qslot]) < cap]
             held = terms[slot]
-            for o in sorted(load):
-                i = load.index(o)
-                rest = load[:i] + load[i + 1:]
+            for o, rest in each:
                 for qslot, handoff in receivers:
                     successor = list(state)
                     successor[slot] = rest
                     successor[qslot] = state[qslot] + (o,)
-                    successor = tuple(successor)
-                    append((handoff[o], successor, successor,
-                            h + terms[qslot][o] - held[o]))
-        if self.classes:
+                    h2 = h + terms[qslot][o] - held[o]
+                    frozen = tuple(successor)
+                    if pair and successor[a] > successor[b]:
+                        successor[a], successor[b] = successor[b], successor[a]
+                        append((handoff[o], frozen, tuple(successor), h2))
+                    else:
+                        append((handoff[o], frozen, frozen, h2))
+        if self.classes and not pair:
             key = self.key
             return [(action, successor, key(successor), h2)
                     for action, successor, _, h2 in out]

@@ -321,6 +321,21 @@ def permute6(one_robot: bool, start: dict, goal: dict) -> Problem:
                    WorldState(stacks=start), goal)
 
 
+def random_permute6(seed: int, one_robot: bool) -> Problem:
+    """A seeded ``permute6``: the six boxes shuffled and cut into at most
+    three towers, once for the start and once for the goal."""
+    rng = random.Random(seed)
+
+    def towers() -> dict:
+        boxes = [f"b{i}" for i in range(6)]
+        rng.shuffle(boxes)
+        low, high = sorted(rng.sample(range(7), 2))
+        parts = (boxes[:low], boxes[low:high], boxes[high:])
+        return {f"s{i}": tuple(part) for i, part in enumerate(parts) if part}
+
+    return permute6(one_robot, towers(), towers())
+
+
 PERM6_ONE_ROBOT = permute6(
     True, {"s0": ("b1", "b0", "b5"), "s1": ("b2",), "s2": ("b3", "b4")},
     {"s0": ("b4",), "s1": ("b0",), "s2": ("b3", "b2", "b1", "b5")})
@@ -457,16 +472,21 @@ def interchangeable(robots: int, capacity: int) -> Problem:
                    {"L": ("o2", "o0", "o1")})
 
 
-def duplicated_robot(p: Problem) -> Problem:
-    """``p`` with its first robot's spec repeated under a new id."""
-    twin = replace(p.robots[0], id=p.robots[0].id + "twin")
+def duplicated_robot(p: Problem, index: int = 0) -> Problem:
+    """``p`` with the spec of its robot at ``index`` repeated under a new id."""
+    twin = replace(p.robots[index], id=p.robots[index].id + "twin")
     return replace(p, robots=p.robots + (twin,))
 
 
-# three robots share regions in the last two, so a handoff has two receivers
+# In the last three, three or four robots share a region, so a handoff has
+# more than one receiver. Robot classes: one pair in PERM6_TWO_ROBOTS and in
+# some corpus seeds, keyed inside SlotSpace.successors; one class of three;
+# and two pairs in fig2 with both of its robots duplicated (r1 and r2 differ
+# in reach). SlotSpace.key keys the last two shapes.
 WALKED = [random_instance(seed, 4, 2, 4) for seed in range(120)] + \
     [PERM6_ONE_ROBOT, PERM6_TWO_ROBOTS, interchangeable(3, 2),
-     duplicated_robot(PERM6_TWO_ROBOTS)]
+     duplicated_robot(PERM6_TWO_ROBOTS),
+     duplicated_robot(duplicated_robot(load_scenario("fig2").problem), 1)]
 
 
 def walks(problems):
@@ -764,6 +784,35 @@ def test_corpus_search_counts_are_pinned(prefix):
         generated += stats.generated
         actions += len(found)
     assert (solved, expansions, generated, actions) == CORPUS_SEARCH_TOTALS[prefix]
+
+
+# Totals over random_permute6(seed, one_robot), seeds 0-9, per family:
+# (solved, expansions, generated, actions), then the sha256 of the plans'
+# action strings, one plan a line. The two-robot family keys its one pair of
+# interchangeable robots inside SlotSpace.successors; any change in successor
+# order, h or keys moves these.
+PERMUTATION_SEARCH_TOTALS = {
+    True: ((10, 4378, 8673, 186),
+           "52c6d6e327a6f2d9a46972ecaf6b4006f2d20ea1b92f51fdc3e6867465ab7c8f"),
+    False: ((10, 2256, 6742, 166),
+            "f9d04d7e6c1de4af6d61fd5ae050d93a0d169abdb87f76d1e066a155e81af18c"),
+}
+
+
+@pytest.mark.parametrize("one_robot", [True, False])
+def test_permutation_search_counts_are_pinned(one_robot):
+    solved = expansions = generated = actions = 0
+    digest = hashlib.sha256()
+    for seed in range(10):
+        found, stats = search(random_permute6(seed, one_robot),
+                              SearchConfig(max_expansions=20_000))
+        solved += 1
+        expansions += stats.expansions
+        generated += stats.generated
+        actions += len(found)
+        digest.update(" ".join(map(str, found)).encode() + b"\n")
+    assert ((solved, expansions, generated, actions), digest.hexdigest()) == \
+        PERMUTATION_SEARCH_TOTALS[one_robot]
 
 
 def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
