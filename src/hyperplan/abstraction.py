@@ -327,11 +327,10 @@ def abstract_labels(h_obj: SolutionHypergraph, critical: frozenset,
             arcs[len(arcs)] = Hyperarc(len(arcs), ABSTRACT, frozenset(tails),
                                        frozenset(new))
 
-    goal_stacks = {}
-    for region, want in p.goal.items():
-        if all(o in index_of for o in want):
-            goal_stacks[TargetRole(target_index[region])] = tuple(
-                AbstractObject(index_of[o]) for o in want)
+    # every goal object is covered, so a source node indexed it
+    goal_stacks = {TargetRole(target_index[region]):
+                   tuple(AbstractObject(index_of[o]) for o in want)
+                   for region, want in p.goal.items()}
     return AbstractHypergraph(nodes, arcs, goal_stacks)
 
 

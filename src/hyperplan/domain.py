@@ -466,7 +466,6 @@ def check_problem(p: Problem) -> None:
 
 class PreconditionViolated(Exception):
     def __init__(self, action: Action, reason: str):
-        self.action = action
         self.reason = reason
         super().__init__(f"{action}: {reason}")
 
@@ -624,10 +623,12 @@ def _without(held: tuple, o: str) -> tuple:
 
 
 def is_goal(s: WorldState, p: Problem, prefix: bool = False) -> bool:
-    """True iff every goal stack matches exactly and no goal object is held.
+    """True iff every goal stack matches exactly.
 
-    With ``prefix=True`` a goal stack only needs to hold the wanted objects
-    at the wanted heights and extra objects above them are allowed; this is
+    Only the goal stacks are read: a valid state places each object exactly
+    once, so a goal object on its goal stack is held by no robot. With
+    ``prefix=True`` a goal stack only needs to hold the wanted objects at
+    the wanted heights and extra objects above them are allowed; this is
     the positional reading refinement sub-goals use.
     """
     for region, want in p.goal.items():
@@ -636,10 +637,6 @@ def is_goal(s: WorldState, p: Problem, prefix: bool = False) -> bool:
             if stack[:len(want)] != want:
                 return False
         elif stack != want:
-            return False
-    goal_objs = p.goal_objects
-    for held in s.holdings.values():
-        if not goal_objs.isdisjoint(held):
             return False
     return True
 
@@ -677,45 +674,22 @@ def initial_decomposition(p: Problem) -> list:
 
 
 def makespan(graph: SolutionHypergraph) -> int:
-    """Greedy parallel layers of a valid hyperpath, in one pass over arc ids.
+    """Parallel layers of a hyperpath, in one pass over arc ids.
 
-    Sources sit in layer 0. Each arc, in id order, takes the first layer
-    after its tails' producers in which none of its robots acts in a
-    lower-id arc; the makespan is the last layer used.
-
-    On a compiled graph every arc consumes its robots' own nodes, so that
-    first layer is already past theirs; the robot rule guards graphs read
-    from outside, whose labels need not match their compositions.
+    Sources sit in layer 0 and each arc one layer past the last layer of
+    its tails; the makespan is the last layer used. The rule reads no arc
+    label, so it holds on graphs whose every arc consumes the node of each
+    robot its label names: every graph ``planner.Compiler`` builds and
+    every graph ``execute_hypergraph`` accepts. Two arcs of one robot then
+    lie on one chain of that robot's nodes and never share a layer.
     """
-    arcs = graph.arcs
     layer_of: dict = {}
-    busy: set = set()   # (robot, layer) pairs taken
-    last = 0
     for aid in topological_order(graph):
-        arc = arcs[aid]
-        label = arc.label
-        layer = 0
-        for t in arc.tails:
-            before = layer_of.get(t, 0)
-            if before > layer:
-                layer = before
-        layer += 1
-        if isinstance(label, Handoff):
-            giver, receiver = label.giver, label.receiver
-            while (giver, layer) in busy or (receiver, layer) in busy:
-                layer += 1
-            busy.add((giver, layer))
-            busy.add((receiver, layer))
-        else:
-            r = label.robot
-            while (r, layer) in busy:
-                layer += 1
-            busy.add((r, layer))
+        arc = graph.arcs[aid]
+        layer = 1 + max(layer_of.get(t, 0) for t in arc.tails)
         for h in arc.heads:
             layer_of[h] = layer
-        if layer > last:
-            last = layer
-    return last
+    return max(layer_of.values(), default=0)
 
 
 def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
@@ -723,8 +697,9 @@ def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
 
     Validates the hyperpath, matches its sources to the initial
     decomposition and applies the arc actions in id order, checking every
-    precondition against the evolving state and every head node's facts
-    against the state its arc leaves. Returns ``(final_state, makespan,
+    precondition against the evolving state, that the arc's tails hold
+    each robot its action names and the object it moves, and every head
+    node's facts against the state its arc leaves. Returns ``(final_state, makespan,
     action_count)``, the makespan from ``makespan``.
     """
     if not graph.nodes:
@@ -740,14 +715,20 @@ def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
 
     state = p.initial
     for aid in topological_order(graph):
-        action = graph.arcs[aid].label
+        arc = graph.arcs[aid]
+        action = arc.label
         if not isinstance(action, (Pick, Place, Handoff)):
             raise ExecutionFault(aid, f"arc label {action!r} is not an action")
         try:
             state = apply(state, action, p)
         except PreconditionViolated as exc:
             raise ExecutionFault(aid, exc.reason) from exc
-        for nid in graph.arcs[aid].heads:
+        robots = ((action.giver, action.receiver) if isinstance(action, Handoff)
+                  else (action.robot,))
+        for e in (p.entities[name] for name in robots + (action.obj,)):
+            if not any(e in graph.nodes[t].composition for t in arc.tails):
+                raise ExecutionFault(aid, f"no tail holds {e.kind} {e.name!r}")
+        for nid in arc.heads:
             if not _facts_hold(graph.nodes[nid], state):
                 raise ExecutionFault(aid, f"node {nid} facts do not match the state")
     return (state, makespan(graph), len(graph.arcs))

@@ -152,7 +152,6 @@ class InvalidHypergraph(ValueError):
     """Raised when a builder would seal a graph violating hyperpath rules."""
 
     def __init__(self, report: ValidationReport):
-        self.report = report
         lines = "; ".join(v.detail for v in report.violations)
         super().__init__(f"invalid hyperpath: {lines}")
 

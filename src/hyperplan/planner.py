@@ -499,12 +499,11 @@ class Compiler:
     head: ``stacks`` maps each occupied stack region to its node, and
     ``holders`` each robot and each buffered object to its own node.
     ``layers`` gives each node its layer as it is added: 0 for a source,
-    one past the last of its arc's tails for a head, the rule
-    ``domain.makespan`` applies to a compiled graph, whose robot rule never
-    fires there. ``extend`` hands each pick to the interchangeable robot
-    whose hand is free first, reading those layers (``peers`` maps each
-    robot of a ``Problem.robot_classes`` class to its class). ``build``
-    validates the graph once.
+    one past the last of its arc's tails for a head, the one rule of
+    ``domain.makespan``. ``extend`` hands each pick to the interchangeable
+    robot whose hand is free first, reading those layers (``peers`` maps
+    each robot of a ``Problem.robot_classes`` class to its class).
+    ``build`` validates the graph once.
     """
 
     def __init__(self, p: Problem) -> None:

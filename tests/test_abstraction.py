@@ -619,3 +619,27 @@ def test_abstraction_matches_reference_on_random_walk_plans():
     # a Place that puts an object back where it was picked contracts, and
     # select_critical_nodes reads it in via
     assert contracted_places >= 1
+
+
+def test_every_goal_object_is_a_member_of_a_source_of_the_object_graph():
+    """The premise of ``abstract_labels`` indexing every goal object before
+    it builds ``goal_stacks``: the walk indexes the covered members of the
+    sources first, and every goal object is one of them. Over the corpus
+    and the random-walk plans, whose goals are their final stacks."""
+    from hyperplan import NoSolution
+
+    cases = []
+    for seed in range(400):
+        p = random_instance(seed, 4, 2, 4)
+        try:
+            cases.append((plan(p)[0], p))
+        except NoSolution:
+            pass
+    cases += filter(None, map(_walk_plan, range(300)))
+    for graph, p in cases:
+        h_obj = remove_robot_entities(graph)
+        members = {e.name for nid in h_obj.sources for e in h_obj.nodes[nid].composition}
+        assert p.goal_objects <= members
+        ah = extract_strategy(graph, p)
+        assert sorted(map(len, ah.goal_stacks.values())) == sorted(map(len, p.goal.values()))
+    assert len(cases) >= 2 * 250

@@ -123,6 +123,33 @@ def test_parse_rejects_a_region_listed_twice_in_a_reach():
         parse_scenario(json.dumps(data))
 
 
+def _first_repeated(key):
+    return lambda data: data[key].append(data[key][0])
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda data: data.pop("goal"), "scenario.goal: missing field", id="no-goal"),
+    pytest.param(lambda data: data["robots"][0].update(reach=[]),
+                 "robots[0]: robot 'blue' must reach at least one region", id="empty-reach"),
+    pytest.param(lambda data: data["robots"][0].update(capacity=0),
+                 "robots[0]: robot 'blue' capacity must be >= 1", id="zero-capacity"),
+    pytest.param(lambda data: data["initial"].update(nowhere=["A"]),
+                 "initial.nowhere: unknown region", id="undeclared-initial-region"),
+    pytest.param(_first_repeated("regions"), "duplicate region ids", id="duplicate-region"),
+    pytest.param(_first_repeated("robots"), "duplicate robot ids", id="duplicate-robot"),
+    pytest.param(lambda data: data["robots"][0].update(id="A"),
+                 "robot and object names overlap", id="robot-named-as-object"),
+])
+def test_solve_rejects_an_invalid_scenario(tmp_path, capsys, edit, message):
+    data = scenario_to_json(load_scenario("fig1"))
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_command(["solve", str(bad)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_minimal_scenario_is_valid():
     text = json.dumps({
         "name": "tiny",
@@ -399,6 +426,8 @@ def _malformed(tmp_path, shape: str):
             data["nodes"][1]["id"] = True
         elif shape == "plan-string-heads":
             data["arcs"][0]["heads"] = [str(h) for h in data["arcs"][0]["heads"]]
+        elif shape == "plan-no-arcs":
+            del data["arcs"]
         else:  # plan-arcs-out-of-order: ids renumbered last to first
             last = len(data["arcs"]) - 1
             for entry in data["arcs"]:
@@ -412,9 +441,34 @@ def _malformed(tmp_path, shape: str):
     elif shape == "goal-placeholder-repeated":
         stack = data["goal_stacks"]["target:0"]
         stack[1] = stack[0]
+    elif shape in ("record-id-dotdot", "record-id-empty"):
+        data["id"] = "../x" if shape == "record-id-dotdot" else ""
+    elif shape == "stack-order-non-member":
+        # node 1 is x2 alone on target:0
+        data["nodes"][1]["stack_order"] = [0]
+    elif shape == "object-indices-not-dense":
+        def renamed(indices):
+            return [7 if i == 0 else i for i in indices]
+        for node in data["nodes"]:
+            node["objects"] = renamed(node["objects"])
+            node["stack_order"] = renamed(node["stack_order"])
+        data["goal_stacks"] = {k: renamed(v) for k, v in data["goal_stacks"].items()}
+    elif shape == "goal-unknown-placeholder":
+        data["goal_stacks"]["target:0"][-1] = 42
     else:  # strategy-arcs-swapped
         _swap_dependent_arcs(data["arcs"])
     return data
+
+
+# The message a shape's input error ends with, where it is pinned.
+MALFORMED_MESSAGES = {
+    "plan-no-arcs": "plan.arcs: missing field",
+    "record-id-dotdot": "malformed record: unusable record id: '../x'",
+    "record-id-empty": "malformed record: unusable record id: ''",
+    "stack-order-non-member": "malformed record: stack order mentions non-members",
+    "object-indices-not-dense": "object indices not dense: [1, 2, 7]",
+    "goal-unknown-placeholder": "target:0 references unknown x42",
+}
 
 
 # extract reads only plan files, reuse only strategy files, dot both.
@@ -426,14 +480,16 @@ def _malformed(tmp_path, shape: str):
     (command, shape)
     for command in ("reuse-strategy", "reuse-library", "dot")
     for shape in ("goal-stacks-list", "strategy-repeated-node", "strategy-arcs-swapped",
-                  "goal-placeholder-repeated")
+                  "goal-placeholder-repeated", "record-id-dotdot", "record-id-empty",
+                  "stack-order-non-member", "object-indices-not-dense",
+                  "goal-unknown-placeholder")
 ] + [
     (command, shape)
     for command in ("extract", "dot")
     for shape in ("plan-repeated-node", "plan-repeated-arc", "plan-short-fact",
                   "plan-long-fact", "plan-short-action", "plan-long-action",
                   "plan-list-robot", "plan-list-fact-object", "plan-string-arc-ids",
-                  "plan-bool-node-id", "plan-string-heads")
+                  "plan-bool-node-id", "plan-string-heads", "plan-no-arcs")
 ] + [("extract", "plan-arcs-out-of-order"), ("dot", "plan-arcs-out-of-order")])
 def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     data = _malformed(tmp_path, shape)
@@ -450,7 +506,10 @@ def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     }[command]
     capsys.readouterr()
     assert run_command(argv) == 2
-    assert capsys.readouterr().err.startswith("input error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert err.endswith(MALFORMED_MESSAGES.get(shape, "") + "\n")
+    assert not (tmp_path / "out.dot").exists()
 
 
 @pytest.mark.parametrize("field,value,where", [
@@ -718,6 +777,21 @@ def test_extract_rejects_mismatched_or_partial_plans(tmp_path):
     stub.write_text(json.dumps(plan_to_json(partial, "fig1")))
     assert run_command(["extract", fig1_path(), str(stub),
                         "--out", str(strategy)]) == 2
+
+
+@pytest.mark.parametrize("name", ["a b", "../x"])
+def test_extract_rejects_a_scenario_name_that_is_no_record_id(tmp_path, capsys, name):
+    data = scenario_to_json(load_scenario("fig1"))
+    data["name"] = name
+    scenario, plan_file = tmp_path / "named.json", tmp_path / "p.json"
+    scenario.write_text(json.dumps(data))
+    assert run_command(["solve", str(scenario), "--out", str(plan_file)]) == 0
+    strategy = tmp_path / "s.json"
+    capsys.readouterr()
+    assert run_command(["extract", str(scenario), str(plan_file),
+                        "--out", str(strategy)]) == 2
+    assert capsys.readouterr().err == f"input error: unusable record id: {name!r}\n"
+    assert not strategy.exists()
 
 
 def test_extract_rejects_a_plan_whose_facts_contradict_its_actions(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -29,7 +30,14 @@ from hyperplan import (
     reuse_pipeline,
 )
 from hyperplan.domain import Held, InBuffer, OnStack
-from hyperplan.hypergraph import HypergraphBuilder, Node, SolutionHypergraph, obj, robot
+from hyperplan.hypergraph import (
+    Hyperarc,
+    HypergraphBuilder,
+    Node,
+    SolutionHypergraph,
+    obj,
+    robot,
+)
 
 from conftest import (
     SCENARIO_DIR,
@@ -474,8 +482,6 @@ def test_execute_rejects_infeasible_arc(fig1):
     actions = [Pick("blue", "C", "right"), Place("blue", "C", "left")]
     graph = build_hypergraph(actions, p)
     # corrupt the second arc into picking a buried box
-    from hyperplan.hypergraph import Hyperarc
-
     arcs = dict(graph.arcs)
     bad = arcs[1]
     arcs[1] = Hyperarc(1, Pick("red", "A", "right"), bad.tails, bad.heads)
@@ -571,19 +577,78 @@ def test_makespan_matches_the_layered_greedy_on_the_corpus():
     assert compared == 2 * 286
 
 
-def test_makespan_moves_an_arc_whose_robot_already_acts_in_its_layer():
-    """Four arcs that each consume one source, so every arc's tails allow
-    layer 1; their labels share robots, which no compiled graph does. r
-    acts in arcs 0-2 and s in arcs 2-3: the busy-layer rule puts them in
-    layers 1, 2, 3 and 1."""
+def tail_robots(graph, arc) -> frozenset:
+    return frozenset(e.name for t in arc.tails for e in graph.nodes[t].composition
+                     if e.is_robot)
+
+
+def test_compiled_arcs_consume_the_robots_they_name(fig1, fig2, fig3):
+    """The premise of ``makespan`` reading no label: every arc of every
+    compiled plan, scratch and refined, consumes the node of each robot its
+    label names, so one robot's arcs never share a layer."""
+    problems = [s.problem for s in (fig1, fig2, fig3)]
+    problems += [random_instance(seed, 4, 2, 4) for seed in range(400)]
+    compared = 0
+    for p in problems:
+        try:
+            scratch, _ = plan(p)
+        except NoSolution:
+            continue
+        refined, _ = reuse_pipeline(extract_strategy(scratch, p), p,
+                                    RefinementConfig(fallback=FAIL_HARD))
+        for graph in (scratch, refined):
+            for arc in graph.arcs.values():
+                assert action_robots(arc.label) <= tail_robots(graph, arc), arc
+            compared += 1
+    assert compared == 2 * (3 + 286)
+
+
+def robot_node_copied(p, name: str) -> SolutionHypergraph:
+    """fig1's first action, blue picking C, as an arc that copies the node
+    of robot ``name``. The head holds no object, so its facts hold, and
+    only the check of the arc's tails rejects it."""
     b = HypergraphBuilder()
-    sources = [b.add_node({obj(name)}) for name in "wxyz"]
-    labels = [Pick("r", "w", "left"), Place("r", "x", "left"),
-              Handoff("s", "r", "y"), Pick("s", "z", "right")]
-    for nid, label in zip(sources, labels):
-        b.add_arc(label, {nid}, {b.add_node(b.node(nid).composition)})
-    graph = b.build()
-    assert makespan(graph) == layered_makespan(graph) == 3
+    for comp, facts in initial_decomposition(p):
+        b.add_node(comp, facts)   # 0: A, B, C on "right"; 1: blue; 2: red
+    tail = 1 if name == "blue" else 2
+    b.add_arc(Pick("blue", "C", "right"), {tail}, {b.add_node({robot(name)})})
+    return b.build()
+
+
+def first_arc_relabeled(p, label) -> SolutionHypergraph:
+    """fig1's plan, whose first arc is blue picking C, with that arc's label
+    made ``label(Pick("blue", "C", "right"))``."""
+    graph, _ = plan(p)
+    arcs = dict(graph.arcs)
+    first = arcs[0]
+    arcs[0] = Hyperarc(0, label(first.label), first.tails, first.heads)
+    return SolutionHypergraph(dict(graph.nodes), arcs)
+
+
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda p: robot_node_copied(p, "red"), "no tail holds robot 'blue'",
+                 id="other-robot-node"),
+    pytest.param(lambda p: robot_node_copied(p, "blue"), "no tail holds object 'C'",
+                 id="robot-node-only"),
+    pytest.param(lambda p: first_arc_relabeled(p, lambda a: replace(a, robot="red")),
+                 "no tail holds robot 'red'", id="other-robot"),
+    pytest.param(lambda p: first_arc_relabeled(p, lambda a: "not an action"),
+                 "arc label 'not an action' is not an action", id="not-an-action"),
+])
+def test_execute_rejects_an_arc_its_label_does_not_fit(fig1, make, message):
+    """An arc consumes the nodes of the entities its action acts on. So each
+    robot's arcs consume its node, and ``makespan`` never has to move an
+    arc past a layer where its robot already acts."""
+    with pytest.raises(ExecutionFault, match=f"^arc 0: {re.escape(message)}$"):
+        execute_hypergraph(make(fig1.problem), fig1.problem)
+
+
+def test_a_goal_object_on_its_goal_stack_is_not_also_held(fig1):
+    """The premise of ``is_goal`` reading only the goal stacks: a state that
+    holds an object its goal stack also holds is invalid."""
+    p = fig1.problem
+    both = WorldState(stacks={"left": ("C", "A", "B")}, holdings={"blue": ("B",)})
+    assert both.validate(p) == ["object 'B' placed 2 times"]
 
 
 def test_initial_decomposition_partitions_entities(fig1):

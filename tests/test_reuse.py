@@ -488,6 +488,11 @@ def test_refine_fail_hard_vs_scratch_fallback(fig1_strategy):
     assert stats.actions == hard_stats.actions == 6
 
 
+def test_an_unknown_fallback_mode_is_rejected():
+    with pytest.raises(ValueError, match="^unknown fallback mode: 'x'$"):
+        RefinementConfig(fallback="x")
+
+
 def test_refine_subproblem_failure_fallback(fig1_strategy):
     ah, p = fig1_strategy
     # shrink the budget so the first sub-problem cannot finish
