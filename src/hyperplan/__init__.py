@@ -10,7 +10,6 @@ from .hypergraph import (
     InvalidHypergraph,
     Node,
     SolutionHypergraph,
-    ValidationReport,
     obj,
     robot,
     to_dot,

@@ -38,9 +38,9 @@ from .hypergraph import (
     HypergraphTable,
     SolutionHypergraph,
     Violation,
-    hyperpath_violations,
     node_dot_label,
     topological_order,
+    validate_hyperpath,
 )
 
 
@@ -347,15 +347,14 @@ def extract_strategy(graph: SolutionHypergraph, p: Problem) -> AbstractHypergrap
 # --- canonical form and invariants -----------------------------------------
 
 def ah_violations(ah: AbstractHypergraph) -> list:
-    """Invariant report: robot-free typing, conservation, hyperpath shape."""
-    out = []
+    """Invariant report: ``validate_hyperpath``'s hyperpath rules, then
+    robot-free typing, dense object indices and well-formed goal stacks."""
+    out = validate_hyperpath(ah)
     for nid, node in ah.nodes.items():
         for member in node.composition:
             if not isinstance(member, AbstractObject):
                 out.append(Violation(
                     "concrete-entity", f"node {nid} holds {member!r}"))
-    comps = {nid: n.composition for nid, n in ah.nodes.items()}
-    out.extend(hyperpath_violations(comps, ah.arcs))
     indices = sorted(o.index for o in ah.abstract_objects)
     if indices != list(range(len(indices))):
         out.append(Violation("role-indices", f"object indices not dense: {indices}"))

@@ -520,9 +520,9 @@ def _cmd_dot(args) -> int:
         _write(args.out, to_dot(record.ah, graph_name="strategy"))
     else:
         graph = plan_from_json(data)
-        report = validate_hyperpath(graph)
-        if not report.ok:
-            raise InvalidHypergraph(report)
+        violations = validate_hyperpath(graph)
+        if violations:
+            raise InvalidHypergraph(violations)
         _write(args.out, to_dot(graph))
     print(f"wrote {args.out}")
     return 0

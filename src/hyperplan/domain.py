@@ -265,9 +265,9 @@ class Memo(dict):
 # Cached Problem tables that depend on neither the goal nor the start state.
 GOAL_INDEPENDENT = ("region_map", "robot_map", "reachable", "reach_pairs",
                     "robot_table", "robot_classes")
-# Cached Problem tables of the goal, in an order in which each is computed
-# from the goal and the tables before it.
-GOAL_TABLES = ("goal_region", "goal_objects", "unreachable_goals")
+# Cached Problem tables of the goal that search reads, in an order in which
+# each is computed from the goal and the tables before it.
+GOAL_TABLES = ("goal_region", "unreachable_goals")
 
 
 @dataclass(frozen=True)
@@ -704,9 +704,9 @@ def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
     """
     if not graph.nodes:
         return (p.initial, 0, 0)
-    report = validate_hyperpath(graph)
-    if not report.ok:
-        raise ExecutionFault(None, report.violations[0].detail)
+    violations = validate_hyperpath(graph)
+    if violations:
+        raise ExecutionFault(None, violations[0].detail)
     expected = Counter((comp, facts) for comp, facts in initial_decomposition(p))
     actual = Counter(
         (graph.nodes[i].composition, graph.nodes[i].state) for i in graph.sources)

@@ -139,20 +139,11 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class InvalidHypergraph(ValueError):
-    """Raised when a builder would seal a graph violating hyperpath rules."""
+    """Raised with the violations ``validate_hyperpath`` found in a graph."""
 
-    def __init__(self, report: ValidationReport):
-        lines = "; ".join(v.detail for v in report.violations)
+    def __init__(self, violations: list):
+        lines = "; ".join(v.detail for v in violations)
         super().__init__(f"invalid hyperpath: {lines}")
 
 
@@ -280,10 +271,10 @@ def hyperpath_violations(compositions: Mapping[int, frozenset],
     return out
 
 
-def validate_hyperpath(graph: SolutionHypergraph) -> ValidationReport:
-    """Check every hyperpath invariant; violations are data, not errors."""
+def validate_hyperpath(graph: HypergraphTable) -> list:
+    """The hyperpath violations of a concrete or abstract graph; [] for a hyperpath."""
     comps = {nid: n.composition for nid, n in graph.nodes.items()}
-    return ValidationReport(tuple(hyperpath_violations(comps, graph.arcs)))
+    return hyperpath_violations(comps, graph.arcs)
 
 
 def topological_order(graph: SolutionHypergraph) -> list:
@@ -320,9 +311,9 @@ class HypergraphBuilder:
 
     def build(self) -> SolutionHypergraph:
         graph = SolutionHypergraph(self._nodes, self._arcs)
-        report = validate_hyperpath(graph)
-        if not report.ok:
-            raise InvalidHypergraph(report)
+        violations = validate_hyperpath(graph)
+        if violations:
+            raise InvalidHypergraph(violations)
         return graph
 
 

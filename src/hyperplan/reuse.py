@@ -96,10 +96,10 @@ class RefinementConfig:
 @dataclass
 class ReuseStats:
     """Search counts and seconds of one reuse (of the scratch plan after a
-    fallback); the phase times follow ``reuse_pipeline``'s timing rule."""
+    fallback): ``total_expansions`` sums ``subproblems``, and the phase
+    times follow ``reuse_pipeline``'s timing rule."""
 
     subproblems: tuple = ()
-    total_expansions: int = 0
     actions: int = 0
     makespan: int = 0
     fallback_reason: str = ""   # "<ExceptionClass>: <message>"; empty if none
@@ -107,6 +107,10 @@ class ReuseStats:
     ground_time: float = 0.0
     reconstruct_time: float = 0.0
     refine_time: float = 0.0
+
+    @property
+    def total_expansions(self) -> int:
+        return sum(s.expansions for s in self.subproblems)
 
     @property
     def fallback_used(self) -> bool:
@@ -185,7 +189,6 @@ def refine(subgoals: tuple, p: Problem,
     graph = compiler.build()
     return graph, ReuseStats(
         subproblems=tuple(substats),
-        total_expansions=sum(s.expansions for s in substats),
         actions=len(graph.arcs),
         makespan=compiler.makespan,
     )
@@ -208,7 +211,8 @@ def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
     ticks = [time.perf_counter()]  # the start, then the end of each phase run
     try:
         if ah is None:
-            raise NoGrounding("no stored strategy matches this problem")
+            raise NoGrounding(
+                f"no stored strategy matches goal heights {list(goal_heights(p.goal))}")
         regions = ground_strategy(ah, p)
         ticks.append(time.perf_counter())
         subgoals = reconstruct(ah, regions, p)
@@ -222,7 +226,6 @@ def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
         graph, scratch = plan(p, cfg.search)
         stats = ReuseStats(
             subproblems=(scratch,),
-            total_expansions=scratch.expansions,
             actions=scratch.solution_actions,
             makespan=scratch.makespan,
             fallback_reason=f"{type(exc).__name__}: {exc}",

@@ -160,6 +160,18 @@ def random_instance(seed: int, max_objects: int = 3, max_robots: int = 2,
     raise RuntimeError(f"seed {seed} produced no valid instance")
 
 
+def goal_only_schedule(p: Problem) -> tuple:
+    """Sub-goals read off the goal alone, in ``reconstruct``'s shape.
+
+    Each goal stack, tallest first (ties in declaration order), is reached
+    bottom-up, one object per step: ``(None, ((region, want[:k]),))`` for
+    k = 1 .. len(want). No record, retrieval or grounding is involved.
+    """
+    stacks = sorted(p.goal.items(), key=lambda item: -len(item[1]))
+    return tuple((None, ((region, want[:k]),))
+                 for region, want in stacks for k in range(1, len(want) + 1))
+
+
 def random_walk(problem: Problem, rng: random.Random, steps: int) -> list:
     """Random applicable-action trajectory; returns the visited states."""
     from hyperplan import applicable_actions, apply

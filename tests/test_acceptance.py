@@ -51,7 +51,7 @@ def test_criterion_1_fig1_reproduction(tmp_path, capsys):
     rc = run_command(["solve", str(SCENARIO_DIR / "fig1.json"), "--out", str(out)])
     assert rc == 0
     graph = plan_from_json(json.loads(out.read_text()))
-    assert validate_hyperpath(graph).ok
+    assert validate_hyperpath(graph) == []
     actions = [graph.arcs[a].label for a in topological_order(graph)]
     assert len(actions) == 6
     assert sum(isinstance(a, Pick) for a in actions) == 3
@@ -268,7 +268,7 @@ def test_criterion_8_invariant_fuzz():
             state = apply(state, action, p)
             actions.append(action)
         graph = build_hypergraph(actions, p)
-        assert validate_hyperpath(graph).ok
+        assert validate_hyperpath(graph) == []
         for arc in graph.arcs.values():
             tails = Counter(e for n in arc.tails
                             for e in graph.nodes[n].composition)

@@ -260,7 +260,7 @@ def test_reuse_from_library_and_empty_library(tmp_path, capsys):
                         "--fallback-scratch"]) == 0
     assert capsys.readouterr().out.startswith(
         "reused <scratch fallback> (NoGrounding: no stored strategy matches "
-        "this problem) on fig2: ")
+        "goal heights [3]) on fig2: ")
 
 
 @pytest.mark.parametrize("command", ["reuse", "bench"])
@@ -316,7 +316,7 @@ def test_reuse_stats_file_on_scratch_fallback(tmp_path):
     recorded = json.loads(stats.read_text())
     scratch = plan(load_scenario("fig2").problem)[1]
     assert recorded["fallback_reason"] == \
-        "NoGrounding: no stored strategy matches this problem"
+        "NoGrounding: no stored strategy matches goal heights [3]"
     assert recorded["subproblems"] == [{"expansions": scratch.expansions,
                                         "generated": scratch.generated}]
     assert recorded["total_expansions"] == scratch.expansions

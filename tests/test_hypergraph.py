@@ -82,7 +82,7 @@ def test_records_of_different_classes_are_unequal():
 
 def test_valid_chain_passes_validation():
     graph = chain_graph()
-    assert validate_hyperpath(graph).ok
+    assert validate_hyperpath(graph) == []
     assert graph.sources == (0, 1)
     assert graph.sinks == (3, 4)
 
@@ -93,7 +93,7 @@ def test_zero_arc_graph_is_a_vacuous_hyperpath():
     b.add_node({obj("x")})
     graph = b.build()
     report = validate_hyperpath(graph)
-    assert report.ok
+    assert report == []
     assert topological_order(graph) == []
 
 
@@ -104,7 +104,7 @@ def test_entity_conservation_violation_reported():
     }
     arcs = {0: Hyperarc(0, None, frozenset({0}), frozenset({1}))}
     report = validate_hyperpath(SolutionHypergraph(nodes, arcs))
-    assert any(v.code == "entity-conservation" for v in report.violations)
+    assert any(v.code == "entity-conservation" for v in report)
 
 
 def counter_conservation(compositions, arcs) -> list:
@@ -168,7 +168,7 @@ def test_double_production_and_consumption_reported():
         1: Hyperarc(1, None, frozenset({0}), frozenset({2})),
     }
     report = validate_hyperpath(SolutionHypergraph(nodes, arcs))
-    codes = {v.code for v in report.violations}
+    codes = {v.code for v in report}
     assert "double-production" in codes
     assert "double-consumption" in codes
 
@@ -177,7 +177,7 @@ def test_dangling_reference_reported():
     nodes = {0: Node(0, frozenset({obj("x")}))}
     arcs = {0: Hyperarc(0, None, frozenset({0}), frozenset({9}))}
     report = validate_hyperpath(SolutionHypergraph(nodes, arcs))
-    assert any(v.code == "dangling-node" for v in report.violations)
+    assert any(v.code == "dangling-node" for v in report)
 
 
 def test_cycle_reported_as_arc_order():
@@ -188,8 +188,8 @@ def test_cycle_reported_as_arc_order():
     }
     graph = SolutionHypergraph(nodes, arcs)
     report = validate_hyperpath(graph)
-    assert [v.code for v in report.violations] == ["arc-order"]
-    assert report.violations[0].detail == "arc 0 consumes node 0, produced by arc 1"
+    assert [v.code for v in report] == ["arc-order"]
+    assert report[0].detail == "arc 0 consumes node 0, produced by arc 1"
 
 
 def test_acyclic_arcs_out_of_id_order_are_reported():
@@ -201,14 +201,14 @@ def test_acyclic_arcs_out_of_id_order_are_reported():
         1: Hyperarc(1, "first", frozenset({0}), frozenset({1})),
     }
     report = validate_hyperpath(SolutionHypergraph(nodes, arcs))
-    assert not report.ok
-    assert [v.code for v in report.violations] == ["arc-order"]
+    assert report != []
+    assert [v.code for v in report] == ["arc-order"]
     # the same arcs numbered in dependency order are a valid hyperpath
     arcs = {
         0: Hyperarc(0, "first", frozenset({0}), frozenset({1})),
         1: Hyperarc(1, "second", frozenset({1}), frozenset({2})),
     }
-    assert validate_hyperpath(SolutionHypergraph(nodes, arcs)).ok
+    assert validate_hyperpath(SolutionHypergraph(nodes, arcs)) == []
 
 
 def test_builder_build_rejects_arcs_out_of_order():

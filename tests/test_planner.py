@@ -70,7 +70,7 @@ def test_plan_on_satisfied_goal_is_empty(fig1):
     assert stats.solution_actions == 0
     # sources only: the tower plus one node per robot
     assert len(graph.nodes) == 3
-    assert validate_hyperpath(graph).ok
+    assert validate_hyperpath(graph) == []
 
 
 def test_fig2_optimal_plan_needs_three_handoffs(fig2):
@@ -549,7 +549,7 @@ def test_build_output_reexecutes_to_sequential_state():
     checked = 0
     for i, (p, actions, _) in enumerate(walks(WALKED)):
         graph = build_hypergraph(actions, p)
-        assert validate_hyperpath(graph).ok
+        assert validate_hyperpath(graph) == []
         labels = compiled_labels(graph)
         assert class_erased(p, labels) == class_erased(p, actions), i
         states = replayed(p, labels)
