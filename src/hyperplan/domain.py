@@ -264,7 +264,7 @@ class Memo(dict):
 
 # Cached Problem tables that depend on neither the goal nor the start state.
 GOAL_INDEPENDENT = ("region_map", "robot_map", "reachable", "reach_pairs",
-                    "robot_table", "robot_classes")
+                    "robot_table", "robot_classes", "one_hand")
 # Cached Problem tables of the goal that search reads, in an order in which
 # each is computed from the goal and the tables before it.
 GOAL_TABLES = ("goal_region", "unreachable_goals")
@@ -276,11 +276,11 @@ class Problem:
 
     The lookup tables derived from these fields (``region_map``,
     ``robot_map``, ``goal_objects``, the heuristic's ``goal_region``,
-    ``unreachable_goals``, ``reachable`` and ``reach_pairs``, the
-    successor generators' ``robot_table``, the search's ``robot_classes``
-    and compilation's ``entities``) and the goal-independent validation
-    errors (``structure_errors``) are computed on first use and then cached
-    on the instance. So treat a ``Problem`` as immutable, its ``goal`` dict
+    ``unreachable_goals``, ``reachable``, ``reach_pairs`` and ``one_hand``,
+    the successor generators' ``robot_table``, the search's
+    ``robot_classes`` and compilation's ``entities``) and the
+    goal-independent validation errors (``structure_errors``) are computed
+    on first use and then cached on the instance. So treat a ``Problem`` as immutable, its ``goal`` dict
     and the tables included.
     ``dataclasses.replace`` derives a changed problem that starts with
     empty caches. ``subproblem`` derives one with only a new start state
@@ -379,6 +379,12 @@ class Problem:
         for spec in sorted(self.robots, key=lambda spec: spec.id):
             classes.setdefault((spec.reach, spec.capacity), []).append(spec.id)
         return tuple(tuple(ids) for ids in classes.values() if len(ids) > 1)
+
+    @cached_property
+    def one_hand(self) -> bool:
+        """Exactly one robot, of capacity 1: every pick is followed by the
+        place of the same object, which the heuristic's one-hand terms use."""
+        return len(self.robots) == 1 and self.robots[0].capacity == 1
 
     def subproblem(self, initial: WorldState, goal: Mapping[str, tuple]) -> "Problem":
         """This problem with a new start state and goal, e.g. for refinement.

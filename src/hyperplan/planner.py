@@ -1,15 +1,17 @@
 """From-scratch solving: best-first search plus hypergraph compilation.
 
 ``search`` runs A* with unit action cost and a consistent heuristic that
-counts the objects that must move, so the returned action count is
-minimal; among frontier entries of equal f the lower h pops first, then
-the earlier push. It runs over flat slot tuples (``SlotSpace``), so
-hashing and comparing states are tuple operations: ``SlotSpace.successors``
-builds each successor, its h, derived from its parent's, and its key in one
-pass and hands the three over together, and one table maps each key to its
-g and how it was reached. States that differ only in which interchangeable
-robot holds what are one node; when the robots' one such class is a pair,
-the common case, each successor is keyed as it is built.
+counts the objects that must move (and, for one robot with one hand, the
+set-downs and re-picks some of them cannot avoid), so the returned action
+count is minimal; among frontier entries of equal f the lower h pops
+first, then the earlier push. It runs over flat slot tuples
+(``SlotSpace``), so hashing and comparing states are tuple operations:
+``SlotSpace.successors`` builds each successor, its h, derived from its
+parent's, and its key in one pass and hands the three over together, and
+one table maps each key to its g and how it was reached. States that
+differ only in which interchangeable robot holds what are one node; when
+the robots' one such class is a pair, the common case, each successor is
+keyed as it is built.
 It returns actions and compiles nothing. It checks its problem first;
 ``search_unchecked`` is the rest of it, for refinement's sub-problems,
 which are valid by construction. ``Compiler`` turns actions into a
@@ -101,18 +103,32 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     ``prefix`` selects the goal reading, as in ``is_goal``. The bound is a
     sum of one term per entry of ``s``: ``stack_term`` for each stack,
     ``placed_term`` for each buffered object and ``held_term`` for each
-    held object. Together they sum a cost over every object that must move.
-    ``search`` calls it once, on the start state, and takes h of a
-    successor as h of its parent plus the change in the terms of the
-    entries the action replaced.
+    held object, plus ``regrasp_term`` for it when ``p.one_hand``.
+    Together they sum a cost over every object that must move. ``search``
+    calls it once, on the start state, and takes h of a successor as h of
+    its parent plus the change in the terms of the entries the action
+    replaced.
 
     Each action moves exactly one object, and each term counts actions on a
     different object, so the sum stays admissible with handoffs and robot
     capacity above 1. It is also consistent: an action lowers the moved
     object's term by at most 1 and no other term, so h drops by at most 1
-    per action, and A* never has to reopen a state. It is 0 exactly on the states ``is_goal`` accepts in
-    the same reading (nothing must move), which is how ``search`` tests the
-    goal.
+    per action, and A* never has to reopen a state. It is 0 exactly on the
+    states ``is_goal`` accepts in the same reading (nothing must move),
+    which is how ``search`` tests the goal.
+
+    With one hand (``p.one_hand``), two more terms charge a goal object the
+    set-down and re-pick it cannot avoid: ``stack_term`` one that rests in
+    its goal region on a base other than the goal stack below it, and
+    ``regrasp_term`` one held while its goal region holds other than that.
+    Each is two more actions on that one object, so the sum stays
+    admissible. It stays consistent too: only an action on the object
+    changes its charge (a move at a stack's top leaves every other
+    object's base as it was, and while the hand holds an object its next
+    action is that object's Place, so nothing changes the stack
+    ``regrasp_term`` reads), and each action on it lowers its cost by at
+    most 1: 4 on a wrong base, 3 held while its goal stack is not ready
+    for it, 2 set down elsewhere, 1 held while it is, 0 placed on it.
 
     Dead ends: an object that must move rests where no robot reaches, or a
     goal region no robot reaches is unsatisfied in this reading. No action
@@ -139,9 +155,12 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
             if cost and region not in reachable:
                 return None
             total += cost
+    one_hand = p.one_hand
     for holder, held in s.holdings.items():
         for o in held:
             total += held_term(holder, o, p)
+            if one_hand:
+                total += regrasp_term(o, stacks, p)
     return total
 
 
@@ -158,6 +177,14 @@ def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
     Pick). A goal object costs 2 if one robot reaches both this region and
     its goal region (Pick and Place), else 3 (a handoff, or a second Pick
     and Place, is forced).
+
+    With one hand (``p.one_hand``), each object of this region's goal
+    stack from ``stack[k]``, the first wrong object, up costs 2 more. What
+    lies under it is not the goal stack below it: a wrong object, or, for
+    ``stack[k]`` itself, a goal prefix too short. So the Place that
+    follows the Pick taking it off this base cannot be its last (see
+    ``regrasp_term``): it is set down and picked up again. No object of
+    the goal stack rests above k once the goal stack is complete.
     """
     want = p.goal.get(region)
     target = p.goal_region
@@ -177,6 +204,8 @@ def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
     for o in stack[k:]:
         t = target.get(o)
         total += 1 if t is None else 2 if (region, t) in pairs else 3
+    if p.one_hand:
+        total += 2 * sum(target.get(o) == region for o in stack[k:])
     return total
 
 
@@ -198,6 +227,24 @@ def held_term(holder: str, o: str, p: Problem) -> int:
     return 1 if t in p.robot_map[holder].reach else 2
 
 
+def regrasp_term(o: str, stacks: dict, p: Problem) -> int:
+    """With one hand, the extra cost of holding goal object ``o``: 2 when
+    its goal region's stack in ``stacks`` is not exactly the goal stack
+    below ``o``, else 0.
+
+    The hand's next action is the Place of ``o``, and nothing changes that
+    stack before it. ``o``'s last Place must put it on exactly that goal
+    stack, which nothing later changes, so this Place cannot be the last:
+    ``o`` is set down, picked up again and placed once more. (With one
+    robot, a goal region it does not reach makes every state a dead end.)
+    """
+    t = p.goal_region.get(o)
+    if t is None:
+        return 0
+    want = p.goal[t]
+    return 0 if stacks.get(t, ()) == want[:want.index(o)] else 2
+
+
 class SlotSpace:
     """A problem's states as slot tuples, laid out by ``Problem.robot_table``,
     with the heuristic's terms for one goal reading and the search key.
@@ -211,6 +258,9 @@ class SlotSpace:
     robots when that class is a pair and the only one, the common case:
     ``successors`` then keys each successor as it builds it. ``key`` keys
     the start state, and the successors of every other class shape.
+    ``ready`` is None unless ``p.one_hand``; then it maps each goal object
+    to its goal region's slot and the goal stack below it, the two things
+    ``regrasp_term`` reads.
     """
 
     def __init__(self, p: Problem, prefix: bool) -> None:
@@ -224,6 +274,11 @@ class SlotSpace:
                       else Memo(placed_term, r.id, p) for r in p.regions]
         self.terms += [Memo(held_term, row[0], p) for row in self.rows]
         self.pops = [{} for _ in p.regions]
+        self.ready = None
+        if p.one_hand:
+            region_slot = {r.id: i for i, r in enumerate(p.regions)}
+            self.ready = {o: (region_slot[t], want[:i]) for t, want in p.goal.items()
+                          for i, o in enumerate(want)}
 
     def slots(self, s: WorldState) -> tuple:
         stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
@@ -251,13 +306,15 @@ class SlotSpace:
         in the order ``applicable_actions`` returns them.
 
         ``h`` is the heuristic of ``state``; each successor's is ``h`` plus
-        the change in the terms of the slots the action replaced. ``key`` is
-        the successor's ``key``, the successor itself when no two robots
-        are alike. With a ``pair``, each successor is keyed from its slot
+        the change in the terms of the slots the action replaced, and with
+        one hand the change in ``regrasp_term``: a pick adds it, read from
+        the successor, and a place takes it away, read from ``state``.
+        ``key`` is the successor's ``key``, the successor itself when no two
+        robots are alike. With a ``pair``, each successor is keyed from its slot
         list before that is frozen: the pair's loads swapped when out of
         order. Other class shapes are keyed by ``key`` afterwards.
         """
-        terms, pops, pair = self.terms, self.pops, self.pair
+        terms, pops, pair, ready = self.terms, self.pops, self.pair, self.ready
         if pair:
             a, b = pair
         out = []
@@ -294,6 +351,10 @@ class SlotSpace:
                 else:
                     successor[rslot] = state[rslot] - {o}
                     h2 = h + held[o] - terms[rslot][o]
+                if ready is not None:
+                    home = ready.get(o)
+                    if home and successor[home[0]] != home[1]:
+                        h2 += 2
                 frozen = tuple(successor)
                 if pair and successor[a] > successor[b]:
                     successor[a], successor[b] = successor[b], successor[a]
@@ -314,6 +375,10 @@ class SlotSpace:
             held = terms[slot]
             for o, rest in each:
                 h1 = h - held[o]
+                if ready is not None:
+                    home = ready.get(o)
+                    if home and state[home[0]] != home[1]:
+                        h1 -= 2
                 for rslot, _, cap, _, place in regions:
                     here = state[rslot]
                     if cap is not None and len(here) >= cap:
