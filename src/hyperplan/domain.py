@@ -263,8 +263,9 @@ class Memo(dict):
 # --- problem -------------------------------------------------------------
 
 # Cached Problem tables that depend on neither the goal nor the start state.
-GOAL_INDEPENDENT = ("region_map", "robot_map", "reachable", "reach_pairs",
-                    "robot_table", "robot_classes", "one_hand")
+GOAL_INDEPENDENT = ("region_map", "region_slot", "robot_map", "reachable",
+                    "shared_reach", "reach_pairs", "robot_table", "robot_classes",
+                    "hands")
 # Cached Problem tables of the goal that search reads, in an order in which
 # each is computed from the goal and the tables before it.
 GOAL_TABLES = ("goal_region", "unreachable_goals")
@@ -276,12 +277,12 @@ class Problem:
 
     The lookup tables derived from these fields (``region_map``,
     ``robot_map``, ``goal_objects``, the heuristic's ``goal_region``,
-    ``unreachable_goals``, ``reachable``, ``reach_pairs`` and ``one_hand``,
-    the successor generators' ``robot_table``, the search's
-    ``robot_classes`` and compilation's ``entities``) and the
-    goal-independent validation errors (``structure_errors``) are computed
-    on first use and then cached on the instance. So treat a ``Problem`` as immutable, its ``goal`` dict
-    and the tables included.
+    ``unreachable_goals``, ``reachable``, ``shared_reach``, ``reach_pairs``
+    and ``hands``, the successor generators' ``robot_table``, the search's
+    ``region_slot`` and ``robot_classes`` and compilation's ``entities``)
+    and the goal-independent validation errors (``structure_errors``) are
+    computed on first use and then cached on the instance. So treat a
+    ``Problem`` as immutable, its ``goal`` dict and the tables included.
     ``dataclasses.replace`` derives a changed problem that starts with
     empty caches. ``subproblem`` derives one with only a new start state
     and goal, which shares the goal-independent tables and errors with
@@ -304,6 +305,12 @@ class Problem:
     @cached_property
     def region_map(self) -> dict:
         return {r.id: r for r in self.regions}
+
+    @cached_property
+    def region_slot(self) -> dict:
+        """Region id -> its slot in the search's slot states: its index in
+        ``regions``."""
+        return {r.id: i for i, r in enumerate(self.regions)}
 
     @cached_property
     def robot_map(self) -> dict:
@@ -336,6 +343,12 @@ class Problem:
         return frozenset(r for spec in self.robots for r in spec.reach)
 
     @cached_property
+    def shared_reach(self) -> frozenset:
+        """Regions every robot reaches."""
+        return frozenset.intersection(*(spec.reach for spec in self.robots)) \
+            if self.robots else frozenset()
+
+    @cached_property
     def reach_pairs(self) -> frozenset:
         """``(a, b)`` region pairs (``a == b`` included) one robot reaches both of."""
         return frozenset((a, b) for spec in self.robots
@@ -355,7 +368,7 @@ class Problem:
         built on first lookup.
         """
         robots = sorted(self.robots, key=lambda spec: spec.id)
-        region_slot = {r.id: i for i, r in enumerate(self.regions)}
+        region_slot = self.region_slot
         robot_slot = {spec.id: i for i, spec in enumerate(robots, len(self.regions))}
         return tuple(
             (spec.id, robot_slot[spec.id], spec.capacity,
@@ -381,10 +394,10 @@ class Problem:
         return tuple(tuple(ids) for ids in classes.values() if len(ids) > 1)
 
     @cached_property
-    def one_hand(self) -> bool:
-        """Exactly one robot, of capacity 1: every pick is followed by the
-        place of the same object, which the heuristic's one-hand terms use."""
-        return len(self.robots) == 1 and self.robots[0].capacity == 1
+    def hands(self) -> int:
+        """Total hand capacity: the sum of the robots' capacities, the most
+        objects held at once, which the heuristic's hand terms read."""
+        return sum(spec.capacity for spec in self.robots)
 
     def subproblem(self, initial: WorldState, goal: Mapping[str, tuple]) -> "Problem":
         """This problem with a new start state and goal, e.g. for refinement.

@@ -1,14 +1,17 @@
 """From-scratch solving: best-first search plus hypergraph compilation.
 
 ``search`` runs A* with unit action cost and a consistent heuristic that
-counts the objects that must move (and, for one robot with one hand, the
-set-downs and re-picks some of them cannot avoid), so the returned action
-count is minimal; among frontier entries of equal f the lower h pops
-first, then the earlier push. It runs over flat slot tuples
-(``SlotSpace``), so hashing and comparing states are tuple operations:
-``SlotSpace.successors`` builds each successor, its h, derived from its
-parent's, and its key in one pass and hands the three over together, and
-one table maps each key to its g and how it was reached. States that
+counts the objects that must move and the set-downs and re-picks the
+robots' hands cannot avoid, so the returned action count is minimal;
+among frontier entries of equal f the lower h pops first, then the
+earlier push. It runs over flat slot tuples (``SlotSpace``), so hashing
+and comparing states are tuple operations: ``SlotSpace.successors``
+builds each successor, its h, derived from its parent's, and its key in
+one pass and hands the three over together, and one table maps each key
+to its g and how it was reached. That h is a sum of per-slot terms, the
+one-hand set-downs included; with more than one hand the set-downs are
+not, and A* adds them once per popped state, pushing the state again
+when they raise its f (as Lazy A* defers a costly heuristic). States that
 differ only in which interchangeable robot holds what are one node; when
 the robots' one such class is a pair, the common case, each successor is
 keyed as it is built.
@@ -101,34 +104,48 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     """Admissible lower bound on remaining actions; None flags a dead end.
 
     ``prefix`` selects the goal reading, as in ``is_goal``. The bound is a
-    sum of one term per entry of ``s``: ``stack_term`` for each stack,
-    ``placed_term`` for each buffered object and ``held_term`` for each
-    held object, plus ``regrasp_term`` for it when ``p.one_hand``.
-    Together they sum a cost over every object that must move. ``search``
-    calls it once, on the start state, and takes h of a successor as h of
-    its parent plus the change in the terms of the entries the action
-    replaced.
+    sum of per-slot terms, ``stack_term`` for each stack, ``placed_term``
+    for each buffered object and ``held_term`` for each held object, which
+    together sum a cost over every object that must move, plus the hand
+    term: the set-downs that the robots' total hand capacity C
+    (``p.hands``) cannot avoid. ``search`` calls it once, on the start
+    state, and takes the per-slot part of a successor's h as its parent's
+    plus the change in the terms of the entries the action replaced.
 
-    Each action moves exactly one object, and each term counts actions on a
-    different object, so the sum stays admissible with handoffs and robot
-    capacity above 1. It is also consistent: an action lowers the moved
-    object's term by at most 1 and no other term, so h drops by at most 1
-    per action, and A* never has to reopen a state. It is 0 exactly on the
-    states ``is_goal`` accepts in the same reading (nothing must move),
-    which is how ``search`` tests the goal.
+    Per-slot terms: each action moves exactly one object, and each term
+    counts actions on a different object, so the sum stays admissible with
+    handoffs and robot capacity above 1. It is consistent: an action lowers
+    the moved object's term by at most 1 and no other term. It is 0 exactly
+    on the states ``is_goal`` accepts in the same reading (nothing must
+    move), which is how ``search`` tests the goal; so is the hand term.
 
-    With one hand (``p.one_hand``), two more terms charge a goal object the
-    set-down and re-pick it cannot avoid: ``stack_term`` one that rests in
-    its goal region on a base other than the goal stack below it, and
-    ``regrasp_term`` one held while its goal region holds other than that.
-    Each is two more actions on that one object, so the sum stays
-    admissible. It stays consistent too: only an action on the object
-    changes its charge (a move at a stack's top leaves every other
-    object's base as it was, and while the hand holds an object its next
-    action is that object's Place, so nothing changes the stack
-    ``regrasp_term`` reads), and each action on it lowers its cost by at
-    most 1: 4 on a wrong base, 3 held while its goal stack is not ready
-    for it, 2 set down elsewhere, 1 held while it is, 0 placed on it.
+    The hand term, one rule for every C. Take a goal stack t, with goal
+    ``want``, that every robot reaches, so every goal object's per-slot
+    cost in it or in a hand is one Pick and Place, or one Place. Let k be
+    the length of its stack's common prefix with ``want``; once k =
+    ``len(want)`` nothing of t is charged. Let W_t be t's goal objects
+    resting in t at height k or above, and its held goal objects o whose
+    goal stack is not exactly ``want[:want.index(o)]``. Let M be the first
+    moment t's stack is a goal prefix: now, or the pick of ``stack[k]``.
+    An object of W_t that is never set down again is held from M to its
+    last Place, and but for ``want[k]`` that Place comes after the last
+    Place of ``want[k]``, which rests below it. So all of them are held at
+    once at M, with ``stack[k]`` if that is no goal object of t, and when
+    ``want[k]`` is last placed, with ``want[k]`` if that is not in W_t. At
+    most a_t of them avoid a set-down: C when C >= 2, ``stack[k]`` is a
+    goal object of t and ``want[k]`` is in W_t, else C - 1 (with one hand,
+    the hand holds ``stack[k]`` at M, so ``want[k]`` cannot avoid it, nor,
+    held with ``want[k]``, can ``stack[k]``). Each object of W_t that does
+    not avoid it costs one more Place and one more Pick on itself, so h
+    adds 2 * max(0, |W_t| - a_t) per goal stack. No goal stack shorter than
+    C is ever charged. The sum stays consistent; the tests check it on
+    whole state spaces.
+
+    With one hand (C = 1), a_t is 0, so the hand term is a sum over slots:
+    ``stack_term`` charges t's goal objects in t from ``stack[k]`` up and
+    ``regrasp_term`` each held one, and ``search`` updates them per
+    successor. With C >= 2 it is ``hand_charge`` per goal stack, and
+    ``search`` adds it when it pops a state (``SlotSpace.hand_term``).
 
     Dead ends: an object that must move rests where no robot reaches, or a
     goal region no robot reaches is unsatisfied in this reading. No action
@@ -155,12 +172,19 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
             if cost and region not in reachable:
                 return None
             total += cost
-    one_hand = p.one_hand
+    hands = p.hands
     for holder, held in s.holdings.items():
         for o in held:
             total += held_term(holder, o, p)
-            if one_hand:
+            if hands == 1:
                 total += regrasp_term(o, stacks, p)
+    if 1 < hands < total:   # else 0; see SlotSpace.hand_term for the early exits
+        loads = tuple(s.holdings.values())
+        if total > 2 * hands - sum(map(len, loads)):
+            for t in charged_stacks(p):
+                entry = hand_entry(t, stacks.get(t, ()), p)
+                if entry is not None:
+                    total += hand_charge(entry, loads, p)
     return total
 
 
@@ -178,13 +202,10 @@ def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
     its goal region (Pick and Place), else 3 (a handoff, or a second Pick
     and Place, is forced).
 
-    With one hand (``p.one_hand``), each object of this region's goal
-    stack from ``stack[k]``, the first wrong object, up costs 2 more. What
-    lies under it is not the goal stack below it: a wrong object, or, for
-    ``stack[k]`` itself, a goal prefix too short. So the Place that
-    follows the Pick taking it off this base cannot be its last (see
-    ``regrasp_term``): it is set down and picked up again. No object of
-    the goal stack rests above k once the goal stack is complete.
+    With one hand (``p.hands == 1``), this stack's part of the hand term
+    (see ``heuristic``) is folded in: each object of this region's goal
+    stack from ``stack[k]`` up is in W_t, and a_t is 0, so each costs 2
+    more. No object of the goal stack rests above k once it is complete.
     """
     want = p.goal.get(region)
     target = p.goal_region
@@ -204,7 +225,7 @@ def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
     for o in stack[k:]:
         t = target.get(o)
         total += 1 if t is None else 2 if (region, t) in pairs else 3
-    if p.one_hand:
+    if p.hands == 1:
         total += 2 * sum(target.get(o) == region for o in stack[k:])
     return total
 
@@ -228,15 +249,13 @@ def held_term(holder: str, o: str, p: Problem) -> int:
 
 
 def regrasp_term(o: str, stacks: dict, p: Problem) -> int:
-    """With one hand, the extra cost of holding goal object ``o``: 2 when
-    its goal region's stack in ``stacks`` is not exactly the goal stack
-    below ``o``, else 0.
+    """With one hand, held goal object ``o``'s part of the hand term (see
+    ``heuristic``): 2 when its goal region's stack in ``stacks`` is not
+    exactly the goal stack below ``o`` (``o`` is in W_t), else 0.
 
-    The hand's next action is the Place of ``o``, and nothing changes that
-    stack before it. ``o``'s last Place must put it on exactly that goal
-    stack, which nothing later changes, so this Place cannot be the last:
-    ``o`` is set down, picked up again and placed once more. (With one
-    robot, a goal region it does not reach makes every state a dead end.)
+    A one-hand robot reaches its goal region, or every state is a dead end.
+    Its next action is the Place of ``o``, and nothing changes that stack
+    before it, so an action changes only the charge of the object it moves.
     """
     t = p.goal_region.get(o)
     if t is None:
@@ -245,9 +264,67 @@ def regrasp_term(o: str, stacks: dict, p: Problem) -> int:
     return 0 if stacks.get(t, ()) == want[:want.index(o)] else 2
 
 
+def charged_stacks(p: Problem) -> list:
+    """The goal regions the hand term may charge when ``p.hands`` >= 2:
+    every robot reaches them, and their goal stacks hold C objects or more.
+    """
+    hands, shared = p.hands, p.shared_reach
+    return [t for t, want in p.goal.items() if len(want) >= hands and t in shared]
+
+
+def hand_entry(region: str, stack: tuple, p: Problem) -> tuple | None:
+    """What ``hand_charge`` reads of goal region ``region`` holding
+    ``stack`` when ``p.hands`` >= 2 (see ``heuristic``): None when fewer
+    than C goal objects lie beyond k (W_t never holds more), else
+    ``(region, resting, ready, spare, lift)``. ``resting`` counts the goal
+    objects of ``region`` in the stack from k up; ``ready`` is ``want[k]``
+    when the stack is exactly ``want[:k]`` (held, it is not in W_t), else
+    None; ``spare`` is a_t as the stack alone decides it, and ``lift`` the
+    object that raises it by 1 when held: when ``stack[k]`` is a goal
+    object of ``region``, ``want[k]`` if it is not in the stack. The entry
+    is the same in both goal readings: they differ only once k =
+    ``len(want)``.
+    """
+    want = p.goal[region]
+    k = 0
+    for have, wanted in zip(stack, want):
+        if have != wanted:
+            break
+        k += 1
+    if len(want) - k < p.hands:
+        return None
+    target = p.goal_region
+    resting = sum(target.get(o) == region for o in stack[k:])
+    spare, ready, lift = p.hands - 1, None, None
+    if k == len(stack):
+        ready = want[k]
+    elif target.get(stack[k]) == region:
+        if want[k] in stack[k:]:
+            spare += 1
+        else:
+            lift = want[k]
+    return region, resting, ready, spare, lift
+
+
+def hand_charge(entry: tuple, loads, p: Problem) -> int:
+    """The hand term's charge for one goal stack (see ``heuristic``): 2 for
+    each object of W_t beyond a_t, given its ``hand_entry`` and the robots'
+    ``loads``. W_t takes each held goal object of t but the entry's
+    ``ready`` object."""
+    region, waiting, ready, spare, lift = entry
+    target = p.goal_region
+    for load in loads:
+        for o in load:
+            if o != ready and target.get(o) == region:
+                waiting += 1
+                spare += o == lift
+    return 2 * (waiting - spare) if waiting > spare else 0
+
+
 class SlotSpace:
     """A problem's states as slot tuples, laid out by ``Problem.robot_table``,
-    with the heuristic's terms for one goal reading and the search key.
+    with the heuristic's per-slot terms for one goal reading, its hand term
+    and the search key.
 
     ``terms[slot]`` memoises the heuristic's terms for a slot: by object,
     its ``placed_term`` in a buffer slot and its ``held_term`` in a robot
@@ -258,9 +335,14 @@ class SlotSpace:
     robots when that class is a pair and the only one, the common case:
     ``successors`` then keys each successor as it builds it. ``key`` keys
     the start state, and the successors of every other class shape.
-    ``ready`` is None unless ``p.one_hand``; then it maps each goal object
-    to its goal region's slot and the goal stack below it, the two things
-    ``regrasp_term`` reads.
+
+    The hand term (see ``heuristic``) comes in one of two forms. With one
+    hand, ``ready`` maps each goal object to its goal region's slot and the
+    goal stack below it, the two things ``regrasp_term`` reads, and
+    ``successors`` updates the term per successor. With C >= 2,
+    ``hand_term`` evaluates it on a slot state, and ``charged`` holds one
+    ``(slot, region, entries)`` per region of ``charged_stacks``,
+    ``entries`` keeping ``hand_entry`` by stack. Each is None until used.
     """
 
     def __init__(self, p: Problem, prefix: bool) -> None:
@@ -274,11 +356,50 @@ class SlotSpace:
                       else Memo(placed_term, r.id, p) for r in p.regions]
         self.terms += [Memo(held_term, row[0], p) for row in self.rows]
         self.pops = [{} for _ in p.regions]
-        self.ready = None
-        if p.one_hand:
-            region_slot = {r.id: i for i, r in enumerate(p.regions)}
+        self.first_robot = len(p.regions)
+        self.ready = self.charged = None
+        if p.hands == 1:
+            region_slot = p.region_slot
             self.ready = {o: (region_slot[t], want[:i]) for t, want in p.goal.items()
                           for i, o in enumerate(want)}
+
+    def hand_term(self, state: tuple, h: int) -> int:
+        """With C >= 2, the hand term of slot state ``state``, whose h
+        without it is ``h`` or less: ``hand_charge`` per memoised entry of
+        ``charged`` that could be charged, built at the first call that
+        needs them.
+
+        A charge needs more than a_t >= C - 1 objects in one W_t, each
+        costing 2 in the per-slot terms where it rests, or 1 held: at least
+        2C less the n held objects. Unless a_t = C, one more object must
+        move too: ``stack[k]`` if it is no goal object of t, else
+        ``want[k]``, which is then not in W_t. So the term is 0 while ``h``
+        is at most 2C - n, a goal stack is not charged while its
+        ``stack_term`` is below 2C - 2n, and an entry only when its resting
+        objects and n exceed its ``spare``.
+        """
+        loads = state[self.first_robot:]
+        held = sum(map(len, loads))
+        p = self.p
+        twice = 2 * p.hands
+        if h <= twice - held:
+            return 0
+        charged = self.charged
+        if charged is None:
+            region_slot = p.region_slot
+            charged = self.charged = [(region_slot[t], t, {}) for t in charged_stacks(p)]
+        terms = self.terms
+        total = 0
+        for slot, region, entries in charged:
+            stack = state[slot]
+            if terms[slot][stack] < twice - 2 * held:
+                continue
+            entry = entries.get(stack, entries)   # the table itself: not seen yet
+            if entry is entries:
+                entry = entries[stack] = hand_entry(region, stack, p)
+            if entry is not None and entry[1] + held > entry[3]:
+                total += hand_charge(entry, loads, p)
+        return total
 
     def slots(self, s: WorldState) -> tuple:
         stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
@@ -479,21 +600,29 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     successors = space.successors
     init = space.slots(p.initial)
     init_key = space.key(init)
-    # (f, h, insertion, state, key): the heap keeps the actual state
-    frontier = [(h0, h0, 0, init, init_key)]
+    # (f, h, insertion, state, key, base): base is the per-slot h, which
+    # successors builds on. With C >= 2 hands a successor is pushed with its
+    # per-slot h, a lower bound, and base None; its first pop adds the hand
+    # term (see heuristic) and pushes it again, with the raised f and h and
+    # its base, when the term is positive.
+    hands = p.hands
+    lazy = space.hand_term if hands > 1 else None
+    base = h0 - lazy(init, h0) if lazy else h0
+    frontier = [(h0, h0, 0, init, init_key, base)]
     # SlotSpace.key -> (g, predecessor's key, action). When a key is first
-    # popped, the popped state is the predecessor's popped state with the
+    # expanded, its state is the predecessor's expanded state with the
     # action applied: states of one key share h, so a later, strictly better
     # path to the key, which alone replaces its entry, has the lower f and
     # pops first. The heuristic is consistent (h drops by at most 1 per
-    # action), so that pop has the key's least g: an entry popped with a
-    # larger g is stale, and no successor of an expanded key improves on it.
+    # action), and an entry's f never exceeds its full f, so the expansion
+    # has the key's least g: an entry popped with a larger g is stale, and
+    # no successor of an expanded key improves on it.
     nodes = {init_key: (0, None, None)}
     known = nodes.setdefault
     pop, push = heapq.heappop, heapq.heappush
     expansions = generated = 0
     while frontier:
-        f, h, _, state, key = pop(frontier)
+        f, h, n, state, key, base = pop(frontier)
         g = nodes[key][0]
         if f - h != g:
             continue
@@ -505,11 +634,18 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
                 node = nodes[node[1]]
             actions.reverse()
             return actions, SearchStats(expansions, generated, len(actions))
+        if base is None:
+            base = h
+            if h > hands:   # else 0; see SlotSpace.hand_term
+                extra = lazy(state, h)
+                if extra:
+                    push(frontier, (f + extra, h + extra, n, state, key, h))
+                    continue
         expansions += 1
         if expansions > max_expansions:
             raise BudgetExhausted(max_expansions)
         g += 1
-        for action, successor, succ_key, h2 in successors(state, h):
+        for action, successor, succ_key, h2 in successors(state, base):
             node = (g, key, action)
             best = known(succ_key, node)
             if best is not node:
@@ -517,7 +653,8 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
                     continue
                 nodes[succ_key] = node
             generated += 1
-            push(frontier, (g + h2, h2, generated, successor, succ_key))
+            push(frontier, (g + h2, h2, generated, successor, succ_key,
+                            None if lazy else h2))
     raise NoSolution("state space exhausted without reaching the goal", expansions)
 
 

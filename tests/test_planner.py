@@ -368,9 +368,10 @@ def test_heuristic_dominates_reference_on_walks():
 # Recorded from the search with f-ties broken toward lower h and the
 # must-move heuristic; the sequences are those the first search found, the
 # counts are lower (fig3's and perm6-one-robot's lower again since the
-# one-hand terms). fig1 and perm6-two-robots have two interchangeable
-# robots, so their counts are of symmetry classes. Any drift in heuristic
-# values, successor order or tie-breaking changes these sequences or counts.
+# one-hand terms, perm6-two-robots' since the hand term of two hands). fig1
+# and perm6-two-robots have two interchangeable robots, so their counts are
+# of symmetry classes. Any drift in heuristic values, successor order or
+# tie-breaking changes these sequences or counts.
 GOLDEN = {
     "fig1": (6, 13, [
         "pick blue C right", "pick red B right", "place blue C left",
@@ -388,7 +389,7 @@ GOLDEN = {
         "pick arm b5 s0", "place arm b5 tray", "pick arm b0 s0", "place arm b0 s1",
         "pick arm b1 s0", "place arm b1 s2", "pick arm b4 tray", "place arm b4 s0",
         "pick arm b5 tray", "place arm b5 s2"]),
-    "perm6-two-robots": (18, 74, [
+    "perm6-two-robots": (12, 54, [
         "pick blue b0 s1", "pick red b4 s0", "place blue b0 s2", "pick blue b3 s0",
         "place blue b3 s1", "pick blue b2 s0", "place red b4 s0", "pick red b3 s1",
         "place red b3 s0", "pick red b5 s1", "place blue b2 s1", "place red b5 s1"]),
@@ -670,21 +671,43 @@ def test_invalid_pick_or_place_raises_precondition_violated(actions):
     assert len(build_hypergraph(fine, p).arcs) == len(fine)
 
 
+def slot_bound(state: WorldState, p: Problem, prefix: bool) -> int:
+    """The per-slot part of ``heuristic`` at a state that is no dead end,
+    summed from its terms: one per stack, buffered object and held object,
+    with the one-hand terms when ``p.hands == 1``."""
+    total = sum(planner.stack_term(r, stack, p, prefix) for r, stack in state.stacks.items())
+    total += sum(planner.placed_term(r, o, p) for r, objs in state.buffers.items() for o in objs)
+    for holder, held in state.holdings.items():
+        for o in held:
+            total += planner.held_term(holder, o, p)
+            if p.hands == 1:
+                total += planner.regrasp_term(o, state.stacks, p)
+    return total
+
+
+def hand_at_pop(space: SlotSpace, slots: tuple, h: int) -> int:
+    """What the search adds to a popped state of per-slot h ``h``: the hand
+    term with C >= 2, else 0 (one hand's terms are per slot)."""
+    return space.hand_term(slots, h) if space.p.hands > 1 else 0
+
+
 @pytest.mark.parametrize("prefix", [False, True])
 def test_slot_successors_match_apply_and_heuristic(prefix):
     """At every walked state, the search's successors are
     ``applicable_actions`` with the checked ``apply``, as slot tuples, with
-    their ``key``. At every state that is no dead end their h is the full
-    ``heuristic``, which is 0 exactly on the goals, the search's goal test,
-    and drops by at most 1 per action: it is consistent, so A* never needs
-    to reopen a state."""
-    checked = with_h = goals = 0
+    their ``key``. At every state that is no dead end their h is the
+    per-slot bound, and that plus the hand term the search adds at a pop is
+    the full ``heuristic``, which is 0 exactly on the goals, the search's
+    goal test, and drops by at most 1 per action: it is consistent, so A*
+    never needs to reopen a state."""
+    checked = with_h = goals = charged = 0
     spaces = {id(p): SlotSpace(p, prefix) for p in WALKED}
     for p, state in walked_states(WALKED):
         space = spaces[id(p)]
         slots = space.slots(state)
         h = heuristic(state, p, prefix)
-        got = space.successors(slots, h or 0)
+        base = 0 if h is None else h - hand_at_pop(space, slots, h)
+        got = space.successors(slots, base)
         applied = [(action, apply(state, action, p)) for action in applicable_actions(state, p)]
         assert [(action, successor, key) for action, successor, key, _ in got] == \
             [(action, space.slots(successor), space.key(space.slots(successor)))
@@ -692,16 +715,19 @@ def test_slot_successors_match_apply_and_heuristic(prefix):
         checked += len(got)
         if h is None:
             continue
+        assert base == slot_bound(state, p, prefix), (state, prefix)
         assert (h == 0) == is_goal(state, p, prefix=prefix)
-        successor_h = [h2 for _, _, _, h2 in got]
+        successor_h = [h2 + hand_at_pop(space, successor, h2) for _, successor, _, h2 in got]
         assert successor_h == [heuristic(successor, p, prefix) for _, successor in applied], \
             (state, prefix)
         assert all(h <= 1 + h2 for h2 in successor_h), (state, prefix)
         goals += h == 0
+        charged += h > base
         with_h += len(got)
     assert checked >= 10_000
     assert with_h >= 9_000
     assert goals >= 1_000
+    assert charged >= 20
 
 
 def state_space(p: Problem) -> tuple:
@@ -747,9 +773,11 @@ def test_one_hand_bound_holds_on_whole_corpus_state_spaces():
     permutations, in both goal readings. It never exceeds the true distance,
     drops by at most 1 along every action, is 0 exactly on the goals and
     None only where no goal is reachable. The same robot with a second hand
-    drops the one-hand terms, and they raise h on some states."""
+    has a hand term of its own, which lets two objects wait in the hands:
+    it never exceeds the one-hand terms, and falls below them on some
+    states."""
     problems = [p for p in (random_instance(seed, 4, 2, 4) for seed in range(400))
-                if p.one_hand]
+                if p.hands == 1]
     problems += [random_permute(0, True, 5), random_permute(0, True, 4),
                  random_permute(1, True, 4)]
     checked = stronger = 0
@@ -767,11 +795,93 @@ def test_one_hand_bound_holds_on_whole_corpus_state_spaces():
                     (state, prefix, h[i], distance[i])
                 assert (h[i] == 0) == (distance[i] == 0), (state, prefix)
                 assert all(h[i] <= 1 + h[j] for j in edges[i]), (state, prefix)
-                stronger += h[i] > heuristic(state, two_hands, prefix)
+                second = heuristic(state, two_hands, prefix)
+                assert second <= h[i], (state, prefix)
+                stronger += h[i] > second
                 checked += 1
     assert len(problems) == 159
     assert checked >= 35_000
     assert stronger >= 20_000
+
+
+def reference_hand_term(s: WorldState, p: Problem) -> int:
+    """The hand term straight from its rule (see ``heuristic``), with no
+    early exit: per goal stack every robot reaches, 2 for each object of
+    W_t beyond a_t."""
+    hands = p.hands
+    held = [o for load in s.holdings.values() for o in load]
+    total = 0
+    for t, want in p.goal.items():
+        if not all(t in spec.reach for spec in p.robots):
+            continue
+        stack = s.stacks.get(t, ())
+        k = 0
+        while k < min(len(stack), len(want)) and stack[k] == want[k]:
+            k += 1
+        if k == len(want):
+            continue
+        waiting = {o for o in stack[k:] if o in want}
+        waiting |= {o for o in held if o in want and stack != want[:want.index(o)]}
+        lifted = hands >= 2 and k < len(stack) and stack[k] in want and want[k] in waiting
+        total += 2 * max(0, len(waiting) - (hands if lifted else hands - 1))
+    return total
+
+
+def with_capacity(p: Problem, capacity: int) -> Problem:
+    """``p`` with every robot's capacity set to ``capacity``."""
+    return replace(p, robots=tuple(replace(spec, capacity=capacity) for spec in p.robots))
+
+
+def test_hand_bound_holds_on_whole_corpus_state_spaces():
+    """Several hands (C >= 2): the heuristic with its hand term, on every
+    state reachable in two- and three-robot 4- and 5-box permutations, in
+    every corpus problem with more than one hand and in the capacity-2
+    variants of those, in both goal readings. It is the per-slot bound plus
+    the hand term as its rule states it, so never below that bound, and the
+    hand term raises it on some states. It never exceeds the true distance,
+    drops by at most 1 along every action from a state that reaches a goal,
+    is 0 exactly on the goals and None only where no goal is reachable. On
+    a random walk of each, the per-slot h the search's successors carry
+    plus the hand term it adds at a pop is ``heuristic``."""
+    two_robots = [random_permute(seed, False, 4) for seed in range(8)]
+    two_robots += [random_permute(seed, False, 5) for seed in (1, 5)]
+    corpus = [p for p in (random_instance(seed, 4, 2, 4) for seed in range(400)) if p.hands > 1]
+    problems = two_robots + [duplicated_robot(p) for p in two_robots] + corpus
+    problems += [with_capacity(p, 2) for p in corpus]
+    checked = stronger = popped = 0
+    for p in problems:
+        states, edges = state_space(p)
+        for prefix in (False, True):
+            h = [heuristic(state, p, prefix) for state in states]
+            distance = goal_distances(states, edges, p, prefix)
+            for i, state in enumerate(states):
+                if h[i] is None:
+                    assert distance[i] is None, (state, prefix)
+                    continue
+                assert (h[i] == 0) == (distance[i] == 0), (state, prefix)
+                if distance[i] is not None:
+                    assert h[i] <= distance[i], (state, prefix, h[i], distance[i])
+                    assert all(h[i] <= 1 + h[j] for j in edges[i]), (state, prefix)
+                per_slot = slot_bound(state, p, prefix)
+                assert h[i] == per_slot + reference_hand_term(state, p), (state, prefix)
+                stronger += h[i] > per_slot
+                checked += 1
+            space = SlotSpace(p, prefix)
+            walk = random_walk(p, random.Random(len(states)), 40)
+            for state, following in zip(walk, walk[1:]):
+                h0 = heuristic(state, p, prefix)
+                if h0 is None:
+                    continue
+                slots = space.slots(state)
+                base = h0 - hand_at_pop(space, slots, h0)
+                for _, successor, _, h2 in space.successors(slots, base):
+                    if successor == space.slots(following):
+                        assert h2 + hand_at_pop(space, successor, h2) == \
+                            heuristic(following, p, prefix), (following, prefix)
+                        popped += 1
+    assert checked >= 330_000
+    assert stronger >= 25_000
+    assert popped >= 30_000
 
 
 def assert_search_matches_oracle(p: Problem, bound: int) -> bool:
@@ -839,7 +949,7 @@ def test_slot_key_merges_exchanged_loads():
 # Totals over random_instance(seed, 4, 2, 4), seeds 0-399, per goal reading:
 # (solved, expansions, generated, actions) of the searches that found a plan.
 # Any change in successor order, tie-breaking or symmetry merging moves them.
-CORPUS_SEARCH_TOTALS = {False: (286, 1396, 3269, 640), True: (288, 1394, 3272, 630)}
+CORPUS_SEARCH_TOTALS = {False: (286, 1318, 3153, 640), True: (288, 1316, 3156, 630)}
 
 
 @pytest.mark.parametrize("prefix", [False, True])
@@ -865,8 +975,8 @@ def test_corpus_search_counts_are_pinned(prefix):
 PERMUTATION_SEARCH_TOTALS = {
     True: ((10, 1228, 2560, 186),
            "92157364c3daa276df11c8e5a9ad2c4147c50105c61aa79c41d3d522d6ab4415"),
-    False: ((10, 2256, 6742, 166),
-            "f9d04d7e6c1de4af6d61fd5ae050d93a0d169abdb87f76d1e066a155e81af18c"),
+    False: ((10, 1482, 4536, 166),
+            "750ed02984b123346cbb8684d7aa3b08f881abcd6bf3227dc006957e969d1e7b"),
 }
 
 
@@ -901,6 +1011,23 @@ def test_nine_box_one_robot_search_counts_are_pinned():
         lengths.append(len(found))
         expansions += stats.expansions
     assert (tuple(lengths), expansions) == NINE_BOX_ONE_ROBOT
+
+
+# Nine boxes, two robots, seeds 0-4: the optimal plan lengths (seed 1's, 32,
+# as a search without the hand term confirms at 107,583 expansions), then the
+# expansions over all five.
+NINE_BOX_TWO_ROBOTS = ((26, 32, 22, 26, 28), 44304)
+
+
+def test_nine_box_two_robot_search_counts_are_pinned():
+    """Each problem is solved within 50,000 expansions, at its optimal length."""
+    lengths, expansions = [], 0
+    for seed in range(5):
+        found, stats = search(random_permute(seed, False, 9),
+                              SearchConfig(max_expansions=50_000))
+        lengths.append(len(found))
+        expansions += stats.expansions
+    assert (tuple(lengths), expansions) == NINE_BOX_TWO_ROBOTS
 
 
 def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
