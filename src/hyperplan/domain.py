@@ -265,7 +265,7 @@ class Memo(dict):
 # Cached Problem tables that depend on neither the goal nor the start state.
 GOAL_INDEPENDENT = ("region_map", "region_slot", "robot_map", "reachable",
                     "shared_reach", "reach_pairs", "robot_table", "robot_classes",
-                    "hands")
+                    "slot_layout", "hands")
 # Cached Problem tables of the goal that search reads, in an order in which
 # each is computed from the goal and the tables before it.
 GOAL_TABLES = ("goal_region", "unreachable_goals")
@@ -277,9 +277,10 @@ class Problem:
 
     The lookup tables derived from these fields (``region_map``,
     ``robot_map``, ``goal_objects``, the heuristic's ``goal_region``,
-    ``unreachable_goals``, ``reachable``, ``shared_reach``, ``reach_pairs``
-    and ``hands``, the successor generators' ``robot_table``, the search's
-    ``region_slot`` and ``robot_classes`` and compilation's ``entities``)
+    ``unreachable_goals``, ``reachable``, ``shared_reach``, ``reach_pairs``,
+    ``hands`` and ``movable``, the successor generators' ``robot_table``,
+    the search's ``region_slot``, ``robot_classes`` and ``slot_layout`` and
+    compilation's ``entities``)
     and the goal-independent validation errors (``structure_errors``) are
     computed on first use and then cached on the instance. So treat a
     ``Problem`` as immutable, its ``goal`` dict and the tables included.
@@ -392,6 +393,28 @@ class Problem:
         for spec in sorted(self.robots, key=lambda spec: spec.id):
             classes.setdefault((spec.reach, spec.capacity), []).append(spec.id)
         return tuple(tuple(ids) for ids in classes.values() if len(ids) > 1)
+
+    @cached_property
+    def slot_layout(self) -> tuple:
+        """What the search's slot states share across goals: ``(classes,
+        pair, stacks)``. ``classes`` is ``robot_classes`` with each robot
+        as its slot, ``pair`` the one class when it is a pair and the only
+        one, else None, and ``stacks`` one ``(slot, region id)`` per stack
+        region, in slot order."""
+        robot_slot = {row[0]: row[1] for row in self.robot_table}
+        classes = tuple(tuple(map(robot_slot.get, robots)) for robots in self.robot_classes)
+        pair = classes[0] if len(classes) == 1 and len(classes[0]) == 2 else None
+        stacks = tuple((i, r.id) for i, r in enumerate(self.regions) if r.kind == STACK)
+        return classes, pair, stacks
+
+    @cached_property
+    def movable(self) -> int:
+        """How many objects can move: all but those resting, at the start, in
+        a region no robot reaches, which no action changes."""
+        reachable, s = self.reachable, self.initial
+        fixed = sum(len(stack) for r, stack in s.stacks.items() if r not in reachable)
+        fixed += sum(len(objs) for r, objs in s.buffers.items() if r not in reachable)
+        return len(self.objects) - fixed
 
     @cached_property
     def hands(self) -> int:

@@ -10,8 +10,12 @@ builds each successor, its h, derived from its parent's, and its key in
 one pass and hands the three over together, and one table maps each key
 to its g and how it was reached. That h is a sum of per-slot terms, the
 one-hand set-downs included; with more than one hand the set-downs are
-not, and A* adds them once per popped state, pushing the state again
-when they raise its f (as Lazy A* defers a costly heuristic). States that
+not: they are the hand term, or with C hands and at least 2C + 2
+objects that can move the larger of it and the blocker term, which
+charges the objects above each stack's lowest object that must move
+beyond what the hands can hold. A* adds them once per popped state, pushing the state again
+when they raise its f, unless it would pop next anyway (as Lazy A*
+defers a costly heuristic). States that
 differ only in which interchangeable robot holds what are one node; when
 the robots' one such class is a pair, the common case, each successor is
 keyed as it is built.
@@ -106,11 +110,13 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     ``prefix`` selects the goal reading, as in ``is_goal``. The bound is a
     sum of per-slot terms, ``stack_term`` for each stack, ``placed_term``
     for each buffered object and ``held_term`` for each held object, which
-    together sum a cost over every object that must move, plus the hand
-    term: the set-downs that the robots' total hand capacity C
-    (``p.hands``) cannot avoid. ``search`` calls it once, on the start
-    state, and takes the per-slot part of a successor's h as its parent's
-    plus the change in the terms of the entries the action replaced.
+    together sum a cost over every object that must move, plus the
+    set-downs that the robots' total hand capacity C (``p.hands``) cannot
+    avoid: the hand term W, and with C >= 2 and at least 2C + 2 objects
+    that can move the larger of W and the blocker term B. ``search`` calls it once, on the
+    start state, and takes the per-slot part of a successor's h as its
+    parent's plus the change in the terms of the entries the action
+    replaced.
 
     Per-slot terms: each action moves exactly one object, and each term
     counts actions on a different object, so the sum stays admissible with
@@ -136,16 +142,51 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     goal object of t and ``want[k]`` is in W_t, else C - 1 (with one hand,
     the hand holds ``stack[k]`` at M, so ``want[k]`` cannot avoid it, nor,
     held with ``want[k]``, can ``stack[k]``). Each object of W_t that does
-    not avoid it costs one more Place and one more Pick on itself, so h
+    not avoid it costs one more Place and one more Pick on itself, so W
     adds 2 * max(0, |W_t| - a_t) per goal stack. No goal stack shorter than
     C is ever charged. The sum stays consistent; the tests check it on
     whole state spaces.
 
+    The blocker term, for C >= 2 (Slaney and Thiebaux's argument for
+    blocks world). Take a stack u with an object x that must move, the
+    lowest one: ``stack[k]``, k as ``stack_term`` finds it in this reading.
+    Every object above x leaves u before x's first pick, and at that pick
+    a hand is free, so at most C - 1 objects are held. Weigh each object
+    above x and each held object by the actions it costs beyond its
+    per-slot term unless it is held at that pick. One outside the goal
+    weighs 1: it was placed. A goal object that cannot rest in its final
+    place before x's first pick, as its goal stack is u (whose height k x
+    blocks) or x lies below it in its goal stack, was set down elsewhere
+    and must be picked and placed again: it weighs 2 if one robot reaches
+    both ends of its move (held: its holder reaches its goal region), else
+    1, as its per-slot term already counts a second move. Any other object
+    weighs 0. B_u is the sum of the weights less the C - 1 largest, and B
+    the largest B_u. Each B_u counts actions on objects other than x
+    beyond their per-slot terms, so the per-slot bound plus B is
+    admissible, and as B and W may count the same actions, h adds the
+    larger of the two. It is consistent; take the u of the largest B_u. A
+    pick from another stack only adds a held object to it, and a pick
+    above x lowers the picked object's per-slot term plus weight by at
+    most 1 (a goal object's held weight is 3 less its ``held_term``). The
+    pick of x leaves B_u 0 before and after, as x is the top and at most
+    C - 1 objects are held. A place loses at most the placed object's
+    weight, and 2 only where its per-slot term rises by 1 (a goal object
+    that cannot rest in its final place is not placed there); placed on u
+    it keeps its weight. A handoff moves a goal object's weight and
+    per-slot term by 1 in opposite directions. So the per-slot bound plus
+    B drops by at most 1 per action, and the larger of two consistent
+    bounds is consistent. B is 0 where nothing must move. It costs time at
+    every state ``search`` pops, so it is added only with at least 2C + 2
+    objects that can move (``blocker_bound``): on smaller problems the few
+    expansions it saves do not repay that time.
+
     With one hand (C = 1), a_t is 0, so the hand term is a sum over slots:
     ``stack_term`` charges t's goal objects in t from ``stack[k]`` up and
     ``regrasp_term`` each held one, and ``search`` updates them per
-    successor. With C >= 2 it is ``hand_charge`` per goal stack, and
-    ``search`` adds it when it pops a state (``SlotSpace.hand_term``).
+    successor; the blocker term is not applied. With C >= 2, W is
+    ``hand_charge`` per goal stack and B ``blocker_charge`` per stack, and
+    ``search`` adds W, or their larger, when it pops a state
+    (``SlotSpace.hand_term``, ``SlotSpace.pop_term``).
 
     Dead ends: an object that must move rests where no robot reaches, or a
     goal region no robot reaches is unsatisfied in this reading. No action
@@ -161,11 +202,13 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
             return None
     reachable = p.reachable
     total = 0
+    costs = []
     for region, stack in stacks.items():
         cost = stack_term(region, stack, p, prefix)
         if cost and region not in reachable:
             return None
         total += cost
+        costs.append(cost)
     for region, objs in s.buffers.items():
         for o in objs:
             cost = placed_term(region, o, p)
@@ -173,18 +216,31 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
                 return None
             total += cost
     hands = p.hands
-    for holder, held in s.holdings.items():
-        for o in held:
-            total += held_term(holder, o, p)
+    held = []   # (object, its held_term) per held object
+    for holder, objs in s.holdings.items():
+        for o in objs:
+            cost = held_term(holder, o, p)
+            held.append((o, cost))
+            total += cost
             if hands == 1:
                 total += regrasp_term(o, stacks, p)
-    if 1 < hands < total:   # else 0; see SlotSpace.hand_term for the early exits
+    if 1 < hands and total > hands - len(held):   # else 0; see SlotSpace.hand_term
         loads = tuple(s.holdings.values())
-        if total > 2 * hands - sum(map(len, loads)):
+        extra = 0
+        if total > 2 * hands - len(held):
             for t in charged_stacks(p):
                 entry = hand_entry(t, stacks.get(t, ()), p)
                 if entry is not None:
-                    total += hand_charge(entry, loads, p)
+                    extra += hand_charge(entry, loads, p)
+        if blocker_bound(p):
+            for (region, stack), cost in zip(stacks.items(), costs):
+                # x costs at least 1, or 2 where there is no goal (see SlotSpace.pop_term)
+                least = 1 if region in goal else 2
+                if cost - least >= hands - len(held):
+                    entry = blocker_entry(region, stack, p, prefix)
+                    if entry is not None:
+                        extra = max(extra, blocker_charge(entry, held, hands - 1))
+        total += extra
     return total
 
 
@@ -207,8 +263,22 @@ def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
     stack from ``stack[k]`` up is in W_t, and a_t is 0, so each costs 2
     more. No object of the goal stack rests above k once it is complete.
     """
-    want = p.goal.get(region)
+    k = must_move_from(region, stack, p, prefix)
     target = p.goal_region
+    pairs = p.reach_pairs
+    total = 0
+    for o in stack[k:]:
+        t = target.get(o)
+        total += 1 if t is None else 2 if (region, t) in pairs else 3
+    if p.hands == 1:
+        total += 2 * sum(target.get(o) == region for o in stack[k:])
+    return total
+
+
+def must_move_from(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
+    """The height from which everything in ``stack`` must move (see
+    ``stack_term``); ``len(stack)`` when nothing must."""
+    want = p.goal.get(region)
     k = 0
     if want is not None:
         for have, wanted in zip(stack, want):
@@ -218,16 +288,10 @@ def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
     if want is None or (prefix and k == len(want)):
         # nothing here is wanted above k: only a goal object that belongs
         # elsewhere, and whatever rests on it, has to go
+        target = p.goal_region
         while k < len(stack) and stack[k] not in target:
             k += 1
-    pairs = p.reach_pairs
-    total = 0
-    for o in stack[k:]:
-        t = target.get(o)
-        total += 1 if t is None else 2 if (region, t) in pairs else 3
-    if p.hands == 1:
-        total += 2 * sum(target.get(o) == region for o in stack[k:])
-    return total
+    return k
 
 
 def placed_term(region: str, o: str, p: Problem) -> int:
@@ -321,6 +385,67 @@ def hand_charge(entry: tuple, loads, p: Problem) -> int:
     return 2 * (waiting - spare) if waiting > spare else 0
 
 
+def blocker_bound(p: Problem) -> bool:
+    """Whether ``heuristic`` adds the blocker term: with C >= 2 hands and
+    at least 2C + 2 objects that can move (``Problem.movable``; see
+    ``heuristic``)."""
+    return p.hands > 1 and p.movable >= 2 * p.hands + 2
+
+
+def blocker_entry(region: str, stack: tuple, p: Problem, prefix: bool) -> tuple | None:
+    """What ``blocker_charge`` reads of stack region ``region`` holding
+    ``stack`` (see ``heuristic``): None when nothing in it must move, else
+    ``(hot, twos, ones)``. x, its lowest object that must move, is
+    ``stack[k]``, k as ``stack_term`` finds it. ``hot`` holds the goal
+    objects that cannot rest in their final place before x's first pick:
+    ``region``'s own and those above x in x's goal stack. ``twos`` and
+    ``ones`` count the objects above x of weight 2 and 1: 1 outside the
+    goal, 2 if hot and one robot reaches ``region`` and its goal region, 1
+    if hot otherwise."""
+    k = must_move_from(region, stack, p, prefix)
+    if k == len(stack):
+        return None
+    x = stack[k]
+    hot = p.goal.get(region, ())
+    t = p.goal_region.get(x)
+    if t is not None:
+        want = p.goal[t]
+        hot += want[want.index(x) + 1:]
+    target, pairs = p.goal_region, p.reach_pairs
+    twos = ones = 0
+    for o in stack[k + 1:]:
+        t = target.get(o)
+        if t is None:
+            ones += 1
+        elif o in hot:
+            if (region, t) in pairs:
+                twos += 1
+            else:
+                ones += 1
+    return hot, twos, ones
+
+
+def blocker_charge(entry: tuple, held, spare: int) -> int:
+    """The blocker term's B_u for one stack (see ``heuristic``), given its
+    ``blocker_entry`` and ``held``, each held object with its ``held_term``:
+    the weights of the objects above x and of the held objects, less the
+    ``spare`` = C - 1 largest. A held object weighs 1 outside the goal,
+    else 0 unless hot, then 2 if its holder reaches its goal region
+    (``held_term`` 1), else 1."""
+    hot, twos, ones = entry
+    for o, cost in held:
+        if not cost:
+            ones += 1
+        elif o in hot:
+            if cost == 1:
+                twos += 1
+            else:
+                ones += 1
+    if twos >= spare:
+        return 2 * (twos - spare) + ones
+    return twos + ones - spare if twos + ones > spare else 0
+
+
 class SlotSpace:
     """A problem's states as slot tuples, laid out by ``Problem.robot_table``,
     with the heuristic's per-slot terms for one goal reading, its hand term
@@ -342,22 +467,24 @@ class SlotSpace:
     ``successors`` updates the term per successor. With C >= 2,
     ``hand_term`` evaluates it on a slot state, and ``charged`` holds one
     ``(slot, region, entries)`` per region of ``charged_stacks``,
-    ``entries`` keeping ``hand_entry`` by stack. Each is None until used.
+    ``entries`` keeping ``hand_entry`` by stack. When ``blocking``
+    (``blocker_bound``), ``pop_term`` adds the blocker term, and
+    ``blocked`` holds one ``(slot, region, entries, least)`` per stack
+    region, ``entries`` keeping ``blocker_entry`` by stack. Each is None
+    until used.
     """
 
     def __init__(self, p: Problem, prefix: bool) -> None:
-        self.p = p
+        self.p, self.prefix = p, prefix
         self.rows = p.robot_table
-        robot_slot = {row[0]: row[1] for row in self.rows}
-        self.classes = classes = tuple(tuple(map(robot_slot.get, robots))
-                                       for robots in p.robot_classes)
-        self.pair = classes[0] if len(classes) == 1 and len(classes[0]) == 2 else None
+        self.classes, self.pair, _ = p.slot_layout
         self.terms = [Memo(stack_term, r.id, p, prefix) if r.kind == STACK
                       else Memo(placed_term, r.id, p) for r in p.regions]
         self.terms += [Memo(held_term, row[0], p) for row in self.rows]
         self.pops = [{} for _ in p.regions]
         self.first_robot = len(p.regions)
-        self.ready = self.charged = None
+        self.blocking = blocker_bound(p)
+        self.ready = self.charged = self.blocked = None
         if p.hands == 1:
             region_slot = p.region_slot
             self.ready = {o: (region_slot[t], want[:i]) for t, want in p.goal.items()
@@ -400,6 +527,51 @@ class SlotSpace:
             if entry is not None and entry[1] + held > entry[3]:
                 total += hand_charge(entry, loads, p)
         return total
+
+    def pop_term(self, state: tuple, h: int) -> int:
+        """When ``blocking``, what the search adds to slot state ``state``,
+        whose h without it is ``h`` or less: the larger of ``hand_term`` and
+        the largest ``blocker_charge`` (see ``heuristic``).
+
+        A blocker charge needs C objects of positive weight, each costing at
+        least 1 in the per-slot terms unless held, and x costs at least
+        ``least``: 1, or 2 where there is no goal, as x is then a goal
+        object. So both terms are 0 while ``h`` is at most C - n, with n
+        held objects, and a stack is skipped when its ``stack_term`` less
+        ``least`` is below C - n, or when that plus 2 per held object, less
+        C - 1, cannot beat the larger term so far.
+        """
+        loads = state[self.first_robot:]
+        held = sum(map(len, loads))
+        spare = self.p.hands - 1
+        free = spare + 1 - held
+        if h <= free:
+            return 0
+        best = self.hand_term(state, h) if h > spare + 1 + free else 0
+        blocked = self.blocked
+        if blocked is None:
+            goal = self.p.goal
+            blocked = self.blocked = [(slot, region, {}, 1 if region in goal else 2)
+                                      for slot, region in self.p.slot_layout[2]]
+        terms = self.terms
+        carried = None
+        for slot, region, entries, least in blocked:
+            stack = state[slot]
+            cost = terms[slot][stack] - least
+            if cost < free or cost + held - free + 1 <= best:
+                continue
+            entry = entries.get(stack, entries)   # the table itself: not seen yet
+            if entry is entries:
+                entry = entries[stack] = blocker_entry(region, stack, self.p, self.prefix)
+            if entry is None or 2 * (entry[1] + held) + entry[2] - spare <= best:
+                continue
+            if carried is None:
+                carried = [(o, terms[rslot][o])
+                           for rslot, load in enumerate(loads, self.first_robot) for o in load]
+            charge = blocker_charge(entry, carried, spare)
+            if charge > best:
+                best = charge
+        return best
 
     def slots(self, s: WorldState) -> tuple:
         stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
@@ -602,11 +774,14 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     init_key = space.key(init)
     # (f, h, insertion, state, key, base): base is the per-slot h, which
     # successors builds on. With C >= 2 hands a successor is pushed with its
-    # per-slot h, a lower bound, and base None; its first pop adds the hand
-    # term (see heuristic) and pushes it again, with the raised f and h and
-    # its base, when the term is positive.
+    # per-slot h, a lower bound, and base None; its first pop adds the
+    # hand or blocker term (see heuristic) and, when that is positive,
+    # pushes it again with the raised f and h and its base, unless the
+    # raised entry is below every other and would pop next: then it is
+    # expanded at once.
     hands = p.hands
-    lazy = space.hand_term if hands > 1 else None
+    lazy = space.pop_term if space.blocking else space.hand_term if hands > 1 else None
+    lowest = 0 if space.blocking else hands   # the term is 0 at this h and below
     base = h0 - lazy(init, h0) if lazy else h0
     frontier = [(h0, h0, 0, init, init_key, base)]
     # SlotSpace.key -> (g, predecessor's key, action). When a key is first
@@ -636,9 +811,9 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
             return actions, SearchStats(expansions, generated, len(actions))
         if base is None:
             base = h
-            if h > hands:   # else 0; see SlotSpace.hand_term
+            if h > lowest:
                 extra = lazy(state, h)
-                if extra:
+                if extra and frontier and frontier[0] < (f + extra, h + extra, n):
                     push(frontier, (f + extra, h + extra, n, state, key, h))
                     continue
         expansions += 1
