@@ -10,15 +10,14 @@ builds each successor, its h, derived from its parent's, and its key in
 one pass and hands the three over together, and one table maps each key
 to its g and how it was reached. That h is a sum of per-slot terms, the
 one-hand set-downs included; with more than one hand the set-downs are
-not: they are the hand term, or with C hands and at least 2C + 2
-objects that can move the larger of it and the blocker term, which
-charges the objects above each stack's lowest object that must move
-beyond what the hands can hold. A* adds them once per popped state, pushing the state again
-when they raise its f, unless it would pop next anyway (as Lazy A*
-defers a costly heuristic). States that
-differ only in which interchangeable robot holds what are one node; when
-the robots' one such class is a pair, the common case, each successor is
-keyed as it is built.
+not: they are the hand term, or with C hands and at least 2C + 2 objects
+that can move the larger of it and the blocker term, which charges the
+objects above each stack's lowest object that must move beyond what the
+hands can hold. A* adds them once per popped state, pushing the state
+again when they raise its f (as Lazy A* defers a costly heuristic).
+States that differ only in which interchangeable robot holds what are
+one node; when the robots' one such class is a pair, the common case,
+each successor is keyed as it is built.
 It returns actions and compiles nothing. It checks its problem first;
 ``search_unchecked`` is the rest of it, for refinement's sub-problems,
 which are valid by construction. ``Compiler`` turns actions into a
@@ -224,7 +223,7 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
             total += cost
             if hands == 1:
                 total += regrasp_term(o, stacks, p)
-    if 1 < hands and total > hands - len(held):   # else 0; see SlotSpace.hand_term
+    if 1 < hands and total > hands - len(held):   # else 0; see SlotSpace.pop_term
         loads = tuple(s.holdings.values())
         extra = 0
         if total > 2 * hands - len(held):
@@ -774,11 +773,9 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     init_key = space.key(init)
     # (f, h, insertion, state, key, base): base is the per-slot h, which
     # successors builds on. With C >= 2 hands a successor is pushed with its
-    # per-slot h, a lower bound, and base None; its first pop adds the
-    # hand or blocker term (see heuristic) and, when that is positive,
-    # pushes it again with the raised f and h and its base, unless the
-    # raised entry is below every other and would pop next: then it is
-    # expanded at once.
+    # per-slot h, a lower bound, and base None; its first pop adds the hand
+    # or blocker term (see heuristic) and pushes it again, with the raised f
+    # and h and its base, when the term is positive.
     hands = p.hands
     lazy = space.pop_term if space.blocking else space.hand_term if hands > 1 else None
     lowest = 0 if space.blocking else hands   # the term is 0 at this h and below
@@ -813,7 +810,7 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
             base = h
             if h > lowest:
                 extra = lazy(state, h)
-                if extra and frontier and frontier[0] < (f + extra, h + extra, n):
+                if extra:
                     push(frontier, (f + extra, h + extra, n, state, key, h))
                     continue
         expansions += 1
