@@ -262,10 +262,11 @@ class Memo(dict):
 
 # --- problem -------------------------------------------------------------
 
-# Cached Problem tables that depend on neither the goal nor the start state.
+# Cached Problem tables that depend on neither the goal nor the start state,
+# or, as ``movable``, on nothing an action changes.
 GOAL_INDEPENDENT = ("region_map", "region_slot", "robot_map", "reachable",
                     "shared_reach", "reach_pairs", "robot_table", "robot_classes",
-                    "slot_layout", "hands")
+                    "slot_layout", "hands", "movable")
 # Cached Problem tables of the goal that search reads, in an order in which
 # each is computed from the goal and the tables before it.
 GOAL_TABLES = ("goal_region", "unreachable_goals")
@@ -410,7 +411,9 @@ class Problem:
     @cached_property
     def movable(self) -> int:
         """How many objects can move: all but those resting, at the start, in
-        a region no robot reaches, which no action changes."""
+        a region no robot reaches. No action changes such a region, so every
+        state reachable from the start, as a sub-problem's start is, has
+        the same count."""
         reachable, s = self.reachable, self.initial
         fixed = sum(len(stack) for r, stack in s.stacks.items() if r not in reachable)
         fixed += sum(len(objs) for r, objs in s.buffers.items() if r not in reachable)
