@@ -904,25 +904,32 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
     """Several hands (C >= 2): the per-slot bound plus the larger of the
     hand term W and the blocker term B, as their rules state them, on every
     state reachable in two- and three-robot 4- and 5-box permutations, in
-    a two-robot blocker tower of 6 objects on two stacks, in every corpus
-    problem with more than one hand and in the capacity-2 variants of
-    those, in both goal readings. That bound never exceeds the true
-    distance, drops by at most 1 along every action from a state that
+    a two-robot blocker tower of 6 objects on two stacks, with both robots
+    reaching both stacks and with one reaching the start stack only, in
+    every corpus problem with more than one hand and in the capacity-2
+    variants of those, in both goal readings. That bound never exceeds the
+    true distance, drops by at most 1 along every action from a state that
     reaches a goal and is 0 exactly on the goals; B exceeds W on many
     states. The heuristic is that bound with at least 2C + 2 objects (the
-    blocker tower), else the per-slot bound plus W, so it holds the same;
+    blocker towers), else the per-slot bound plus W, so it holds the same;
     it is None only where no goal is reachable, W raises it on some states
-    and B on more. On a random walk of each, the per-slot h the search's
-    successors carry plus the term it adds at a pop is ``heuristic``."""
+    and B on more. At every state the per-slot bound plus the term the
+    search adds at a pop is ``heuristic``, and on a random walk of each
+    so is the per-slot h the search's successors carry plus that term."""
     two_robots = [random_permute(seed, False, 4) for seed in range(8)]
     two_robots += [random_permute(seed, False, 5) for seed in (1, 5)]
     corpus = [p for p in (random_instance(seed, 4, 2, 4) for seed in range(400)) if p.hands > 1]
     problems = two_robots + [duplicated_robot(p) for p in two_robots] + corpus
-    problems += [with_capacity(p, 2) for p in corpus] + [shared_blockers(3, 0, side=False)]
+    tower = shared_blockers(3, 0, side=False)
+    # red reaches src only: what it holds for dst it cannot place itself
+    blue, red = tower.robots
+    problems += [with_capacity(p, 2) for p in corpus]
+    problems += [tower, replace(tower, robots=(blue, replace(red, reach={"src"})))]
     checked = stronger = blocking = raised = popped = 0
     for p in problems:
         states, edges = state_space(p)
         for prefix in (False, True):
+            space = SlotSpace(p, prefix)
             h = [heuristic(state, p, prefix) for state in states]
             distance = goal_distances(states, edges, p, prefix)
             bound = []
@@ -935,6 +942,8 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                 blocked = reference_blocker_term(state, p, prefix)
                 bound.append(per_slot + max(waiting, blocked))
                 assert h_i == (bound[-1] if planner.blocker_bound(p) else per_slot + waiting), \
+                    (state, prefix)
+                assert per_slot + hand_at_pop(space, space.slots(state), per_slot) == h_i, \
                     (state, prefix)
                 stronger += waiting > 0
                 blocking += blocked > waiting
@@ -950,7 +959,6 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                     assert all(bound[i] <= 1 + bound[j] for j in edges[i]), (state, prefix)
                     assert all(h[i] <= 1 + h[j] for j in edges[i]), (state, prefix)
                 checked += 1
-            space = SlotSpace(p, prefix)
             walk = random_walk(p, random.Random(len(states)), 40)
             for state, following in zip(walk, walk[1:]):
                 h0 = heuristic(state, p, prefix)
@@ -963,7 +971,7 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                         assert h2 + hand_at_pop(space, successor, h2) == \
                             heuristic(following, p, prefix), (following, prefix)
                         popped += 1
-    assert checked >= 360_000
+    assert checked >= 400_000
     assert stronger >= 25_000
     assert blocking >= 50_000
     assert raised >= 25_000
