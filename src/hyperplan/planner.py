@@ -112,10 +112,10 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     together sum a cost over every object that must move, plus the
     set-downs that the robots' total hand capacity C (``p.hands``) cannot
     avoid: the hand term W, and with C >= 2 and at least 2C + 2 objects
-    that can move the larger of W and the blocker term B. ``search`` calls it once, on the
-    start state, and takes the per-slot part of a successor's h as its
-    parent's plus the change in the terms of the entries the action
-    replaced.
+    that can move the larger of W and the blocker term B. ``search`` calls
+    it once, on the start state, and takes the per-slot part of a
+    successor's h as its parent's plus the change in the terms of the
+    entries the action replaced.
 
     Per-slot terms: each action moves exactly one object, and each term
     counts actions on a different object, so the sum stays admissible with
@@ -176,8 +176,8 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     B drops by at most 1 per action, and the larger of two consistent
     bounds is consistent. B is 0 where nothing must move. It costs time at
     every state ``search`` pops, so it is added only with at least 2C + 2
-    objects that can move (``blocker_bound``): on smaller problems the few
-    expansions it saves do not repay that time.
+    objects that can move (``blocker_bound``): on the two-robot problems of
+    4 objects measured, the expansions it saves did not repay that time.
 
     With one hand (C = 1), a_t is 0, so the hand term is a sum over slots:
     ``stack_term`` charges t's goal objects in t from ``stack[k]`` up and
