@@ -13,8 +13,11 @@ one-hand set-downs included; with more than one hand the set-downs are
 not: they are the hand term, or with C hands and at least 2C + 2 objects
 that can move the larger of it and the blocker term, which charges the
 objects above each stack's lowest object that must move beyond what the
-hands can hold. A* adds them once per popped state, pushing the state
-again when they raise its f (as Lazy A* defers a costly heuristic).
+hands can hold. ``SlotSpace.pop_term`` is their one evaluator, which
+``heuristic`` calls too: A* adds it at the first pop of every state, the
+start's included, and pushes the state again when it raises its f (as
+Lazy A* defers a costly heuristic). A search with no goal stack the hand
+term may charge and no blocker term, where it is 0 everywhere, skips it.
 States that differ only in which interchangeable robot holds what are
 one node; when the robots' one such class is a pair, the common case,
 each successor is keyed as it is built.
@@ -112,10 +115,13 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     together sum a cost over every object that must move, plus the
     set-downs that the robots' total hand capacity C (``p.hands``) cannot
     avoid: the hand term W, and with C >= 2 and at least 2C + 2 objects
-    that can move the larger of W and the blocker term B. ``search`` calls
-    it once, on the start state, and takes the per-slot part of a
-    successor's h as its parent's plus the change in the terms of the
-    entries the action replaced.
+    that can move the larger of W and the blocker term B. The per-slot
+    terms are ``per_slot_bound``, and the rest is ``SlotSpace.pop_term``,
+    the one evaluator of it. ``search`` takes its start state's per-slot
+    bound from ``per_slot_bound`` and a successor's as its parent's plus
+    the change in the terms of the entries the action replaced, and adds
+    ``SlotSpace.pop_term`` when it first pops a state; this function, which
+    builds a ``SlotSpace`` per call, is for checking the two.
 
     Per-slot terms: each action moves exactly one object, and each term
     counts actions on a different object, so the sum stays admissible with
@@ -184,8 +190,18 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     ``regrasp_term`` each held one, and ``search`` updates them per
     successor; the blocker term is not applied. With C >= 2, W is
     ``hand_charge`` per goal stack and B ``blocker_charge`` per stack, and
-    ``search`` adds W, or their larger, when it pops a state
-    (``SlotSpace.hand_term``, ``SlotSpace.pop_term``).
+    ``SlotSpace.pop_term`` adds W, or their larger.
+    """
+    h = per_slot_bound(s, p, prefix)
+    if h is None or p.hands == 1:
+        return h
+    space = SlotSpace(p, prefix)
+    return h + space.pop_term(space.slots(s), h)
+
+
+def per_slot_bound(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
+    """``heuristic``'s per-slot terms, the one-hand terms with one hand,
+    summed; None flags a dead end. It is all of ``heuristic`` with one hand.
 
     Dead ends: an object that must move rests where no robot reaches, or a
     goal region no robot reaches is unsatisfied in this reading. No action
@@ -193,53 +209,30 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     start that is no dead end is none either.
     """
     stacks = s.stacks
-    goal = p.goal
     for region in p.unreachable_goals:
-        want = goal[region]
+        want = p.goal[region]
         stack = stacks.get(region, ())
         if (stack[:len(want)] if prefix else stack) != want:
             return None
     reachable = p.reachable
     total = 0
-    costs = []
     for region, stack in stacks.items():
         cost = stack_term(region, stack, p, prefix)
         if cost and region not in reachable:
             return None
         total += cost
-        costs.append(cost)
     for region, objs in s.buffers.items():
         for o in objs:
             cost = placed_term(region, o, p)
             if cost and region not in reachable:
                 return None
             total += cost
-    hands = p.hands
-    held = []   # (object, its held_term) per held object
+    one_hand = p.hands == 1
     for holder, objs in s.holdings.items():
         for o in objs:
-            cost = held_term(holder, o, p)
-            held.append((o, cost))
-            total += cost
-            if hands == 1:
+            total += held_term(holder, o, p)
+            if one_hand:
                 total += regrasp_term(o, stacks, p)
-    if 1 < hands and total > hands - len(held):   # else 0; see SlotSpace.pop_term
-        loads = tuple(s.holdings.values())
-        extra = 0
-        if total > 2 * hands - len(held):
-            for t in charged_stacks(p):
-                entry = hand_entry(t, stacks.get(t, ()), p)
-                if entry is not None:
-                    extra += hand_charge(entry, loads, p)
-        if blocker_bound(p):
-            for (region, stack), cost in zip(stacks.items(), costs):
-                # x costs at least 1, or 2 where there is no goal (see SlotSpace.pop_term)
-                least = 1 if region in goal else 2
-                if cost - least >= hands - len(held):
-                    entry = blocker_entry(region, stack, p, prefix)
-                    if entry is not None:
-                        extra = max(extra, blocker_charge(entry, held, hands - 1))
-        total += extra
     return total
 
 
@@ -327,14 +320,6 @@ def regrasp_term(o: str, stacks: dict, p: Problem) -> int:
     return 0 if stacks.get(t, ()) == want[:want.index(o)] else 2
 
 
-def charged_stacks(p: Problem) -> list:
-    """The goal regions the hand term may charge when ``p.hands`` >= 2:
-    every robot reaches them, and their goal stacks hold C objects or more.
-    """
-    hands, shared = p.hands, p.shared_reach
-    return [t for t, want in p.goal.items() if len(want) >= hands and t in shared]
-
-
 def hand_entry(region: str, stack: tuple, p: Problem) -> tuple | None:
     """What ``hand_charge`` reads of goal region ``region`` holding
     ``stack`` when ``p.hands`` >= 2 (see ``heuristic``): None when fewer
@@ -349,11 +334,7 @@ def hand_entry(region: str, stack: tuple, p: Problem) -> tuple | None:
     ``len(want)``.
     """
     want = p.goal[region]
-    k = 0
-    for have, wanted in zip(stack, want):
-        if have != wanted:
-            break
-        k += 1
+    k = must_move_from(region, stack, p, False)
     if len(want) - k < p.hands:
         return None
     target = p.goal_region
@@ -460,17 +441,17 @@ class SlotSpace:
     ``successors`` then keys each successor as it builds it. ``key`` keys
     the start state, and the successors of every other class shape.
 
-    The hand term (see ``heuristic``) comes in one of two forms. With one
-    hand, ``ready`` maps each goal object to its goal region's slot and the
-    goal stack below it, the two things ``regrasp_term`` reads, and
-    ``successors`` updates the term per successor. With C >= 2,
-    ``hand_term`` evaluates it on a slot state, and ``charged`` holds one
-    ``(slot, region, entries)`` per region of ``charged_stacks``,
-    ``entries`` keeping ``hand_entry`` by stack. When ``blocking``
-    (``blocker_bound``), ``pop_term`` adds the blocker term, and
-    ``blocked`` holds one ``(slot, region, entries, least)`` per stack
-    region, ``entries`` keeping ``blocker_entry`` by stack. Each is None
-    until used.
+    With one hand the hand term (see ``heuristic``) is per slot: ``ready``
+    maps each goal object to its goal region's slot and the goal stack
+    below it, the two things ``regrasp_term`` reads, and ``successors``
+    updates the term per successor. With C >= 2 the hand term, and with
+    ``blocker_bound`` the blocker term, are ``pop_term``, on a slot state.
+    ``charged`` holds one ``(slot, region, entries)`` per goal region the
+    hand term may charge: every robot reaches it, and its goal stack holds
+    C objects or more. With ``blocker_bound``, ``blocked`` holds one
+    ``(slot, region, entries, least)`` per stack region. ``entries`` keeps
+    ``hand_entry`` or ``blocker_entry`` by stack. Both tables are empty
+    with one hand, and where they are, ``pop_term`` is 0 on every state.
     """
 
     def __init__(self, p: Problem, prefix: bool) -> None:
@@ -482,86 +463,70 @@ class SlotSpace:
         self.terms += [Memo(held_term, row[0], p) for row in self.rows]
         self.pops = [{} for _ in p.regions]
         self.first_robot = len(p.regions)
-        self.blocking = blocker_bound(p)
-        self.ready = self.charged = self.blocked = None
-        if p.hands == 1:
-            region_slot = p.region_slot
+        self.ready, self.charged, self.blocked = None, (), ()
+        hands, region_slot = p.hands, p.region_slot
+        if hands == 1:
             self.ready = {o: (region_slot[t], want[:i]) for t, want in p.goal.items()
                           for i, o in enumerate(want)}
+        else:
+            shared = p.shared_reach
+            self.charged = [(region_slot[t], t, {}) for t, want in p.goal.items()
+                            if len(want) >= hands and t in shared]
+        if blocker_bound(p):
+            goal = p.goal
+            self.blocked = [(slot, region, {}, 1 if region in goal else 2)
+                            for slot, region in p.slot_layout[2]]
 
-    def hand_term(self, state: tuple, h: int) -> int:
-        """With C >= 2, the hand term of slot state ``state``, whose h
-        without it is ``h`` or less: ``hand_charge`` per memoised entry of
-        ``charged`` that could be charged, built at the first call that
-        needs them.
+    def pop_term(self, state: tuple, h: int) -> int:
+        """What the search adds to slot state ``state`` when it first pops
+        it, given ``h``, its per-slot h or less: the hand term, or with
+        ``blocked`` the larger of it and the largest ``blocker_charge`` (see
+        ``heuristic``); 0 with one hand.
 
-        A charge needs more than a_t >= C - 1 objects in one W_t, each
-        costing 2 in the per-slot terms where it rests, or 1 held: at least
-        2C less the n held objects. Unless a_t = C, one more object must
-        move too: ``stack[k]`` if it is no goal object of t, else
-        ``want[k]``, which is then not in W_t. So the term is 0 while ``h``
-        is at most 2C - n, a goal stack is not charged while its
-        ``stack_term`` is below 2C - 2n, and an entry only when its resting
-        objects and n exceed its ``spare``.
+        Its exits, with n held objects. A blocker charge needs C objects of
+        positive weight, each costing at least 1 in the per-slot terms
+        unless held, and x costs at least ``least``: 1, or 2 where there is
+        no goal, as x is then a goal object. A hand charge needs more than
+        a_t >= C - 1 objects in one W_t, each costing 2 in the per-slot
+        terms where it rests, or 1 held: at least 2C less n; unless a_t =
+        C, one more object must move too: ``stack[k]`` if it is no goal
+        object of t, else ``want[k]``, which is then not in W_t. So both
+        terms are 0 while ``h`` is at most C - n, and the hand term while
+        ``h`` is at most 2C - n. A goal stack is not charged while its
+        ``stack_term`` is below 2C - 2n, nor an entry unless its resting
+        objects and n exceed its ``spare``. A stack is not blocked while its
+        ``stack_term`` less ``least`` is below C - n, or while that plus 2
+        per held object, less C - 1, cannot beat the larger term so far.
         """
         loads = state[self.first_robot:]
         held = sum(map(len, loads))
         p = self.p
-        twice = 2 * p.hands
-        if h <= twice - held:
-            return 0
-        charged = self.charged
-        if charged is None:
-            region_slot = p.region_slot
-            charged = self.charged = [(region_slot[t], t, {}) for t in charged_stacks(p)]
-        terms = self.terms
-        total = 0
-        for slot, region, entries in charged:
-            stack = state[slot]
-            if terms[slot][stack] < twice - 2 * held:
-                continue
-            entry = entries.get(stack, entries)   # the table itself: not seen yet
-            if entry is entries:
-                entry = entries[stack] = hand_entry(region, stack, p)
-            if entry is not None and entry[1] + held > entry[3]:
-                total += hand_charge(entry, loads, p)
-        return total
-
-    def pop_term(self, state: tuple, h: int) -> int:
-        """When ``blocking``, what the search adds to slot state ``state``,
-        whose h without it is ``h`` or less: the larger of ``hand_term`` and
-        the largest ``blocker_charge`` (see ``heuristic``).
-
-        A blocker charge needs C objects of positive weight, each costing at
-        least 1 in the per-slot terms unless held, and x costs at least
-        ``least``: 1, or 2 where there is no goal, as x is then a goal
-        object. So both terms are 0 while ``h`` is at most C - n, with n
-        held objects, and a stack is skipped when its ``stack_term`` less
-        ``least`` is below C - n, or when that plus 2 per held object, less
-        C - 1, cannot beat the larger term so far.
-        """
-        loads = state[self.first_robot:]
-        held = sum(map(len, loads))
-        spare = self.p.hands - 1
+        spare = p.hands - 1
         free = spare + 1 - held
         if h <= free:
             return 0
-        best = self.hand_term(state, h) if h > spare + 1 + free else 0
-        blocked = self.blocked
-        if blocked is None:
-            goal = self.p.goal
-            blocked = self.blocked = [(slot, region, {}, 1 if region in goal else 2)
-                                      for slot, region in self.p.slot_layout[2]]
         terms = self.terms
+        best = 0
+        twice = 2 * p.hands
+        if h > twice - held:
+            for slot, region, entries in self.charged:
+                stack = state[slot]
+                if terms[slot][stack] < twice - 2 * held:
+                    continue
+                entry = entries.get(stack, entries)   # the table itself: not seen yet
+                if entry is entries:
+                    entry = entries[stack] = hand_entry(region, stack, p)
+                if entry is not None and entry[1] + held > entry[3]:
+                    best += hand_charge(entry, loads, p)
         carried = None
-        for slot, region, entries, least in blocked:
+        for slot, region, entries, least in self.blocked:
             stack = state[slot]
             cost = terms[slot][stack] - least
             if cost < free or cost + held - free + 1 <= best:
                 continue
             entry = entries.get(stack, entries)   # the table itself: not seen yet
             if entry is entries:
-                entry = entries[stack] = blocker_entry(region, stack, self.p, self.prefix)
+                entry = entries[stack] = blocker_entry(region, stack, p, self.prefix)
             if entry is None or 2 * (entry[1] + held) + entry[2] - spare <= best:
                 continue
             if carried is None:
@@ -762,7 +727,7 @@ def search_unchecked(p: Problem, config: SearchConfig | None = None,
 
 def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     """``search`` on a checked problem; the caller times it."""
-    h0 = heuristic(p.initial, p, prefix)
+    h0 = per_slot_bound(p.initial, p, prefix)
     if h0 is None:
         raise NoSolution("an object that must move or a goal region is unreachable")
     if not h0:   # the start is a goal; see heuristic
@@ -772,15 +737,13 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     init = space.slots(p.initial)
     init_key = space.key(init)
     # (f, h, insertion, state, key, base): base is the per-slot h, which
-    # successors builds on. With C >= 2 hands a successor is pushed with its
-    # per-slot h, a lower bound, and base None; its first pop adds the hand
-    # or blocker term (see heuristic) and pushes it again, with the raised f
-    # and h and its base, when the term is positive.
-    hands = p.hands
-    lazy = space.pop_term if space.blocking else space.hand_term if hands > 1 else None
-    lowest = 0 if space.blocking else hands   # the term is 0 at this h and below
-    base = h0 - lazy(init, h0) if lazy else h0
-    frontier = [(h0, h0, 0, init, init_key, base)]
+    # successors builds on. When the pop-time term can be positive (see
+    # SlotSpace), every entry, the start's too, is pushed with its per-slot
+    # h, a lower bound, and base None; its first pop adds the term and
+    # pushes it again, with the raised f and h and its base, when the term
+    # is positive.
+    lazy = space.pop_term if space.charged or space.blocked else None
+    frontier = [(h0, h0, 0, init, init_key, None if lazy else h0)]
     # SlotSpace.key -> (g, predecessor's key, action). When a key is first
     # expanded, its state is the predecessor's expanded state with the
     # action applied: states of one key share h, so a later, strictly better
@@ -808,11 +771,10 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
             return actions, SearchStats(expansions, generated, len(actions))
         if base is None:
             base = h
-            if h > lowest:
-                extra = lazy(state, h)
-                if extra:
-                    push(frontier, (f + extra, h + extra, n, state, key, h))
-                    continue
+            extra = lazy(state, h)
+            if extra:
+                push(frontier, (f + extra, h + extra, n, state, key, h))
+                continue
         expansions += 1
         if expansions > max_expansions:
             raise BudgetExhausted(max_expansions)

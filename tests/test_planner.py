@@ -703,15 +703,6 @@ def slot_bound(state: WorldState, p: Problem, prefix: bool) -> int:
     return total
 
 
-def hand_at_pop(space: SlotSpace, slots: tuple, h: int) -> int:
-    """What the search adds to a popped state of per-slot h ``h``: with
-    C >= 2 the hand term, or the larger of it and the blocker term with at
-    least 2C + 2 objects; else 0 (one hand's terms are per slot)."""
-    if space.blocking:
-        return space.pop_term(slots, h)
-    return space.hand_term(slots, h) if space.p.hands > 1 else 0
-
-
 @pytest.mark.parametrize("prefix", [False, True])
 def test_slot_successors_match_apply_and_heuristic(prefix):
     """At every walked state, the search's successors are
@@ -728,7 +719,7 @@ def test_slot_successors_match_apply_and_heuristic(prefix):
         space = spaces[id(p)]
         slots = space.slots(state)
         h = heuristic(state, p, prefix)
-        base = 0 if h is None else h - hand_at_pop(space, slots, h)
+        base = 0 if h is None else h - space.pop_term(slots, h)
         got = space.successors(slots, base)
         applied = [(action, apply(state, action, p)) for action in applicable_actions(state, p)]
         assert [(action, successor, key) for action, successor, key, _ in got] == \
@@ -739,7 +730,7 @@ def test_slot_successors_match_apply_and_heuristic(prefix):
             continue
         assert base == slot_bound(state, p, prefix), (state, prefix)
         assert (h == 0) == is_goal(state, p, prefix=prefix)
-        successor_h = [h2 + hand_at_pop(space, successor, h2) for _, successor, _, h2 in got]
+        successor_h = [h2 + space.pop_term(successor, h2) for _, successor, _, h2 in got]
         assert successor_h == [heuristic(successor, p, prefix) for _, successor in applied], \
             (state, prefix)
         assert all(h <= 1 + h2 for h2 in successor_h), (state, prefix)
@@ -943,7 +934,7 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                 bound.append(per_slot + max(waiting, blocked))
                 assert h_i == (bound[-1] if planner.blocker_bound(p) else per_slot + waiting), \
                     (state, prefix)
-                assert per_slot + hand_at_pop(space, space.slots(state), per_slot) == h_i, \
+                assert per_slot + space.pop_term(space.slots(state), per_slot) == h_i, \
                     (state, prefix)
                 stronger += waiting > 0
                 blocking += blocked > waiting
@@ -965,10 +956,10 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                 if h0 is None:
                     continue
                 slots = space.slots(state)
-                base = h0 - hand_at_pop(space, slots, h0)
+                base = h0 - space.pop_term(slots, h0)
                 for _, successor, _, h2 in space.successors(slots, base):
                     if successor == space.slots(following):
-                        assert h2 + hand_at_pop(space, successor, h2) == \
+                        assert h2 + space.pop_term(successor, h2) == \
                             heuristic(following, p, prefix), (following, prefix)
                         popped += 1
     assert checked >= 400_000
@@ -1164,12 +1155,13 @@ def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
     from conftest import reversal_problem
 
     seen = []
+    per_slot_bound = planner.per_slot_bound
 
     def spy(*args):
         seen.append(gc.isenabled())
-        return heuristic(*args)
+        return per_slot_bound(*args)
 
-    monkeypatch.setattr(planner, "heuristic", spy)
+    monkeypatch.setattr(planner, "per_slot_bound", spy)
     unsolvable = Problem((Region("L", "stack"),), (RobotSpec("a", frozenset({"L"})),),
                          ("x", "y"), WorldState(stacks={"L": ("x", "y")}),
                          {"L": ("y", "x")})
@@ -1189,3 +1181,28 @@ def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen == [False] * 6
+
+
+def test_search_adds_the_pop_time_term_only_where_it_can_be_positive(fig2, monkeypatch):
+    """fig2 has two hands and disjoint reach: no goal stack that every
+    robot reaches, and 3 objects, under the 2C + 2 gate, so the pop-time
+    term is 0 on every state and the search never evaluates it. A blocker
+    tower with 3 blockers gets it at the first pop of every state it
+    expands, the start included. Both keep their pinned counts."""
+    calls = []
+    pop_term = SlotSpace.pop_term
+
+    def spy(space, state, h):
+        calls.append(h)
+        return pop_term(space, state, h)
+
+    monkeypatch.setattr(SlotSpace, "pop_term", spy)
+    p = fig2.problem
+    space = SlotSpace(p, False)
+    assert (p.hands, space.charged, space.blocked) == (2, [], ())
+    actions, stats = search(p)
+    assert (stats.expansions, stats.generated) == GOLDEN["fig2"][:2]
+    assert len(actions) == 9 and calls == []
+    actions, stats = search(shared_blockers(3, 0))
+    assert (len(actions), stats.expansions, stats.generated) == (14, 18, 67)
+    assert len(calls) >= stats.expansions
