@@ -4,23 +4,27 @@
 counts the objects that must move and the set-downs and re-picks the
 robots' hands cannot avoid, so the returned action count is minimal;
 among frontier entries of equal f the lower h pops first, then the
-earlier push. It runs over flat slot tuples (``SlotSpace``), so hashing
-and comparing states are tuple operations: ``SlotSpace.successors``
-builds each successor, its h, derived from its parent's, and its key in
-one pass and hands the three over together, and one table maps each key
-to its g and how it was reached. That h is a sum of per-slot terms, the
-one-hand set-downs included; with more than one hand the set-downs are
-not: they are the hand term, or with C hands and at least 2C + 2 objects
-that can move the larger of it and the blocker term, which charges the
-objects above each stack's lowest object that must move beyond what the
-hands can hold. ``SlotSpace.pop_term`` is their one evaluator, which
-``heuristic`` calls too: A* adds it at the first pop of every state, the
-start's included, and pushes the state again when it raises its f (as
-Lazy A* defers a costly heuristic). A search with no goal stack the hand
-term may charge and no blocker term, where it is 0 everywhere, skips it.
-States that differ only in which interchangeable robot holds what are
-one node; when the robots' one such class is a pair, the common case,
-each successor is keyed as it is built.
+earlier push. It runs over flat slot tuples (``SlotSpace``) whose stack
+slots are ``StackRecord``s, one per stack a region holds in the search,
+linked as a trie from the stack below to the stacks above, each with its
+term: a pick or place reads the record it leads to off the one it
+leaves, and hashing and comparing states are tuple operations over those
+records' identities. ``SlotSpace.successors`` builds each successor, its
+h, derived from its parent's, and its key in one pass and hands the
+three over together, and one table maps each key to its g and how it was
+reached. That h is a sum of per-slot terms, the one-hand set-downs
+included; with more than one hand the set-downs are not: they are the
+hand term, or with C hands and at least 2C + 2 objects that can move the
+larger of it and the blocker term, which charges the objects above each
+stack's lowest object that must move beyond what the hands can hold.
+``SlotSpace.pop_term`` is their one evaluator, which ``heuristic`` calls
+too: A* adds it at the first pop of every state, the start's included,
+and pushes the state again when it raises its f (as Lazy A* defers a
+costly heuristic). A search with no goal stack the hand term may charge
+and no blocker term, where it is 0 everywhere, skips it. States that
+differ only in which interchangeable robot holds what are one node; when
+the robots' one such class is a pair, the common case, each successor is
+keyed as it is built.
 It returns actions and compiles nothing. It checks its problem first;
 ``search_unchecked`` is the rest of it, for refinement's sub-problems,
 which are valid by construction. ``Compiler`` turns actions into a
@@ -117,11 +121,12 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     avoid: the hand term W, and with C >= 2 and at least 2C + 2 objects
     that can move the larger of W and the blocker term B. The per-slot
     terms are ``per_slot_bound``, and the rest is ``SlotSpace.pop_term``,
-    the one evaluator of it. ``search`` takes its start state's per-slot
-    bound from ``per_slot_bound`` and a successor's as its parent's plus
-    the change in the terms of the entries the action replaced, and adds
-    ``SlotSpace.pop_term`` when it first pops a state; this function, which
-    builds a ``SlotSpace`` per call, is for checking the two.
+    the one evaluator of it. ``search`` sums its start state's per-slot
+    bound from the terms of its stack records (see ``SlotSpace``), takes a
+    successor's as its parent's plus the change in the terms of the slots
+    the action replaced, and adds ``SlotSpace.pop_term`` when it first pops
+    a state; this function, which builds a ``SlotSpace`` per call, is for
+    checking the two.
 
     Per-slot terms: each action moves exactly one object, and each term
     counts actions on a different object, so the sum stays admissible with
@@ -208,6 +213,14 @@ def per_slot_bound(s: WorldState, p: Problem, prefix: bool = False) -> int | Non
     changes a region no robot reaches, so a state the search reaches from a
     start that is no dead end is none either.
     """
+    return _slot_sum(s, p, prefix, [(region, stack_term(region, stack, p, prefix))
+                                    for region, stack in s.stacks.items()])
+
+
+def _slot_sum(s: WorldState, p: Problem, prefix: bool, stack_terms: list) -> int | None:
+    """``per_slot_bound`` of ``s`` given its stacks' terms, one ``(region,
+    stack_term)`` per stack region, as ``search`` has them on its start
+    state's records."""
     stacks = s.stacks
     for region in p.unreachable_goals:
         want = p.goal[region]
@@ -216,8 +229,7 @@ def per_slot_bound(s: WorldState, p: Problem, prefix: bool = False) -> int | Non
             return None
     reachable = p.reachable
     total = 0
-    for region, stack in stacks.items():
-        cost = stack_term(region, stack, p, prefix)
+    for region, cost in stack_terms:
         if cost and region not in reachable:
             return None
         total += cost
@@ -256,15 +268,18 @@ def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
     more. No object of the goal stack rests above k once it is complete.
     """
     k = must_move_from(region, stack, p, prefix)
-    target = p.goal_region
-    pairs = p.reach_pairs
-    total = 0
-    for o in stack[k:]:
-        t = target.get(o)
-        total += 1 if t is None else 2 if (region, t) in pairs else 3
-    if p.hands == 1:
-        total += 2 * sum(target.get(o) == region for o in stack[k:])
-    return total
+    return sum(stack_cost(region, o, p) for o in stack[k:])
+
+
+def stack_cost(region: str, o: str, p: Problem) -> int:
+    """What ``stack_term`` charges for ``o`` in stack region ``region`` when
+    it must move: 1 outside the goal, else 2 or 3, and with one hand 2 more
+    when ``region`` is its goal region."""
+    t = p.goal_region.get(o)
+    if t is None:
+        return 1
+    cost = 2 if (region, t) in p.reach_pairs else 3
+    return cost + 2 if t == region and p.hands == 1 else cost
 
 
 def must_move_from(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
@@ -426,42 +441,69 @@ def blocker_charge(entry: tuple, held, spare: int) -> int:
     return twos + ones - spare if twos + ones > spare else 0
 
 
+class StackRecord:
+    """One stack of one stack region in one search: ``stack``, its objects
+    bottom up, ``top``, its last (None when empty), and ``term``, its
+    ``stack_term``. The records of a region are linked as a trie:
+    ``parent`` is the record of ``stack`` without ``top``, None until the
+    first pick from this one, and ``up[o]`` the record of ``stack`` with
+    ``o`` placed on it. ``hand`` and ``blocker`` hold its ``hand_entry`` and
+    ``blocker_entry`` once ``SlotSpace.pop_term`` first reads them, False
+    until then. Records have no ``__eq__`` or ``__hash__``: states hash and
+    compare their stack slots by identity, which is exact, as ``SlotSpace``
+    makes one record per stack per region."""
+
+    __slots__ = ("stack", "top", "term", "parent", "up", "hand", "blocker")
+
+    def __init__(self, stack: tuple, term: int, parent: StackRecord | None = None) -> None:
+        self.stack, self.term, self.parent = stack, term, parent
+        self.top = stack[-1] if stack else None
+        self.up: dict = {}
+        self.hand = self.blocker = False
+
+
 class SlotSpace:
     """A problem's states as slot tuples, laid out by ``Problem.robot_table``,
     with the heuristic's per-slot terms for one goal reading, its hand term
     and the search key.
 
-    ``terms[slot]`` memoises the heuristic's terms for a slot: by object,
-    its ``placed_term`` in a buffer slot and its ``held_term`` in a robot
-    slot; by stack, ``stack_term`` in a stack slot. ``pops[slot]`` keeps
-    the picks from a stack slot: by stack, the stack without its top and
-    the change in ``stack_term``, stored at the stack's first pick.
-    ``pair`` is the two robot slots of the one class of interchangeable
-    robots when that class is a pair and the only one, the common case:
-    ``successors`` then keys each successor as it builds it. ``key`` keys
-    the start state, and the successors of every other class shape.
+    A stack slot holds a ``StackRecord``, a buffer slot a frozenset of
+    objects and a robot slot its load, a tuple in pick order. ``slots``
+    makes a record, with its ``stack_term``, for each stack of the state it
+    is given, the start of a search; ``successors`` reaches every other
+    record through their links and makes each at the first pick (``pop``)
+    or place (``push``) that leads to it, its term in O(1) from its
+    neighbour's. Each pick registers the record it leaves in the parent's
+    ``up``, so from one ``slots`` call on, a region holds one record per
+    stack, and states compare and hash their stack slots by identity.
+    ``terms[slot]`` memoises, by object, the heuristic's cost of an object
+    in that slot: in a stack slot what ``stack_term`` charges it when it
+    must move (``stack_cost``), in a buffer slot its ``placed_term``, and in
+    a robot slot its ``held_term``. ``pair`` is the two robot slots of the
+    one class of interchangeable robots when that class is a pair and the
+    only one, the common case: ``successors`` then keys each successor as
+    it builds it. ``key`` keys the start state, and the successors of every
+    other class shape.
 
     With one hand the hand term (see ``heuristic``) is per slot: ``ready``
     maps each goal object to its goal region's slot and the goal stack
     below it, the two things ``regrasp_term`` reads, and ``successors``
     updates the term per successor. With C >= 2 the hand term, and with
     ``blocker_bound`` the blocker term, are ``pop_term``, on a slot state.
-    ``charged`` holds one ``(slot, region, entries)`` per goal region the
-    hand term may charge: every robot reaches it, and its goal stack holds
-    C objects or more. With ``blocker_bound``, ``blocked`` holds one
-    ``(slot, region, entries, least)`` per stack region. ``entries`` keeps
-    ``hand_entry`` or ``blocker_entry`` by stack. Both tables are empty
-    with one hand, and where they are, ``pop_term`` is 0 on every state.
+    ``charged`` holds one ``(slot, region)`` per goal region the hand term
+    may charge: every robot reaches it, and its goal stack holds C objects
+    or more. With ``blocker_bound``, ``blocked`` holds one ``(slot, region,
+    least)`` per stack region. Both tables are empty with one hand, and
+    where they are, ``pop_term`` is 0 on every state.
     """
 
     def __init__(self, p: Problem, prefix: bool) -> None:
         self.p, self.prefix = p, prefix
         self.rows = p.robot_table
-        self.classes, self.pair, _ = p.slot_layout
-        self.terms = [Memo(stack_term, r.id, p, prefix) if r.kind == STACK
-                      else Memo(placed_term, r.id, p) for r in p.regions]
+        self.classes, self.pair, stacks = p.slot_layout
+        self.terms = [Memo(stack_cost if r.kind == STACK else placed_term, r.id, p)
+                      for r in p.regions]
         self.terms += [Memo(held_term, row[0], p) for row in self.rows]
-        self.pops = [{} for _ in p.regions]
         self.first_robot = len(p.regions)
         self.ready, self.charged, self.blocked = None, (), ()
         hands, region_slot = p.hands, p.region_slot
@@ -470,12 +512,12 @@ class SlotSpace:
                           for i, o in enumerate(want)}
         else:
             shared = p.shared_reach
-            self.charged = [(region_slot[t], t, {}) for t, want in p.goal.items()
+            self.charged = [(region_slot[t], t) for t, want in p.goal.items()
                             if len(want) >= hands and t in shared]
         if blocker_bound(p):
             goal = p.goal
-            self.blocked = [(slot, region, {}, 1 if region in goal else 2)
-                            for slot, region in p.slot_layout[2]]
+            self.blocked = [(slot, region, 1 if region in goal else 2)
+                            for slot, region in stacks]
 
     def pop_term(self, state: tuple, h: int) -> int:
         """What the search adds to slot state ``state`` when it first pops
@@ -505,31 +547,31 @@ class SlotSpace:
         free = spare + 1 - held
         if h <= free:
             return 0
-        terms = self.terms
         best = 0
         twice = 2 * p.hands
         if h > twice - held:
-            for slot, region, entries in self.charged:
-                stack = state[slot]
-                if terms[slot][stack] < twice - 2 * held:
+            for slot, region in self.charged:
+                here = state[slot]
+                if here.term < twice - 2 * held:
                     continue
-                entry = entries.get(stack, entries)   # the table itself: not seen yet
-                if entry is entries:
-                    entry = entries[stack] = hand_entry(region, stack, p)
+                entry = here.hand
+                if entry is False:
+                    entry = here.hand = hand_entry(region, here.stack, p)
                 if entry is not None and entry[1] + held > entry[3]:
                     best += hand_charge(entry, loads, p)
         carried = None
-        for slot, region, entries, least in self.blocked:
-            stack = state[slot]
-            cost = terms[slot][stack] - least
+        for slot, region, least in self.blocked:
+            here = state[slot]
+            cost = here.term - least
             if cost < free or cost + held - free + 1 <= best:
                 continue
-            entry = entries.get(stack, entries)   # the table itself: not seen yet
-            if entry is entries:
-                entry = entries[stack] = blocker_entry(region, stack, p, self.prefix)
+            entry = here.blocker
+            if entry is False:
+                entry = here.blocker = blocker_entry(region, here.stack, p, self.prefix)
             if entry is None or 2 * (entry[1] + held) + entry[2] - spare <= best:
                 continue
             if carried is None:
+                terms = self.terms
                 carried = [(o, terms[rslot][o])
                            for rslot, load in enumerate(loads, self.first_robot) for o in load]
             charge = blocker_charge(entry, carried, spare)
@@ -538,10 +580,52 @@ class SlotSpace:
         return best
 
     def slots(self, s: WorldState) -> tuple:
+        """``s`` as a slot state, each of its stacks a new ``StackRecord``
+        with no parent and its ``stack_term``: a search's start."""
         stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
-        return tuple(
-            [stacks.get(r.id, ()) if r.kind == STACK else buffers.get(r.id, frozenset())
-             for r in self.p.regions] + [holdings.get(row[0], ()) for row in self.rows])
+        p, prefix = self.p, self.prefix
+        out = []
+        for r in p.regions:
+            if r.kind == STACK:
+                stack = stacks.get(r.id, ())
+                out.append(StackRecord(stack, stack_term(r.id, stack, p, prefix)))
+            else:
+                out.append(buffers.get(r.id, frozenset()))
+        return tuple(out + [holdings.get(row[0], ()) for row in self.rows])
+
+    def pop(self, slot: int, here: StackRecord) -> StackRecord:
+        """The record below ``here``, in stack slot ``slot``, made at the
+        first pick from ``here``, which has no parent: only a start state's
+        stacks and the records made here have none. Its term is ``here``'s
+        less ``top``'s cost when that is positive, as then something below
+        ``top`` must move or ``top`` is the one object that must; else 0."""
+        term = here.term
+        if term:
+            term -= self.terms[slot][here.top]
+        parent = here.parent = StackRecord(here.stack[:-1], term)
+        parent.up[here.top] = here
+        return parent
+
+    def push(self, slot: int, here: StackRecord, o: str) -> StackRecord:
+        """The record of ``o`` placed on ``here``, in stack slot ``slot``,
+        made at the first such place. While something in ``here`` must
+        move, ``o`` must move too and adds its cost. Where nothing must, it
+        adds nothing if it is the next object the goal wants, or if it is
+        outside the goal and the region has none or, in the prefix reading,
+        holds its complete goal stack; else its cost."""
+        term = self.terms[slot][o]
+        if here.term:
+            term += here.term
+        else:
+            want = self.p.goal.get(self.p.regions[slot].id)
+            height = len(here.stack)
+            if want is not None and height < len(want):
+                if o == want[height]:
+                    term = 0
+            elif (want is None or self.prefix) and o not in self.p.goal_region:
+                term = 0
+        landed = here.up[o] = StackRecord(here.stack + (o,), term, here)
+        return landed
 
     def key(self, state: tuple) -> tuple:
         """``state`` with each class of interchangeable robots' loads sorted
@@ -565,13 +649,16 @@ class SlotSpace:
         ``h`` is the heuristic of ``state``; each successor's is ``h`` plus
         the change in the terms of the slots the action replaced, and with
         one hand the change in ``regrasp_term``: a pick adds it, read from
-        the successor, and a place takes it away, read from ``state``.
-        ``key`` is the successor's ``key``, the successor itself when no two
-        robots are alike. With a ``pair``, each successor is keyed from its slot
-        list before that is frozen: the pair's loads swapped when out of
-        order. Other class shapes are keyed by ``key`` afterwards.
+        the successor, and a place takes it away, read from ``state``. A
+        pick from a stack reads the record below it, ``parent``, and a place
+        on a stack the record above it, ``up[o]``, each made at its first
+        use. ``key`` is the successor's ``key``, the successor itself when
+        no two robots are alike. With a ``pair``, each successor is keyed
+        from its slot list before that is frozen: the pair's loads swapped
+        when out of order. Other class shapes are keyed by ``key``
+        afterwards.
         """
-        terms, pops, pair, ready = self.terms, self.pops, self.pair, self.ready
+        terms, pair, ready = self.terms, self.pair, self.ready
         if pair:
             a, b = pair
         out = []
@@ -583,10 +670,9 @@ class SlotSpace:
             tops = []
             for rslot, _, cap, pick, _ in regions:
                 here = state[rslot]
-                if not here:
-                    continue
                 if cap is None:
-                    tops.append((here[-1], rslot, True, pick))
+                    if here.top is not None:
+                        tops.append((here.top, rslot, True, pick))
                 else:
                     for o in here:
                         tops.append((o, rslot, False, pick))
@@ -597,20 +683,16 @@ class SlotSpace:
                 successor = list(state)
                 successor[slot] = load + (o,)
                 if on_stack:
-                    here, table = state[rslot], pops[rslot]
-                    popped = table.get(here)
-                    if popped is None:   # the first pick from this stack
-                        rest = here[:-1]
-                        costs = terms[rslot]
-                        popped = table[here] = rest, costs[rest] - costs[here]
-                    successor[rslot], change = popped
-                    h2 = h + held[o] + change
+                    here = state[rslot]
+                    rest = here.parent or self.pop(rslot, here)
+                    successor[rslot] = rest
+                    h2 = h + held[o] + rest.term - here.term
                 else:
                     successor[rslot] = state[rslot] - {o}
                     h2 = h + held[o] - terms[rslot][o]
                 if ready is not None:
                     home = ready.get(o)
-                    if home and successor[home[0]] != home[1]:
+                    if home and successor[home[0]].stack != home[1]:
                         h2 += 2
                 frozen = tuple(successor)
                 if pair and successor[a] > successor[b]:
@@ -634,21 +716,21 @@ class SlotSpace:
                 h1 = h - held[o]
                 if ready is not None:
                     home = ready.get(o)
-                    if home and state[home[0]] != home[1]:
+                    if home and state[home[0]].stack != home[1]:
                         h1 -= 2
                 for rslot, _, cap, _, place in regions:
                     here = state[rslot]
-                    if cap is not None and len(here) >= cap:
+                    if cap is None:
+                        landed = here.up.get(o) or self.push(rslot, here, o)
+                        h2 = h1 + landed.term - here.term
+                    elif len(here) >= cap:
                         continue
+                    else:
+                        landed = here | {o}
+                        h2 = h1 + terms[rslot][o]
                     successor = list(state)
                     successor[slot] = rest
-                    costs = terms[rslot]
-                    if cap is None:
-                        landed = successor[rslot] = here + (o,)
-                        h2 = h1 + costs[landed] - costs[here]
-                    else:
-                        successor[rslot] = here | {o}
-                        h2 = h1 + costs[o]
+                    successor[rslot] = landed
                     frozen = tuple(successor)
                     if pair and successor[a] > successor[b]:
                         successor[a], successor[b] = successor[b], successor[a]
@@ -712,8 +794,9 @@ def search_unchecked(p: Problem, config: SearchConfig | None = None,
     sub-problems through it, as each is valid by construction."""
     cfg = config or SearchConfig()
     started = time.perf_counter()
-    # nothing the search allocates forms a cycle, and each full collection
-    # would walk every state it keeps; the caller's setting is restored
+    # each collection would walk every state the search keeps; only the
+    # stack records form cycles (a parent and its ``up``), and the collector
+    # frees them once it runs again; the caller's setting is restored
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -727,14 +810,15 @@ def search_unchecked(p: Problem, config: SearchConfig | None = None,
 
 def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     """``search`` on a checked problem; the caller times it."""
-    h0 = per_slot_bound(p.initial, p, prefix)
+    space = SlotSpace(p, prefix)
+    init = space.slots(p.initial)
+    h0 = _slot_sum(p.initial, p, prefix,
+                   [(region, init[slot].term) for slot, region in p.slot_layout[2]])
     if h0 is None:
         raise NoSolution("an object that must move or a goal region is unreachable")
     if not h0:   # the start is a goal; see heuristic
         return [], SearchStats()
-    space = SlotSpace(p, prefix)
     successors = space.successors
-    init = space.slots(p.initial)
     init_key = space.key(init)
     # (f, h, insertion, state, key, base): base is the per-slot h, which
     # successors builds on. When the pop-time term can be positive (see

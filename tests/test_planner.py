@@ -33,7 +33,7 @@ from hyperplan import (
 from hyperplan import planner
 from hyperplan.cli import plan_to_json
 from hyperplan.domain import Held, InBuffer, OnStack, applicable_actions, apply
-from hyperplan.planner import Compiler, SlotSpace, heuristic
+from hyperplan.planner import Compiler, SlotSpace, StackRecord, heuristic
 
 from conftest import class_erased, load_scenario, random_instance, random_walk
 
@@ -703,6 +703,12 @@ def slot_bound(state: WorldState, p: Problem, prefix: bool) -> int:
     return total
 
 
+def contents(state: tuple) -> tuple:
+    """Slot state ``state`` with each stack slot's record read as its stack,
+    so that states of separate ``SlotSpace.slots`` calls compare."""
+    return tuple(x.stack if isinstance(x, StackRecord) else x for x in state)
+
+
 @pytest.mark.parametrize("prefix", [False, True])
 def test_slot_successors_match_apply_and_heuristic(prefix):
     """At every walked state, the search's successors are
@@ -722,8 +728,10 @@ def test_slot_successors_match_apply_and_heuristic(prefix):
         base = 0 if h is None else h - space.pop_term(slots, h)
         got = space.successors(slots, base)
         applied = [(action, apply(state, action, p)) for action in applicable_actions(state, p)]
-        assert [(action, successor, key) for action, successor, key, _ in got] == \
-            [(action, space.slots(successor), space.key(space.slots(successor)))
+        assert [(action, contents(successor), contents(key))
+                for action, successor, key, _ in got] == \
+            [(action, contents(space.slots(successor)),
+              contents(space.key(space.slots(successor))))
              for action, successor in applied], state
         checked += len(got)
         if h is None:
@@ -958,7 +966,7 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                 slots = space.slots(state)
                 base = h0 - space.pop_term(slots, h0)
                 for _, successor, _, h2 in space.successors(slots, base):
-                    if successor == space.slots(following):
+                    if contents(successor) == contents(space.slots(following)):
                         assert h2 + space.pop_term(successor, h2) == \
                             heuristic(following, p, prefix), (following, prefix)
                         popped += 1
@@ -967,6 +975,69 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
     assert blocking >= 50_000
     assert raised >= 25_000
     assert popped >= 30_000
+
+
+def test_successors_keep_one_exact_record_per_stack_on_whole_state_spaces():
+    """Every state reachable from a search's start, ``SlotSpace.slots`` of
+    the initial state, expanded through ``SlotSpace.successors`` with the
+    states themselves, not their keys, as nodes, in both goal readings: in
+    4- and 5-box permutations with one robot and with two, in blocker
+    towers, and in every corpus problem, with one hand or several. Each
+    stack record met holds its stack's ``stack_term``, is its parent's
+    ``up`` entry for its top and the parent of each of its own, and is the
+    one record of its stack in its region in that search. So the states,
+    which hash their stack slots by identity, are exactly the reachable
+    world states, and each pop-time entry a record caches is its stack's."""
+    problems = [random_permute(seed, one_robot, boxes) for one_robot in (True, False)
+                for seed, boxes in ((0, 4), (1, 4), (0, 5))]
+    problems += [shared_blockers(3, 0, side=False), shared_blockers(2, 1)]
+    corpus = [random_instance(seed, 4, 2, 4) for seed in range(400)]
+    problems += corpus
+    records = linked = cached = 0
+    for p in problems:
+        reachable = len(state_space(p)[0])
+        stack_slots = p.slot_layout[2]
+        for prefix in (False, True):
+            space = SlotSpace(p, prefix)
+            start = space.slots(p.initial)
+            h0 = planner.per_slot_bound(p.initial, p, prefix)
+            queue, h = [start], {start: h0}
+            for state in queue:   # grows as it is walked
+                if h0 is not None:
+                    space.pop_term(state, h[state])
+                for _, successor, _, h2 in space.successors(state, h[state] or 0):
+                    if successor not in h:
+                        h[successor] = h2
+                        queue.append(successor)
+            assert len(queue) == reachable, (p, prefix)
+            one, done = {}, set()   # (slot, stack) -> its record; records checked
+            for state in queue:
+                for slot, region in stack_slots:
+                    rec = state[slot]
+                    assert one.setdefault((slot, rec.stack), rec) is rec, \
+                        (p, prefix, region, rec.stack)
+                    if rec in done:
+                        continue
+                    done.add(rec)
+                    assert rec.term == planner.stack_term(region, rec.stack, p, prefix), \
+                        (p, prefix, region, rec.stack)
+                    assert rec.top == (rec.stack[-1] if rec.stack else None)
+                    if rec.parent is not None:
+                        assert rec.parent.up[rec.top] is rec
+                        linked += 1
+                    for o, child in rec.up.items():
+                        assert child.parent is rec and child.stack == rec.stack + (o,)
+                    if rec.hand is not False:
+                        assert rec.hand == planner.hand_entry(region, rec.stack, p)
+                        cached += 1
+                    if rec.blocker is not False:
+                        assert rec.blocker == planner.blocker_entry(region, rec.stack, p, prefix)
+                        cached += 1
+            records += len(one)
+    assert sum(p.hands == 1 for p in corpus) == 156
+    assert records >= 35_000
+    assert linked >= 33_000
+    assert cached >= 12_000
 
 
 def assert_search_matches_oracle(p: Problem, bound: int) -> bool:
@@ -998,7 +1069,7 @@ def test_search_with_interchangeable_robots_matches_oracle(robots, capacity):
     for state in walk[::2]:
         assert assert_search_matches_oracle(replace(p, initial=state), 30)
     space = SlotSpace(p, False)
-    assert any(space.key(space.slots(state)) != space.slots(state) for state in walk[::2])
+    assert any(space.key(slots) != slots for slots in map(space.slots, walk[::2]))
 
 
 def test_search_with_a_duplicated_robot_matches_oracle_on_corpus():
@@ -1024,7 +1095,7 @@ def test_slot_key_merges_exchanged_loads():
         key = slots(space, want)
         assert space.key(key) is key
         for exchanged in itertools.permutations(loads):
-            assert space.key(slots(space, exchanged)) == key
+            assert contents(space.key(slots(space, exchanged))) == contents(key)
     # no two robots alike: the key is the state itself
     space = SlotSpace(PERM6_ONE_ROBOT, False)
     init = space.slots(PERM6_ONE_ROBOT.initial)
@@ -1155,13 +1226,13 @@ def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
     from conftest import reversal_problem
 
     seen = []
-    per_slot_bound = planner.per_slot_bound
+    slots = SlotSpace.slots
 
-    def spy(*args):
+    def spy(space, s):
         seen.append(gc.isenabled())
-        return per_slot_bound(*args)
+        return slots(space, s)
 
-    monkeypatch.setattr(planner, "per_slot_bound", spy)
+    monkeypatch.setattr(SlotSpace, "slots", spy)
     unsolvable = Problem((Region("L", "stack"),), (RobotSpec("a", frozenset({"L"})),),
                          ("x", "y"), WorldState(stacks={"L": ("x", "y")}),
                          {"L": ("y", "x")})
