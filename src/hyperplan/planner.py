@@ -219,8 +219,8 @@ def per_slot_bound(s: WorldState, p: Problem, prefix: bool = False) -> int | Non
 
 def _slot_sum(s: WorldState, p: Problem, prefix: bool, stack_terms: list) -> int | None:
     """``per_slot_bound`` of ``s`` given its stacks' terms, one ``(region,
-    stack_term)`` per stack region, as ``search`` has them on its start
-    state's records."""
+    stack_term)`` per stack region, as ``search`` has them on its
+    ``start_records``."""
     stacks = s.stacks
     for region in p.unreachable_goals:
         want = p.goal[region]
@@ -445,8 +445,9 @@ class StackRecord:
     """One stack of one stack region in one search: ``stack``, its objects
     bottom up, ``top``, its last (None when empty), and ``term``, its
     ``stack_term``. The records of a region are linked as a trie:
-    ``parent`` is the record of ``stack`` without ``top``, None until the
-    first pick from this one, and ``up[o]`` the record of ``stack`` with
+    ``parent`` is the record of ``stack`` without ``top``, which a record
+    made by a place has from the start and any other from the first pick
+    from it (None until then), and ``up[o]`` the record of ``stack`` with
     ``o`` placed on it. ``hand`` and ``blocker`` hold its ``hand_entry`` and
     ``blocker_entry`` once ``SlotSpace.pop_term`` first reads them, False
     until then. Records have no ``__eq__`` or ``__hash__``: states hash and
@@ -462,28 +463,40 @@ class StackRecord:
         self.hand = self.blocker = False
 
 
+def start_records(s: WorldState, p: Problem, prefix: bool) -> dict:
+    """A new ``StackRecord`` for each stack region of ``p``, by region: its
+    stack in ``s``, with no parent and its ``stack_term``. These are the
+    stack slots of a search that starts at ``s``."""
+    stacks = s.stacks
+    records = {}
+    for _, region in p.slot_layout[2]:
+        stack = stacks.get(region, ())
+        records[region] = StackRecord(stack, stack_term(region, stack, p, prefix))
+    return records
+
+
 class SlotSpace:
     """A problem's states as slot tuples, laid out by ``Problem.robot_table``,
     with the heuristic's per-slot terms for one goal reading, its hand term
     and the search key.
 
     A stack slot holds a ``StackRecord``, a buffer slot a frozenset of
-    objects and a robot slot its load, a tuple in pick order. ``slots``
-    makes a record, with its ``stack_term``, for each stack of the state it
-    is given, the start of a search; ``successors`` reaches every other
-    record through their links and makes each at the first pick (``pop``)
-    or place (``push``) that leads to it, its term in O(1) from its
-    neighbour's. Each pick registers the record it leaves in the parent's
-    ``up``, so from one ``slots`` call on, a region holds one record per
-    stack, and states compare and hash their stack slots by identity.
-    ``terms[slot]`` memoises, by object, the heuristic's cost of an object
-    in that slot: in a stack slot what ``stack_term`` charges it when it
-    must move (``stack_cost``), in a buffer slot its ``placed_term``, and in
-    a robot slot its ``held_term``. ``pair`` is the two robot slots of the
-    one class of interchangeable robots when that class is a pair and the
-    only one, the common case: ``successors`` then keys each successor as
-    it builds it. ``key`` keys the start state, and the successors of every
-    other class shape.
+    objects and a robot slot its load, a tuple in pick order. A search's
+    start state holds a record, with its ``stack_term``, for each stack
+    (``start_records``, which ``slots`` makes by default); ``successors``
+    reaches every other record through their links and makes each at the
+    first pick (``pop``) or place (``push``) that leads to it, its term in
+    O(1) from its neighbour's. Each pick registers the record it leaves in
+    the parent's ``up``, so from its start on, a search holds, per region,
+    one record per stack, and states compare and hash their stack slots by
+    identity. ``terms[slot]`` memoises, by object, the heuristic's cost of
+    an object in that slot: in a stack slot what ``stack_term`` charges it
+    when it must move (``stack_cost``), in a buffer slot its
+    ``placed_term``, and in a robot slot its ``held_term``. ``pair`` is the
+    two robot slots of the one class of interchangeable robots when that
+    class is a pair and the only one, the common case: ``successors`` then
+    keys each successor as it builds it. ``key`` keys the start state, and
+    the successors of every other class shape.
 
     With one hand the hand term (see ``heuristic``) is per slot: ``ready``
     maps each goal object to its goal region's slot and the goal stack
@@ -579,19 +592,15 @@ class SlotSpace:
                 best = charge
         return best
 
-    def slots(self, s: WorldState) -> tuple:
-        """``s`` as a slot state, each of its stacks a new ``StackRecord``
-        with no parent and its ``stack_term``: a search's start."""
-        stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
-        p, prefix = self.p, self.prefix
-        out = []
-        for r in p.regions:
-            if r.kind == STACK:
-                stack = stacks.get(r.id, ())
-                out.append(StackRecord(stack, stack_term(r.id, stack, p, prefix)))
-            else:
-                out.append(buffers.get(r.id, frozenset()))
-        return tuple(out + [holdings.get(row[0], ()) for row in self.rows])
+    def slots(self, s: WorldState, records: dict | None = None) -> tuple:
+        """``s`` as a slot state, a search's start: each stack slot holds
+        the record ``records`` has for its region, by default that of
+        ``start_records(s, ...)``."""
+        if records is None:
+            records = start_records(s, self.p, self.prefix)
+        buffers, holdings = s.buffers, s.holdings
+        return tuple([records[r.id] if r.kind == STACK else buffers.get(r.id, frozenset())
+                      for r in self.p.regions] + [holdings.get(row[0], ()) for row in self.rows])
 
     def pop(self, slot: int, here: StackRecord) -> StackRecord:
         """The record below ``here``, in stack slot ``slot``, made at the
@@ -810,14 +819,14 @@ def search_unchecked(p: Problem, config: SearchConfig | None = None,
 
 def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     """``search`` on a checked problem; the caller times it."""
-    space = SlotSpace(p, prefix)
-    init = space.slots(p.initial)
-    h0 = _slot_sum(p.initial, p, prefix,
-                   [(region, init[slot].term) for slot, region in p.slot_layout[2]])
+    records = start_records(p.initial, p, prefix)
+    h0 = _slot_sum(p.initial, p, prefix, [(region, rec.term) for region, rec in records.items()])
     if h0 is None:
         raise NoSolution("an object that must move or a goal region is unreachable")
     if not h0:   # the start is a goal; see heuristic
         return [], SearchStats()
+    space = SlotSpace(p, prefix)
+    init = space.slots(p.initial, records)
     successors = space.successors
     init_key = space.key(init)
     # (f, h, insertion, state, key, base): base is the per-slot h, which

@@ -1226,13 +1226,13 @@ def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
     from conftest import reversal_problem
 
     seen = []
-    slots = SlotSpace.slots
+    start_records = planner.start_records
 
-    def spy(space, s):
+    def spy(*args):
         seen.append(gc.isenabled())
-        return slots(space, s)
+        return start_records(*args)
 
-    monkeypatch.setattr(SlotSpace, "slots", spy)
+    monkeypatch.setattr(planner, "start_records", spy)
     unsolvable = Problem((Region("L", "stack"),), (RobotSpec("a", frozenset({"L"})),),
                          ("x", "y"), WorldState(stacks={"L": ("x", "y")}),
                          {"L": ("y", "x")})
