@@ -518,6 +518,7 @@ class SlotSpace:
                       for r in p.regions]
         self.terms += [Memo(held_term, row[0], p) for row in self.rows]
         self.first_robot = len(p.regions)
+        self.linked = []
         self.ready, self.charged, self.blocked = None, (), ()
         hands, region_slot = p.hands, p.region_slot
         if hands == 1:
@@ -613,6 +614,7 @@ class SlotSpace:
             term -= self.terms[slot][here.top]
         parent = here.parent = StackRecord(here.stack[:-1], term)
         parent.up[here.top] = here
+        self.linked.append(here)
         return parent
 
     def push(self, slot: int, here: StackRecord, o: str) -> StackRecord:
@@ -634,7 +636,16 @@ class SlotSpace:
             elif (want is None or self.prefix) and o not in self.p.goal_region:
                 term = 0
         landed = here.up[o] = StackRecord(here.stack + (o,), term, here)
+        self.linked.append(landed)
         return landed
+
+    def release(self) -> None:
+        """Drop the ``parent`` of every record that has one. Each cycle
+        among the records runs through a ``parent`` link, so the search's
+        records are then freed as soon as it drops its states, not left to
+        the cyclic collector."""
+        for here in self.linked:
+            here.parent = None
 
     def key(self, state: tuple) -> tuple:
         """``state`` with each class of interchangeable robots' loads sorted
@@ -803,9 +814,9 @@ def search_unchecked(p: Problem, config: SearchConfig | None = None,
     sub-problems through it, as each is valid by construction."""
     cfg = config or SearchConfig()
     started = time.perf_counter()
-    # each collection would walk every state the search keeps; only the
-    # stack records form cycles (a parent and its ``up``), and the collector
-    # frees them once it runs again; the caller's setting is restored
+    # nothing the search keeps forms a cycle once it is done (see
+    # SlotSpace.release), and each full collection would walk every state
+    # it keeps; the caller's setting is restored
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -849,40 +860,43 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     known = nodes.setdefault
     pop, push = heapq.heappop, heapq.heappush
     expansions = generated = 0
-    while frontier:
-        f, h, n, state, key, base = pop(frontier)
-        g = nodes[key][0]
-        if f - h != g:
-            continue
-        if not h:   # exactly the goals; see heuristic
-            actions = []
-            node = nodes[key]
-            while node[1] is not None:
-                actions.append(node[2])
-                node = nodes[node[1]]
-            actions.reverse()
-            return actions, SearchStats(expansions, generated, len(actions))
-        if base is None:
-            base = h
-            extra = lazy(state, h)
-            if extra:
-                push(frontier, (f + extra, h + extra, n, state, key, h))
+    try:
+        while frontier:
+            f, h, n, state, key, base = pop(frontier)
+            g = nodes[key][0]
+            if f - h != g:
                 continue
-        expansions += 1
-        if expansions > max_expansions:
-            raise BudgetExhausted(max_expansions)
-        g += 1
-        for action, successor, succ_key, h2 in successors(state, base):
-            node = (g, key, action)
-            best = known(succ_key, node)
-            if best is not node:
-                if best[0] <= g:
+            if not h:   # exactly the goals; see heuristic
+                actions = []
+                node = nodes[key]
+                while node[1] is not None:
+                    actions.append(node[2])
+                    node = nodes[node[1]]
+                actions.reverse()
+                return actions, SearchStats(expansions, generated, len(actions))
+            if base is None:
+                base = h
+                extra = lazy(state, h)
+                if extra:
+                    push(frontier, (f + extra, h + extra, n, state, key, h))
                     continue
-                nodes[succ_key] = node
-            generated += 1
-            push(frontier, (g + h2, h2, generated, successor, succ_key,
-                            None if lazy else h2))
-    raise NoSolution("state space exhausted without reaching the goal", expansions)
+            expansions += 1
+            if expansions > max_expansions:
+                raise BudgetExhausted(max_expansions)
+            g += 1
+            for action, successor, succ_key, h2 in successors(state, base):
+                node = (g, key, action)
+                best = known(succ_key, node)
+                if best is not node:
+                    if best[0] <= g:
+                        continue
+                    nodes[succ_key] = node
+                generated += 1
+                push(frontier, (g + h2, h2, generated, successor, succ_key,
+                                None if lazy else h2))
+        raise NoSolution("state space exhausted without reaching the goal", expansions)
+    finally:
+        space.release()
 
 
 def plan(p: Problem, config: SearchConfig | None = None) -> tuple:

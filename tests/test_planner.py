@@ -1254,6 +1254,21 @@ def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
     assert seen == [False] * 6
 
 
+def test_search_leaves_no_cyclic_garbage():
+    """A search's stack records link to each other both ways, and the
+    search breaks those cycles when it ends, solved or not: a collection
+    right after it finds nothing to free."""
+    gc.collect()
+    for p, cfg in ((PERM6_TWO_ROBOTS, None), (shared_blockers(3, 0), None),
+                   (PERM6_ONE_ROBOT, SearchConfig(max_expansions=50))):
+        try:
+            actions, stats = search(p, cfg)
+            assert actions and stats.expansions
+        except BudgetExhausted:
+            assert cfg is not None
+        assert gc.collect() == 0, p
+
+
 def test_search_adds_the_pop_time_term_only_where_it_can_be_positive(fig2, monkeypatch):
     """fig2 has two hands and disjoint reach: no goal stack that every
     robot reaches, and 3 objects, under the 2C + 2 gate, so the pop-time
