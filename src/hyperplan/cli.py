@@ -73,30 +73,13 @@ class Scenario:
 
 # --- scenario files ---------------------------------------------------------
 
-def _object(value, where: str, keys=()) -> dict:
-    """``value``, or ParseError unless it is a JSON object that has every
-    key of ``keys``."""
-    if type(value) is not dict:
-        raise ParseError(where, "expected an object")
-    for key in keys:
-        if key not in value:
-            raise ParseError(f"{where}.{key}", "missing field")
-    return value
-
-
 def _require(data: dict, where: str, required: set, optional: set = frozenset()):
-    """As ``_object``, and ParseError for a key neither required nor optional."""
-    for key in _object(data, where):
+    """As ``library.json_object``, and ParseError for a key neither required
+    nor optional."""
+    for key in library.json_object(data, ParseError, where):
         if key not in required and key not in optional:
             raise ParseError(f"{where}.{key}", "unknown field")
-    _object(data, where, sorted(required))
-
-
-def _list(value, where: str) -> list:
-    """``value``, or ParseError unless it is a JSON list."""
-    if type(value) is not list:
-        raise ParseError(where, "expected a list")
-    return value
+    library.json_object(data, ParseError, where, sorted(required))
 
 
 def _is_id_list(value) -> bool:
@@ -124,7 +107,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(data.get("description", ""), str):
         raise ParseError("scenario.description", "expected a string")
     for key in ("regions", "objects", "robots"):
-        _list(data[key], f"scenario.{key}")
+        library.json_list(data[key], ParseError, f"scenario.{key}")
     for key in ("initial", "goal"):
         if not isinstance(data[key], dict):
             raise ParseError(f"scenario.{key}", "expected region -> object list")
@@ -307,40 +290,40 @@ def _entity(raw) -> Entity:
 
 
 def plan_from_json(data: dict) -> SolutionHypergraph:
-    version = _object(data, "plan").get("version")
+    version = library.json_object(data, ParseError, "plan").get("version")
     if type(version) is not int or version != PLAN_FORMAT_VERSION:
         raise ParseError("plan.version", f"unsupported version {version!r}")
     scenario = data.get("scenario")
     if type(scenario) is not str:
         raise ParseError("plan.scenario", f"{scenario!r} is not a string")
-    _object(data, "plan", ("nodes", "arcs"))
+    library.json_object(data, ParseError, "plan", ("nodes", "arcs"))
     # only the entity, fact, action, node and arc constructors' own checks
     # raise ValueError here
     try:
         nodes = {}
-        for entry in _list(data["nodes"], "plan.nodes"):
-            _object(entry, "plan.nodes", ("id", "entities", "facts"))
-            composition = frozenset(map(_entity, _list(entry["entities"],
-                                                       "plan.nodes.entities")))
+        for entry in library.json_list(data["nodes"], ParseError, "plan.nodes"):
+            library.json_object(entry, ParseError, "plan.nodes", ("id", "entities", "facts"))
+            entities = library.json_list(entry["entities"], ParseError, "plan.nodes.entities")
+            composition = frozenset(map(_entity, entities))
             facts = [_decode_tagged(f, _FACT_TAGS, "plan.nodes.facts", "fact")
-                     for f in _list(entry["facts"], "plan.nodes.facts")]
+                     for f in library.json_list(entry["facts"], ParseError, "plan.nodes.facts")]
             nid = _int_id(entry["id"], "plan.nodes.id")
             if nid in nodes:
                 raise ParseError("plan.nodes", f"repeated node id {nid!r}")
             nodes[nid] = Node(nid, composition, frozenset(facts))
         arcs = {}
-        for entry in _list(data["arcs"], "plan.arcs"):
-            _object(entry, "plan.arcs", ("id", "action", "tails", "heads"))
+        for entry in library.json_list(data["arcs"], ParseError, "plan.arcs"):
+            library.json_object(entry, ParseError, "plan.arcs", ("id", "action", "tails", "heads"))
             aid = _int_id(entry["id"], "plan.arcs.id")
             if aid in arcs:
                 raise ParseError("plan.arcs", f"repeated arc id {aid!r}")
             arcs[aid] = Hyperarc(
                 aid, _decode_tagged(entry["action"], _ACTION_TAGS,
                                     "plan.arcs.action", "action"),
-                frozenset(_int_id(t, "plan.arcs.tails")
-                          for t in _list(entry["tails"], "plan.arcs.tails")),
-                frozenset(_int_id(h, "plan.arcs.heads")
-                          for h in _list(entry["heads"], "plan.arcs.heads")))
+                frozenset(_int_id(t, "plan.arcs.tails") for t in
+                          library.json_list(entry["tails"], ParseError, "plan.arcs.tails")),
+                frozenset(_int_id(h, "plan.arcs.heads") for h in
+                          library.json_list(entry["heads"], ParseError, "plan.arcs.heads")))
     except ValueError as exc:
         raise ParseError("plan", f"malformed plan file: {exc}") from exc
     return SolutionHypergraph(nodes, arcs)

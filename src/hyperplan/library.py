@@ -1,8 +1,12 @@
 """Persisting extracted strategies and retrieving candidates.
 
-One strategy per JSON file, human readable, written atomically
-(temp file then rename). A stored strategy is a retrieval candidate for a
-problem when its ``goal_heights`` equal the problem's. Every placeholder
+One strategy per JSON file, written atomically (temp file then rename)
+and human readable: each top-level field, each node and each arc is on a
+line of its own. Readers take any JSON layout, so files written with
+other whitespace, such as an indent of 2, load too.
+
+A stored strategy is a retrieval candidate for a problem when its
+``goal_heights`` equal the problem's. Every placeholder
 of a goal stack is a distinct abstract object, so a candidate has one
 placeholder per goal object or more. The candidate with the fewest
 placeholders (the fewest objects moved without a goal position) wins,
@@ -138,28 +142,31 @@ def read_json(text: str, error, where: str):
         raise error(where, f"not valid JSON: {exc}") from exc
 
 
-def _list(value, file: str, where: str) -> list:
-    """``value``, or CorruptRecord unless it is a JSON list."""
+def json_list(value, error, where: str) -> list:
+    """``value``, or ``error(where, "expected a list")`` unless it is a JSON
+    list; every file reader checks its lists through it."""
     if type(value) is not list:
-        raise CorruptRecord(file, f"{where}: expected a list")
+        raise error(where, "expected a list")
     return value
 
 
-def _object(value, file: str, where: str, keys) -> dict:
-    """``value``, or CorruptRecord unless it is a JSON object that has every
-    key of ``keys``."""
+def json_object(value, error, where: str, keys=()) -> dict:
+    """``value``, or ``error(where, "expected an object")`` unless it is a
+    JSON object, or ``error(f"{where}.{key}", "missing field")`` for the
+    first key of ``keys`` it lacks; every file reader checks its objects
+    through it."""
     if type(value) is not dict:
-        raise CorruptRecord(file, f"{where}: expected an object")
+        raise error(where, "expected an object")
     for key in keys:
         if key not in value:
-            raise CorruptRecord(file, f"{where}.{key}: missing field")
+            raise error(f"{where}.{key}", "missing field")
     return value
 
 
 def _ints(values, file: str, where: str, what: str) -> list:
     """``values``, or CorruptRecord unless it is a list of ints (a bool is
     not one)."""
-    for value in _list(values, file, where):
+    for value in json_list(values, CorruptRecord, f"{file}: {where}"):
         if type(value) is not int:
             raise CorruptRecord(file, f"{what} {value!r} is not an integer")
     return values
@@ -170,20 +177,20 @@ def _objects(indices, file: str, where: str, what: str) -> tuple:
 
 
 def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
-    version = _object(data, file, "record", ()).get("version")
+    version = json_object(data, CorruptRecord, f"{file}: record").get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise CorruptRecord(file, f"unsupported version {version!r}")
-    _object(data, file, "record",
-            ("id", "signature", "nodes", "arcs", "goal_stacks", "provenance"))
+    json_object(data, CorruptRecord, f"{file}: record",
+                ("id", "signature", "nodes", "arcs", "goal_stacks", "provenance"))
     if type(data["id"]) is not str:
         raise CorruptRecord(file, f"id {data['id']!r} is not a string")
     # only the node, arc and record constructors' own checks raise
     # ValueError here
     try:
         nodes = {}
-        for entry in _list(data["nodes"], file, "nodes"):
-            _object(entry, file, "nodes",
-                    ("id", "objects", "region_role", "stack_order", "abstract_robot"))
+        for entry in json_list(data["nodes"], CorruptRecord, f"{file}: nodes"):
+            json_object(entry, CorruptRecord, f"{file}: nodes",
+                        ("id", "objects", "region_role", "stack_order", "abstract_robot"))
             (nid,) = _ints([entry["id"]], file, "nodes.id", "node id")
             # refinement always attaches robots, so no other value is usable
             if entry["abstract_robot"] is not True:
@@ -199,8 +206,8 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
                                      "stack_order entry"),
             )
         arcs = {}
-        for i, entry in enumerate(_list(data["arcs"], file, "arcs")):
-            _object(entry, file, "arcs", ("tails", "heads"))
+        for i, entry in enumerate(json_list(data["arcs"], CorruptRecord, f"{file}: arcs")):
+            json_object(entry, CorruptRecord, f"{file}: arcs", ("tails", "heads"))
             arcs[i] = Hyperarc(
                 i, ABSTRACT,
                 frozenset(_ints(entry["tails"], file, "arcs.tails", "arc tail")),
@@ -208,11 +215,12 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
         goal_stacks = {
             _role_parse(role, file): _objects(stack, file, f"goal_stacks.{role}",
                                               "goal-stack entry")
-            for role, stack in _object(data["goal_stacks"], file, "goal_stacks", ()).items()
+            for role, stack in json_object(data["goal_stacks"], CorruptRecord,
+                                           f"{file}: goal_stacks").items()
         }
         ah = AbstractHypergraph(nodes, arcs, goal_stacks)
-        stored = _object(data["signature"], file, "signature",
-                         ("num_abstract_objects", "goal_stack_heights"))
+        stored = json_object(data["signature"], CorruptRecord, f"{file}: signature",
+                             ("num_abstract_objects", "goal_stack_heights"))
         signature = StrategySignature(
             num_abstract_objects=_ints([stored["num_abstract_objects"]], file, "signature",
                                        "signature.num_abstract_objects")[0],
@@ -220,7 +228,8 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
                                            "signature.goal_stack_heights",
                                            "goal-stack height")),
         )
-        stored = _object(data["provenance"], file, "provenance", ("scenario", "created_at"))
+        stored = json_object(data["provenance"], CorruptRecord, f"{file}: provenance",
+                             ("scenario", "created_at"))
         provenance = Provenance(stored["scenario"], stored["created_at"])
         for key, value in vars(provenance).items():
             if not isinstance(value, str):
@@ -237,9 +246,20 @@ def record_from_json(data: dict, file: str = "<memory>") -> StrategyRecord:
 
 
 def write_record(record: StrategyRecord, path) -> None:
-    """Whole-file atomic write: temp file in the target dir, then rename."""
+    """Whole-file atomic write: temp file in the target dir, then rename.
+    Each top-level field is on a line of its own, and so is each node and
+    each arc. Each line is one plain ``json.dumps`` call: ``indent`` would
+    switch ``json`` to its pure-Python encoder, which leaves cyclic garbage
+    on every call."""
     path = Path(path)
-    payload = json.dumps(record_to_json(record), indent=2, sort_keys=False) + "\n"
+    fields = []
+    for key, value in record_to_json(record).items():
+        if key in ("nodes", "arcs") and value:
+            entries = ",\n".join(["    " + json.dumps(entry) for entry in value])
+            fields.append(f'  "{key}": [\n{entries}\n  ]')
+        else:
+            fields.append(f'  "{key}": {json.dumps(value)}')
+    payload = "{\n" + ",\n".join(fields) + "\n}\n"
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:

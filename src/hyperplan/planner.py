@@ -6,10 +6,11 @@ robots' hands cannot avoid, so the returned action count is minimal;
 among frontier entries of equal f the lower h pops first, then the
 earlier push. It runs over flat slot tuples (``SlotSpace``) whose stack
 slots are ``StackRecord``s, one per stack a region holds in the search,
-linked as a trie from the stack below to the stacks above, each with its
-term: a pick or place reads the record it leads to off the one it
-leaves, and hashing and comparing states are tuple operations over those
-records' identities. ``SlotSpace.successors`` builds each successor, its
+each with its term, linked as a trie from the stack below to the stacks
+above, while the slot space maps each record to the one below it: a pick
+or place reads the record it leads to from the one it leaves, and
+hashing and comparing states are tuple operations over those records'
+identities. ``SlotSpace.successors`` builds each successor, its
 h, derived from its parent's, and its key in one pass and hands the
 three over together, and one table maps each key to its g and how it was
 reached. That h is a sum of per-slot terms, the one-hand set-downs
@@ -444,20 +445,21 @@ def blocker_charge(entry: tuple, held, spare: int) -> int:
 class StackRecord:
     """One stack of one stack region in one search: ``stack``, its objects
     bottom up, ``top``, its last (None when empty), and ``term``, its
-    ``stack_term``. The records of a region are linked as a trie:
-    ``parent`` is the record of ``stack`` without ``top``, which a record
-    made by a place has from the start and any other from the first pick
-    from it (None until then), and ``up[o]`` the record of ``stack`` with
-    ``o`` placed on it. ``hand`` and ``blocker`` hold its ``hand_entry`` and
-    ``blocker_entry`` once ``SlotSpace.pop_term`` first reads them, False
-    until then. Records have no ``__eq__`` or ``__hash__``: states hash and
-    compare their stack slots by identity, which is exact, as ``SlotSpace``
-    makes one record per stack per region."""
+    ``stack_term``. The records of a region form a trie that links only
+    upward: ``up[o]`` is the record of ``stack`` with ``o`` placed on it.
+    The link down, to the record of ``stack`` without ``top``, is
+    ``SlotSpace.below``'s, so the records form a tree that reference
+    counting frees with the search. ``hand`` and ``blocker`` hold its
+    ``hand_entry`` and ``blocker_entry`` once ``SlotSpace.pop_term`` first
+    reads them, False until then. Records have no ``__eq__`` or
+    ``__hash__``: states hash and compare their stack slots by identity,
+    which is exact, as ``SlotSpace`` makes one record per stack per
+    region."""
 
-    __slots__ = ("stack", "top", "term", "parent", "up", "hand", "blocker")
+    __slots__ = ("stack", "top", "term", "up", "hand", "blocker")
 
-    def __init__(self, stack: tuple, term: int, parent: StackRecord | None = None) -> None:
-        self.stack, self.term, self.parent = stack, term, parent
+    def __init__(self, stack: tuple, term: int) -> None:
+        self.stack, self.term = stack, term
         self.top = stack[-1] if stack else None
         self.up: dict = {}
         self.hand = self.blocker = False
@@ -465,8 +467,8 @@ class StackRecord:
 
 def start_records(s: WorldState, p: Problem, prefix: bool) -> dict:
     """A new ``StackRecord`` for each stack region of ``p``, by region: its
-    stack in ``s``, with no parent and its ``stack_term``. These are the
-    stack slots of a search that starts at ``s``."""
+    stack in ``s``, with its ``stack_term``. These are the stack slots of a
+    search that starts at ``s``."""
     stacks = s.stacks
     records = {}
     for _, region in p.slot_layout[2]:
@@ -484,14 +486,17 @@ class SlotSpace:
     objects and a robot slot its load, a tuple in pick order. A search's
     start state holds a record, with its ``stack_term``, for each stack
     (``start_records``, which ``slots`` makes by default); ``successors``
-    reaches every other record through their links and makes each at the
+    reaches every other record through the links and makes each at the
     first pick (``pop``) or place (``push``) that leads to it, its term in
-    O(1) from its neighbour's. Each pick registers the record it leaves in
-    the parent's ``up``, so from its start on, a search holds, per region,
-    one record per stack, and states compare and hash their stack slots by
-    identity. ``terms[slot]`` memoises, by object, the heuristic's cost of
-    an object in that slot: in a stack slot what ``stack_term`` charges it
-    when it must move (``stack_cost``), in a buffer slot its
+    O(1) from its neighbour's. A record's ``up`` links it to the records
+    above it, and ``below`` maps a record to the one below it once a pick
+    or place has linked the two, so from its start on, a search holds, per
+    region, one record per stack, and states compare and hash their stack
+    slots by identity. No record links down or to the slot space, so the
+    records form a tree, freed once the search drops its states and its
+    slot space. ``terms[slot]`` memoises, by object, the heuristic's cost
+    of an object in that slot: in a stack slot what ``stack_term`` charges
+    it when it must move (``stack_cost``), in a buffer slot its
     ``placed_term``, and in a robot slot its ``held_term``. ``pair`` is the
     two robot slots of the one class of interchangeable robots when that
     class is a pair and the only one, the common case: ``successors`` then
@@ -518,7 +523,7 @@ class SlotSpace:
                       for r in p.regions]
         self.terms += [Memo(held_term, row[0], p) for row in self.rows]
         self.first_robot = len(p.regions)
-        self.linked = []
+        self.below = {}
         self.ready, self.charged, self.blocked = None, (), ()
         hands, region_slot = p.hands, p.region_slot
         if hands == 1:
@@ -605,25 +610,26 @@ class SlotSpace:
 
     def pop(self, slot: int, here: StackRecord) -> StackRecord:
         """The record below ``here``, in stack slot ``slot``, made at the
-        first pick from ``here``, which has no parent: only a start state's
-        stacks and the records made here have none. Its term is ``here``'s
-        less ``top``'s cost when that is positive, as then something below
-        ``top`` must move or ``top`` is the one object that must; else 0."""
+        first pick from ``here`` where ``below`` has none: only a start
+        state's stacks and the records made here lack one. Its term is
+        ``here``'s less ``top``'s cost when that is positive, as then
+        something below ``top`` must move or ``top`` is the one object that
+        must; else 0."""
         term = here.term
         if term:
             term -= self.terms[slot][here.top]
-        parent = here.parent = StackRecord(here.stack[:-1], term)
-        parent.up[here.top] = here
-        self.linked.append(here)
-        return parent
+        rest = self.below[here] = StackRecord(here.stack[:-1], term)
+        rest.up[here.top] = here
+        return rest
 
     def push(self, slot: int, here: StackRecord, o: str) -> StackRecord:
         """The record of ``o`` placed on ``here``, in stack slot ``slot``,
-        made at the first such place. While something in ``here`` must
-        move, ``o`` must move too and adds its cost. Where nothing must, it
-        adds nothing if it is the next object the goal wants, or if it is
-        outside the goal and the region has none or, in the prefix reading,
-        holds its complete goal stack; else its cost."""
+        made at the first such place, with ``here`` below it. While
+        something in ``here`` must move, ``o`` must move too and adds its
+        cost. Where nothing must, it adds nothing if it is the next object
+        the goal wants, or if it is outside the goal and the region has none
+        or, in the prefix reading, holds its complete goal stack; else its
+        cost."""
         term = self.terms[slot][o]
         if here.term:
             term += here.term
@@ -635,17 +641,9 @@ class SlotSpace:
                     term = 0
             elif (want is None or self.prefix) and o not in self.p.goal_region:
                 term = 0
-        landed = here.up[o] = StackRecord(here.stack + (o,), term, here)
-        self.linked.append(landed)
+        landed = here.up[o] = StackRecord(here.stack + (o,), term)
+        self.below[landed] = here
         return landed
-
-    def release(self) -> None:
-        """Drop the ``parent`` of every record that has one. Each cycle
-        among the records runs through a ``parent`` link, so the search's
-        records are then freed as soon as it drops its states, not left to
-        the cyclic collector."""
-        for here in self.linked:
-            here.parent = None
 
     def key(self, state: tuple) -> tuple:
         """``state`` with each class of interchangeable robots' loads sorted
@@ -670,15 +668,15 @@ class SlotSpace:
         the change in the terms of the slots the action replaced, and with
         one hand the change in ``regrasp_term``: a pick adds it, read from
         the successor, and a place takes it away, read from ``state``. A
-        pick from a stack reads the record below it, ``parent``, and a place
-        on a stack the record above it, ``up[o]``, each made at its first
-        use. ``key`` is the successor's ``key``, the successor itself when
+        pick from a stack reads the record below it from ``below``, and a
+        place on a stack the record above it, ``up[o]``, each made at its
+        first use. ``key`` is the successor's ``key``, the successor itself when
         no two robots are alike. With a ``pair``, each successor is keyed
         from its slot list before that is frozen: the pair's loads swapped
         when out of order. Other class shapes are keyed by ``key``
         afterwards.
         """
-        terms, pair, ready = self.terms, self.pair, self.ready
+        terms, pair, ready, below = self.terms, self.pair, self.ready, self.below
         if pair:
             a, b = pair
         out = []
@@ -704,7 +702,7 @@ class SlotSpace:
                 successor[slot] = load + (o,)
                 if on_stack:
                     here = state[rslot]
-                    rest = here.parent or self.pop(rslot, here)
+                    rest = below.get(here) or self.pop(rslot, here)
                     successor[rslot] = rest
                     h2 = h + held[o] + rest.term - here.term
                 else:
@@ -814,8 +812,8 @@ def search_unchecked(p: Problem, config: SearchConfig | None = None,
     sub-problems through it, as each is valid by construction."""
     cfg = config or SearchConfig()
     started = time.perf_counter()
-    # nothing the search keeps forms a cycle once it is done (see
-    # SlotSpace.release), and each full collection would walk every state
+    # nothing the search keeps forms a cycle (its stack records form a
+    # tree; see SlotSpace), and each full collection would walk every state
     # it keeps; the caller's setting is restored
     collecting = gc.isenabled()
     gc.disable()
@@ -860,43 +858,40 @@ def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     known = nodes.setdefault
     pop, push = heapq.heappop, heapq.heappush
     expansions = generated = 0
-    try:
-        while frontier:
-            f, h, n, state, key, base = pop(frontier)
-            g = nodes[key][0]
-            if f - h != g:
+    while frontier:
+        f, h, n, state, key, base = pop(frontier)
+        g = nodes[key][0]
+        if f - h != g:
+            continue
+        if not h:   # exactly the goals; see heuristic
+            actions = []
+            node = nodes[key]
+            while node[1] is not None:
+                actions.append(node[2])
+                node = nodes[node[1]]
+            actions.reverse()
+            return actions, SearchStats(expansions, generated, len(actions))
+        if base is None:
+            base = h
+            extra = lazy(state, h)
+            if extra:
+                push(frontier, (f + extra, h + extra, n, state, key, h))
                 continue
-            if not h:   # exactly the goals; see heuristic
-                actions = []
-                node = nodes[key]
-                while node[1] is not None:
-                    actions.append(node[2])
-                    node = nodes[node[1]]
-                actions.reverse()
-                return actions, SearchStats(expansions, generated, len(actions))
-            if base is None:
-                base = h
-                extra = lazy(state, h)
-                if extra:
-                    push(frontier, (f + extra, h + extra, n, state, key, h))
+        expansions += 1
+        if expansions > max_expansions:
+            raise BudgetExhausted(max_expansions)
+        g += 1
+        for action, successor, succ_key, h2 in successors(state, base):
+            node = (g, key, action)
+            best = known(succ_key, node)
+            if best is not node:
+                if best[0] <= g:
                     continue
-            expansions += 1
-            if expansions > max_expansions:
-                raise BudgetExhausted(max_expansions)
-            g += 1
-            for action, successor, succ_key, h2 in successors(state, base):
-                node = (g, key, action)
-                best = known(succ_key, node)
-                if best is not node:
-                    if best[0] <= g:
-                        continue
-                    nodes[succ_key] = node
-                generated += 1
-                push(frontier, (g + h2, h2, generated, successor, succ_key,
-                                None if lazy else h2))
-        raise NoSolution("state space exhausted without reaching the goal", expansions)
-    finally:
-        space.release()
+                nodes[succ_key] = node
+            generated += 1
+            push(frontier, (g + h2, h2, generated, successor, succ_key,
+                            None if lazy else h2))
+    raise NoSolution("state space exhausted without reaching the goal", expansions)
 
 
 def plan(p: Problem, config: SearchConfig | None = None) -> tuple:

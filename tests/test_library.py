@@ -1,3 +1,4 @@
+import gc
 import json
 from dataclasses import replace
 
@@ -5,11 +6,14 @@ import pytest
 
 from hyperplan import (
     FAIL_HARD,
+    SCRATCH_FALLBACK,
     CorruptRecord,
+    NoSolution,
     Problem,
     RefinementConfig,
     Region,
     RobotSpec,
+    SearchConfig,
     WorldState,
     canonical_form,
     execute_hypergraph,
@@ -24,9 +28,10 @@ from hyperplan import (
     store,
 )
 from hyperplan.abstraction import AbstractHypergraph
+from hyperplan.cli import Scenario, parse_scenario, plan_from_json, plan_to_json, scenario_to_json
 from hyperplan.library import read_record, record_from_json, record_to_json, write_record
 
-from conftest import load_scenario, reversal_problem
+from conftest import load_scenario, random_instance, reversal_problem
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +276,67 @@ def test_write_record_is_atomic(tmp_path, fig1_record):
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
     assert read_record(target) == fig1_record
+
+
+def test_record_file_has_a_line_per_field_node_and_arc(tmp_path, fig1_record):
+    """A written record holds each top-level field, each node and each arc
+    on a line of its own, and a file in any other JSON layout, such as one
+    written with ``indent=2``, loads to the same record."""
+    target = tmp_path / "fig1.json"
+    write_record(fig1_record, target)
+    data = record_to_json(fig1_record)
+    lines = target.read_text().splitlines()
+    assert [json.loads(line.rstrip(",")) for line in lines
+            if line.startswith("    ")] == data["nodes"] + data["arcs"]
+    # the braces, a line per field, and the lines that close nodes and arcs
+    assert len(lines) == 2 + len(data) + 2 + len(data["nodes"]) + len(data["arcs"])
+    assert json.loads(target.read_text()) == data
+    target.write_text(json.dumps(data, indent=2))
+    assert read_record(target) == fig1_record
+
+
+def test_no_request_step_leaves_cyclic_garbage(tmp_path):
+    """Every step a request takes, from reading its scenario to reusing a
+    stored strategy, frees what it made by reference counting alone: a
+    collection right after the step finds nothing to free. On corpus
+    problems, one of them unsolvable, and through the scratch fallback
+    after a refinement runs out of budget (seed 288 at 34 expansions)."""
+    records = []
+
+    def step(what, seed, call, *args):
+        gc.collect()
+        result = call(*args)
+        assert gc.collect() == 0, (what, seed)
+        return result
+
+    unsolvable = 0
+    for seed in (0, 1, 2, 3, 4, 288):
+        name = f"seed{seed}"
+        p = random_instance(seed, 4, 2, 4)
+        text = json.dumps(scenario_to_json(Scenario(name, p)))
+        problem = step("parse_scenario", seed, parse_scenario, text).problem
+        try:
+            graph = step("plan", seed, plan, problem)[0]
+        except NoSolution:
+            unsolvable += 1
+            assert gc.collect() == 0, ("plan", seed)
+            continue
+        graph = step("plan round trip", seed, lambda: plan_from_json(
+            json.loads(json.dumps(plan_to_json(graph, name)))))
+        ah = step("extract_strategy", seed, extract_strategy, graph, problem)
+        record = make_record(name, ah, name, created_at="2026-01-01T00:00:00+00:00")
+        step("store", seed, store, record, tmp_path)
+        stored = step("read_record", seed, read_record, tmp_path / f"{name}.json")
+        records.append(stored)
+        assert step("retrieve", seed, retrieve, problem, records) is not None
+        if seed == 288:
+            config = RefinementConfig(SearchConfig(max_expansions=34), SCRATCH_FALLBACK)
+            stats = step("reuse_pipeline", seed, reuse_pipeline, stored.ah, problem, config)[1]
+            assert stats.fallback_reason.startswith("SubproblemInfeasible")
+        else:
+            stats = step("reuse_pipeline", seed, reuse_pipeline, stored.ah, problem)[1]
+            assert not stats.fallback_used
+    assert unsolvable == 1
 
 
 @pytest.mark.parametrize("field,value,what", [

@@ -912,9 +912,10 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
     states. The heuristic is that bound with at least 2C + 2 objects (the
     blocker towers), else the per-slot bound plus W, so it holds the same;
     it is None only where no goal is reachable, W raises it on some states
-    and B on more. At every state the per-slot bound plus the term the
-    search adds at a pop is ``heuristic``, and on a random walk of each
-    so is the per-slot h the search's successors carry plus that term."""
+    and B on more. It is evaluated at every state as the search does, the
+    per-slot bound plus the term the search adds at a pop; on a random walk
+    of each, that sum is ``heuristic``, and so is the per-slot h the
+    search's successors carry plus that term."""
     two_robots = [random_permute(seed, False, 4) for seed in range(8)]
     two_robots += [random_permute(seed, False, 5) for seed in (1, 5)]
     corpus = [p for p in (random_instance(seed, 4, 2, 4) for seed in range(400)) if p.hands > 1]
@@ -929,7 +930,12 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
         states, edges = state_space(p)
         for prefix in (False, True):
             space = SlotSpace(p, prefix)
-            h = [heuristic(state, p, prefix) for state in states]
+            h = []
+            for state in states:
+                h_i = planner.per_slot_bound(state, p, prefix)
+                if h_i is not None:
+                    h_i += space.pop_term(space.slots(state), h_i)
+                h.append(h_i)
             distance = goal_distances(states, edges, p, prefix)
             bound = []
             for state, h_i in zip(states, h):
@@ -941,8 +947,6 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                 blocked = reference_blocker_term(state, p, prefix)
                 bound.append(per_slot + max(waiting, blocked))
                 assert h_i == (bound[-1] if planner.blocker_bound(p) else per_slot + waiting), \
-                    (state, prefix)
-                assert per_slot + space.pop_term(space.slots(state), per_slot) == h_i, \
                     (state, prefix)
                 stronger += waiting > 0
                 blocking += blocked > waiting
@@ -964,9 +968,11 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                 if h0 is None:
                     continue
                 slots = space.slots(state)
-                base = h0 - space.pop_term(slots, h0)
+                base = slot_bound(state, p, prefix)
+                assert base + space.pop_term(slots, base) == h0, (state, prefix)
+                reached = contents(space.slots(following))
                 for _, successor, _, h2 in space.successors(slots, base):
-                    if contents(successor) == contents(space.slots(following)):
+                    if contents(successor) == reached:
                         assert h2 + space.pop_term(successor, h2) == \
                             heuristic(following, p, prefix), (following, prefix)
                         popped += 1
@@ -983,9 +989,10 @@ def test_successors_keep_one_exact_record_per_stack_on_whole_state_spaces():
     states themselves, not their keys, as nodes, in both goal readings: in
     4- and 5-box permutations with one robot and with two, in blocker
     towers, and in every corpus problem, with one hand or several. Each
-    stack record met holds its stack's ``stack_term``, is its parent's
-    ``up`` entry for its top and the parent of each of its own, and is the
-    one record of its stack in its region in that search. So the states,
+    stack record met holds its stack's ``stack_term``, is the ``up`` entry
+    for its top of the record ``SlotSpace.below`` maps it to, is what
+    ``below`` maps each of its own ``up`` entries to, and is the one record
+    of its stack in its region in that search. So the states,
     which hash their stack slots by identity, are exactly the reachable
     world states, and each pop-time entry a record caches is its stack's."""
     problems = [random_permute(seed, one_robot, boxes) for one_robot in (True, False)
@@ -1022,11 +1029,12 @@ def test_successors_keep_one_exact_record_per_stack_on_whole_state_spaces():
                     assert rec.term == planner.stack_term(region, rec.stack, p, prefix), \
                         (p, prefix, region, rec.stack)
                     assert rec.top == (rec.stack[-1] if rec.stack else None)
-                    if rec.parent is not None:
-                        assert rec.parent.up[rec.top] is rec
+                    rest = space.below.get(rec)
+                    if rest is not None:
+                        assert rest.up[rec.top] is rec
                         linked += 1
                     for o, child in rec.up.items():
-                        assert child.parent is rec and child.stack == rec.stack + (o,)
+                        assert space.below[child] is rec and child.stack == rec.stack + (o,)
                     if rec.hand is not False:
                         assert rec.hand == planner.hand_entry(region, rec.stack, p)
                         cached += 1
