@@ -747,8 +747,6 @@ def execute_hypergraph(graph: SolutionHypergraph, p: Problem) -> tuple:
     node's facts against the state its arc leaves. Returns ``(final_state, makespan,
     action_count)``, the makespan from ``makespan``.
     """
-    if not graph.nodes:
-        return (p.initial, 0, 0)
     violations = validate_hyperpath(graph)
     if violations:
         raise ExecutionFault(None, violations[0].detail)

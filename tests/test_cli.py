@@ -1,4 +1,10 @@
+import glob
 import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +24,9 @@ from hyperplan.cli import (
 )
 
 from conftest import SCENARIO_DIR, load_scenario, random_instance, reversal_scenario
+
+
+ROOT = SCENARIO_DIR.parent
 
 
 def fig1_path() -> str:
@@ -225,7 +234,7 @@ def test_solve_budget_failure(tmp_path):
     assert rc == 1
 
 
-def test_solve_extract_reuse_round_trip(tmp_path):
+def test_solve_extract_reuse_round_trip(tmp_path, capsys):
     plan_file = tmp_path / "fig1.plan.json"
     strategy = tmp_path / "fig1.strategy.json"
     out = tmp_path / "fig1.reused.json"
@@ -238,6 +247,15 @@ def test_solve_extract_reuse_round_trip(tmp_path):
     final, _, count = execute_hypergraph(graph, load_scenario("fig1").problem)
     assert is_goal(final, load_scenario("fig1").problem)
     assert count == 6
+    # fig3's strategy parks in a side buffer; fig1 has none, and its
+    # refinement still reaches the 6-action optimum
+    fig3_path = str(SCENARIO_DIR / "fig3.json")
+    assert run_command(["solve", fig3_path, "--out", str(plan_file)]) == 0
+    assert run_command(["extract", fig3_path, str(plan_file),
+                        "--out", str(strategy)]) == 0
+    capsys.readouterr()
+    assert run_command(["reuse", fig1_path(), "--strategy", str(strategy)]) == 0
+    assert capsys.readouterr().out.startswith("reused fig3 on fig1: 6 actions, ")
 
 
 def test_reuse_from_library_and_empty_library(tmp_path, capsys):
@@ -251,6 +269,9 @@ def test_reuse_from_library_and_empty_library(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["reuse", fig2_path, "--library", str(lib)]) == 0
     assert capsys.readouterr().out.startswith("reused fig1 on fig2: ")
+    # each pick goes to the robot whose hand is free first: 6 actions, 5 layers
+    assert run_command(["reuse", fig1_path(), "--library", str(lib)]) == 0
+    assert capsys.readouterr().out.startswith("reused fig1 on fig1: 6 actions, makespan 5, ")
 
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -275,6 +296,9 @@ def test_library_that_is_no_directory_is_an_input_error(tmp_path, capsys, comman
         assert run_command(argv) == 2
         assert capsys.readouterr().err.startswith("input error: ")
     assert not (tmp_path / "bench.csv").exists()
+    if command == "reuse":   # whatever the scenario
+        assert run_command(["reuse", str(SCENARIO_DIR / "fig2.json"),
+                            "--library", str(tmp_path / "missing")]) == 2
 
 
 def test_reuse_stats_file(tmp_path):
@@ -363,12 +387,20 @@ def test_reuse_refinement_failure_is_a_planning_failure(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "planning failed: abstract arc 1: expansion budget of 34 exhausted " \
         "(sub-goal r1=[o1]; 34 states expanded)\n"
+    stats = tmp_path / "stats.json"
     assert run_command(["reuse", str(scenario), "--strategy", str(strategy),
-                        *budget, "--fallback-scratch"]) == 0
+                        *budget, "--fallback-scratch", "--stats", str(stats)]) == 0
     assert capsys.readouterr().out.startswith(
         "reused <scratch fallback> (SubproblemInfeasible: abstract arc 1: "
         "expansion budget of 34 exhausted (sub-goal r1=[o1]; 34 states "
         "expanded)) on seed288: ")
+    # the failed refinement is the refine phase; the scratch plan counts
+    # in wall_time_ms only
+    recorded = json.loads(stats.read_text())
+    assert recorded["fallback_reason"].startswith("SubproblemInfeasible: ")
+    assert recorded["refine_time_ms"] > 0
+    phases = sum(recorded[f"{phase}_time_ms"] for phase in ("ground", "reconstruct", "refine"))
+    assert phases < recorded["wall_time_ms"]
 
 
 def _fig1_strategy_json(tmp_path) -> dict:
@@ -400,6 +432,8 @@ def _malformed(tmp_path, shape: str):
     """JSON data of one malformed plan or strategy file."""
     if shape in ("list", "string"):
         return [] if shape == "list" else "x"
+    if shape.startswith("plan-empty"):
+        return {"version": 1, "scenario": "done", "nodes": [], "arcs": []}
     if shape.startswith("plan-"):
         data = _fig1_plan_json(tmp_path)
         if shape == "plan-repeated-node":
@@ -428,6 +462,14 @@ def _malformed(tmp_path, shape: str):
             data["arcs"][0]["heads"] = [str(h) for h in data["arcs"][0]["heads"]]
         elif shape == "plan-no-arcs":
             del data["arcs"]
+        elif shape == "plan-object-arcs":
+            data["arcs"] = {}
+        elif shape == "plan-true-version":
+            data["version"] = True
+        elif shape == "plan-doubled-head":
+            # the last arc also produces a node the first arc produces
+            first, last = data["arcs"][0], data["arcs"][-1]
+            last["heads"].append(next(h for h in first["heads"] if h not in last["tails"]))
         else:  # plan-arcs-out-of-order: ids renumbered last to first
             last = len(data["arcs"]) - 1
             for entry in data["arcs"]:
@@ -460,9 +502,35 @@ def _malformed(tmp_path, shape: str):
     return data
 
 
+def _malformed_scenario(tmp_path, shape: str) -> str:
+    """The scenario file a shape is read against: fig1, or for an empty plan
+    the one its name gives (start already the goal; one robot, one object
+    and no goal)."""
+    if shape == "plan-empty-at-goal":
+        data = scenario_to_json(load_scenario("fig1"))
+        data["goal"] = {"right": data["initial"]["right"]}
+    elif shape == "plan-empty-no-goal":
+        data = {"name": "one", "regions": [{"id": "pad", "kind": "stack"}],
+                "objects": ["A"], "robots": [{"id": "a", "reach": ["pad"]}],
+                "initial": {"pad": ["A"]}, "goal": {}}
+    else:
+        return fig1_path()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 # The message a shape's input error ends with, where it is pinned.
 MALFORMED_MESSAGES = {
     "plan-no-arcs": "plan.arcs: missing field",
+    "plan-object-arcs": "plan.arcs: expected a list",
+    "plan-true-version": "plan.version: unsupported version True",
+    "plan-doubled-head": "invalid hyperpath: node 3 produced by arcs 0 and 5; arc 5 loses [] "
+                         "and gains [\"Entity(kind='object', name='C')\", "
+                         "\"Entity(kind='robot', name='blue')\"]",
+    "plan-empty": "sources do not match the initial decomposition",
+    "plan-empty-at-goal": "sources do not match the initial decomposition",
+    "plan-empty-no-goal": "sources do not match the initial decomposition",
     "record-id-dotdot": "malformed record: unusable record id: '../x'",
     "record-id-empty": "malformed record: unusable record id: ''",
     "stack-order-non-member": "malformed record: stack order mentions non-members",
@@ -489,8 +557,11 @@ MALFORMED_MESSAGES = {
     for shape in ("plan-repeated-node", "plan-repeated-arc", "plan-short-fact",
                   "plan-long-fact", "plan-short-action", "plan-long-action",
                   "plan-list-robot", "plan-list-fact-object", "plan-string-arc-ids",
-                  "plan-bool-node-id", "plan-string-heads", "plan-no-arcs")
-] + [("extract", "plan-arcs-out-of-order"), ("dot", "plan-arcs-out-of-order")])
+                  "plan-bool-node-id", "plan-string-heads", "plan-no-arcs",
+                  "plan-object-arcs", "plan-true-version")
+] + [("extract", "plan-arcs-out-of-order"), ("dot", "plan-arcs-out-of-order"),
+     ("dot", "plan-doubled-head"), ("extract", "plan-empty"),
+     ("extract", "plan-empty-at-goal"), ("extract", "plan-empty-no-goal")])
 def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     data = _malformed(tmp_path, shape)
     lib = tmp_path / "lib"
@@ -500,7 +571,7 @@ def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     argv = {
         "reuse-strategy": ["reuse", fig1_path(), "--strategy", str(bad)],
         "reuse-library": ["reuse", fig1_path(), "--library", str(lib)],
-        "extract": ["extract", fig1_path(), str(bad),
+        "extract": ["extract", _malformed_scenario(tmp_path, shape), str(bad),
                     "--out", str(tmp_path / "s.json")],
         "dot": ["dot", str(bad), "--out", str(tmp_path / "out.dot")],
     }[command]
@@ -510,6 +581,7 @@ def test_malformed_files_are_input_errors(tmp_path, capsys, command, shape):
     assert err.startswith("input error: ")
     assert err.endswith(MALFORMED_MESSAGES.get(shape, "") + "\n")
     assert not (tmp_path / "out.dot").exists()
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("field,value,where", [
@@ -834,9 +906,9 @@ def test_dot_command_on_plan_and_strategy(tmp_path):
     out2 = tmp_path / "strategy.dot"
     assert run_command(["dot", str(plan_file), "--out", str(out1)]) == 0
     assert run_command(["dot", str(strategy), "--out", str(out2)]) == 0
-    assert "digraph plan" in out1.read_text()
+    assert out1.read_text().startswith("digraph plan {\n")
     strategy_dot = out2.read_text()
-    assert "digraph strategy" in strategy_dot
+    assert strategy_dot.startswith("digraph strategy {\n")
     assert strategy_dot.count("style=dashed") == 3
 
 
@@ -848,14 +920,15 @@ def test_bench_command(tmp_path):
     assert run_command(["extract", fig1_path(), str(plan_file),
                         "--out", str(lib / "fig1.json")]) == 0
     csv_path = tmp_path / "bench.csv"
-    fig2_path = str(SCENARIO_DIR / "fig2.json")
-    assert run_command(["bench", fig1_path(), fig2_path,
+    figures = [str(SCENARIO_DIR / f"fig{i}.json") for i in (1, 2, 3)]
+    assert run_command(["bench", *figures,
                         "--library", str(lib), "--out", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "scenario,mode,expansions,actions,makespan,wall_time_ms,fallback_used"
-    assert len(lines) == 5  # two modes per scenario
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["fig1", "fig1", "fig2", "fig2"]
-    assert [ln.split(",")[1] for ln in lines[1:]] == ["reuse", "scratch"] * 2
+    assert len(lines) == 7  # two modes per scenario
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["fig1", "fig1", "fig2", "fig2",
+                                                      "fig3", "fig3"]
+    assert [ln.split(",")[1] for ln in lines[1:]] == ["reuse", "scratch"] * 3
 
 
 def test_bench_reuse_row_without_a_matching_record_is_the_scratch_run(tmp_path):
@@ -885,6 +958,46 @@ def test_unknown_arguments_exit_2():
     assert run_command(["solve"]) == 2
     assert run_command(["frobnicate", "x"]) == 2
     assert run_command(["--help"]) == 0
+
+
+def test_module_entry_exits_with_the_command_status(tmp_path):
+    """``python -m hyperplan.cli`` exits with ``run_command``'s status:
+    0 for a plan, 1 for a planning failure, 2 for an input error."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, status, err in ((["solve", fig1_path()], 0, ""),
+                              (["solve", fig1_path(), "--max-expansions", "1"], 1,
+                               "planning failed: "),
+                              (["solve", str(tmp_path / "missing.json")], 2, "input error: ")):
+        run = subprocess.run([sys.executable, "-m", "hyperplan.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr[:len(err)]) == (status, err), run.stderr
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    """Each ``hyperplan`` line of README's "Command line" shell block, run in
+    order in a directory that holds only a copy of ``scenarios/``, exits 0.
+    The test makes the block's library directory itself and skips the
+    graphviz ``dot`` line."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line and not line.startswith("#")]
+    shutil.copytree(SCENARIO_DIR, tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in lines:
+        argv = shlex.split(line)
+        if argv[0] == "hyperplan":
+            argv = [name for arg in argv[1:]
+                    for name in (sorted(glob.glob(arg)) if "*" in arg else [arg])]
+            assert run_command(argv) == 0, line
+            ran += 1
+        elif line == "mkdir -p library && cp fig1.strategy.json library/":
+            (tmp_path / "library").mkdir()
+            shutil.copy(tmp_path / "fig1.strategy.json", tmp_path / "library")
+        else:
+            assert argv[:2] == ["dot", "-Tpng"], line
+    assert ran == 6
 
 
 def test_every_budget_option_defaults_to_the_search_default():

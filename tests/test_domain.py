@@ -453,12 +453,18 @@ def test_execute_fig1_plan(fig1):
 
 
 def test_execute_empty_graph_on_satisfied_problem(fig1):
+    """A graph with no nodes is checked like any other: its sources are the
+    initial decomposition only in a problem with no objects and no robots,
+    whatever the goal."""
     p = fig1.problem
     satisfied = Problem(p.regions, p.robots, p.objects, p.initial, {})
-    final, makespan, actions = execute_hypergraph(
-        SolutionHypergraph({}, {}), satisfied)
-    assert (final, makespan, actions) == (p.initial, 0, 0)
-    assert is_goal(final, satisfied)
+    with pytest.raises(ExecutionFault,
+                       match="^sources do not match the initial decomposition$"):
+        execute_hypergraph(SolutionHypergraph({}, {}), satisfied)
+    nothing = Problem(p.regions, (), (), WorldState(), {})
+    final, makespan, actions = execute_hypergraph(SolutionHypergraph({}, {}), nothing)
+    assert (final, makespan, actions) == (nothing.initial, 0, 0)
+    assert is_goal(final, nothing)
 
 
 def test_execute_action_count_equals_arc_count(fig1):
