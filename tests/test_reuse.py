@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 from dataclasses import replace
@@ -831,6 +832,75 @@ def test_goal_only_schedule_refines_to_the_goal():
                 f"{family} {i}"
             covered[family] += 1
     assert covered == {"figures": 3, "corpus": 286, "6-3-5": 65, "8-2-4": 58}
+
+
+# --- transfers to relabelled problems of other shapes ------------------------------
+
+def transfer_target(kind: str, start: tuple, goal: tuple) -> Problem:
+    """``start`` on stack ``pile``, to be stacked as ``goal`` on the empty
+    stack ``goal``, with a third stack ``spare``. ``handoff``: robot ``g``
+    reaches ``pile``, ``spare`` and a capacity-2 buffer ``hand``, robot
+    ``t`` the goal stack and ``hand``. ``onebot``: ``g`` alone reaches every
+    stack and a capacity-2 buffer ``park``. ``distractors``: ``g`` and ``t``
+    reach every stack, and a stack ``aside`` that no robot reaches holds
+    three boxes."""
+    stacks = ("pile", "goal", "spare")
+    regions = [Region(s, "stack") for s in stacks]
+    initial = {"pile": start}
+    if kind == "handoff":
+        regions.append(Region("hand", "buffer", 2))
+        robots = (RobotSpec("g", frozenset({"pile", "spare", "hand"})),
+                  RobotSpec("t", frozenset({"goal", "hand"})))
+    elif kind == "onebot":
+        regions.append(Region("park", "buffer", 2))
+        robots = (RobotSpec("g", frozenset(stacks + ("park",))),)
+    else:
+        regions.append(Region("aside", "stack"))
+        robots = tuple(RobotSpec(r, frozenset(stacks)) for r in ("g", "t"))
+        initial["aside"] = ("d0", "d1", "d2")
+    objects = start + initial.get("aside", ())
+    return Problem(tuple(regions), robots, objects, WorldState(stacks=initial),
+                   {"goal": goal})
+
+
+# sha256 over, per transfer in test order, plan_to_json of the refined plan,
+# then over each sub-problem's (expansions, generated). Any change in
+# grounding, sub-goals, search order, tie-breaking or compilation moves them.
+TRANSFER_PLANS_SHA256 = "5279c3cec7f785ee5956d7bbedf5ae55f8c84222d8171dc0a95e1ac07f23dc05"
+TRANSFER_SEARCHES_SHA256 = "506d4f049ed66523c8ad04907757e421e060a26bd2062840dcd3f0cbf92ae6f3"
+
+
+def test_transfer_refinement_is_pinned():
+    """Strategies of two-robot tower reversals (4-6 boxes) and one-robot
+    blocker towers (2-3 blockers), each refined under ``FAIL_HARD`` on a
+    relabelled target of every ``transfer_target`` kind: each reaches the
+    goal by replay, and its plan and its searches are pinned."""
+    from conftest import blocker_tower_problem
+
+    transfers = []
+    for h in (4, 5, 6):
+        boxes = tuple(f"c{i}" for i in range(1, h + 1))
+        transfers.append((reversal_problem(h), boxes, boxes[::-1]))
+    for k in (2, 3):
+        blockers = tuple(f"y{i}" for i in range(1, k + 1))
+        transfers.append((blocker_tower_problem(k), ("c3", "c1", "c2") + blockers,
+                          ("c1", "c3", "c2")))
+    plans, searches = hashlib.sha256(), hashlib.sha256()
+    actions = []
+    for source, start, goal in transfers:
+        ah = extract_strategy(plan(source)[0], source)
+        for kind in ("handoff", "onebot", "distractors"):
+            p = transfer_target(kind, start, goal)
+            graph, stats = reuse_pipeline(ah, p)
+            final, _, count = execute_hypergraph(graph, p)
+            assert is_goal(final, p), (len(start), kind)
+            actions.append(count)
+            plans.update(json.dumps(plan_to_json(graph, kind), sort_keys=True).encode())
+            searches.update(json.dumps([(s.expansions, s.generated)
+                                        for s in stats.subproblems]).encode())
+    assert actions == [12, 8, 8, 15, 10, 10, 18, 12, 12, 15, 12, 11, 17, 14, 13]
+    assert plans.hexdigest() == TRANSFER_PLANS_SHA256
+    assert searches.hexdigest() == TRANSFER_SEARCHES_SHA256
 
 
 # --- reference: grounding by object binding -------------------------------------
