@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import (
@@ -248,15 +249,15 @@ def _handoff(giver: str, obj: str, receiver: str) -> Handoff:
 
 
 class Memo(dict):
-    """``fn(first, key, *rest)`` by key, computed on first lookup."""
+    """``fn(first, key, last)`` by key, computed on first lookup."""
 
-    __slots__ = ("fn", "first", "rest")
+    __slots__ = ("fn", "first", "last")
 
-    def __init__(self, fn, first, *rest) -> None:
-        self.fn, self.first, self.rest = fn, first, rest
+    def __init__(self, fn, first, last) -> None:
+        self.fn, self.first, self.last = fn, first, last
 
     def __missing__(self, key):
-        value = self[key] = self.fn(self.first, key, *self.rest)
+        value = self[key] = self.fn(self.first, key, self.last)
         return value
 
 
@@ -337,7 +338,10 @@ class Problem:
     @cached_property
     def unreachable_goals(self) -> tuple:
         """Goal regions no robot reaches, in goal order."""
-        return tuple(r for r in self.goal if r not in self.reachable)
+        reachable = self.reachable
+        if reachable.issuperset(self.goal):
+            return ()
+        return tuple(r for r in self.goal if r not in reachable)
 
     @cached_property
     def reachable(self) -> frozenset:
@@ -431,22 +435,26 @@ class Problem:
         The result shares this problem's ``structure_errors`` and, when
         there are none, its ``GOAL_INDEPENDENT`` tables, computing any not
         cached yet, so every problem derived from one parent shares a
-        single copy. Its ``GOAL_TABLES`` are its own, filled here.
+        single copy. It is built as a copy of this problem's attributes
+        without the other cached tables, which are its own: its
+        ``GOAL_TABLES``, filled here, and any other, on first use.
         ``validate`` still checks its goal and its start state; refinement
         does not call it, as its sub-problems are valid by construction.
         """
-        # no __init__: regions, robots and objects are this problem's, normalised already
+        # robot_table needs every reach region declared
+        if not self.structure_errors and not _SHARED.keys() <= self.__dict__.keys():
+            _shared(self)
+        # no __init__: a copy of this problem's fields and cached tables (its
+        # regions, robots and objects are normalised already), less its own
         sub = object.__new__(Problem)
         tables = sub.__dict__
-        tables.update(regions=self.regions, robots=self.robots, objects=self.objects,
-                      initial=initial, goal={r: tuple(v) for r, v in goal.items()},
-                      structure_errors=self.structure_errors)
-        if not self.structure_errors:
-            # robot_table needs every reach region declared
-            for name in GOAL_INDEPENDENT:
-                tables[name] = getattr(self, name)
-        for name in GOAL_TABLES:   # each table's function, without the first-read lock
-            tables[name] = getattr(Problem, name).func(sub)
+        tables.update(self.__dict__)
+        for name in _OWN:
+            tables.pop(name, None)
+        tables["initial"] = initial
+        tables["goal"] = {r: tuple(v) for r, v in goal.items()}
+        for name, table in _GOAL_TABLES:   # without cached_property's first-read lock
+            tables[name] = table(sub)
         return sub
 
     @cached_property
@@ -494,6 +502,15 @@ class Problem:
                                   f"stack{'s' * (len(names) > 1)} {' and '.join(names)}")
         errors.extend(self.initial.validate(self))
         return errors
+
+
+# ``subproblem``: the cached tables a derived problem shares with its parent,
+# read in one call, and every other cached table, which it does not share
+_SHARED = dict.fromkeys(GOAL_INDEPENDENT + ("structure_errors",))
+_shared = attrgetter(*_SHARED)
+_OWN = tuple(name for name, table in vars(Problem).items()
+             if isinstance(table, cached_property) and name not in _SHARED)
+_GOAL_TABLES = tuple((name, getattr(Problem, name).func) for name in GOAL_TABLES)
 
 
 def goal_heights(stacks: Mapping) -> tuple:

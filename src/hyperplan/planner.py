@@ -25,7 +25,8 @@ costly heuristic). A search with no goal stack the hand term may charge
 and no blocker term, where it is 0 everywhere, skips it. States that
 differ only in which interchangeable robot holds what are one node; when
 the robots' one such class is a pair, the common case, each successor is
-keyed as it is built.
+keyed as it is built, and while the two hold equal loads the second one's
+picks, which reach the first one's keys, are not built.
 It returns actions and compiles nothing. It checks its problem first;
 ``search_unchecked`` is the rest of it, for refinement's sub-problems,
 which are valid by construction. ``Compiler`` turns actions into a
@@ -72,6 +73,8 @@ from .domain import (
 # bench/spans.py wraps hyperplan.planner.execute_hypergraph by name.
 from .domain import execute_hypergraph  # noqa: F401
 from .hypergraph import HypergraphBuilder, SolutionHypergraph
+
+_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -122,12 +125,12 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     avoid: the hand term W, and with C >= 2 and at least 2C + 2 objects
     that can move the larger of W and the blocker term B. The per-slot
     terms are ``per_slot_bound``, and the rest is ``SlotSpace.pop_term``,
-    the one evaluator of it. ``search`` sums its start state's per-slot
-    bound from the terms of its stack records (see ``SlotSpace``), takes a
-    successor's as its parent's plus the change in the terms of the slots
-    the action replaced, and adds ``SlotSpace.pop_term`` when it first pops
-    a state; this function, which builds a ``SlotSpace`` per call, is for
-    checking the two.
+    the one evaluator of it. ``SlotSpace.start`` sums the per-slot bound of
+    a search's start state, and of the state this function is given;
+    ``search`` takes a successor's as its parent's plus the change in the
+    terms of the slots the action replaced, and adds ``SlotSpace.pop_term``
+    when it first pops a state. This function builds a ``SlotSpace`` per
+    call, so the tests check the search's h against it state by state.
 
     Per-slot terms: each action moves exactly one object, and each term
     counts actions on a different object, so the sum stays admissible with
@@ -198,55 +201,24 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     ``hand_charge`` per goal stack and B ``blocker_charge`` per stack, and
     ``SlotSpace.pop_term`` adds W, or their larger.
     """
-    h = per_slot_bound(s, p, prefix)
+    space = SlotSpace(p, prefix)
+    state, h = space.start(s)
     if h is None or p.hands == 1:
         return h
-    space = SlotSpace(p, prefix)
-    return h + space.pop_term(space.slots(s), h)
+    return h + space.pop_term(state, h)
 
 
 def per_slot_bound(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     """``heuristic``'s per-slot terms, the one-hand terms with one hand,
-    summed; None flags a dead end. It is all of ``heuristic`` with one hand.
+    summed; None flags a dead end. It is all of ``heuristic`` with one hand,
+    and what ``SlotSpace.start`` sums.
 
     Dead ends: an object that must move rests where no robot reaches, or a
     goal region no robot reaches is unsatisfied in this reading. No action
     changes a region no robot reaches, so a state the search reaches from a
     start that is no dead end is none either.
     """
-    return _slot_sum(s, p, prefix, [(region, stack_term(region, stack, p, prefix))
-                                    for region, stack in s.stacks.items()])
-
-
-def _slot_sum(s: WorldState, p: Problem, prefix: bool, stack_terms: list) -> int | None:
-    """``per_slot_bound`` of ``s`` given its stacks' terms, one ``(region,
-    stack_term)`` per stack region, as ``search`` has them on its
-    ``start_records``."""
-    stacks = s.stacks
-    for region in p.unreachable_goals:
-        want = p.goal[region]
-        stack = stacks.get(region, ())
-        if (stack[:len(want)] if prefix else stack) != want:
-            return None
-    reachable = p.reachable
-    total = 0
-    for region, cost in stack_terms:
-        if cost and region not in reachable:
-            return None
-        total += cost
-    for region, objs in s.buffers.items():
-        for o in objs:
-            cost = placed_term(region, o, p)
-            if cost and region not in reachable:
-                return None
-            total += cost
-    one_hand = p.hands == 1
-    for holder, objs in s.holdings.items():
-        for o in objs:
-            total += held_term(holder, o, p)
-            if one_hand:
-                total += regrasp_term(o, stacks, p)
-    return total
+    return SlotSpace(p, prefix).start(s)[1]
 
 
 def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
@@ -465,18 +437,6 @@ class StackRecord:
         self.hand = self.blocker = False
 
 
-def start_records(s: WorldState, p: Problem, prefix: bool) -> dict:
-    """A new ``StackRecord`` for each stack region of ``p``, by region: its
-    stack in ``s``, with its ``stack_term``. These are the stack slots of a
-    search that starts at ``s``."""
-    stacks = s.stacks
-    records = {}
-    for _, region in p.slot_layout[2]:
-        stack = stacks.get(region, ())
-        records[region] = StackRecord(stack, stack_term(region, stack, p, prefix))
-    return records
-
-
 class SlotSpace:
     """A problem's states as slot tuples, laid out by ``Problem.robot_table``,
     with the heuristic's per-slot terms for one goal reading, its hand term
@@ -484,8 +444,8 @@ class SlotSpace:
 
     A stack slot holds a ``StackRecord``, a buffer slot a frozenset of
     objects and a robot slot its load, a tuple in pick order. A search's
-    start state holds a record, with its ``stack_term``, for each stack
-    (``start_records``, which ``slots`` makes by default); ``successors``
+    start state, which ``start`` makes with its per-slot h, holds a new
+    record, with its ``stack_term``, for each stack; ``successors``
     reaches every other record through the links and makes each at the
     first pick (``pop``) or place (``push``) that leads to it, its term in
     O(1) from its neighbour's. A record's ``up`` links it to the records
@@ -497,7 +457,8 @@ class SlotSpace:
     slot space. ``terms[slot]`` memoises, by object, the heuristic's cost
     of an object in that slot: in a stack slot what ``stack_term`` charges
     it when it must move (``stack_cost``), in a buffer slot its
-    ``placed_term``, and in a robot slot its ``held_term``. ``pair`` is the
+    ``placed_term``, and in a robot slot its ``held_term``; ``start`` fills
+    it with the costs it sums. ``pair`` is the
     two robot slots of the one class of interchangeable robots when that
     class is a pair and the only one, the common case: ``successors`` then
     keys each successor as it builds it. ``key`` keys the start state, and
@@ -598,15 +559,59 @@ class SlotSpace:
                 best = charge
         return best
 
-    def slots(self, s: WorldState, records: dict | None = None) -> tuple:
-        """``s`` as a slot state, a search's start: each stack slot holds
-        the record ``records`` has for its region, by default that of
-        ``start_records(s, ...)``."""
-        if records is None:
-            records = start_records(s, self.p, self.prefix)
-        buffers, holdings = s.buffers, s.holdings
-        return tuple([records[r.id] if r.kind == STACK else buffers.get(r.id, frozenset())
-                      for r in self.p.regions] + [holdings.get(row[0], ()) for row in self.rows])
+    def start(self, s: WorldState) -> tuple:
+        """``(state, h)``: ``s`` as a slot state, a search's start, whose
+        stack slots are new records, each with its ``stack_term``, and its
+        ``per_slot_bound`` (None for a dead end). The cost of each object
+        summed is stored in its slot's ``terms`` as it is computed, so the
+        search never computes it again."""
+        p, prefix, terms = self.p, self.prefix, self.terms
+        stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
+        reachable = p.reachable
+        dead = False
+        for region in p.unreachable_goals:
+            want = p.goal[region]
+            stack = stacks.get(region, ())
+            dead = dead or (stack[:len(want)] if prefix else stack) != want
+        h = 0
+        state = []
+        for slot, region in enumerate(p.regions):
+            rid, term = region.id, 0
+            if region.kind == STACK:
+                stack = stacks.get(rid, ())
+                if stack:
+                    cost = terms[slot]
+                    for o in stack[must_move_from(rid, stack, p, prefix):]:
+                        c = cost[o] = stack_cost(rid, o, p)
+                        term += c
+                state.append(StackRecord(stack, term))
+            else:
+                objs = buffers.get(rid, _EMPTY)
+                if objs:
+                    cost = terms[slot]
+                    for o in objs:
+                        c = cost[o] = placed_term(rid, o, p)
+                        term += c
+                state.append(objs)
+            if term and rid not in reachable:
+                dead = True
+            h += term
+        one_hand = self.ready is not None
+        for holder, slot, _, _, _ in self.rows:
+            load = holdings.get(holder, ())
+            if load:
+                cost = terms[slot]
+                for o in load:
+                    c = cost[o] = held_term(holder, o, p)
+                    h += c
+                    if one_hand:
+                        h += regrasp_term(o, stacks, p)
+            state.append(load)
+        return tuple(state), None if dead else h
+
+    def slots(self, s: WorldState) -> tuple:
+        """``s`` as a slot state, as ``start`` makes it."""
+        return self.start(s)[0]
 
     def pop(self, slot: int, here: StackRecord) -> StackRecord:
         """The record below ``here``, in stack slot ``slot``, made at the
@@ -662,7 +667,10 @@ class SlotSpace:
 
     def successors(self, state: tuple, h: int) -> list:
         """``(action, successor, key, h)`` per action applicable in ``state``,
-        in the order ``applicable_actions`` returns them.
+        in the order ``applicable_actions`` returns them, but for the picks
+        of the second robot of a ``pair`` whose two loads are equal: each
+        has the key and h of the first robot's pick of the same object,
+        which comes first, so A* would drop it.
 
         ``h`` is the heuristic of ``state``; each successor's is ``h`` plus
         the change in the terms of the slots the action replaced, and with
@@ -677,13 +685,16 @@ class SlotSpace:
         afterwards.
         """
         terms, pair, ready, below = self.terms, self.pair, self.ready, self.below
+        twin = None
         if pair:
             a, b = pair
+            if state[a] == state[b]:
+                twin = b
         out = []
         append = out.append
         for _, slot, capacity, regions, _ in self.rows:
             load = state[slot]
-            if len(load) >= capacity:
+            if len(load) >= capacity or slot == twin:
                 continue
             tops = []
             for rslot, _, cap, pick, _ in regions:
@@ -828,14 +839,12 @@ def search_unchecked(p: Problem, config: SearchConfig | None = None,
 
 def _astar(p: Problem, max_expansions: int, prefix: bool) -> tuple:
     """``search`` on a checked problem; the caller times it."""
-    records = start_records(p.initial, p, prefix)
-    h0 = _slot_sum(p.initial, p, prefix, [(region, rec.term) for region, rec in records.items()])
+    space = SlotSpace(p, prefix)
+    init, h0 = space.start(p.initial)
     if h0 is None:
         raise NoSolution("an object that must move or a goal region is unreachable")
     if not h0:   # the start is a goal; see heuristic
         return [], SearchStats()
-    space = SlotSpace(p, prefix)
-    init = space.slots(p.initial, records)
     successors = space.successors
     init_key = space.key(init)
     # (f, h, insertion, state, key, base): base is the per-slot h, which
@@ -932,7 +941,10 @@ class Compiler:
     Handoff moves the object between the two robot compositions. A head is
     the node it recomposes with the moved object added or taken away, in
     its composition and in its facts, which are one ``OnStack``, ``Held``
-    or ``InBuffer`` fact apart. Members are the problem's ``entities``.
+    or ``InBuffer`` fact apart: the fact taken away is the one instance
+    ``facts`` holds for the object, and the moved object is one frozenset
+    per object (``alone``), each built once per compiler. Members are the
+    problem's ``entities``.
     The frontier is keyed by holder, so an action updates one entry per
     head: ``stacks`` maps each occupied stack region to its node, and
     ``holders`` each robot and each buffered object to its own node.
@@ -949,11 +961,15 @@ class Compiler:
         self.state = p.initial
         self.builder = HypergraphBuilder()
         node_of: dict = {}   # entity name -> source node id
+        self.facts: dict = {}   # object -> the fact of its node that places it
+        self.alone: dict = {}   # object -> the frozenset of its entity alone
         sources = initial_decomposition(p)
         for comp, facts in sources:
             nid = self.builder.add_node(comp, facts)
             for entity in comp:
                 node_of[entity.name] = nid
+            for fact in facts:
+                self.facts[fact.obj] = fact
         self.layers = [0] * len(sources)   # node id -> layer
         self.stacks = {r: node_of[stack[0]] for r, stack in p.initial.stacks.items()}
         self.holders = {spec.id: node_of[spec.id] for spec in p.robots}
@@ -980,6 +996,7 @@ class Compiler:
         """
         p, add, node = self.p, self.builder.add_node, self.builder.node
         stacks, holders, layers, peers = self.stacks, self.holders, self.layers, self.peers
+        facts, alone = self.facts, self.alone
         alias: dict = {}   # robot in actions -> the robot that acts, once exchanged
         state = self.state
         for action in actions:
@@ -1007,7 +1024,10 @@ class Compiler:
                                 alias[k] = r
                         action = Pick(best, o, action.region)
             nxt = apply(state, action, p)
-            moved = frozenset((p.entities[o],))
+            moved = alone.get(o)
+            if moved is None:
+                moved = alone[o] = frozenset((p.entities[o],))
+            placed = facts[o]
             if isinstance(action, Pick):
                 r, region = action.robot, action.region
                 hand = node(holders[r])
@@ -1015,12 +1035,13 @@ class Compiler:
                               else holders.pop(o))
                 tails = (hand.id, source.id)
                 layer = 1 + max(layers[hand.id], layers[source.id])
-                holders[r] = add(hand.composition | moved, hand.state | {Held(r, o)})
+                fact = facts[o] = Held(r, o)
+                holders[r] = add(hand.composition | moved, hand.state | {fact})
                 heads = [holders[r]]
                 layers.append(layer)
                 rest = source.composition - moved
-                if rest:   # o left the top of a stack, at height len(rest)
-                    stacks[region] = add(rest, source.state - {OnStack(o, region, len(rest))})
+                if rest:   # o left the top of a stack
+                    stacks[region] = add(rest, source.state - {placed})
                     heads.append(stacks[region])
                     layers.append(layer)
             elif isinstance(action, Place):
@@ -1029,7 +1050,7 @@ class Compiler:
                 tails = (hand.id,)
                 layer = 1 + layers[hand.id]
                 if p.region_map[region].kind == STACK:
-                    fact = OnStack(o, region, len(state.stacks.get(region, ())))
+                    fact = facts[o] = OnStack(o, region, len(state.stacks.get(region, ())))
                     if region in stacks:
                         group = node(stacks[region])
                         tails += (group.id,)
@@ -1039,8 +1060,9 @@ class Compiler:
                         landing = add(moved, (fact,))
                     stacks[region] = landing
                 else:
-                    landing = holders[o] = add(moved, (InBuffer(o, region),))
-                holders[r] = add(hand.composition - moved, hand.state - {Held(r, o)})
+                    fact = facts[o] = InBuffer(o, region)
+                    landing = holders[o] = add(moved, (fact,))
+                holders[r] = add(hand.composition - moved, hand.state - {placed})
                 heads = [landing, holders[r]]
                 layers += (layer, layer)
             else:
@@ -1048,8 +1070,9 @@ class Compiler:
                 g, q = node(holders[giver]), node(holders[receiver])
                 tails = (g.id, q.id)
                 layer = 1 + max(layers[g.id], layers[q.id])
-                heads = [add(g.composition - moved, g.state - {Held(giver, o)}),
-                         add(q.composition | moved, q.state | {Held(receiver, o)})]
+                fact = facts[o] = Held(receiver, o)
+                heads = [add(g.composition - moved, g.state - {placed}),
+                         add(q.composition | moved, q.state | {fact})]
                 holders[giver], holders[receiver] = heads
                 layers += (layer, layer)
             self.builder.add_arc(action, tails, heads)

@@ -28,8 +28,9 @@ state is where the next sub-problem starts. The result is one solution
 hypergraph, validated once and not executed a second time, whose robot
 entities are exactly those the sub-solutions introduced.
 ``reuse_pipeline`` runs the three phases and is the one place that decides
-to plan from scratch instead; with grounding's check, it checks the
-problem twice.
+to plan from scratch instead. It checks the problem once, in grounding,
+and refines through ``_refine``, which is ``refine`` without its check,
+as ``search_unchecked`` is ``search`` without its own.
 """
 
 from __future__ import annotations
@@ -172,6 +173,11 @@ def refine(subgoals: tuple, p: Problem,
     decision.
     """
     check_problem(p)
+    return _refine(subgoals, p, config)
+
+
+def _refine(subgoals: tuple, p: Problem, config: SearchConfig | None) -> tuple:
+    """``refine`` on a problem the caller has checked."""
     compiler = Compiler(p)
     substats: list = []
     achieved: dict = {}
@@ -217,7 +223,7 @@ def reuse_pipeline(ah: AbstractHypergraph | None, p: Problem,
         ticks.append(time.perf_counter())
         subgoals = reconstruct(ah, regions, p)
         ticks.append(time.perf_counter())
-        graph, stats = refine(subgoals, p, cfg.search)
+        graph, stats = _refine(subgoals, p, cfg.search)
         ticks.append(time.perf_counter())
     except (NoGrounding, SubproblemInfeasible) as exc:
         ticks.append(time.perf_counter())

@@ -709,16 +709,30 @@ def contents(state: tuple) -> tuple:
     return tuple(x.stack if isinstance(x, StackRecord) else x for x in state)
 
 
+def twin_robot(p: Problem, state: WorldState) -> str | None:
+    """The second robot of ``p``'s one class of interchangeable robots when
+    that class is a pair and the two hold equal loads in ``state``: each of
+    its picks reaches a state that exchanging the two robots makes the
+    first robot's pick of the same object."""
+    if len(p.robot_classes) == 1 and len(p.robot_classes[0]) == 2:
+        first, second = p.robot_classes[0]
+        if state.holdings.get(first, ()) == state.holdings.get(second, ()):
+            return second
+    return None
+
+
 @pytest.mark.parametrize("prefix", [False, True])
 def test_slot_successors_match_apply_and_heuristic(prefix):
     """At every walked state, the search's successors are
     ``applicable_actions`` with the checked ``apply``, as slot tuples, with
-    their ``key``. At every state that is no dead end their h is the
-    per-slot bound, and that plus the term the search adds at a pop, the
-    larger of the hand and blocker terms, is the full ``heuristic``, which
-    is 0 exactly on the goals, the search's goal test, and drops by at most
-    1 per action: it is consistent, so A* never needs to reopen a state."""
-    checked = with_h = goals = charged = blocked = 0
+    their ``key``, but for the picks of a ``twin_robot``, each of which has
+    the key of a successor listed. At every state that is no dead end their
+    h is the per-slot bound, and that plus the term the search adds at a
+    pop, the larger of the hand and blocker terms, is the full
+    ``heuristic``, which is 0 exactly on the goals, the search's goal test,
+    and drops by at most 1 per action: it is consistent, so A* never needs
+    to reopen a state."""
+    checked = with_h = goals = charged = blocked = twins = 0
     problems = WALKED + [shared_blockers(blockers, blockers) for blockers in (3, 4, 5)]
     spaces = {id(p): SlotSpace(p, prefix) for p in problems}
     for p, state in walked_states(problems):
@@ -727,7 +741,16 @@ def test_slot_successors_match_apply_and_heuristic(prefix):
         h = heuristic(state, p, prefix)
         base = 0 if h is None else h - space.pop_term(slots, h)
         got = space.successors(slots, base)
-        applied = [(action, apply(state, action, p)) for action in applicable_actions(state, p)]
+        twin = twin_robot(p, state)
+        applied = []
+        keys = {contents(key) for _, _, key, _ in got}
+        for action in applicable_actions(state, p):
+            successor = apply(state, action, p)
+            if isinstance(action, Pick) and action.robot == twin:
+                assert contents(space.key(space.slots(successor))) in keys, (state, action)
+                twins += 1
+            else:
+                applied.append((action, successor))
         assert [(action, contents(successor), contents(key))
                 for action, successor, key, _ in got] == \
             [(action, contents(space.slots(successor)),
@@ -748,6 +771,7 @@ def test_slot_successors_match_apply_and_heuristic(prefix):
             blocked += h - base > reference_hand_term(state, p)
         with_h += len(got)
     assert checked >= 10_000
+    assert twins >= 200
     assert with_h >= 9_000
     assert goals >= 1_000
     assert charged >= 20
@@ -1234,13 +1258,13 @@ def test_search_pauses_and_restores_the_garbage_collector(fig1, monkeypatch):
     from conftest import reversal_problem
 
     seen = []
-    start_records = planner.start_records
+    start = SlotSpace.start
 
     def spy(*args):
         seen.append(gc.isenabled())
-        return start_records(*args)
+        return start(*args)
 
-    monkeypatch.setattr(planner, "start_records", spy)
+    monkeypatch.setattr(SlotSpace, "start", spy)
     unsolvable = Problem((Region("L", "stack"),), (RobotSpec("a", frozenset({"L"})),),
                          ("x", "y"), WorldState(stacks={"L": ("x", "y")}),
                          {"L": ("y", "x")})
