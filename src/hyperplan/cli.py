@@ -4,7 +4,8 @@ Subcommands: ``solve`` (plan from scratch), ``extract`` (abstract a solved
 plan into a strategy), ``reuse`` (ground + refine a strategy on a new
 scenario), ``bench`` (scratch vs reuse comparison CSV), ``dot`` (check and
 render a plan or strategy file). Exit codes: 0 success, 1 planning failure,
-2 input error.
+2 input error, 3 program fault: ``main`` prints the traceback of any other
+exception, which ``run_command`` lets through.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -545,7 +547,12 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        status = run_command(sys.argv[1:])
+    except Exception:   # neither a planning nor an input error: a fault of the program
+        traceback.print_exc()
+        status = 3
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -50,6 +50,9 @@ class Entity:
     def is_robot(self) -> bool:
         return self.kind == ROBOT
 
+    def __str__(self) -> str:
+        return f"{self.kind} {self.name}"
+
 
 def robot(name: str) -> Entity:
     return Entity(ROBOT, name)
@@ -259,16 +262,20 @@ def hyperpath_violations(compositions: Mapping[int, frozenset],
         tail_ents = Counter(e for nid in tails for e in comp(nid, _NONE))
         head_ents = Counter(e for nid in heads for e in comp(nid, _NONE))
         if tail_ents != head_ents:
-            missing = sorted(str(e) for e in (tail_ents - head_ents))
-            extra = sorted(str(e) for e in (head_ents - tail_ents))
             out.append(Violation(
                 "entity-conservation",
-                f"arc {aid} loses {missing or '[]'} and gains {extra or '[]'}"))
+                f"arc {aid} loses {_listed(tail_ents - head_ents)} "
+                f"and gains {_listed(head_ents - tail_ents)}"))
     for nid in sorted(late):
         out.append(Violation(
             "arc-order",
             f"arc {consumers[nid]} consumes node {nid}, produced by arc {producers[nid]}"))
     return out
+
+
+def _listed(members) -> str:
+    """``members`` by name, sorted, as ``[object C, robot blue]``."""
+    return f"[{', '.join(sorted(map(str, members)))}]"
 
 
 def validate_hyperpath(graph: HypergraphTable) -> list:

@@ -526,8 +526,7 @@ MALFORMED_MESSAGES = {
     "plan-object-arcs": "plan.arcs: expected a list",
     "plan-true-version": "plan.version: unsupported version True",
     "plan-doubled-head": "invalid hyperpath: node 3 produced by arcs 0 and 5; arc 5 loses [] "
-                         "and gains [\"Entity(kind='object', name='C')\", "
-                         "\"Entity(kind='robot', name='blue')\"]",
+                         "and gains [object C, robot blue]",
     "plan-empty": "sources do not match the initial decomposition",
     "plan-empty-at-goal": "sources do not match the initial decomposition",
     "plan-empty-no-goal": "sources do not match the initial decomposition",
@@ -971,6 +970,25 @@ def test_module_entry_exits_with_the_command_status(tmp_path):
         run = subprocess.run([sys.executable, "-m", "hyperplan.cli", *argv], env=env,
                              capture_output=True, text=True, timeout=60)
         assert (run.returncode, run.stderr[:len(err)]) == (status, err), run.stderr
+
+
+def test_a_program_fault_exits_3(monkeypatch, capsys):
+    """An exception that is neither a planning nor an input error passes
+    through ``run_command``; ``main`` prints its traceback and exits 3."""
+    from hyperplan import cli
+
+    def broken(args):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setitem(cli._HANDLERS, "solve", broken)
+    with pytest.raises(RuntimeError, match="broken handler"):
+        run_command(["solve", fig1_path()])
+    monkeypatch.setattr(sys, "argv", ["hyperplan", "solve", fig1_path()])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: broken handler\n")
 
 
 def test_readme_command_line_block_runs(tmp_path, monkeypatch):

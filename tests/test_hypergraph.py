@@ -104,7 +104,7 @@ def test_entity_conservation_violation_reported():
     }
     arcs = {0: Hyperarc(0, None, frozenset({0}), frozenset({1}))}
     report = validate_hyperpath(SolutionHypergraph(nodes, arcs))
-    assert any(v.code == "entity-conservation" for v in report)
+    assert report == [Violation("entity-conservation", "arc 0 loses [object y] and gains []")]
 
 
 def counter_conservation(compositions, arcs) -> list:
@@ -115,11 +115,10 @@ def counter_conservation(compositions, arcs) -> list:
         tail = Counter(e for nid in arc.tails for e in compositions.get(nid, ()))
         head = Counter(e for nid in arc.heads for e in compositions.get(nid, ()))
         if tail != head:
-            missing = sorted(str(e) for e in tail - head)
-            extra = sorted(str(e) for e in head - tail)
+            missing = ", ".join(sorted(map(str, tail - head)))
+            extra = ", ".join(sorted(map(str, head - tail)))
             out.append(Violation(
-                "entity-conservation",
-                f"arc {aid} loses {missing or '[]'} and gains {extra or '[]'}"))
+                "entity-conservation", f"arc {aid} loses [{missing}] and gains [{extra}]"))
     return out
 
 
@@ -356,11 +355,10 @@ def reference_violations(compositions, arcs) -> list:
         tail_ents = Counter(e for comp in tail_comps for e in comp)
         head_ents = Counter(e for comp in head_comps for e in comp)
         if tail_ents != head_ents:
-            missing = sorted(str(e) for e in (tail_ents - head_ents))
-            extra = sorted(str(e) for e in (head_ents - tail_ents))
+            missing = ", ".join(sorted(map(str, tail_ents - head_ents)))
+            extra = ", ".join(sorted(map(str, head_ents - tail_ents)))
             out.append(Violation(
-                "entity-conservation",
-                f"arc {aid} loses {missing or '[]'} and gains {extra or '[]'}"))
+                "entity-conservation", f"arc {aid} loses [{missing}] and gains [{extra}]"))
     for nid, aid in sorted(consumers.items()):
         if producers.get(nid, -1) >= aid:
             out.append(Violation(
