@@ -123,14 +123,14 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     together sum a cost over every object that must move, plus the
     set-downs that the robots' total hand capacity C (``p.hands``) cannot
     avoid: the hand term W, and with C >= 2 and at least 2C + 2 objects
-    that can move the larger of W and the blocker term B. The per-slot
-    terms are ``per_slot_bound``, and the rest is ``SlotSpace.pop_term``,
-    the one evaluator of it. ``SlotSpace.start`` sums the per-slot bound of
-    a search's start state, and of the state this function is given;
-    ``search`` takes a successor's as its parent's plus the change in the
-    terms of the slots the action replaced, and adds ``SlotSpace.pop_term``
-    when it first pops a state. This function builds a ``SlotSpace`` per
-    call, so the tests check the search's h against it state by state.
+    that can move the larger of W and the blocker term B. ``SlotSpace.start``
+    sums the per-slot terms, with one hand the one-hand terms too, of a
+    search's start state and of the state this function is given;
+    ``search`` takes a successor's sum as its parent's plus the change in
+    the terms of the slots the action replaced, and adds
+    ``SlotSpace.pop_term``, the one evaluator of the rest, when it first
+    pops a state. This function builds a ``SlotSpace`` per call, so the
+    tests check the search's h against it state by state.
 
     Per-slot terms: each action moves exactly one object, and each term
     counts actions on a different object, so the sum stays admissible with
@@ -206,19 +206,6 @@ def heuristic(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
     if h is None or p.hands == 1:
         return h
     return h + space.pop_term(state, h)
-
-
-def per_slot_bound(s: WorldState, p: Problem, prefix: bool = False) -> int | None:
-    """``heuristic``'s per-slot terms, the one-hand terms with one hand,
-    summed; None flags a dead end. It is all of ``heuristic`` with one hand,
-    and what ``SlotSpace.start`` sums.
-
-    Dead ends: an object that must move rests where no robot reaches, or a
-    goal region no robot reaches is unsatisfied in this reading. No action
-    changes a region no robot reaches, so a state the search reaches from a
-    start that is no dead end is none either.
-    """
-    return SlotSpace(p, prefix).start(s)[1]
 
 
 def stack_term(region: str, stack: tuple, p: Problem, prefix: bool) -> int:
@@ -561,10 +548,16 @@ class SlotSpace:
 
     def start(self, s: WorldState) -> tuple:
         """``(state, h)``: ``s`` as a slot state, a search's start, whose
-        stack slots are new records, each with its ``stack_term``, and its
-        ``per_slot_bound`` (None for a dead end). The cost of each object
-        summed is stored in its slot's ``terms`` as it is computed, so the
-        search never computes it again."""
+        stack slots are new records, each with its ``stack_term``, and the
+        sum of its per-slot terms (see ``heuristic``), or None for a dead
+        end. The cost of each object summed is stored in its slot's
+        ``terms`` as it is computed, so the search never computes it again.
+
+        Dead ends: an object that must move rests where no robot reaches, or
+        a goal region no robot reaches is unsatisfied in this reading. No
+        action changes a region no robot reaches, so a state the search
+        reaches from a start that is no dead end is none either.
+        """
         p, prefix, terms = self.p, self.prefix, self.terms
         stacks, buffers, holdings = s.stacks, s.buffers, s.holdings
         reachable = p.reachable
@@ -608,10 +601,6 @@ class SlotSpace:
                         h += regrasp_term(o, stacks, p)
             state.append(load)
         return tuple(state), None if dead else h
-
-    def slots(self, s: WorldState) -> tuple:
-        """``s`` as a slot state, as ``start`` makes it."""
-        return self.start(s)[0]
 
     def pop(self, slot: int, here: StackRecord) -> StackRecord:
         """The record below ``here``, in stack slot ``slot``, made at the

@@ -705,7 +705,7 @@ def slot_bound(state: WorldState, p: Problem, prefix: bool) -> int:
 
 def contents(state: tuple) -> tuple:
     """Slot state ``state`` with each stack slot's record read as its stack,
-    so that states of separate ``SlotSpace.slots`` calls compare."""
+    so that states of separate ``SlotSpace.start`` calls compare."""
     return tuple(x.stack if isinstance(x, StackRecord) else x for x in state)
 
 
@@ -737,7 +737,7 @@ def test_slot_successors_match_apply_and_heuristic(prefix):
     spaces = {id(p): SlotSpace(p, prefix) for p in problems}
     for p, state in walked_states(problems):
         space = spaces[id(p)]
-        slots = space.slots(state)
+        slots = space.start(state)[0]
         h = heuristic(state, p, prefix)
         base = 0 if h is None else h - space.pop_term(slots, h)
         got = space.successors(slots, base)
@@ -747,14 +747,14 @@ def test_slot_successors_match_apply_and_heuristic(prefix):
         for action in applicable_actions(state, p):
             successor = apply(state, action, p)
             if isinstance(action, Pick) and action.robot == twin:
-                assert contents(space.key(space.slots(successor))) in keys, (state, action)
+                assert contents(space.key(space.start(successor)[0])) in keys, (state, action)
                 twins += 1
             else:
                 applied.append((action, successor))
         assert [(action, contents(successor), contents(key))
                 for action, successor, key, _ in got] == \
-            [(action, contents(space.slots(successor)),
-              contents(space.key(space.slots(successor))))
+            [(action, contents(space.start(successor)[0]),
+              contents(space.key(space.start(successor)[0])))
              for action, successor in applied], state
         checked += len(got)
         if h is None:
@@ -956,9 +956,9 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
             space = SlotSpace(p, prefix)
             h = []
             for state in states:
-                h_i = planner.per_slot_bound(state, p, prefix)
+                slots, h_i = space.start(state)
                 if h_i is not None:
-                    h_i += space.pop_term(space.slots(state), h_i)
+                    h_i += space.pop_term(slots, h_i)
                 h.append(h_i)
             distance = goal_distances(states, edges, p, prefix)
             bound = []
@@ -991,10 +991,10 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
                 h0 = heuristic(state, p, prefix)
                 if h0 is None:
                     continue
-                slots = space.slots(state)
+                slots = space.start(state)[0]
                 base = slot_bound(state, p, prefix)
                 assert base + space.pop_term(slots, base) == h0, (state, prefix)
-                reached = contents(space.slots(following))
+                reached = contents(space.start(following)[0])
                 for _, successor, _, h2 in space.successors(slots, base):
                     if contents(successor) == reached:
                         assert h2 + space.pop_term(successor, h2) == \
@@ -1008,7 +1008,7 @@ def test_hand_bound_holds_on_whole_corpus_state_spaces():
 
 
 def test_successors_keep_one_exact_record_per_stack_on_whole_state_spaces():
-    """Every state reachable from a search's start, ``SlotSpace.slots`` of
+    """Every state reachable from a search's start, ``SlotSpace.start`` of
     the initial state, expanded through ``SlotSpace.successors`` with the
     states themselves, not their keys, as nodes, in both goal readings: in
     4- and 5-box permutations with one robot and with two, in blocker
@@ -1030,8 +1030,7 @@ def test_successors_keep_one_exact_record_per_stack_on_whole_state_spaces():
         stack_slots = p.slot_layout[2]
         for prefix in (False, True):
             space = SlotSpace(p, prefix)
-            start = space.slots(p.initial)
-            h0 = planner.per_slot_bound(p.initial, p, prefix)
+            start, h0 = space.start(p.initial)
             queue, h = [start], {start: h0}
             for state in queue:   # grows as it is walked
                 if h0 is not None:
@@ -1101,7 +1100,7 @@ def test_search_with_interchangeable_robots_matches_oracle(robots, capacity):
     for state in walk[::2]:
         assert assert_search_matches_oracle(replace(p, initial=state), 30)
     space = SlotSpace(p, False)
-    assert any(space.key(slots) != slots for slots in map(space.slots, walk[::2]))
+    assert any(space.key(slots) != slots for slots, _ in map(space.start, walk[::2]))
 
 
 def test_search_with_a_duplicated_robot_matches_oracle_on_corpus():
@@ -1117,7 +1116,7 @@ def test_slot_key_merges_exchanged_loads():
     """Every permutation of a class's loads over its robots has one key: the
     loads sorted over the robots in id order."""
     def slots(space, loads):
-        return space.slots(WorldState(holdings={f"r{i}": load for i, load in enumerate(loads)}))
+        return space.start(WorldState(holdings={f"r{i}": load for i, load in enumerate(loads)}))[0]
 
     for robots, loads, want in (
             (3, [("o2",), ("o1",), ()], [(), ("o1",), ("o2",)]),
@@ -1130,7 +1129,7 @@ def test_slot_key_merges_exchanged_loads():
             assert contents(space.key(slots(space, exchanged))) == contents(key)
     # no two robots alike: the key is the state itself
     space = SlotSpace(PERM6_ONE_ROBOT, False)
-    init = space.slots(PERM6_ONE_ROBOT.initial)
+    init = space.start(PERM6_ONE_ROBOT.initial)[0]
     assert space.key(init) is init
 
 
