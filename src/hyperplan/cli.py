@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -550,7 +549,7 @@ def main() -> None:
     try:
         status = run_command(sys.argv[1:])
     except Exception:   # neither a planning nor an input error: a fault of the program
-        traceback.print_exc()
+        sys.excepthook(*sys.exc_info())   # the traceback, as if uncaught
         status = 3
     sys.exit(status)
 
